@@ -421,11 +421,13 @@ def assemble_weak_clbf(
             raise MarginInfeasible("sigmoid endpoint identity violated (delta too large)")
     if k is None:
         k = (1.0 + theta * sigma2) * v2
-    shape = SigmoidShape(l=l, d=unsafe.d, delta=delta)
+    # plain floats keep the scalar evaluations inside the controller off
+    # numpy's slower scalar arithmetic
+    shape = SigmoidShape(l=float(l), d=float(unsafe.d), delta=float(delta))
     levels = LevelParams(
         v1=bounds.v1, v2=v2, sigma1=sigma1, sigma2=sigma2, gamma=bounds.gamma
     )
-    return WeakCLBF(clf=clf, shape=shape, theta=theta, k=k, levels=levels)
+    return WeakCLBF(clf=clf, shape=shape, theta=float(theta), k=float(k), levels=levels)
 
 
 def select_parameters(

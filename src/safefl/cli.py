@@ -58,32 +58,36 @@ CSV_COLUMNS = (
 )
 
 
-def _fmt(value: float) -> str:
-    return format(float(value), ".9g")
+# one row of the schema: 13 floats with 9 significant digits, then the flag;
+# "%.9g" formats exactly like format(x, ".9g"), signed zero included
+_CSV_ROW = ",".join(["%.9g"] * (len(CSV_COLUMNS) - 1) + ["%d"]) + "\n"
+_CSV_BLOCK = 1024
 
 
 def write_trajectory_csv(traj: Trajectory, path: Path) -> None:
     """Emit the fixed 14-column schema with 9-significant-digit floats."""
-    rows = [",".join(CSV_COLUMNS)]
-    for i in range(len(traj)):
-        rec = [
-            _fmt(traj.t[i]),
-            _fmt(traj.pos[i, 0]),
-            _fmt(traj.pos[i, 1]),
-            _fmt(traj.vel[i, 0]),
-            _fmt(traj.vel[i, 1]),
-            _fmt(traj.inputs[i, 0]),
-            _fmt(traj.inputs[i, 1]),
-            _fmt(traj.force[i, 0]),
-            _fmt(traj.force[i, 1]),
-            _fmt(traj.force_safe[i, 0]),
-            _fmt(traj.force_safe[i, 1]),
-            _fmt(traj.w[i, 0]),
-            _fmt(traj.w[i, 1]),
-            str(int(traj.safe[i])),
-        ]
-        rows.append(",".join(rec))
-    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    columns = [
+        traj.t,
+        traj.pos[:, 0],
+        traj.pos[:, 1],
+        traj.vel[:, 0],
+        traj.vel[:, 1],
+        traj.inputs[:, 0],
+        traj.inputs[:, 1],
+        traj.force[:, 0],
+        traj.force[:, 1],
+        traj.force_safe[:, 0],
+        traj.force_safe[:, 1],
+        traj.w[:, 0],
+        traj.w[:, 1],
+        traj.safe,
+    ]
+    with path.open("w", encoding="utf-8") as fh:
+        fh.write(",".join(CSV_COLUMNS) + "\n")
+        # a block of rows at a time keeps the Python copies of the columns small
+        for start in range(0, len(traj), _CSV_BLOCK):
+            block = [col[start : start + _CSV_BLOCK].tolist() for col in columns]
+            fh.write("".join([_CSV_ROW % rec for rec in zip(*block)]))
 
 
 def run_label(k_safe: float) -> str:

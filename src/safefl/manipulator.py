@@ -5,8 +5,9 @@ goal position, imposes decoupled second-order error loops per axis, and adds
 the universal-formula safety input of each axis certificate on top.
 
 The model quantities are written as scalar kernels shared between the public
-array-valued functions and the controller/plant fast paths, which run inside
-every integrator stage.
+array-valued functions, the controller law and the fused closed-loop stage
+(ArmStage), which evaluates controller and plant on one set of joint
+trigonometry at every integrator stage.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 from .clbf import WeakCLBF
 from .errors import NearSingular
 from .sim import ControlAction
-from .sontag import DriftVariant, sontag_universal
+from .sontag import sontag_universal
 from .transform import GainSchedule
 
 
@@ -76,6 +77,25 @@ class TaskState:
 
 # ---------------------------------------------------------------------------
 # scalar kernels
+
+
+def _trig(q1: float, q2: float) -> tuple[float, float, float, float, float, float]:
+    """(sin q1, cos q1, sin(q1+q2), cos(q1+q2), sin q2, cos q2)."""
+    t12 = q1 + q2
+    return (
+        math.sin(q1),
+        math.cos(q1),
+        math.sin(t12),
+        math.cos(t12),
+        math.sin(q2),
+        math.cos(q2),
+    )
+
+
+def _position_entries(
+    p: ManipulatorParams, s1: float, c1: float, s12: float, c12: float
+) -> tuple[float, float]:
+    return p.L1 * c1 + p.L2 * c12, p.L1 * s1 + p.L2 * s12
 
 
 def _mass_entries(p: ManipulatorParams, c2: float) -> tuple[float, float, float]:
@@ -160,10 +180,9 @@ def gravity_vector(params: ManipulatorParams, q) -> np.ndarray:
 def forward_kinematics(params: ManipulatorParams, q) -> np.ndarray:
     t12 = q[0] + q[1]
     return np.array(
-        [
-            params.L1 * math.cos(q[0]) + params.L2 * math.cos(t12),
-            params.L1 * math.sin(q[0]) + params.L2 * math.sin(t12),
-        ]
+        _position_entries(
+            params, math.sin(q[0]), math.cos(q[0]), math.sin(t12), math.cos(t12)
+        )
     )
 
 
@@ -269,6 +288,95 @@ def task_space_terms(
 # safe task-space controller
 
 
+def _axis_law(
+    x1: float,
+    x2: float,
+    kp: float,
+    kd: float,
+    k_safe: float,
+    cert: Optional[WeakCLBF],
+    diagnostics: bool,
+) -> tuple[float, float, float]:
+    """(loop acceleration, safety acceleration, W) of one error subsystem.
+
+    The certificate is evaluated only when the safety input needs its
+    gradient or its value is to be recorded; W is NaN otherwise.
+    """
+    acc = -kp * x1 - kd * x2
+    if cert is None or not (diagnostics or k_safe > 0.0):
+        return acc, 0.0, math.nan
+    w, g1, g2 = cert.value_and_grad(x1, x2)
+    a_safe = k_safe * sontag_universal(g1 * x2 + g2 * acc, g2) if k_safe > 0.0 else 0.0
+    return acc, a_safe, w
+
+
+def _task_law(constants: tuple, q1, q2, qd1, qd2, trig, diagnostics: bool):
+    """The safe task-space control law at one joint state.
+
+    constants is SafeTaskController.constants and trig the _trig values of
+    (q1, q2). Returns (tau1, tau2), or with diagnostics
+    (tau1, tau2, (F1, F2, Fsafe1, Fsafe2, W1, W2, margin1, margin2)).
+    Raises NearSingular when |det J| is at or below the arm's threshold.
+    """
+    p, threshold, goal, sign, kp, kd, k_safe, cert, d = constants
+    s1, c1, s12, c12, s2, c2 = trig
+    j11, j12, j21, j22 = _jacobian_entries(p, s1, c1, s12, c12)
+    det = j11 * j22 - j12 * j21
+    if abs(det) <= threshold:
+        raise NearSingular(f"|det J| = {abs(det):.3e} at q = ({q1}, {q2})")
+    ji11, ji12 = j22 / det, -j12 / det
+    ji21, ji22 = -j21 / det, j11 / det
+
+    m11, m12, m22 = _mass_entries(p, c2)
+    cv1, cv2 = _coriolis_entries(p, s2, qd1, qd2)
+    gv1, gv2 = _gravity_entries(p, c1, c12)
+
+    p1, p2 = _position_entries(p, s1, c1, s12, c12)
+    v1 = j11 * qd1 + j12 * qd2
+    v2 = j21 * qd1 + j22 * qd2
+
+    # M_p = Jinv' M Jinv
+    a11 = m11 * ji11 + m12 * ji21
+    a12 = m11 * ji12 + m12 * ji22
+    a21 = m12 * ji11 + m22 * ji21
+    a22 = m12 * ji12 + m22 * ji22
+    mp11 = ji11 * a11 + ji21 * a21
+    mp12 = ji11 * a12 + ji21 * a22
+    mp21 = ji12 * a11 + ji22 * a21
+    mp22 = ji12 * a12 + ji22 * a22
+
+    jd11, jd12, jd21, jd22 = _jacobian_dot_entries(p, s1, c1, s12, c12, qd1, qd2)
+    u1 = jd11 * qd1 + jd12 * qd2
+    u2 = jd21 * qd1 + jd22 * qd2
+    cp1 = -(mp11 * u1 + mp12 * u2) + ji11 * cv1 + ji21 * cv2
+    cp2 = -(mp21 * u1 + mp22 * u2) + ji12 * cv1 + ji22 * cv2
+    gp1 = ji11 * gv1 + ji21 * gv2
+    gp2 = ji12 * gv1 + ji22 * gv2
+
+    x10, x20 = sign[0] * (p1 - goal[0]), sign[0] * v1
+    x11, x21 = sign[1] * (p2 - goal[1]), sign[1] * v2
+    acc0, safe0, w0 = _axis_law(x10, x20, kp[0], kd[0], k_safe[0], cert[0], diagnostics)
+    acc1, safe1, w1 = _axis_law(x11, x21, kp[1], kd[1], k_safe[1], cert[1], diagnostics)
+
+    sa0, sa1 = sign[0] * acc0, sign[1] * acc1
+    ss0, ss1 = sign[0] * safe0, sign[1] * safe1
+    fs1 = mp11 * ss0 + mp12 * ss1
+    fs2 = mp21 * ss0 + mp22 * ss1
+    f1 = mp11 * sa0 + mp12 * sa1 + cp1 + gp1 + fs1
+    f2 = mp21 * sa0 + mp22 * sa1 + cp2 + gp2 + fs2
+    tau1 = j11 * f1 + j21 * f2
+    tau2 = j12 * f1 + j22 * f2
+    if not diagnostics:
+        return tau1, tau2
+    margin0 = math.inf if cert[0] is None else x10 - d[0]
+    margin1 = math.inf if cert[1] is None else x11 - d[1]
+    return tau1, tau2, (f1, f2, fs1, fs2, w0, w1, margin0, margin1)
+
+
+def _floats(values) -> tuple:
+    return tuple(None if v is None else float(v) for v in values)
+
+
 @dataclass(frozen=True)
 class SafeTaskController:
     """Feedback-linearizing force controller with per-axis safety inputs.
@@ -276,7 +384,8 @@ class SafeTaskController:
     signs maps task coordinates onto the canonical error coordinates
     (x1_i = signs_i * (p_i - goal_i), x2_i = signs_i * v_i), so that each
     constrained axis sees its unsafe set as a left half plane. certificates
-    holds one WeakCLBF per axis, or None for an unconstrained axis.
+    holds one WeakCLBF per axis, or None for an unconstrained axis. The law
+    reads its settings as plain floats taken at construction (constants).
     """
 
     params: ManipulatorParams
@@ -285,106 +394,45 @@ class SafeTaskController:
     gains: GainSchedule
     certificates: Sequence[Optional[WeakCLBF]]
     unsafe_d: Sequence[Optional[float]]
-    drift_variant: DriftVariant = "closed_loop"
 
     def __post_init__(self):
         object.__setattr__(self, "goal", np.asarray(self.goal, dtype=float))
         object.__setattr__(self, "signs", np.asarray(self.signs, dtype=float))
         if len(self.certificates) != 2 or len(self.unsafe_d) != 2:
             raise ValueError("one certificate slot per task axis required")
-        if self.drift_variant not in ("closed_loop", "positive_feedback"):
-            raise ValueError(f"unknown drift variant {self.drift_variant!r}")
+        constants = (
+            self.params,
+            self.params.singularity_threshold,
+            _floats(self.goal),
+            _floats(self.signs),
+            _floats(self.gains.kp),
+            _floats(self.gains.kd),
+            _floats(self.gains.k_safe),
+            tuple(self.certificates),
+            _floats(self.unsafe_d),
+        )
+        object.__setattr__(self, "constants", constants)
 
     def __call__(self, t: float, x: np.ndarray) -> ControlAction:
         return self.compute((x[0], x[1]), (x[2], x[3]))
 
     def compute(self, q, qdot) -> ControlAction:
-        p = self.params
         q1, q2 = float(q[0]), float(q[1])
-        qd1, qd2 = float(qdot[0]), float(qdot[1])
-        t12 = q1 + q2
-        s1, c1 = math.sin(q1), math.cos(q1)
-        s12, c12 = math.sin(t12), math.cos(t12)
-        s2, c2 = math.sin(q2), math.cos(q2)
-
-        j11, j12, j21, j22 = _jacobian_entries(p, s1, c1, s12, c12)
-        det = j11 * j22 - j12 * j21
-        if abs(det) <= p.singularity_threshold:
-            raise NearSingular(f"|det J| = {abs(det):.3e} at q = ({q1}, {q2})")
-        ji11, ji12 = j22 / det, -j12 / det
-        ji21, ji22 = -j21 / det, j11 / det
-
-        m11, m12, m22 = _mass_entries(p, c2)
-        cv1, cv2 = _coriolis_entries(p, s2, qd1, qd2)
-        gv1, gv2 = _gravity_entries(p, c1, c12)
-
-        p1 = p.L1 * c1 + p.L2 * c12
-        p2 = p.L1 * s1 + p.L2 * s12
-        v1 = j11 * qd1 + j12 * qd2
-        v2 = j21 * qd1 + j22 * qd2
-
-        # M_p = Jinv' M Jinv
-        a11 = m11 * ji11 + m12 * ji21
-        a12 = m11 * ji12 + m12 * ji22
-        a21 = m12 * ji11 + m22 * ji21
-        a22 = m12 * ji12 + m22 * ji22
-        mp11 = ji11 * a11 + ji21 * a21
-        mp12 = ji11 * a12 + ji21 * a22
-        mp21 = ji12 * a11 + ji22 * a21
-        mp22 = ji12 * a12 + ji22 * a22
-
-        jd11, jd12, jd21, jd22 = _jacobian_dot_entries(p, s1, c1, s12, c12, qd1, qd2)
-        u1 = jd11 * qd1 + jd12 * qd2
-        u2 = jd21 * qd1 + jd22 * qd2
-        cp1 = -(mp11 * u1 + mp12 * u2) + ji11 * cv1 + ji21 * cv2
-        cp2 = -(mp21 * u1 + mp22 * u2) + ji12 * cv1 + ji22 * cv2
-        gp1 = ji11 * gv1 + ji21 * gv2
-        gp2 = ji12 * gv1 + ji22 * gv2
-
-        goal = self.goal
-        signs = self.signs
-        gains = self.gains
-        positive = self.drift_variant == "positive_feedback"
-
-        xbar = (
-            (signs[0] * (p1 - goal[0]), signs[0] * v1),
-            (signs[1] * (p2 - goal[1]), signs[1] * v2),
+        tau1, tau2, diag = _task_law(
+            self.constants, q1, q2, float(qdot[0]), float(qdot[1]), _trig(q1, q2), True
         )
-        acc = [0.0, 0.0]
-        a_safe = [0.0, 0.0]
-        w_values = [math.nan, math.nan]
-        margins = [math.inf, math.inf]
-        for i in range(2):
-            x1i, x2i = xbar[i]
-            kp_i, kd_i = gains.kp[i], gains.kd[i]
-            acc[i] = -kp_i * x1i - kd_i * x2i
-            cert = self.certificates[i]
-            if cert is None:
-                continue
-            w, g1, g2 = cert.value_and_grad(x1i, x2i)
-            w_values[i] = w
-            margins[i] = x1i - self.unsafe_d[i]
-            if gains.k_safe[i] > 0.0:
-                drift2 = kp_i * x1i + kd_i * x2i if positive else acc[i]
-                a_safe[i] = gains.k_safe[i] * sontag_universal(
-                    g1 * x2i + g2 * drift2, g2
-                )
-
-        sa0, sa1 = signs[0] * acc[0], signs[1] * acc[1]
-        ss0, ss1 = signs[0] * a_safe[0], signs[1] * a_safe[1]
-        fs1 = mp11 * ss0 + mp12 * ss1
-        fs2 = mp21 * ss0 + mp22 * ss1
-        f1 = mp11 * sa0 + mp12 * sa1 + cp1 + gp1 + fs1
-        f2 = mp21 * sa0 + mp22 * sa1 + cp2 + gp2 + fs2
-        tau1 = j11 * f1 + j21 * f2
-        tau2 = j12 * f1 + j22 * f2
+        f1, f2, fs1, fs2, w0, w1, margin0, margin1 = diag
         return ControlAction(
             u=np.array((tau1, tau2)),
             force=np.array((f1, f2)),
             force_safe=np.array((fs1, fs2)),
-            w_values=np.array(w_values),
-            margins=np.array(margins),
+            w_values=np.array((w0, w1)),
+            margins=np.array((margin0, margin1)),
         )
+
+    def closed_loop_stage(self, plant) -> Optional[ArmStage]:
+        """The fused stage of this controller on a ManipulatorPlant, else None."""
+        return ArmStage(self, plant.params) if type(plant) is ManipulatorPlant else None
 
 
 def safe_task_controller(
@@ -395,7 +443,6 @@ def safe_task_controller(
     certificates: Sequence[Optional[WeakCLBF]],
     unsafe_d: Sequence[Optional[float]],
     signs,
-    drift_variant: DriftVariant = "closed_loop",
 ) -> tuple[np.ndarray, np.ndarray, ControlAction]:
     """One-shot evaluation of the safe task-space force law: (F, tau, diagnostics)."""
     controller = SafeTaskController(
@@ -405,10 +452,19 @@ def safe_task_controller(
         gains=gains,
         certificates=certificates,
         unsafe_d=unsafe_d,
-        drift_variant=drift_variant,
     )
     action = controller.compute(state.q, state.qdot)
     return action.force, action.u, action
+
+
+def _task_entries(
+    p: ManipulatorParams, trig, qd1: float, qd2: float
+) -> tuple[float, float, float, float]:
+    """End-effector (p1, p2, v1, v2) from a joint state's _trig values."""
+    s1, c1, s12, c12, _, _ = trig
+    j11, j12, j21, j22 = _jacobian_entries(p, s1, c1, s12, c12)
+    p1, p2 = _position_entries(p, s1, c1, s12, c12)
+    return p1, p2, j11 * qd1 + j12 * qd2, j21 * qd1 + j22 * qd2
 
 
 class ManipulatorPlant:
@@ -435,5 +491,49 @@ class ManipulatorPlant:
         return np.array((qd1, qd2, qdd1, qdd2))
 
     def task_state(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        q, qdot = x[:2], x[2:]
-        return forward_kinematics(self.params, q), jacobian(self.params, q) @ qdot
+        q1, q2, qd1, qd2 = (float(v) for v in x)
+        p1, p2, v1, v2 = _task_entries(self.params, _trig(q1, q2), qd1, qd2)
+        return np.array((p1, p2)), np.array((v1, v2))
+
+
+class ArmStage:
+    """Closed-loop stage of a SafeTaskController driving a ManipulatorPlant.
+
+    Controller and plant share the trigonometry of the joint state; each
+    side's model entries come from its own parameters, so a plant whose
+    model differs from the controller's is integrated correctly. Calling the
+    stage returns the state derivative only; record() also returns the
+    diagnostics row that the simulator stores at recorded steps.
+    """
+
+    layout = (
+        ("inputs", 2),
+        ("force", 2),
+        ("force_safe", 2),
+        ("w", 2),
+        ("margins", 2),
+        ("pos", 2),
+        ("vel", 2),
+    )
+
+    def __init__(self, controller: SafeTaskController, plant_params: ManipulatorParams):
+        self.constants = controller.constants
+        self.plant_params = plant_params
+
+    def __call__(self, t: float, x) -> tuple[float, float, float, float]:
+        q1, q2, qd1, qd2 = x
+        trig = _trig(q1, q2)
+        tau1, tau2 = _task_law(self.constants, q1, q2, qd1, qd2, trig, False)
+        _, c1, _, c12, s2, c2 = trig
+        qdd1, qdd2 = _accel_entries(self.plant_params, c2, s2, qd1, qd2, c1, c12, tau1, tau2)
+        return qd1, qd2, qdd1, qdd2
+
+    def record(self, t: float, x) -> tuple[tuple[float, ...], tuple[float, ...]]:
+        q1, q2, qd1, qd2 = x
+        trig = _trig(q1, q2)
+        tau1, tau2, diag = _task_law(self.constants, q1, q2, qd1, qd2, trig, True)
+        _, c1, _, c12, s2, c2 = trig
+        plant = self.plant_params
+        qdd1, qdd2 = _accel_entries(plant, c2, s2, qd1, qd2, c1, c12, tau1, tau2)
+        row = (tau1, tau2, *diag, *_task_entries(plant, trig, qd1, qd2))
+        return (qd1, qd2, qdd1, qdd2), row

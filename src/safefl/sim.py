@@ -3,48 +3,74 @@
 The controller is treated as continuous feedback: it is evaluated at every
 integrator stage, so the classical Runge-Kutta order applies to the closed
 loop. Runs are deterministic for identical configurations.
+
+The loop integrates a stage: the closed-loop vector field of one plant under
+one controller, over a tuple of floats. A controller that can fuse with its
+plant supplies the stage itself (closed_loop_stage(plant); the arm's
+SafeTaskController does so for a ManipulatorPlant, see manipulator.ArmStage).
+Any other pair is wrapped by PlantControllerStage, which calls the plant and
+the controller on numpy arrays. Only the first stage of a recorded step
+computes the diagnostics row (inputs, forces, certificate values, margins,
+task-space position and velocity); the other stages return the derivative
+alone. Rows go straight into arrays allocated once per run.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Protocol
+from typing import Callable, Optional, Protocol, Sequence
 
 import numpy as np
 
 from .errors import NearSingular, NonFiniteState
 
+# A step count horizon / dt within this relative distance of an integer is
+# taken as that integer: the quotient of two decimal floats can land a
+# rounding error above it (16.1 / 1e-3 = 16100.000000000002).
+_STEP_SNAP = 1e-9
+
+
+def _check_finite(values: Sequence[float], message: str, t: float) -> None:
+    if not all(map(math.isfinite, values)):
+        raise NonFiniteState(f"{message} near t = {t}")
+
 
 def rk4_step(
-    field: Callable[[float, np.ndarray], np.ndarray],
+    field: Callable[[float, Sequence[float]], Sequence[float]],
     t: float,
-    x: np.ndarray,
+    x: Sequence[float],
     dt: float,
-    k1: Optional[np.ndarray] = None,
-) -> np.ndarray:
+    k1: Optional[Sequence[float]] = None,
+) -> Sequence[float]:
     """Classical 4th-order Runge-Kutta update; local error O(dt^5).
 
-    k1 may be supplied when the caller already evaluated the field at (t, x).
-    Raises NonFiniteState if any stage produces NaN or infinity.
+    The state is a sequence of floats; stage states and the result are
+    tuples, or numpy arrays when x is one. field returns the derivative as a
+    sequence of floats. k1 may be supplied when the caller already evaluated
+    the field at (t, x). Raises NonFiniteState if any stage or the update
+    produces NaN or infinity; every stage is checked before the next one
+    uses it.
     """
+    pack = np.array if isinstance(x, np.ndarray) else tuple
     if k1 is None:
         k1 = field(t, x)
     half = 0.5 * dt
-    if not np.all(np.isfinite(k1)):
-        raise NonFiniteState(f"integration stage diverged near t = {t}")
-    k2 = field(t + half, x + half * k1)
-    if not np.all(np.isfinite(k2)):
-        raise NonFiniteState(f"integration stage diverged near t = {t}")
-    k3 = field(t + half, x + half * k2)
-    if not np.all(np.isfinite(k3)):
-        raise NonFiniteState(f"integration stage diverged near t = {t}")
-    k4 = field(t + dt, x + dt * k3)
-    if not np.all(np.isfinite(k4)):
-        raise NonFiniteState(f"integration stage diverged near t = {t}")
-    x_next = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if not np.all(np.isfinite(x_next)):
-        raise NonFiniteState(f"integration diverged near t = {t}")
+    _check_finite(k1, "integration stage diverged", t)
+    k2 = field(t + half, pack([xi + half * ki for xi, ki in zip(x, k1)]))
+    _check_finite(k2, "integration stage diverged", t)
+    k3 = field(t + half, pack([xi + half * ki for xi, ki in zip(x, k2)]))
+    _check_finite(k3, "integration stage diverged", t)
+    k4 = field(t + dt, pack([xi + dt * ki for xi, ki in zip(x, k3)]))
+    _check_finite(k4, "integration stage diverged", t)
+    sixth = dt / 6.0
+    x_next = pack(
+        [
+            xi + sixth * (a + 2.0 * b + 2.0 * c + d)
+            for xi, a, b, c, d in zip(x, k1, k2, k3, k4)
+        ]
+    )
+    _check_finite(x_next, "integration diverged", t)
     return x_next
 
 
@@ -68,7 +94,13 @@ class SimConfig:
 
     @property
     def n_steps(self) -> int:
-        return math.ceil(self.horizon / self.dt)
+        """Steps that cover the horizon: ceil(horizon / dt), with quotients
+        a rounding error away from an integer taken as that integer."""
+        ratio = self.horizon / self.dt
+        nearest = round(ratio)
+        if nearest >= 1 and abs(ratio - nearest) <= _STEP_SNAP * nearest:
+            return nearest
+        return math.ceil(ratio)
 
 
 @dataclass
@@ -86,6 +118,58 @@ class Plant(Protocol):
     state_dim: int
 
     def derivative(self, t: float, x: np.ndarray, u: np.ndarray) -> np.ndarray: ...
+
+
+class ClosedLoopStage(Protocol):
+    """Closed-loop vector field of a plant under its controller.
+
+    Calling it maps (t, x), x a tuple of floats, to the derivative. record
+    returns the same derivative and the diagnostics row of a recorded step;
+    layout names the row's blocks as (Trajectory field, width) pairs and is
+    read after the first record. Both raise NearSingular when the controller
+    cannot act.
+    """
+
+    layout: tuple[tuple[str, int], ...]
+
+    def __call__(self, t: float, x: tuple) -> Sequence[float]: ...
+
+    def record(self, t: float, x: tuple) -> tuple[Sequence[float], Sequence[float]]: ...
+
+
+class PlantControllerStage:
+    """Stage of any plant under any controller returning a ControlAction.
+
+    The row holds the action's u, force, force_safe, w_values and margins
+    that are present, then the plant's task-space position and velocity when
+    it has task_state.
+    """
+
+    def __init__(self, plant: Plant, controller: Callable[[float, np.ndarray], ControlAction]):
+        self.plant = plant
+        self.controller = controller
+        self.layout: tuple[tuple[str, int], ...] = ()
+
+    def __call__(self, t: float, x: tuple) -> list:
+        state = np.array(x)
+        return self.plant.derivative(t, state, self.controller(t, state).u).tolist()
+
+    def record(self, t: float, x: tuple) -> tuple[list, np.ndarray]:
+        state = np.array(x)
+        action = self.controller(t, state)
+        blocks = [
+            ("inputs", action.u),
+            ("force", action.force),
+            ("force_safe", action.force_safe),
+            ("w", action.w_values),
+            ("margins", action.margins),
+        ]
+        if hasattr(self.plant, "task_state"):
+            blocks += zip(("pos", "vel"), self.plant.task_state(state))
+        blocks = [(name, np.ravel(value)) for name, value in blocks if value is not None]
+        self.layout = tuple((name, value.size) for name, value in blocks)
+        row = np.concatenate([value for _, value in blocks])
+        return self.plant.derivative(t, state, action.u).tolist(), row
 
 
 @dataclass
@@ -133,92 +217,64 @@ def simulate_closed_loop(
 ) -> Trajectory:
     """Integrate the plant under the controller, recording diagnostics per step.
 
-    NearSingular and NonFiniteState abort the run; the partial trajectory is
-    returned with failure metadata instead of raising.
+    A step is recorded once its first stage has been evaluated. NearSingular
+    and NonFiniteState abort the run; the partial trajectory is returned
+    with failure metadata instead of raising.
     """
+    fuse = getattr(controller, "closed_loop_stage", None)
+    stage: Optional[ClosedLoopStage] = fuse(plant) if fuse is not None else None
+    if stage is None:
+        stage = PlantControllerStage(plant, controller)
+
+    dt, stride = config.dt, config.record_stride
     n_steps = config.n_steps
-    n_records = n_steps // config.record_stride + 1
-    x = config.x0.copy()
+    n_records = n_steps // stride + 1
+    x = tuple(config.x0.tolist())
 
     t_out = np.empty(n_records)
-    states = np.empty((n_records, x.size))
-    inputs: Optional[np.ndarray] = None
-    pos = vel = force = force_safe = w = margins = None
-    has_task = hasattr(plant, "task_state")
-
-    def field_fn(t: float, state: np.ndarray) -> np.ndarray:
-        return plant.derivative(t, state, controller(t, state).u)
-
+    states = np.empty((n_records, len(x)))
+    rows: Optional[np.ndarray] = None
     failure: Optional[dict] = None
     count = 0
-    for step in range(n_steps + 1):
-        t = step * config.dt
-        record_now = step % config.record_stride == 0 or step == n_steps
-        try:
-            action = controller(t, x)
-        except (NearSingular, NonFiniteState) as err:
-            failure = {"error": type(err).__name__, "message": str(err), "time": t}
-            break
-        if record_now:
-            if inputs is None:
-                inputs = np.empty((n_records, np.size(action.u)))
-                if action.w_values is not None:
-                    w = np.empty((n_records, np.size(action.w_values)))
-                if action.margins is not None:
-                    margins = np.empty((n_records, np.size(action.margins)))
-                if action.force is not None:
-                    force = np.empty((n_records, np.size(action.force)))
-                if action.force_safe is not None:
-                    force_safe = np.empty((n_records, np.size(action.force_safe)))
-                if has_task:
-                    pos = np.empty((n_records, 2))
-                    vel = np.empty((n_records, 2))
-            t_out[count] = t
-            states[count] = x
-            inputs[count] = action.u
-            if w is not None:
-                w[count] = action.w_values
-            if margins is not None:
-                margins[count] = action.margins
-            if force is not None:
-                force[count] = action.force
-            if force_safe is not None:
-                force_safe[count] = action.force_safe
-            if has_task:
-                pos[count], vel[count] = plant.task_state(x)
-            count += 1
-        if step == n_steps:
-            break
-        try:
-            # overflow at extreme states is reported through NonFiniteState,
-            # not as console warnings
-            with np.errstate(over="ignore", invalid="ignore"):
-                k1 = plant.derivative(t, x, action.u)
-                x = rk4_step(field_fn, t, x, config.dt, k1=k1)
-        except (NearSingular, NonFiniteState) as err:
-            failure = {"error": type(err).__name__, "message": str(err), "time": t}
-            break
+    # overflow at extreme states is reported through NonFiniteState, not as
+    # console warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(n_steps + 1):
+            t = step * dt
+            try:
+                if step % stride == 0 or step == n_steps:
+                    k1, row = stage.record(t, x)
+                    if rows is None:
+                        rows = np.empty((n_records, len(row)))
+                    t_out[count] = t
+                    states[count] = x
+                    rows[count] = row
+                    count += 1
+                else:
+                    k1 = stage(t, x)
+                if step == n_steps:
+                    break
+                x = rk4_step(stage, t, x, dt, k1=k1)
+            except (NearSingular, NonFiniteState) as err:
+                failure = {"error": type(err).__name__, "message": str(err), "time": t}
+                break
 
-    def trim(arr: Optional[np.ndarray]) -> Optional[np.ndarray]:
-        return None if arr is None else arr[:count]
-
-    safe_flags = None
-    margins = trim(margins)
-    if margins is not None:
-        safe_flags = np.all(margins > 0.0, axis=1)
+    columns: dict[str, np.ndarray] = {}
+    if rows is not None:
+        start = 0
+        for name, width in stage.layout:
+            columns[name] = rows[:count, start : start + width]
+            start += width
+    inputs = columns.pop("inputs", np.empty((count, 0)))
+    margins = columns.get("margins")
 
     traj = Trajectory(
         t=t_out[:count],
         states=states[:count],
-        inputs=trim(inputs) if inputs is not None else np.empty((count, 0)),
-        pos=trim(pos),
-        vel=trim(vel),
-        force=trim(force),
-        force_safe=trim(force_safe),
-        w=trim(w),
-        margins=margins,
-        safe=safe_flags,
+        inputs=inputs,
+        safe=None if margins is None else np.all(margins > 0.0, axis=1),
         meta={"dt": config.dt, "horizon": config.horizon},
+        **columns,
     )
     if failure is not None:
         traj.meta["failure"] = failure

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -166,6 +167,33 @@ class TestSimulate:
         for cell in row[:-1]:
             mantissa = cell.split("e")[0].lstrip("-").replace(".", "")
             assert len(mantissa.lstrip("0")) <= 9
+
+    def test_csv_cells_match_per_value_format(self, tmp_path):
+        # reference: each float formatted on its own with format(x, ".9g")
+        from safefl.cli import write_trajectory_csv
+        from safefl.sim import Trajectory
+
+        values = np.array([-0.0, 0.0, math.nan, math.inf, -math.inf, 1e-300, -123456.789012345, 2.5])
+        block = np.stack([np.roll(values, i) for i in range(12)], axis=1)
+        traj = Trajectory(
+            t=np.arange(values.size) * 0.1,
+            states=np.zeros((values.size, 4)),
+            inputs=block[:, 0:2],
+            pos=block[:, 2:4],
+            vel=block[:, 4:6],
+            force=block[:, 6:8],
+            force_safe=block[:, 8:10],
+            w=block[:, 10:12],
+            safe=np.arange(values.size) % 2 == 0,
+        )
+        path = tmp_path / "traj.csv"
+        write_trajectory_csv(traj, path)
+        expected = [",".join(CSV_COLUMNS)]
+        for i in range(len(traj)):
+            cells = [traj.t[i], *traj.pos[i], *traj.vel[i], *traj.inputs[i], *traj.force[i]]
+            cells += [*traj.force_safe[i], *traj.w[i]]
+            expected.append(",".join([format(float(c), ".9g") for c in cells] + [str(int(traj.safe[i]))]))
+        assert path.read_text(encoding="utf-8") == "\n".join(expected) + "\n"
 
     def test_singularity_abort_exits_4(self, tmp_path, raw_config):
         # outward initial velocity near full stretch drives the arm through

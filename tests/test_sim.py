@@ -5,6 +5,7 @@ import pytest
 from scipy.linalg import expm
 
 from safefl.errors import NearSingular, NonFiniteState
+from safefl.manipulator import ArmStage, ManipulatorPlant
 from safefl.scenario import run_case
 from safefl.sim import (
     SimConfig,
@@ -57,6 +58,24 @@ class TestSimConfig:
     def test_step_count(self):
         config = SimConfig(dt=1e-3, horizon=1.0, x0=np.zeros(2))
         assert config.n_steps == 1000
+
+    @pytest.mark.parametrize(
+        "horizon, dt, steps",
+        [
+            (16.1, 1e-3, 16100),
+            (8.05, 5e-4, 16100),
+            (8.13, 5e-4, 16260),
+            (16.01, 5e-4, 32020),
+            (10.0, 1e-3, 10000),
+            (2.0, 1e-3, 2000),
+            (0.0105, 1e-3, 11),
+            (1e-4, 1e-3, 1),
+        ],
+    )
+    def test_step_count_ignores_quotient_rounding(self, horizon, dt, steps):
+        # horizon / dt can land a rounding error above an integer; that must
+        # not add a step past the horizon, while true fractions still round up
+        assert SimConfig(dt=dt, horizon=horizon, x0=np.zeros(2)).n_steps == steps
 
 
 class TestSimulateClosedLoop:
@@ -144,6 +163,83 @@ class TestScenarioIntegration:
         assert traj.meta["k_safe"] == 0.5
         assert traj.w is not None and traj.safe is not None
         assert traj.pos is not None and traj.force_safe is not None
+
+
+def _unfused(controller):
+    # a plain callable has no closed_loop_stage, so the simulator falls back
+    # to the generic plant/controller stage
+    return lambda t, x: controller(t, x)
+
+
+_DIAGNOSTICS = ("t", "states", "inputs", "force", "force_safe", "w", "margins", "safe")
+
+
+class TestFusedArmStage:
+    """The fused arm stage against the generic (plant, controller) stage."""
+
+    def test_arm_pair_uses_fused_stage(self, default_bundle):
+        stage = default_bundle.controller(1.5).closed_loop_stage(default_bundle.plant())
+        assert isinstance(stage, ArmStage)
+
+        class CustomPlant(ManipulatorPlant):
+            pass
+
+        assert default_bundle.controller(1.5).closed_loop_stage(CustomPlant(default_bundle.params)) is None
+
+    @pytest.mark.parametrize("k_safe", [0.0, 0.2, 0.5, 1.5])
+    def test_bundled_runs_bit_identical(self, default_bundle, k_safe):
+        config = SimConfig(
+            dt=default_bundle.config.dt, horizon=default_bundle.config.horizon, x0=default_bundle.x0
+        )
+        controller = default_bundle.controller(k_safe)
+        fused = simulate_closed_loop(default_bundle.plant(), controller, config)
+        generic = simulate_closed_loop(default_bundle.plant(), _unfused(controller), config)
+        assert not fused.failed and not generic.failed
+        for name in _DIAGNOSTICS:
+            np.testing.assert_array_equal(getattr(fused, name), getattr(generic, name), err_msg=name)
+        np.testing.assert_allclose(fused.pos, generic.pos, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(fused.vel, generic.vel, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("field, factor", [("m2", 1.1), ("L2", 1.05)])
+    def test_mismatched_plant_model(self, default_bundle, field, factor):
+        # the plant integrates its own model, not the controller's
+        from dataclasses import replace
+
+        params = default_bundle.params
+        plant = ManipulatorPlant(replace(params, **{field: factor * getattr(params, field)}))
+        config = SimConfig(dt=1e-3, horizon=2.0, x0=default_bundle.x0)
+        controller = default_bundle.controller(1.5)
+        fused = simulate_closed_loop(plant, controller, config)
+        generic = simulate_closed_loop(plant, _unfused(controller), config)
+        nominal = simulate_closed_loop(default_bundle.plant(), controller, config)
+        for name in _DIAGNOSTICS:
+            np.testing.assert_array_equal(getattr(fused, name), getattr(generic, name), err_msg=name)
+        assert np.abs(fused.states[-1] - nominal.states[-1]).max() > 1e-6
+        pos = np.empty_like(fused.pos)
+        vel = np.empty_like(fused.vel)
+        for i, state in enumerate(fused.states):
+            pos[i], vel[i] = plant.task_state(state)
+        np.testing.assert_allclose(fused.pos, pos, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(fused.vel, vel, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "x0, error, length",
+        [
+            ([0.3, 0.0, 0.0, 0.0], "NearSingular", 0),
+            ([0.3, 1.2e-4, 0.0, -0.05], "NearSingular", 1),
+            ([0.3, 1e-3, 0.0, -0.05], "NonFiniteState", 3),
+            ([0.3, 0.8, 1e160, 0.0], "NonFiniteState", 1),
+        ],
+    )
+    def test_aborts_match(self, default_bundle, x0, error, length):
+        config = SimConfig(dt=1e-3, horizon=0.2, x0=np.array(x0))
+        controller = default_bundle.controller(1.5)
+        fused = simulate_closed_loop(default_bundle.plant(), controller, config)
+        generic = simulate_closed_loop(default_bundle.plant(), _unfused(controller), config)
+        assert fused.meta["failure"]["error"] == error
+        assert fused.meta["failure"] == generic.meta["failure"]
+        assert len(fused) == len(generic) == length
+        np.testing.assert_array_equal(fused.states, generic.states)
 
 
 class TestSafetyMonitor:
