@@ -15,8 +15,6 @@ from .clbf import (
     SigmoidShape,
     WeakCLBF,
     check_c_omega_subset,
-    clbf_eval,
-    clbf_grad,
     select_parameters,
     verify_weak_clbf,
 )
@@ -53,8 +51,6 @@ __all__ = [
     "build_gain_matrix",
     "build_transform",
     "check_c_omega_subset",
-    "clbf_eval",
-    "clbf_grad",
     "finite_diff_grad",
     "initial_set_membership",
     "is_spd",

@@ -129,29 +129,23 @@ _ONE_BELOW = float(np.nextafter(1.0, 0.0))
 def sigmoid_eval(shape: SigmoidShape, x1):
     """Sigmoid value in the open interval (0, 1); exponent clamped to +-700.
 
-    Deep saturation rounds to the closest representable doubles inside the
-    interval, so the strict bounds hold even at extreme arguments.
+    A float (or int) argument gives a float through math, an array gives an
+    array through numpy. Deep saturation rounds to the closest representable
+    doubles inside the interval, so the strict bounds hold even at extreme
+    arguments.
     """
+    if isinstance(x1, (float, int)):
+        z = shape.l * (x1 - shape.center)
+        if z > _EXP_CLAMP:
+            z = _EXP_CLAMP
+        elif z < -_EXP_CLAMP:
+            z = -_EXP_CLAMP
+        s = 1.0 / (1.0 + math.exp(z))
+        return s if s < 1.0 else _ONE_BELOW
     z = shape.l * (np.asarray(x1, dtype=float) - shape.center)
     z = np.clip(z, -_EXP_CLAMP, _EXP_CLAMP)
     out = np.minimum(1.0 / (1.0 + np.exp(z)), _ONE_BELOW)
     return float(out) if out.ndim == 0 else out
-
-
-def sigmoid_slope(shape: SigmoidShape, x1):
-    """d(sigma)/dx1 = -l * sigma * (1 - sigma); always negative, |.| <= l/4."""
-    s = sigmoid_eval(shape, x1)
-    return -shape.l * s * (1.0 - s)
-
-
-def _sigmoid_scalar(shape: SigmoidShape, x1: float) -> float:
-    z = shape.l * (x1 - shape.center)
-    if z > _EXP_CLAMP:
-        z = _EXP_CLAMP
-    elif z < -_EXP_CLAMP:
-        z = -_EXP_CLAMP
-    s = 1.0 / (1.0 + math.exp(z))
-    return s if s < 1.0 else _ONE_BELOW
 
 
 @dataclass(frozen=True)
@@ -186,25 +180,11 @@ class QuadraticCLF:
         gap = math.hypot(self.p11 - self.p22, 2.0 * self.p12)
         return 0.5 * (trace - gap), 0.5 * (trace + gap)
 
-    def value(self, x1: float, x2: float) -> float:
-        return 0.5 * (
-            self.p11 * x1 * x1 + 2.0 * self.p12 * x1 * x2 + self.p22 * x2 * x2
-        )
-
-    def grad(self, x1: float, x2: float) -> tuple[float, float]:
-        return (self.p11 * x1 + self.p12 * x2, self.p12 * x1 + self.p22 * x2)
-
-    def value_on(self, x1, x2):
-        x1 = np.asarray(x1, dtype=float)
-        x2 = np.asarray(x2, dtype=float)
-        return 0.5 * (self.p11 * x1 * x1 + 2.0 * self.p12 * x1 * x2 + self.p22 * x2 * x2)
-
-
-def clf_eval_grad(P, x) -> tuple[float, np.ndarray]:
-    """Value and gradient of V(x) = 0.5 x'Px: (0.5 x'Px, Px)."""
-    clf = P if isinstance(P, QuadraticCLF) else QuadraticCLF.from_matrix(P)
-    x1, x2 = float(x[0]), float(x[1])
-    return clf.value(x1, x2), np.array(clf.grad(x1, x2))
+    def value_and_grad(self, x1, x2):
+        """(V, dV/dx1, dV/dx2) at floats or at arrays of one shape."""
+        g1 = self.p11 * x1 + self.p12 * x2
+        g2 = self.p12 * x1 + self.p22 * x2
+        return 0.5 * (g1 * x1 + g2 * x2), g1, g2
 
 
 def v1_minimizer_on_unsafe(P, d: float) -> tuple[float, float]:
@@ -256,26 +236,12 @@ class WeakCLBF:
     k: float
     levels: LevelParams
 
-    def value(self, x1: float, x2: float) -> float:
-        s = _sigmoid_scalar(self.shape, x1)
-        return (1.0 + self.theta * s) * self.clf.value(x1, x2) - self.k
-
-    def grad(self, x1: float, x2: float) -> tuple[float, float]:
-        s = _sigmoid_scalar(self.shape, x1)
+    def value_and_grad(self, x1, x2):
+        """(W, dW/dx1, dW/dx2) at floats or at arrays of one shape, sharing
+        one evaluation of V and of the sigmoid."""
+        v, g1, g2 = self.clf.value_and_grad(x1, x2)
+        s = sigmoid_eval(self.shape, x1)
         scale = 1.0 + self.theta * s
-        v = self.clf.value(x1, x2)
-        g1, g2 = self.clf.grad(x1, x2)
-        slope = -self.shape.l * s * (1.0 - s)
-        return (self.theta * v * slope + scale * g1, scale * g2)
-
-    def value_and_grad(self, x1: float, x2: float) -> tuple[float, float, float]:
-        """(W, dW/dx1, dW/dx2) sharing one sigmoid evaluation."""
-        s = _sigmoid_scalar(self.shape, x1)
-        scale = 1.0 + self.theta * s
-        clf = self.clf
-        g1 = clf.p11 * x1 + clf.p12 * x2
-        g2 = clf.p12 * x1 + clf.p22 * x2
-        v = 0.5 * (g1 * x1 + g2 * x2)
         slope = -self.shape.l * s * (1.0 - s)
         return (
             scale * v - self.k,
@@ -283,33 +249,10 @@ class WeakCLBF:
             scale * g2,
         )
 
-    def value_on(self, x1, x2):
-        s = sigmoid_eval(self.shape, x1)
-        return (1.0 + self.theta * s) * self.clf.value_on(x1, x2) - self.k
-
-    def grad_on(self, x1, x2) -> tuple[np.ndarray, np.ndarray]:
-        x1 = np.asarray(x1, dtype=float)
-        x2 = np.asarray(x2, dtype=float)
-        s = sigmoid_eval(self.shape, x1)
-        scale = 1.0 + self.theta * s
-        v = self.clf.value_on(x1, x2)
-        slope = -self.shape.l * s * (1.0 - s)
-        g1 = self.clf.p11 * x1 + self.clf.p12 * x2
-        g2 = self.clf.p12 * x1 + self.clf.p22 * x2
-        return (self.theta * v * slope + scale * g1, scale * g2)
-
     @property
     def line_slope(self) -> float:
         """Slope c of the line {x2 = -c x1} on which the input cannot move W."""
         return self.clf.p12 / self.clf.p22
-
-
-def clbf_eval(W: WeakCLBF, x) -> float:
-    return W.value(float(x[0]), float(x[1]))
-
-
-def clbf_grad(W: WeakCLBF, x) -> np.ndarray:
-    return np.array(W.grad(float(x[0]), float(x[1])))
 
 
 # ---------------------------------------------------------------------------
@@ -570,7 +513,9 @@ def verify_weak_clbf(
         raise ValueError("eps_origin must be positive")
 
     X1, X2 = region.grid(grid_resolution)
-    Wgrid = W.value_on(X1, X2)
+    Wgrid, G1, G2 = W.value_and_grad(X1, X2)
+    grad_norm = np.hypot(G1, G2)
+    del G1, G2
 
     # positivity on the unsafe slice of the region
     unsafe_mask = X1 <= unsafe.d
@@ -592,8 +537,6 @@ def verify_weak_clbf(
     cond_c = ConditionResult("admissible_set_nonempty", worst_c <= 0.0, worst_c, witness_c)
 
     # no stationary point in the admissible set away from the origin
-    G1, G2 = W.grad_on(X1, X2)
-    grad_norm = np.hypot(G1, G2)
     level_mask = (Wgrid <= 0.0) & (np.hypot(X1, X2) >= eps_origin)
     if np.any(level_mask):
         worst_d, witness_d = _masked_extreme(grad_norm, X1, X2, level_mask, take_min=True)
@@ -633,12 +576,14 @@ def _check_line_decrease(
         return ConditionResult("line_decrease", True, -math.inf, None)
     worst = -math.inf
     witness = None
-    for xi in x1:
-        point = np.array([xi, -c * xi])
-        lie = float(np.dot(clbf_grad(W, point), np.asarray(drift(point), dtype=float)))
+    for xi in x1.tolist():
+        x2 = -c * xi
+        _, g1, g2 = W.value_and_grad(xi, x2)
+        f1, f2 = drift(np.array((xi, x2)))
+        lie = float(g1 * f1 + g2 * f2)
         if lie > worst:
             worst = lie
-            witness = (float(point[0]), float(point[1]))
+            witness = (xi, x2)
     return ConditionResult("line_decrease", worst < 0.0, worst, witness)
 
 
@@ -654,13 +599,13 @@ def check_c_omega_subset(
             f"grid resolution {grid_resolution} below minimum {MIN_GRID_RESOLUTION}"
         )
     X1, X2 = region.grid(grid_resolution)
-    V = W.clf.value_on(X1, X2)
+    V = W.clf.value_and_grad(X1, X2)[0]
     mask = (V <= W.levels.v2) & (X1 >= W.shape.d + W.shape.delta)
     if not np.any(mask):
         raise EmptyCOmega(
             "no grid sample satisfies V <= v2 and x1 >= d + delta inside the region"
         )
-    Wgrid = W.value_on(X1, X2)
+    Wgrid = W.value_and_grad(X1, X2)[0]
     worst, witness = _masked_extreme(Wgrid, X1, X2, mask, take_min=False)
     return COmegaResult(
         passed=worst <= C_OMEGA_TOL,

@@ -26,10 +26,12 @@ from .scenario import (
     RunConfig,
     ScenarioBundle,
     build_bundle,
+    checked_sweep,
     default_config_path,
     load_config,
     parameter_report,
     run_case,
+    run_label,
     verify_bundle,
 )
 from .sim import Trajectory, safety_monitor
@@ -88,10 +90,6 @@ def write_trajectory_csv(traj: Trajectory, path: Path) -> None:
         for start in range(0, len(traj), _CSV_BLOCK):
             block = [col[start : start + _CSV_BLOCK].tolist() for col in columns]
             fh.write("".join([_CSV_ROW % rec for rec in zip(*block)]))
-
-
-def run_label(k_safe: float) -> str:
-    return "baseline" if k_safe == 0.0 else f"ksafe_{k_safe:g}"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -195,8 +193,8 @@ def _simulate_cases(
 
 def cmd_simulate(args, force_default: bool = False) -> int:
     config = _load(args, force_default=force_default)
+    sweep = checked_sweep(args.k_safe) if args.k_safe is not None else config.k_safe_sweep
     bundle = build_bundle(config, enforce_bounds=True)
-    sweep = tuple(args.k_safe) if args.k_safe is not None else config.k_safe_sweep
     runs = _simulate_cases(bundle, sweep, args.dt, args.horizon)
 
     args.out.mkdir(parents=True, exist_ok=True)
@@ -206,7 +204,7 @@ def cmd_simulate(args, force_default: bool = False) -> int:
     for traj in runs:
         label = run_label(traj.meta["k_safe"])
         write_trajectory_csv(traj, args.out / f"{label}.csv")
-        entry = {"label": label, "k_safe": traj.meta["k_safe"], "steps": max(len(traj) - 1, 0)}
+        entry = {"label": label, "k_safe": traj.meta["k_safe"], "steps": traj.meta["steps"]}
         if traj.failed:
             entry["failure"] = traj.meta["failure"]
             aborted = True

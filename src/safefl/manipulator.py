@@ -45,36 +45,6 @@ class ManipulatorParams:
         return 1e-4 * self.L1 * self.L2
 
 
-@dataclass(frozen=True)
-class JointState:
-    q: np.ndarray
-    qdot: np.ndarray
-
-    def __post_init__(self):
-        q = np.asarray(self.q, dtype=float)
-        qdot = np.asarray(self.qdot, dtype=float)
-        if q.shape != (2,) or qdot.shape != (2,):
-            raise ValueError("joint state is a pair of 2-vectors")
-        if not (np.all(np.isfinite(q)) and np.all(np.isfinite(qdot))):
-            raise ValueError("joint state must be finite")
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "qdot", qdot)
-
-
-@dataclass(frozen=True)
-class TaskState:
-    p: np.ndarray
-    v: np.ndarray
-
-    def __post_init__(self):
-        p = np.asarray(self.p, dtype=float)
-        v = np.asarray(self.v, dtype=float)
-        if not (np.all(np.isfinite(p)) and np.all(np.isfinite(v))):
-            raise ValueError("task state must be finite")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "v", v)
-
-
 # ---------------------------------------------------------------------------
 # scalar kernels
 
@@ -160,6 +130,54 @@ def _accel_entries(
     return (m22 * r1 - m12 * r2) / det, (m11 * r2 - m12 * r1) / det
 
 
+def _task_space_entries(
+    p: ManipulatorParams,
+    threshold: float,
+    q1: float,
+    q2: float,
+    qd1: float,
+    qd2: float,
+    trig,
+) -> tuple[float, ...]:
+    """Jacobian, M_p, c_p and g_p entries at one joint state.
+
+    trig holds the _trig values of (q1, q2). Returns (j11, j12, j21, j22,
+    mp11, mp12, mp21, mp22, cp1, cp2, gp1, gp2) with M_p = J^-T M J^-1,
+    c_p = J^-T c - M_p Jdot qdot and g_p = J^-T g. Raises NearSingular when
+    |det J| is at or below threshold.
+    """
+    s1, c1, s12, c12, s2, c2 = trig
+    j11, j12, j21, j22 = _jacobian_entries(p, s1, c1, s12, c12)
+    det = j11 * j22 - j12 * j21
+    if abs(det) <= threshold:
+        raise NearSingular(f"|det J| = {abs(det):.3e} at q = ({q1}, {q2})")
+    ji11, ji12 = j22 / det, -j12 / det
+    ji21, ji22 = -j21 / det, j11 / det
+
+    m11, m12, m22 = _mass_entries(p, c2)
+    cv1, cv2 = _coriolis_entries(p, s2, qd1, qd2)
+    gv1, gv2 = _gravity_entries(p, c1, c12)
+
+    # M_p = Jinv' M Jinv
+    a11 = m11 * ji11 + m12 * ji21
+    a12 = m11 * ji12 + m12 * ji22
+    a21 = m12 * ji11 + m22 * ji21
+    a22 = m12 * ji12 + m22 * ji22
+    mp11 = ji11 * a11 + ji21 * a21
+    mp12 = ji11 * a12 + ji21 * a22
+    mp21 = ji12 * a11 + ji22 * a21
+    mp22 = ji12 * a12 + ji22 * a22
+
+    jd11, jd12, jd21, jd22 = _jacobian_dot_entries(p, s1, c1, s12, c12, qd1, qd2)
+    u1 = jd11 * qd1 + jd12 * qd2
+    u2 = jd21 * qd1 + jd22 * qd2
+    cp1 = -(mp11 * u1 + mp12 * u2) + ji11 * cv1 + ji21 * cv2
+    cp2 = -(mp21 * u1 + mp22 * u2) + ji12 * cv1 + ji22 * cv2
+    gp1 = ji11 * gv1 + ji21 * gv2
+    gp2 = ji12 * gv1 + ji22 * gv2
+    return j11, j12, j21, j22, mp11, mp12, mp21, mp22, cp1, cp2, gp1, gp2
+
+
 # ---------------------------------------------------------------------------
 # public model functions
 
@@ -212,14 +230,6 @@ def jacobian_dot(params: ManipulatorParams, q, qdot) -> np.ndarray:
     return np.array([[jd11, jd12], [jd21, jd22]])
 
 
-def task_state_from_joint(params: ManipulatorParams, state: JointState) -> TaskState:
-    """End-effector position and velocity induced by a joint state."""
-    return TaskState(
-        p=forward_kinematics(params, state.q),
-        v=jacobian(params, state.q) @ state.qdot,
-    )
-
-
 def inverse_kinematics(params: ManipulatorParams, p, elbow: str = "up") -> np.ndarray:
     """Joint angles reaching Cartesian p; elbow selects the sign of theta2."""
     r2 = p[0] * p[0] + p[1] * p[1]
@@ -262,26 +272,24 @@ def kinetic_energy(params: ManipulatorParams, q, qdot) -> float:
 
 
 def task_space_terms(
-    params: ManipulatorParams, q, qdot, det_threshold: Optional[float] = None
+    params: ManipulatorParams, q, qdot
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Cartesian-space mass, velocity and gravity terms (M_p, c_p, g_p).
 
-    Raises NearSingular when |det J| falls at or below the threshold
-    (default 1e-4 * L1 * L2) rather than regularizing.
+    Raises NearSingular when |det J| falls at or below the arm's threshold
+    (1e-4 * L1 * L2) rather than regularizing.
     """
-    J = jacobian(params, q)
-    det = J[0, 0] * J[1, 1] - J[0, 1] * J[1, 0]
-    threshold = params.singularity_threshold if det_threshold is None else det_threshold
-    if abs(det) <= threshold:
-        raise NearSingular(f"|det J| = {abs(det):.3e} at q = {tuple(q)}")
-    j_inv = np.array([[J[1, 1], -J[0, 1]], [-J[1, 0], J[0, 0]]]) / det
-    m_p = j_inv.T @ mass_matrix(params, q) @ j_inv
-    qd = np.asarray(qdot, dtype=float)
-    c_p = -m_p @ (jacobian_dot(params, q, qdot) @ qd) + j_inv.T @ coriolis_vector(
-        params, q, qdot
+    q1, q2 = float(q[0]), float(q[1])
+    _, _, _, _, mp11, mp12, mp21, mp22, cp1, cp2, gp1, gp2 = _task_space_entries(
+        params,
+        params.singularity_threshold,
+        q1,
+        q2,
+        float(qdot[0]),
+        float(qdot[1]),
+        _trig(q1, q2),
     )
-    g_p = j_inv.T @ gravity_vector(params, q)
-    return m_p, c_p, g_p
+    return np.array([[mp11, mp12], [mp21, mp22]]), np.array((cp1, cp2)), np.array((gp1, gp2))
 
 
 # ---------------------------------------------------------------------------
@@ -319,39 +327,12 @@ def _task_law(constants: tuple, q1, q2, qd1, qd2, trig, diagnostics: bool):
     Raises NearSingular when |det J| is at or below the arm's threshold.
     """
     p, threshold, goal, sign, kp, kd, k_safe, cert, d = constants
-    s1, c1, s12, c12, s2, c2 = trig
-    j11, j12, j21, j22 = _jacobian_entries(p, s1, c1, s12, c12)
-    det = j11 * j22 - j12 * j21
-    if abs(det) <= threshold:
-        raise NearSingular(f"|det J| = {abs(det):.3e} at q = ({q1}, {q2})")
-    ji11, ji12 = j22 / det, -j12 / det
-    ji21, ji22 = -j21 / det, j11 / det
-
-    m11, m12, m22 = _mass_entries(p, c2)
-    cv1, cv2 = _coriolis_entries(p, s2, qd1, qd2)
-    gv1, gv2 = _gravity_entries(p, c1, c12)
-
+    entries = _task_space_entries(p, threshold, q1, q2, qd1, qd2, trig)
+    j11, j12, j21, j22, mp11, mp12, mp21, mp22, cp1, cp2, gp1, gp2 = entries
+    s1, c1, s12, c12, _, _ = trig
     p1, p2 = _position_entries(p, s1, c1, s12, c12)
     v1 = j11 * qd1 + j12 * qd2
     v2 = j21 * qd1 + j22 * qd2
-
-    # M_p = Jinv' M Jinv
-    a11 = m11 * ji11 + m12 * ji21
-    a12 = m11 * ji12 + m12 * ji22
-    a21 = m12 * ji11 + m22 * ji21
-    a22 = m12 * ji12 + m22 * ji22
-    mp11 = ji11 * a11 + ji21 * a21
-    mp12 = ji11 * a12 + ji21 * a22
-    mp21 = ji12 * a11 + ji22 * a21
-    mp22 = ji12 * a12 + ji22 * a22
-
-    jd11, jd12, jd21, jd22 = _jacobian_dot_entries(p, s1, c1, s12, c12, qd1, qd2)
-    u1 = jd11 * qd1 + jd12 * qd2
-    u2 = jd21 * qd1 + jd22 * qd2
-    cp1 = -(mp11 * u1 + mp12 * u2) + ji11 * cv1 + ji21 * cv2
-    cp2 = -(mp21 * u1 + mp22 * u2) + ji12 * cv1 + ji22 * cv2
-    gp1 = ji11 * gv1 + ji21 * gv2
-    gp2 = ji12 * gv1 + ji22 * gv2
 
     x10, x20 = sign[0] * (p1 - goal[0]), sign[0] * v1
     x11, x21 = sign[1] * (p2 - goal[1]), sign[1] * v2
@@ -377,7 +358,7 @@ def _floats(values) -> tuple:
     return tuple(None if v is None else float(v) for v in values)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SafeTaskController:
     """Feedback-linearizing force controller with per-axis safety inputs.
 
@@ -393,12 +374,11 @@ class SafeTaskController:
     signs: np.ndarray
     gains: GainSchedule
     certificates: Sequence[Optional[WeakCLBF]]
-    unsafe_d: Sequence[Optional[float]]
 
     def __post_init__(self):
         object.__setattr__(self, "goal", np.asarray(self.goal, dtype=float))
         object.__setattr__(self, "signs", np.asarray(self.signs, dtype=float))
-        if len(self.certificates) != 2 or len(self.unsafe_d) != 2:
+        if len(self.certificates) != 2:
             raise ValueError("one certificate slot per task axis required")
         constants = (
             self.params,
@@ -409,7 +389,7 @@ class SafeTaskController:
             _floats(self.gains.kd),
             _floats(self.gains.k_safe),
             tuple(self.certificates),
-            _floats(self.unsafe_d),
+            _floats(None if c is None else c.shape.d for c in self.certificates),
         )
         object.__setattr__(self, "constants", constants)
 
@@ -433,28 +413,6 @@ class SafeTaskController:
     def closed_loop_stage(self, plant) -> Optional[ArmStage]:
         """The fused stage of this controller on a ManipulatorPlant, else None."""
         return ArmStage(self, plant.params) if type(plant) is ManipulatorPlant else None
-
-
-def safe_task_controller(
-    params: ManipulatorParams,
-    state: JointState,
-    goal,
-    gains: GainSchedule,
-    certificates: Sequence[Optional[WeakCLBF]],
-    unsafe_d: Sequence[Optional[float]],
-    signs,
-) -> tuple[np.ndarray, np.ndarray, ControlAction]:
-    """One-shot evaluation of the safe task-space force law: (F, tau, diagnostics)."""
-    controller = SafeTaskController(
-        params=params,
-        goal=goal,
-        signs=signs,
-        gains=gains,
-        certificates=certificates,
-        unsafe_d=unsafe_d,
-    )
-    action = controller.compute(state.q, state.qdot)
-    return action.force, action.u, action
 
 
 def _task_entries(

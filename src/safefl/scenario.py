@@ -60,7 +60,7 @@ class ConstraintSpec:
     bound: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RunConfig:
     name: str
     manipulator: ManipulatorParams
@@ -128,6 +128,28 @@ def _optional_pair(value) -> tuple[Optional[float], Optional[float]]:
     if len(seq) != 2:
         raise ConfigError("per-axis settings must have exactly two entries")
     return tuple(None if v is None else float(v) for v in seq)  # type: ignore[return-value]
+
+
+def run_label(k_safe: float) -> str:
+    """Name of the outputs of the run at safety gain k_safe."""
+    return "baseline" if k_safe == 0.0 else f"ksafe_{k_safe:g}"
+
+
+def checked_sweep(values) -> tuple[float, ...]:
+    """Safety gains of a sweep, each finite and positive, with distinct run labels.
+
+    The baseline run (k_safe = 0) is added by the caller; raises ConfigError
+    otherwise, since two runs with one label would overwrite each other's
+    outputs.
+    """
+    sweep = tuple(float(v) for v in values)
+    bad = [v for v in sweep if not (math.isfinite(v) and v > 0.0)]
+    if bad:
+        raise ConfigError(f"k_safe sweep values must be finite and positive, got {bad}")
+    labels = [run_label(v) for v in sweep]
+    if len(set(labels)) != len(labels):
+        raise ConfigError(f"k_safe sweep values {list(sweep)} repeat a run label")
+    return sweep
 
 
 def _parse_config(cls, raw: dict) -> "RunConfig":
@@ -229,9 +251,7 @@ def _parse_config(cls, raw: dict) -> "RunConfig":
     if stride < 1:
         raise ConfigError("record_stride must be >= 1")
 
-    sweep = tuple(float(v) for v in raw.get("k_safe", []))
-    if any(v <= 0.0 for v in sweep):
-        raise ConfigError("k_safe sweep values must be positive")
+    sweep = checked_sweep(raw.get("k_safe", []))
 
     reference = raw.get("reference_initial_w")
     reference_w = None if reference is None else _pair(reference, "reference_initial_w")
@@ -303,7 +323,7 @@ class SubsystemSetup:
         return self.certificate is not None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScenarioBundle:
     config: RunConfig
     subsystems: tuple[SubsystemSetup, ...]
@@ -322,14 +342,10 @@ class ScenarioBundle:
     def certificates(self) -> list[Optional[WeakCLBF]]:
         return [sub.certificate for sub in self.subsystems]
 
-    @property
-    def unsafe_thresholds(self) -> list[Optional[float]]:
-        return [None if sub.unsafe is None else sub.unsafe.d for sub in self.subsystems]
-
     def initial_w(self) -> np.ndarray:
         return np.array(
             [
-                sub.certificate.value(*sub.xbar0) if sub.certificate else np.nan
+                sub.certificate.value_and_grad(*sub.xbar0)[0] if sub.certificate else np.nan
                 for sub in self.subsystems
             ]
         )
@@ -351,7 +367,6 @@ class ScenarioBundle:
             signs=self.signs,
             gains=self.gain_schedule(k_safe_value),
             certificates=self.certificates,
-            unsafe_d=self.unsafe_thresholds,
         )
 
     def plant(self) -> ManipulatorPlant:
@@ -418,7 +433,8 @@ def build_bundle(config: RunConfig, enforce_bounds: bool = True) -> ScenarioBund
             if v2 is None:
                 # default level: cover the initial error state, with headroom
                 # over the unsafe-set minimum so the level set reaches it
-                v2 = max(clf.value(e0, edot0), 1.5 * v1_min_on_unsafe(clf, unsafe.d))
+                v0 = clf.value_and_grad(e0, edot0)[0]
+                v2 = max(v0, 1.5 * v1_min_on_unsafe(clf, unsafe.d))
             bounds = parameter_bounds(clf, region, unsafe, v2)
             if config.clbf_mode == "auto":
                 policy = MarginPolicy(
@@ -546,7 +562,7 @@ def parameter_report(bundle: ScenarioBundle) -> dict:
                     "k": cert.k,
                     "sigma1": cert.levels.sigma1,
                     "sigma2": cert.levels.sigma2,
-                    "w0": cert.value(*sub.xbar0),
+                    "w0": cert.value_and_grad(*sub.xbar0)[0],
                     "slack": {
                         "delta_over_min": delta / delta_min if delta_min > 0 else math.inf,
                         "theta_over_min": cert.theta / theta_min if math.isfinite(theta_min) else 0.0,

@@ -74,7 +74,7 @@ def rk4_step(
     return x_next
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimConfig:
     """Step size, horizon, initial plant state and recording stride."""
 
@@ -103,7 +103,7 @@ class SimConfig:
         return math.ceil(ratio)
 
 
-@dataclass
+@dataclass(eq=False)
 class ControlAction:
     """Input applied to the plant plus the diagnostics recorded alongside it."""
 
@@ -172,7 +172,7 @@ class PlantControllerStage:
         return self.plant.derivative(t, state, action.u).tolist(), row
 
 
-@dataclass
+@dataclass(eq=False)
 class Trajectory:
     """Time-indexed record of one closed-loop run.
 
@@ -219,7 +219,8 @@ def simulate_closed_loop(
 
     A step is recorded once its first stage has been evaluated. NearSingular
     and NonFiniteState abort the run; the partial trajectory is returned
-    with failure metadata instead of raising.
+    with failure metadata instead of raising. meta["steps"] counts the
+    completed integration steps, whatever the recording stride.
     """
     fuse = getattr(controller, "closed_loop_stage", None)
     stage: Optional[ClosedLoopStage] = fuse(plant) if fuse is not None else None
@@ -273,7 +274,8 @@ def simulate_closed_loop(
         states=states[:count],
         inputs=inputs,
         safe=None if margins is None else np.all(margins > 0.0, axis=1),
-        meta={"dt": config.dt, "horizon": config.horizon},
+        # the loop leaves step at n_steps, or at the step that aborted
+        meta={"dt": config.dt, "horizon": config.horizon, "steps": step},
         **columns,
     )
     if failure is not None:
@@ -282,7 +284,7 @@ def simulate_closed_loop(
     return traj
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MonitorReport:
     """Safety and input summary of one trajectory."""
 

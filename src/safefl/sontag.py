@@ -11,13 +11,11 @@ decreases along the closed loop wherever the input can act on it.
 from __future__ import annotations
 
 import math
-from typing import Callable, Literal, NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .clbf import WeakCLBF
-
-DriftVariant = Literal["closed_loop", "positive_feedback"]
 
 _B_DEADZONE = 1e-12  # relative to 1 + |a|; below this the channel is treated as closed
 
@@ -36,52 +34,23 @@ def sontag_universal(a: float, b: float) -> float:
     return -(a + math.hypot(a, b * b)) / b
 
 
-def subsystem_drift(
-    kp: float, kd: float, variant: DriftVariant = "closed_loop"
-) -> Callable[[np.ndarray], np.ndarray]:
-    """Drift field of one double-integrator subsystem under its position/velocity gains.
+def subsystem_drift(kp: float, kd: float) -> Callable[[np.ndarray], np.ndarray]:
+    """Drift field of one double-integrator subsystem under its position/velocity gains."""
 
-    The default is the stabilized loop (negative feedback); the sign-flipped
-    variant is only provided for side-by-side comparison and is not used by
-    the controllers in this package.
-    """
-    if variant == "closed_loop":
-        def field(x: np.ndarray) -> np.ndarray:
-            return np.array([x[1], -kp * x[0] - kd * x[1]])
-    elif variant == "positive_feedback":
-        def field(x: np.ndarray) -> np.ndarray:
-            return np.array([x[1], kp * x[0] + kd * x[1]])
-    else:
-        raise ValueError(f"unknown drift variant {variant!r}")
+    def field(x: np.ndarray) -> np.ndarray:
+        return np.array([x[1], -kp * x[0] - kd * x[1]])
+
     return field
 
 
-def lie_derivatives(
-    W: WeakCLBF,
-    x1: float,
-    x2: float,
-    kp: float,
-    kd: float,
-    variant: DriftVariant = "closed_loop",
-) -> LieValues:
+def lie_derivatives(W: WeakCLBF, x1: float, x2: float, kp: float, kd: float) -> LieValues:
     """(a, b) = (dW along the subsystem drift, dW along the input direction)."""
-    g1, g2 = W.grad(x1, x2)
-    if variant == "closed_loop":
-        f2 = -kp * x1 - kd * x2
-    elif variant == "positive_feedback":
-        f2 = kp * x1 + kd * x2
-    else:
-        raise ValueError(f"unknown drift variant {variant!r}")
-    return LieValues(a=g1 * x2 + g2 * f2, b=g2)
+    _, g1, g2 = W.value_and_grad(x1, x2)
+    return LieValues(a=g1 * x2 + g2 * (-kp * x1 - kd * x2), b=g2)
 
 
 def safe_aux_input(
-    W: WeakCLBF,
-    xbar: tuple[float, float],
-    kp: float,
-    kd: float,
-    k_safe: float,
-    variant: DriftVariant = "closed_loop",
+    W: WeakCLBF, xbar: tuple[float, float], kp: float, kd: float, k_safe: float
 ) -> float:
     """Auxiliary input k_safe * kappa(a, b) for one constrained subsystem.
 
@@ -91,5 +60,5 @@ def safe_aux_input(
     """
     if k_safe < 0.0:
         raise ValueError("k_safe must be non-negative")
-    a, b = lie_derivatives(W, xbar[0], xbar[1], kp, kd, variant)
+    a, b = lie_derivatives(W, xbar[0], xbar[1], kp, kd)
     return k_safe * sontag_universal(a, b)

@@ -20,7 +20,7 @@ _RANK_TOL = 1e-10
 _COND_LIMIT = 1e8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConstraintSet:
     """Safe set {x : rows_i . x > offsets_i} with canonical offsets < 0."""
 
@@ -61,7 +61,7 @@ def _orthonormalize(rows: np.ndarray) -> np.ndarray:
     return np.array(basis)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DecouplingTransform:
     """Nonsingular P = [C; D] and its block form Phi = blkdiag(P, P)."""
 
@@ -140,7 +140,7 @@ def build_transform(constraints: ConstraintSet, n: int) -> DecouplingTransform:
     return DecouplingTransform(p_mat=p_mat, m=constraints.m)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GainSchedule:
     """Per-subsystem position/velocity gains and safety gains."""
 
@@ -168,12 +168,6 @@ class GainSchedule:
     @property
     def n(self) -> int:
         return self.kp.shape[0]
-
-    def with_k_safe(self, value: float, m: int) -> "GainSchedule":
-        """Uniform safety gain on the first m subsystems, zero elsewhere."""
-        k_safe = np.zeros(self.n)
-        k_safe[:m] = value
-        return GainSchedule(kp=self.kp.copy(), kd=self.kd.copy(), k_safe=k_safe)
 
 
 def build_gain_matrix(transform: DecouplingTransform, gains: GainSchedule) -> np.ndarray:
@@ -214,6 +208,6 @@ def initial_set_membership(
     xbar = transform.to_transformed(x0)
     n = transform.n
     values = np.array(
-        [w.value(xbar[i], xbar[n + i]) for i, w in enumerate(w_list)]
+        [w.value_and_grad(xbar[i], xbar[n + i])[0] for i, w in enumerate(w_list)]
     )
     return bool(np.all(values <= 0.0)), values

@@ -12,14 +12,10 @@ from safefl.clbf import (
     SigmoidShape,
     WeakCLBF,
     assemble_weak_clbf,
-    clbf_eval,
-    clbf_grad,
-    clf_eval_grad,
     normalize_constraint,
     parameter_bounds,
     select_parameters,
     sigmoid_eval,
-    sigmoid_slope,
     v1_min_on_unsafe,
     v1_minimizer_on_unsafe,
 )
@@ -28,6 +24,10 @@ from safefl.numerics import finite_diff_grad
 
 P1 = np.array([[0.9 + 1 / 3 + 1.25, 1 / 3], [1 / 3, 5 / 6]])
 SHAPE1 = SigmoidShape(l=4.0, d=-1.0, delta=0.28)
+
+
+def _fd_slope(shape, x1, h=1e-6):
+    return (sigmoid_eval(shape, x1 + h) - sigmoid_eval(shape, x1 - h)) / (2.0 * h)
 
 
 class TestSigmoid:
@@ -52,24 +52,34 @@ class TestSigmoid:
         vals = sigmoid_eval(SHAPE1, xs)
         assert np.all(np.diff(vals) < 0.0)
 
-    def test_slope_at_center(self):
-        slope = sigmoid_slope(SHAPE1, SHAPE1.d + SHAPE1.delta / 2)
-        assert slope == pytest.approx(-SHAPE1.l / 4.0)
+    def test_scalar_and_array_paths_agree(self):
+        xs = np.concatenate([np.linspace(-3.0, 2.0, 101), [-1e6, 1e6, SHAPE1.center]])
+        vals = sigmoid_eval(SHAPE1, xs)
+        for x1, val in zip(xs.tolist(), vals):
+            assert sigmoid_eval(SHAPE1, x1) == pytest.approx(val, rel=1e-15, abs=1e-300)
 
-    def test_slope_matches_finite_difference(self):
+    def test_slope_at_center(self):
+        slope = _fd_slope(SHAPE1, SHAPE1.center)
+        assert slope == pytest.approx(-SHAPE1.l / 4.0, abs=1e-8)
+
+    def test_slope_matches_finite_difference(self, cert):
+        # the sigmoid slope inside the certificate gradient, isolated from
+        # dW/dx1 = theta V sigma' + (1 + theta sigma) dV/dx1
+        assert cert.shape == SHAPE1
         rng = np.random.default_rng(3)
-        for x1 in rng.uniform(-2.5, 1.5, size=50):
-            fd = finite_diff_grad(
-                lambda z: sigmoid_eval(SHAPE1, z[0]), np.array([x1, 0.0]), h=1e-6
-            )[0]
-            assert sigmoid_slope(SHAPE1, x1) == pytest.approx(fd, abs=1e-6)
+        for x1, x2 in rng.uniform((-2.5, 0.5), (1.5, 2.0), size=(50, 2)):
+            _, g1, _ = cert.value_and_grad(x1, x2)
+            v, v1, _ = cert.clf.value_and_grad(x1, x2)
+            scale = 1.0 + cert.theta * sigmoid_eval(SHAPE1, x1)
+            slope = (g1 - scale * v1) / (cert.theta * v)
+            assert slope == pytest.approx(_fd_slope(SHAPE1, x1), abs=1e-6)
 
     def test_slope_negative_and_bounded(self):
         xs = np.linspace(-5, 5, 101)
-        slopes = sigmoid_slope(SHAPE1, xs)
+        slopes = _fd_slope(SHAPE1, xs)
         assert np.all(slopes < 0.0)
-        assert np.all(np.abs(slopes) <= SHAPE1.l / 4.0 + 1e-12)
-        assert abs(sigmoid_slope(SHAPE1, 40.0)) < 1e-12
+        assert np.all(np.abs(slopes) <= SHAPE1.l / 4.0 + 1e-9)
+        assert abs(_fd_slope(SHAPE1, 40.0)) < 1e-12
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
@@ -80,17 +90,17 @@ class TestSigmoid:
 
 class TestQuadraticCLF:
     def test_zero_at_origin(self):
-        value, grad = clf_eval_grad(np.eye(2), np.zeros(2))
+        value, *grad = QuadraticCLF.from_matrix(np.eye(2)).value_and_grad(0.0, 0.0)
         assert value == 0.0
         np.testing.assert_allclose(grad, [0.0, 0.0])
 
     def test_identity_case(self):
-        value, grad = clf_eval_grad(np.eye(2), np.array([1.0, 1.0]))
+        value, *grad = QuadraticCLF.from_matrix(np.eye(2)).value_and_grad(1.0, 1.0)
         assert value == pytest.approx(1.0)
         np.testing.assert_allclose(grad, [1.0, 1.0])
 
     def test_scenario_initial_value(self):
-        value, _ = clf_eval_grad(P1, np.array([-0.7, -1.5]))
+        value, _, _ = QuadraticCLF.from_matrix(P1).value_and_grad(-0.7, -1.5)
         assert value == pytest.approx(1.895917, abs=1e-6)
 
     def test_grad_matches_finite_difference(self):
@@ -98,8 +108,8 @@ class TestQuadraticCLF:
         rng = np.random.default_rng(11)
         for _ in range(30):
             x = rng.uniform(-2, 2, size=2)
-            fd = finite_diff_grad(lambda z: clf.value(z[0], z[1]), x)
-            np.testing.assert_allclose(clf.grad(x[0], x[1]), fd, atol=1e-6)
+            fd = finite_diff_grad(lambda z: clf.value_and_grad(z[0], z[1])[0], x)
+            np.testing.assert_allclose(clf.value_and_grad(x[0], x[1])[1:], fd, atol=1e-6)
 
     def test_rejects_non_spd(self):
         with pytest.raises(ValueError):
@@ -129,7 +139,7 @@ class TestUnsafeMinimum:
         x1 = np.linspace(-1.2, -1.0, 201)
         x2 = np.linspace(-0.5, 1.0, 1501)
         X1, X2 = np.meshgrid(x1, x2, indexing="ij")
-        brute = clf.value_on(X1, X2).min()
+        brute = clf.value_and_grad(X1, X2)[0].min()
         assert v1_min_on_unsafe(P1, -1.0) == pytest.approx(brute, abs=1e-5)
 
     def test_rejects_nonnegative_threshold(self):
@@ -193,7 +203,7 @@ class TestParameterSelection:
         x1 = np.linspace(-2.0, -1.0, 200)
         x2 = np.linspace(-2.0, 2.0, 200)
         X1, X2 = np.meshgrid(x1, x2, indexing="ij")
-        assert cert.value_on(X1, X2).min() > 0.0
+        assert cert.value_and_grad(X1, X2)[0].min() > 0.0
 
     def test_level_too_small(self):
         with pytest.raises(LevelTooSmall):
@@ -247,19 +257,19 @@ def cert():
 class TestWeakCLBFEvaluation:
 
     def test_origin_value(self, cert):
-        assert clbf_eval(cert, np.zeros(2)) == pytest.approx(-cert.k)
+        assert cert.value_and_grad(0.0, 0.0)[0] == pytest.approx(-cert.k)
 
     def test_lower_bound(self, cert):
         rng = np.random.default_rng(5)
         pts = rng.uniform(-3, 3, size=(500, 2))
-        vals = cert.value_on(pts[:, 0], pts[:, 1])
+        vals = cert.value_and_grad(pts[:, 0], pts[:, 1])[0]
         assert np.all(vals >= -cert.k - 1e-12)
 
     def test_positive_on_unsafe_grid(self, cert):
         x1 = np.linspace(BOX1.x1_min, -1.0, 150)
         x2 = np.linspace(BOX1.x2_min, BOX1.x2_max, 150)
         X1, X2 = np.meshgrid(x1, x2, indexing="ij")
-        assert cert.value_on(X1, X2).min() > 0.0
+        assert cert.value_and_grad(X1, X2)[0].min() > 0.0
 
     def test_corner_evaluates_to_zero(self, cert):
         # x1 = d + delta and V = v2 determine x2 by the quadratic formula
@@ -268,18 +278,18 @@ class TestWeakCLBFEvaluation:
         disc = 2.0 * clf.p22 * cert.levels.v2 - clf.det * x1 * x1
         assert disc > 0.0
         x2 = (-clf.p12 * x1 + math.sqrt(disc)) / clf.p22
-        assert clf.value(x1, x2) == pytest.approx(cert.levels.v2, abs=1e-12)
-        assert cert.value(x1, x2) == pytest.approx(0.0, abs=1e-9)
+        assert clf.value_and_grad(x1, x2)[0] == pytest.approx(cert.levels.v2, abs=1e-12)
+        assert cert.value_and_grad(x1, x2)[0] == pytest.approx(0.0, abs=1e-9)
 
     def test_grad_zero_at_origin(self, cert):
-        np.testing.assert_allclose(clbf_grad(cert, np.zeros(2)), [0.0, 0.0])
+        np.testing.assert_allclose(cert.value_and_grad(0.0, 0.0)[1:], [0.0, 0.0])
 
     def test_grad_matches_finite_difference(self, cert):
         rng = np.random.default_rng(17)
         for _ in range(1000):
             x = rng.uniform((-1.2, -2.5), (0.5, 2.5))
-            fd = finite_diff_grad(lambda z: cert.value(z[0], z[1]), x, h=1e-6)
-            grad = clbf_grad(cert, x)
+            fd = finite_diff_grad(lambda z: cert.value_and_grad(z[0], z[1])[0], x, h=1e-6)
+            grad = cert.value_and_grad(x[0], x[1])[1:]
             np.testing.assert_allclose(grad, fd, rtol=1e-6, atol=1e-5)
 
     def test_grad_on_uncontrolled_line_closed_form(self, cert):
@@ -289,7 +299,7 @@ class TestWeakCLBFEvaluation:
         c = clf.p12 / clf.p22
         for x1 in np.linspace(-1.15, 0.45, 37):
             x2 = -c * x1
-            g1, _ = cert.grad(x1, x2)
+            _, g1, _ = cert.value_and_grad(x1, x2)
             sigma = sigmoid_eval(cert.shape, x1)
             expected = (
                 clf.det
@@ -300,22 +310,28 @@ class TestWeakCLBFEvaluation:
             assert g1 == pytest.approx(expected, abs=1e-9)
 
     def test_value_and_grad_consistency(self, cert):
+        # against the matrix form (1 + theta sigma) 0.5 x'Px - k and its
+        # product-rule gradient
+        P = cert.clf.matrix
         rng = np.random.default_rng(23)
         for _ in range(100):
             x = rng.uniform(-2, 2, size=2)
             w, g1, g2 = cert.value_and_grad(x[0], x[1])
-            assert w == pytest.approx(cert.value(x[0], x[1]), rel=1e-14, abs=1e-14)
-            gg = cert.grad(x[0], x[1])
-            assert (g1, g2) == pytest.approx(gg, rel=1e-14, abs=1e-14)
+            sigma = sigmoid_eval(cert.shape, x[0])
+            scale = 1.0 + cert.theta * sigma
+            v = 0.5 * x @ P @ x
+            grad = scale * (P @ x)
+            grad[0] -= cert.theta * v * cert.shape.l * sigma * (1.0 - sigma)
+            assert w == pytest.approx(scale * v - cert.k, rel=1e-13, abs=1e-13)
+            assert (g1, g2) == pytest.approx(tuple(grad), rel=1e-13, abs=1e-13)
 
     def test_vectorized_matches_scalar(self, cert):
         rng = np.random.default_rng(29)
         pts = rng.uniform(-2, 2, size=(100, 2))
-        vec = cert.value_on(pts[:, 0], pts[:, 1])
-        g1v, g2v = cert.grad_on(pts[:, 0], pts[:, 1])
-        for i, (x1, x2) in enumerate(pts):
-            assert vec[i] == pytest.approx(cert.value(x1, x2), rel=1e-13, abs=1e-13)
-            g1, g2 = cert.grad(x1, x2)
+        vec, g1v, g2v = cert.value_and_grad(pts[:, 0], pts[:, 1])
+        for i, (x1, x2) in enumerate(pts.tolist()):
+            w, g1, g2 = cert.value_and_grad(x1, x2)
+            assert vec[i] == pytest.approx(w, rel=1e-13, abs=1e-13)
             assert g1v[i] == pytest.approx(g1, rel=1e-13, abs=1e-13)
             assert g2v[i] == pytest.approx(g2, rel=1e-13, abs=1e-13)
 
@@ -342,7 +358,7 @@ class TestCertificateInvariants:
         lam_min, lam_max = cert.clf.eigenvalue_range()
         rng = np.random.default_rng(37)
         pts = rng.uniform(-5, 5, size=(10_000, 2))
-        w = cert.value_on(pts[:, 0], pts[:, 1])
+        w = cert.value_and_grad(pts[:, 0], pts[:, 1])[0]
         norm2 = np.sum(pts * pts, axis=1)
         lower = 0.5 * lam_min * norm2 - cert.k
         upper = 0.5 * (1.0 + cert.theta) * lam_max * norm2 - cert.k
@@ -362,7 +378,7 @@ class TestCertificateInvariants:
         mutant = WeakCLBF(
             clf=base.clf, shape=base.shape, theta=0.0, k=2.0, levels=base.levels
         )
-        assert mutant.value(0.0, 0.0) == -2.0
+        assert mutant.value_and_grad(0.0, 0.0)[0] == -2.0
 
     def test_level_params_validation(self):
         with pytest.raises(ValueError):

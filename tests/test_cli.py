@@ -211,7 +211,42 @@ class TestSimulate:
             assert main(["simulate", "--config", str(path), "--out", str(out)]) == 4
         summary = json.loads((out / "summary.json").read_text())
         assert summary["runs"][0]["failure"]["error"] in ("NearSingular", "NonFiniteState")
+        # steps completed before the aborted one, which starts at the failure time
+        assert summary["runs"][0]["steps"] == round(summary["runs"][0]["failure"]["time"] / 1e-3)
         assert (out / "baseline.csv").exists()  # partial trajectory still emitted
+
+
+class TestStepCount:
+    def test_summary_counts_integration_steps(self, tmp_path, raw_config):
+        # 0.2 s at dt 1e-3 is 200 steps however sparsely they are recorded
+        raw = fast(raw_config)
+        raw["simulation"]["horizon"] = 0.2
+        raw["simulation"]["record_stride"] = 10
+        path = write_config(tmp_path, raw)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert [run["steps"] for run in summary["runs"]] == [200, 200]
+        assert len((out / "baseline.csv").read_text().splitlines()) == 1 + 21
+
+
+class TestSweepValidation:
+    @pytest.mark.parametrize(
+        "flags",
+        [["--k-safe", "-1"], ["--k-safe", "0"], ["--k-safe", "0.5", "--k-safe", "0.5"]],
+    )
+    def test_invalid_k_safe_flags_exit_3(self, tmp_path, raw_config, capsys, flags):
+        path = write_config(tmp_path, fast(raw_config))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(path), "--out", str(out), *flags]) == 3
+        assert "configuration error" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_repeated_configured_value_exits_3(self, tmp_path, raw_config):
+        raw = fast(raw_config)
+        raw["k_safe"] = [0.5, 0.5]
+        path = write_config(tmp_path, raw)
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 3
 
 
 class TestReproduce:
@@ -221,3 +256,5 @@ class TestReproduce:
         assert code == 0
         for k in ("0.2", "0.5", "1.5"):
             assert (out / f"ksafe_{k}.csv").exists()
+        summary = json.loads((out / "summary.json").read_text())
+        assert [run["steps"] for run in summary["runs"]] == [20] * 4

@@ -7,7 +7,6 @@ from safefl.errors import NearSingular
 from safefl.manipulator import (
     ManipulatorParams,
     ManipulatorPlant,
-    JointState,
     coriolis_vector,
     forward_kinematics,
     gravity_vector,
@@ -18,7 +17,6 @@ from safefl.manipulator import (
     joint_accel,
     kinetic_energy,
     mass_matrix,
-    safe_task_controller,
     task_space_terms,
 )
 from safefl.sim import SimConfig, simulate_closed_loop
@@ -155,13 +153,11 @@ class TestKinematics:
         with pytest.raises(ValueError):
             inverse_kinematics(PARAMS, [2.5, 0.0])
 
-    def test_task_state_from_joint(self):
-        from safefl.manipulator import task_state_from_joint
-
-        state = JointState(q=np.array([0.2, 1.1]), qdot=np.array([0.5, -0.3]))
-        ts = task_state_from_joint(PARAMS, state)
-        np.testing.assert_allclose(ts.p, forward_kinematics(PARAMS, state.q))
-        np.testing.assert_allclose(ts.v, jacobian(PARAMS, state.q) @ state.qdot)
+    def test_plant_task_state(self):
+        q, qdot = np.array([0.2, 1.1]), np.array([0.5, -0.3])
+        p, v = ManipulatorPlant(PARAMS).task_state(np.concatenate([q, qdot]))
+        np.testing.assert_allclose(p, forward_kinematics(PARAMS, q))
+        np.testing.assert_allclose(v, jacobian(PARAMS, q) @ qdot)
 
 
 class TestTaskSpaceTerms:
@@ -289,19 +285,13 @@ class TestSafeTaskController:
             np.testing.assert_allclose(action.force, force, rtol=1e-9, atol=1e-9)
             np.testing.assert_allclose(action.u, tau, rtol=1e-9, atol=1e-9)
 
-    def test_one_shot_helper(self, default_bundle):
-        state = JointState(q=default_bundle.q0, qdot=default_bundle.qdot0)
-        force, tau, action = safe_task_controller(
-            PARAMS,
-            state,
-            default_bundle.config.goal,
-            default_bundle.gain_schedule(1.5),
-            default_bundle.certificates,
-            default_bundle.unsafe_thresholds,
-            default_bundle.signs,
+    def test_initial_state_diagnostics(self, default_bundle):
+        action = _scenario_controller(default_bundle, 1.5).compute(
+            default_bundle.q0, default_bundle.qdot0
         )
-        np.testing.assert_allclose(force, action.force)
-        np.testing.assert_allclose(tau, action.u)
+        np.testing.assert_allclose(
+            action.u, jacobian(PARAMS, default_bundle.q0).T @ action.force, rtol=1e-12
+        )
         np.testing.assert_allclose(
             action.w_values, default_bundle.initial_w(), rtol=1e-9
         )

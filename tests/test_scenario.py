@@ -11,6 +11,7 @@ from safefl.scenario import (
     default_config_path,
     load_config,
     parameter_report,
+    run_case,
 )
 
 
@@ -61,6 +62,13 @@ class TestConfigParsing:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             load_config(tmp_path / "nope.json")
+
+    @pytest.mark.parametrize("sweep", [[0.5, -1.0], [0.0], [0.5, 0.5], [1.0, 1.0000001]])
+    def test_invalid_sweep_rejected(self, raw_config, sweep):
+        # non-positive gains, and gains whose runs would share one output label
+        raw_config["k_safe"] = sweep
+        with pytest.raises(ConfigError):
+            RunConfig.from_dict(raw_config)
 
     def test_explicit_mode_requires_params(self, raw_config):
         raw_config["clbf"] = {"mode": "explicit", "v2": [2.0, 2.0]}
@@ -181,6 +189,17 @@ class TestScenarioProperties:
         traj = run_case(default_bundle, 1.0)
         report = safety_monitor(traj)
         assert report.w_dot.max() <= 1e-9
+
+
+class TestRecordedMargins:
+    @pytest.mark.parametrize("k_safe", [0.0, 1.5])
+    def test_margins_match_configured_bounds(self, default_bundle, k_safe):
+        # p1 stays below its max bound 1.3 and p2 above its min bound -0.3
+        bounds = {(c.axis, c.side): c.bound for c in default_bundle.config.constraints}
+        assert bounds == {(0, "max"): 1.3, (1, "min"): -0.3}
+        traj = run_case(default_bundle, k_safe, horizon=2.0)
+        np.testing.assert_allclose(traj.margins[:, 0], 1.3 - traj.pos[:, 0], rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(traj.margins[:, 1], traj.pos[:, 1] + 0.3, rtol=0.0, atol=1e-12)
 
 
 class TestParameterReport:

@@ -17,6 +17,13 @@ from safefl.sim import (
 from tests.conftest import DecoupledSubsystemPlant, zero_controller
 
 
+class FragilePlant(DecoupledSubsystemPlant):
+    def derivative(self, t, x, u):
+        if t > 0.05:
+            raise NearSingular("synthetic singularity")
+        return super().derivative(t, x, u)
+
+
 class TestRk4Step:
     def test_exponential_decay(self):
         x = rk4_step(lambda t, x: -x, 0.0, np.array([1.0]), 0.1)
@@ -102,6 +109,7 @@ class TestSimulateClosedLoop:
         traj = simulate_closed_loop(plant, zero_controller(), config)
         assert len(traj) == 21
         assert traj.t[1] == pytest.approx(0.01)
+        assert traj.meta["steps"] == 200
 
     def test_determinism(self):
         plant = DecoupledSubsystemPlant(kp=1.3, kd=0.7)
@@ -112,12 +120,6 @@ class TestSimulateClosedLoop:
         np.testing.assert_array_equal(a.t, b.t)
 
     def test_abort_returns_partial_trajectory(self):
-        class FragilePlant(DecoupledSubsystemPlant):
-            def derivative(self, t, x, u):
-                if t > 0.05:
-                    raise NearSingular("synthetic singularity")
-                return super().derivative(t, x, u)
-
         plant = FragilePlant(kp=1.0, kd=1.0)
         config = SimConfig(dt=1e-3, horizon=1.0, x0=np.array([1.0, 0.0]))
         traj = simulate_closed_loop(plant, zero_controller(), config)
@@ -125,6 +127,14 @@ class TestSimulateClosedLoop:
         assert traj.meta["failure"]["error"] == "NearSingular"
         assert 0 < len(traj) < 1001
         assert traj.t[-1] <= 0.052
+
+    def test_steps_on_abort(self):
+        # step 50 starts at t = 0.05 and fails at its second stage
+        config = SimConfig(dt=1e-3, horizon=1.0, x0=np.array([1.0, 0.0]), record_stride=10)
+        traj = simulate_closed_loop(FragilePlant(kp=1.0, kd=1.0), zero_controller(), config)
+        assert traj.failed
+        assert traj.meta["steps"] == 50
+        assert len(traj) == 6
 
     def test_divergence_aborts(self):
         class ExplodingPlant:
@@ -239,7 +249,21 @@ class TestFusedArmStage:
         assert fused.meta["failure"]["error"] == error
         assert fused.meta["failure"] == generic.meta["failure"]
         assert len(fused) == len(generic) == length
+        # the aborted step starts at the failure time
+        steps = round(fused.meta["failure"]["time"] / config.dt)
+        assert fused.meta["steps"] == generic.meta["steps"] == steps
         np.testing.assert_array_equal(fused.states, generic.states)
+
+
+class TestValueEquality:
+    def test_pickled_copies_compare_to_a_bool(self, default_bundle):
+        import pickle
+
+        config = SimConfig(dt=1e-3, horizon=0.2, x0=default_bundle.x0)
+        for obj in (default_bundle.controller(1.5), config, default_bundle.gain_schedule(1.5)):
+            copy = pickle.loads(pickle.dumps(obj))
+            assert (obj == copy) is False
+            assert (obj == obj) is True
 
 
 class TestSafetyMonitor:

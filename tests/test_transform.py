@@ -145,11 +145,6 @@ class TestGainMatrix:
         with pytest.raises(ValueError):
             GainSchedule(kp=[1.0, 1.0], kd=[1.0, 1.0], k_safe=[-0.5, 0.0])
 
-    def test_with_k_safe(self):
-        gains = GainSchedule(kp=[1.5, 1.0], kd=[1.0, 1.0], k_safe=[0.0, 0.0])
-        lifted = gains.with_k_safe(0.5, m=1)
-        np.testing.assert_allclose(lifted.k_safe, [0.5, 0.0])
-
 
 class TestAssembleUSafe:
     def test_zero_passthrough(self):

@@ -92,8 +92,7 @@ class TestVerifyWeakCLBF:
         # grid argmin of the gradient norm over the admissible set lies next
         # to the unique stationary point at the origin
         X1, X2 = BOX_SUB1.grid(400)
-        w = table_cert_sub1.value_on(X1, X2)
-        g1, g2 = table_cert_sub1.grad_on(X1, X2)
+        w, g1, g2 = table_cert_sub1.value_and_grad(X1, X2)
         norm = np.hypot(g1, g2)
         mask = w <= 0.0
         flat = np.flatnonzero(mask)
@@ -119,7 +118,7 @@ class TestCOmegaSubset:
         x1 = cert.shape.d + cert.shape.delta
         disc = 2.0 * cert.clf.p22 * cert.levels.v2 - cert.clf.det * x1 * x1
         x2 = (-cert.clf.p12 * x1 + math.sqrt(disc)) / cert.clf.p22
-        assert cert.value(x1, x2) == pytest.approx(0.0, abs=1e-9)
+        assert cert.value_and_grad(x1, x2)[0] == pytest.approx(0.0, abs=1e-9)
 
     def test_empty_margin_set(self, table_cert_sub1):
         # margin pushed past the region's right edge leaves no samples
