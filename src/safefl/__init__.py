@@ -6,7 +6,7 @@ composes them with feedback linearization into a safe task-space controller
 for a planar two-link manipulator.
 """
 
-from . import clbf, manipulator, numerics, scenario, sim, sontag, transform
+from . import clbf, manipulator, numerics, scenario, sim, sontag
 from .clbf import (
     HalfPlaneUnsafe,
     MarginPolicy,
@@ -19,18 +19,10 @@ from .clbf import (
     verify_weak_clbf,
 )
 from .errors import SafeFlError
+from .manipulator import GainSchedule
 from .numerics import finite_diff_grad, is_spd, solve_lyapunov_2x2
 from .sim import SimConfig, Trajectory, rk4_step, safety_monitor, simulate_closed_loop
 from .sontag import safe_aux_input, sontag_universal
-from .transform import (
-    ConstraintSet,
-    DecouplingTransform,
-    GainSchedule,
-    assemble_u_safe,
-    build_gain_matrix,
-    build_transform,
-    initial_set_membership,
-)
 
 __version__ = "0.1.0"
 
@@ -44,15 +36,9 @@ __all__ = [
     "SimConfig",
     "Trajectory",
     "WeakCLBF",
-    "ConstraintSet",
-    "DecouplingTransform",
     "GainSchedule",
-    "assemble_u_safe",
-    "build_gain_matrix",
-    "build_transform",
     "check_c_omega_subset",
     "finite_diff_grad",
-    "initial_set_membership",
     "is_spd",
     "rk4_step",
     "safe_aux_input",

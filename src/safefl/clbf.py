@@ -421,17 +421,16 @@ class ConditionResult:
 
 
 @dataclass(frozen=True)
-class COmegaResult:
-    passed: bool
-    worst_value: float
-    witness: tuple[float, float]
+class COmegaResult(ConditionResult):
+    """Margin-set containment: margin is the largest W sampled in the set."""
+
     samples: int
 
     def to_dict(self) -> dict:
         return {
-            "name": "margin_set_contained",
+            "name": self.name,
             "passed": bool(self.passed),
-            "worst_value": float(self.worst_value),
+            "worst_value": float(self.margin),
             "witness": [float(c) for c in self.witness],
             "samples": int(self.samples),
         }
@@ -608,10 +607,7 @@ def check_c_omega_subset(
     Wgrid = W.value_and_grad(X1, X2)[0]
     worst, witness = _masked_extreme(Wgrid, X1, X2, mask, take_min=False)
     return COmegaResult(
-        passed=worst <= C_OMEGA_TOL,
-        worst_value=worst,
-        witness=witness,
-        samples=int(np.count_nonzero(mask)),
+        "margin_set_contained", worst <= C_OMEGA_TOL, worst, witness, int(np.count_nonzero(mask))
     )
 
 

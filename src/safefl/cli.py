@@ -14,17 +14,9 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    EmptyCOmega,
-    GridTooCoarse,
-    InvalidUnsafeSet,
-    LevelTooSmall,
-    MarginInfeasible,
-)
+from .errors import ConfigError, SafeFlError
 from .scenario import (
     RunConfig,
-    ScenarioBundle,
     build_bundle,
     checked_sweep,
     default_config_path,
@@ -67,25 +59,28 @@ _CSV_BLOCK = 1024
 
 
 def write_trajectory_csv(traj: Trajectory, path: Path) -> None:
-    """Emit the fixed 14-column schema with 9-significant-digit floats."""
-    columns = [
-        traj.t,
-        traj.pos[:, 0],
-        traj.pos[:, 1],
-        traj.vel[:, 0],
-        traj.vel[:, 1],
-        traj.inputs[:, 0],
-        traj.inputs[:, 1],
-        traj.force[:, 0],
-        traj.force[:, 1],
-        traj.force_safe[:, 0],
-        traj.force_safe[:, 1],
-        traj.w[:, 0],
-        traj.w[:, 1],
-        traj.safe,
-    ]
+    """Emit the fixed 14-column schema with 9-significant-digit floats; a
+    trajectory without records gives the header alone."""
     with path.open("w", encoding="utf-8") as fh:
         fh.write(",".join(CSV_COLUMNS) + "\n")
+        if len(traj) == 0:
+            return
+        columns = [
+            traj.t,
+            traj.pos[:, 0],
+            traj.pos[:, 1],
+            traj.vel[:, 0],
+            traj.vel[:, 1],
+            traj.inputs[:, 0],
+            traj.inputs[:, 1],
+            traj.force[:, 0],
+            traj.force[:, 1],
+            traj.force_safe[:, 0],
+            traj.force_safe[:, 1],
+            traj.w[:, 0],
+            traj.w[:, 1],
+            traj.safe,
+        ]
         # a block of rows at a time keeps the Python copies of the columns small
         for start in range(0, len(traj), _CSV_BLOCK):
             block = [col[start : start + _CSV_BLOCK].tolist() for col in columns]
@@ -169,9 +164,7 @@ def cmd_verify(args) -> int:
         all_pass &= report.passed
         for cond in report.conditions() + ([report.c_omega] if report.c_omega else []):
             status = "pass" if cond.passed else "FAIL"
-            name = cond.name if hasattr(cond, "name") else "margin_set_contained"
-            margin = cond.margin if hasattr(cond, "margin") else cond.worst_value
-            line = f"axis {axis} {name}: {status} (worst {margin:.6g}"
+            line = f"axis {axis} {cond.name}: {status} (worst {cond.margin:.6g}"
             witness = cond.witness
             if witness is not None and not cond.passed:
                 line += f", witness ({witness[0]:.6g}, {witness[1]:.6g})"
@@ -182,20 +175,13 @@ def cmd_verify(args) -> int:
     return EXIT_OK if all_pass else EXIT_CHECK_FAILED
 
 
-def _simulate_cases(
-    bundle: ScenarioBundle, sweep, dt: Optional[float], horizon: Optional[float]
-) -> list[Trajectory]:
-    runs = []
-    for k_safe in [0.0, *sweep]:
-        runs.append(run_case(bundle, k_safe, dt=dt, horizon=horizon))
-    return runs
-
-
 def cmd_simulate(args, force_default: bool = False) -> int:
     config = _load(args, force_default=force_default)
     sweep = checked_sweep(args.k_safe) if args.k_safe is not None else config.k_safe_sweep
     bundle = build_bundle(config, enforce_bounds=True)
-    runs = _simulate_cases(bundle, sweep, args.dt, args.horizon)
+    # every run is made before any output is written, so an out-of-range
+    # --dt or --horizon (ConfigError from the first run_case) leaves none
+    runs = [run_case(bundle, k, dt=args.dt, horizon=args.horizon) for k in (0.0, *sweep)]
 
     args.out.mkdir(parents=True, exist_ok=True)
     summary = parameter_report(bundle)
@@ -270,7 +256,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ConfigError as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    except (LevelTooSmall, MarginInfeasible, InvalidUnsafeSet, EmptyCOmega, GridTooCoarse) as err:
+    except SafeFlError as err:
         print(f"infeasible: {type(err).__name__}: {err}", file=sys.stderr)
         return EXIT_CHECK_FAILED
 

@@ -33,14 +33,6 @@ class EmptyCOmega(SafeFlError):
     """No grid sample satisfies both defining inequalities of the margin set."""
 
 
-class RankDeficient(SafeFlError):
-    """Constraint rows are linearly dependent."""
-
-
-class SingularInputMatrix(SafeFlError):
-    """Input matrix numerically singular; safe input cannot be assembled."""
-
-
 class NearSingular(SafeFlError):
     """Kinematic Jacobian too close to singular for task-space inversion."""
 

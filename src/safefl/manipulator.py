@@ -20,9 +20,9 @@ import numpy as np
 
 from .clbf import WeakCLBF
 from .errors import NearSingular
+from .numerics import is_hurwitz_2x2
 from .sim import ControlAction
 from .sontag import sontag_universal
-from .transform import GainSchedule
 
 
 @dataclass(frozen=True)
@@ -294,6 +294,32 @@ def task_space_terms(
 
 # ---------------------------------------------------------------------------
 # safe task-space controller
+
+
+@dataclass(frozen=True, eq=False)
+class GainSchedule:
+    """Per-subsystem position/velocity gains and safety gains."""
+
+    kp: np.ndarray
+    kd: np.ndarray
+    k_safe: np.ndarray
+
+    def __post_init__(self):
+        kp = np.atleast_1d(np.asarray(self.kp, dtype=float))
+        kd = np.atleast_1d(np.asarray(self.kd, dtype=float))
+        k_safe = np.atleast_1d(np.asarray(self.k_safe, dtype=float))
+        if not (kp.shape == kd.shape == k_safe.shape):
+            raise ValueError("gain arrays must share one length")
+        if np.any(kp <= 0.0) or np.any(kd <= 0.0):
+            raise ValueError("kp and kd must be positive")
+        if np.any(k_safe < 0.0):
+            raise ValueError("k_safe must be non-negative")
+        for kp_i, kd_i in zip(kp, kd):
+            if not is_hurwitz_2x2([[0.0, 1.0], [-kp_i, -kd_i]]):
+                raise ValueError(f"subsystem gains ({kp_i}, {kd_i}) are not stabilizing")
+        object.__setattr__(self, "kp", kp)
+        object.__setattr__(self, "kd", kd)
+        object.__setattr__(self, "k_safe", k_safe)
 
 
 def _axis_law(

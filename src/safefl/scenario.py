@@ -33,6 +33,7 @@ from .clbf import (
 )
 from .errors import ConfigError
 from .manipulator import (
+    GainSchedule,
     ManipulatorParams,
     ManipulatorPlant,
     SafeTaskController,
@@ -41,9 +42,8 @@ from .manipulator import (
     jacobian,
 )
 from .numerics import solve_lyapunov_2x2
-from .sim import SimConfig, Trajectory, simulate_closed_loop
+from .sim import SimConfig, Trajectory, check_timing, simulate_closed_loop
 from .sontag import subsystem_drift
-from .transform import GainSchedule
 
 SCHEMA_VERSION = 1
 
@@ -114,20 +114,28 @@ _TOP_LEVEL_KEYS = {
 }
 
 
+def _number(value, what: str) -> float:
+    """value as a float; NaN and infinities are configuration errors."""
+    number = float(value)
+    if not math.isfinite(number):
+        raise ConfigError(f"{what}: {number} is not a finite number")
+    return number
+
+
 def _pair(value, what: str) -> tuple[float, float]:
     seq = list(value)
     if len(seq) != 2:
         raise ConfigError(f"{what} must have exactly two entries")
-    return float(seq[0]), float(seq[1])
+    return _number(seq[0], what), _number(seq[1], what)
 
 
-def _optional_pair(value) -> tuple[Optional[float], Optional[float]]:
+def _optional_pair(value, what: str) -> tuple[Optional[float], Optional[float]]:
     if value is None:
         return (None, None)
     seq = list(value)
     if len(seq) != 2:
-        raise ConfigError("per-axis settings must have exactly two entries")
-    return tuple(None if v is None else float(v) for v in seq)  # type: ignore[return-value]
+        raise ConfigError(f"{what} must have exactly two entries")
+    return tuple(None if v is None else _number(v, what) for v in seq)  # type: ignore[return-value]
 
 
 def run_label(k_safe: float) -> str:
@@ -165,11 +173,11 @@ def _parse_config(cls, raw: dict) -> "RunConfig":
 
     arm = raw["manipulator"]
     params = ManipulatorParams(
-        m1=float(arm["m1"]),
-        m2=float(arm["m2"]),
-        L1=float(arm["L1"]),
-        L2=float(arm["L2"]),
-        gravity=float(arm.get("gravity", 9.81)),
+        m1=_number(arm["m1"], "m1"),
+        m2=_number(arm["m2"], "m2"),
+        L1=_number(arm["L1"], "L1"),
+        L2=_number(arm["L2"], "L2"),
+        gravity=_number(arm.get("gravity", 9.81), "gravity"),
     )
     goal = np.array(_pair(raw["goal"], "goal"))
     initial = raw["initial"]
@@ -182,23 +190,25 @@ def _parse_config(cls, raw: dict) -> "RunConfig":
     region = raw["region"]
     p1_lo, p1_hi = _pair(region["p1"], "region p1")
     p2_lo, p2_hi = _pair(region["p2"], "region p2")
-    speed = float(region["speed_limit"])
+    speed = _number(region["speed_limit"], "speed_limit")
     if speed <= 0.0:
         raise ConfigError("speed_limit must be positive")
 
     constraints = []
     seen_axes = set()
     for entry in raw["constraints"]:
-        axis = int(entry["axis"])
+        axis = _number(entry["axis"], "constraint axis")
         side = str(entry["side"])
         if axis not in (0, 1):
             raise ConfigError(f"constraint axis must be 0 or 1, got {axis}")
+        axis = int(axis)
         if side not in ("min", "max"):
             raise ConfigError(f"constraint side must be 'min' or 'max', got {side!r}")
         if axis in seen_axes:
             raise ConfigError(f"duplicate constraint on axis {axis}")
         seen_axes.add(axis)
-        constraints.append(ConstraintSpec(axis=axis, side=side, bound=float(entry["bound"])))
+        bound = _number(entry["bound"], "constraint bound")
+        constraints.append(ConstraintSpec(axis=axis, side=side, bound=bound))
     if not constraints:
         raise ConfigError("at least one constraint required")
     constraints.sort(key=lambda c: c.axis)
@@ -209,18 +219,19 @@ def _parse_config(cls, raw: dict) -> "RunConfig":
     if np.any(kp <= 0.0) or np.any(kd <= 0.0):
         raise ConfigError("gains must be positive")
 
-    q_mat = np.array(raw.get("lyapunov_q", _DEFAULT_Q), dtype=float)
-    if q_mat.shape != (2, 2):
+    q_rows = list(raw.get("lyapunov_q", _DEFAULT_Q))
+    if len(q_rows) != 2:
         raise ConfigError("lyapunov_q must be a 2x2 matrix")
+    q_mat = np.array([_pair(row, "lyapunov_q row") for row in q_rows])
 
     clbf = raw["clbf"]
     mode = str(clbf.get("mode", "auto"))
     if mode not in ("auto", "explicit"):
         raise ConfigError(f"clbf mode must be 'auto' or 'explicit', got {mode!r}")
-    v2 = _optional_pair(clbf.get("v2"))
-    l_override = _optional_pair(clbf.get("l"))
-    delta_margin = float(clbf.get("delta_margin", 1.05))
-    theta_margin = float(clbf.get("theta_margin", 1.05))
+    v2 = _optional_pair(clbf.get("v2"), "clbf v2")
+    l_override = _optional_pair(clbf.get("l"), "clbf l")
+    delta_margin = _number(clbf.get("delta_margin", 1.05), "delta_margin")
+    theta_margin = _number(clbf.get("theta_margin", 1.05), "theta_margin")
     explicit_params = None
     if mode == "explicit":
         entries = clbf.get("params")
@@ -230,10 +241,10 @@ def _parse_config(cls, raw: dict) -> "RunConfig":
         for entry in entries:
             cooked.append(
                 {
-                    "l": float(entry["l"]),
-                    "delta": float(entry["delta"]),
-                    "theta": float(entry["theta"]),
-                    "k": None if entry.get("k") is None else float(entry["k"]),
+                    "l": _number(entry["l"], "explicit l"),
+                    "delta": _number(entry["delta"], "explicit delta"),
+                    "theta": _number(entry["theta"], "explicit theta"),
+                    "k": None if entry.get("k") is None else _number(entry["k"], "explicit k"),
                 }
             )
         explicit_params = tuple(cooked)
@@ -241,15 +252,10 @@ def _parse_config(cls, raw: dict) -> "RunConfig":
             raise ConfigError("explicit mode requires v2 for every constraint")
 
     sim = raw["simulation"]
-    dt = float(sim["dt"])
-    horizon = float(sim["horizon"])
-    stride = int(sim.get("record_stride", 1))
-    if not 0.0 < dt <= 1e-2:
-        raise ConfigError(f"dt must lie in (0, 1e-2], got {dt}")
-    if horizon <= 0.0:
-        raise ConfigError("horizon must be positive")
-    if stride < 1:
-        raise ConfigError("record_stride must be >= 1")
+    dt = _number(sim["dt"], "dt")
+    horizon = _number(sim["horizon"], "horizon")
+    stride = int(_number(sim.get("record_stride", 1), "record_stride"))
+    check_timing(dt, horizon, stride)
 
     sweep = checked_sweep(raw.get("k_safe", []))
 
@@ -388,8 +394,16 @@ def build_bundle(config: RunConfig, enforce_bounds: bool = True) -> ScenarioBund
     enforce_bounds=False builds certificates exactly as configured even when
     their parameters violate the feasibility bounds, leaving judgment to the
     verifier; feasibility errors (LevelTooSmall, MarginInfeasible) still
-    propagate in enforcing mode.
+    propagate in enforcing mode. Values the constructors reject (ValueError)
+    and an initial pose at the arm's singularity threshold raise ConfigError.
     """
+    try:
+        return _assemble(config, enforce_bounds)
+    except ValueError as err:
+        raise ConfigError(f"invalid configuration: {err}") from err
+
+
+def _assemble(config: RunConfig, enforce_bounds: bool) -> ScenarioBundle:
     goal = config.goal
     p_bounds = (config.region_p1, config.region_p2)
     if not all(
@@ -415,10 +429,7 @@ def build_bundle(config: RunConfig, enforce_bounds: bool = True) -> ScenarioBund
             unsafe, sign = None, 1.0
 
         lo, hi = _axis_interval(sign, *p_bounds[axis], goal[axis])
-        try:
-            region = RegionBox(lo, hi, -config.speed_limit, config.speed_limit)
-        except ValueError as err:
-            raise ConfigError(f"axis {axis}: {err}") from err
+        region = RegionBox(lo, hi, -config.speed_limit, config.speed_limit)
 
         A = np.array([[0.0, 1.0], [-config.kp[axis], -config.kd[axis]]])
         clf = QuadraticCLF.from_matrix(solve_lyapunov_2x2(A, config.lyapunov_q))
@@ -475,6 +486,11 @@ def build_bundle(config: RunConfig, enforce_bounds: bool = True) -> ScenarioBund
 
     q0 = inverse_kinematics(config.manipulator, config.initial_position, config.elbow)
     J0 = jacobian(config.manipulator, q0)
+    # det J as the controller computes it, so every accepted start passes the
+    # controller's own singularity check
+    det = J0[0, 0] * J0[1, 1] - J0[0, 1] * J0[1, 0]
+    if abs(det) <= config.manipulator.singularity_threshold:
+        raise ConfigError(f"initial pose is singular: |det J| = {abs(det):.3e}")
     qdot0 = np.linalg.solve(J0, config.initial_velocity)
     fk_err = np.max(np.abs(forward_kinematics(config.manipulator, q0) - config.initial_position))
     if fk_err > 1e-9:
@@ -492,12 +508,21 @@ def run_case(
     horizon: Optional[float] = None,
     record_stride: Optional[int] = None,
 ) -> Trajectory:
-    config = SimConfig(
-        dt=dt if dt is not None else bundle.config.dt,
-        horizon=horizon if horizon is not None else bundle.config.horizon,
-        x0=bundle.x0,
-        record_stride=record_stride if record_stride is not None else bundle.config.record_stride,
-    )
+    """Simulate the bundle's scenario at one safety gain.
+
+    dt, horizon and record_stride override the configured values and are
+    checked as those are: an out-of-range one raises ConfigError before the
+    run starts.
+    """
+    try:
+        config = SimConfig(
+            dt=dt if dt is not None else bundle.config.dt,
+            horizon=horizon if horizon is not None else bundle.config.horizon,
+            x0=bundle.x0,
+            record_stride=record_stride if record_stride is not None else bundle.config.record_stride,
+        )
+    except ValueError as err:
+        raise ConfigError(f"invalid configuration: {err}") from err
     traj = simulate_closed_loop(bundle.plant(), bundle.controller(k_safe_value), config)
     traj.meta["k_safe"] = k_safe_value
     return traj

@@ -74,6 +74,17 @@ def rk4_step(
     return x_next
 
 
+def check_timing(dt: float, horizon: float, record_stride: int) -> None:
+    """Raise ValueError unless 0 < dt <= 1e-2, 0 < horizon < inf and
+    record_stride >= 1. NaN fails every check."""
+    if not 0.0 < dt <= 1e-2:
+        raise ValueError(f"dt must lie in (0, 1e-2], got {dt}")
+    if not 0.0 < horizon < math.inf:
+        raise ValueError(f"horizon must be finite and positive, got {horizon}")
+    if not record_stride >= 1:
+        raise ValueError(f"record_stride must be >= 1, got {record_stride}")
+
+
 @dataclass(frozen=True, eq=False)
 class SimConfig:
     """Step size, horizon, initial plant state and recording stride."""
@@ -84,12 +95,7 @@ class SimConfig:
     record_stride: int = 1
 
     def __post_init__(self):
-        if not 0.0 < self.dt <= 1e-2:
-            raise ValueError("dt must lie in (0, 1e-2]")
-        if self.horizon <= 0.0:
-            raise ValueError("horizon must be positive")
-        if self.record_stride < 1:
-            raise ValueError("record stride must be >= 1")
+        check_timing(self.dt, self.horizon, self.record_stride)
         object.__setattr__(self, "x0", np.asarray(self.x0, dtype=float))
 
     @property

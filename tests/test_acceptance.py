@@ -149,7 +149,7 @@ def test_criterion_04_margin_set_containment(default_bundle):
         for sub in default_bundle.subsystems:
             cert = sub.certificate
             result = check_c_omega_subset(cert, sub.region, grid_resolution=200)
-            assert result.passed and result.worst_value <= 1e-9
+            assert result.passed and result.margin <= 1e-9
             x1 = cert.shape.d + cert.shape.delta
             disc = 2.0 * cert.clf.p22 * cert.levels.v2 - cert.clf.det * x1 * x1
             x2 = (-cert.clf.p12 * x1 + math.sqrt(disc)) / cert.clf.p22

@@ -215,6 +215,28 @@ class TestSimulate:
         assert summary["runs"][0]["steps"] == round(summary["runs"][0]["failure"]["time"] / 1e-3)
         assert (out / "baseline.csv").exists()  # partial trajectory still emitted
 
+    def test_abort_before_first_record_exits_4(self, tmp_path, raw_config, monkeypatch):
+        # the configuration layer rejects a start at the stretched
+        # singularity, so the runs get one on their bundle instead
+        from dataclasses import replace
+
+        import safefl.cli as cli
+
+        run_case = cli.run_case
+        monkeypatch.setattr(
+            cli,
+            "run_case",
+            lambda bundle, k, **kw: run_case(replace(bundle, q0=np.array([0.3, 0.0])), k, **kw),
+        )
+        path = write_config(tmp_path, fast(raw_config))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 4
+        assert (out / "baseline.csv").read_text().splitlines() == [",".join(CSV_COLUMNS)]
+        summary = json.loads((out / "summary.json").read_text())
+        for run in summary["runs"]:
+            assert run["failure"]["error"] == "NearSingular"
+            assert run["steps"] == 0 and run["safe"] is False
+
 
 class TestStepCount:
     def test_summary_counts_integration_steps(self, tmp_path, raw_config):
@@ -247,6 +269,106 @@ class TestSweepValidation:
         raw["k_safe"] = [0.5, 0.5]
         path = write_config(tmp_path, raw)
         assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 3
+
+
+def _set(*path_and_value):
+    *path, key, value = path_and_value
+
+    def mutate(raw):
+        node = raw
+        for name in path:
+            node = node[name]
+        node[key] = value
+
+    return mutate
+
+
+def _explicit(l=4.0, delta=0.28):
+    def mutate(raw):
+        raw["clbf"] = {
+            "mode": "explicit",
+            "v2": [2.0, 2.0],
+            "params": [
+                {"l": l, "delta": delta, "theta": 50.0},
+                {"l": 4.0, "delta": 0.58, "theta": 6.1},
+            ],
+        }
+
+    return mutate
+
+
+def _singular_start(raw):
+    raw["region"]["p1"] = [-0.2, 2.5]
+    raw["initial"]["position"] = [2.0, 0.0]
+
+
+def _keep(raw):
+    pass
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+class TestErrorExitCodes:
+    @pytest.mark.parametrize(
+        "command, mutate, flags, code",
+        [
+            ("simulate", _set("clbf", "delta_margin", 0.5), [], 3),
+            ("simulate", _set("clbf", "l", [-1.0, None]), [], 3),
+            ("simulate", _set("lyapunov_q", [[1.0, 2.0], [2.0, 1.0]]), [], 3),
+            ("verify", _explicit(l=-4.0), [], 3),
+            ("verify", _explicit(delta=50.0), [], 3),
+            ("simulate", _set("gains", "kp", [1e-300, 1.0]), [], 2),
+            ("simulate", _singular_start, [], 3),
+            ("simulate", _set("initial", "position", [0.0, 0.0]), [], 3),
+            ("simulate", _keep, ["--dt", "0.5"], 3),
+            ("simulate", _keep, ["--dt", "0"], 3),
+            ("simulate", _keep, ["--horizon", "-1"], 3),
+            ("simulate", _keep, ["--horizon", "nan"], 3),
+            ("simulate", _keep, ["--horizon", "inf"], 3),
+            ("simulate", _set("gains", "kp", [NAN, 1.0]), [], 3),
+            ("simulate", _set("gains", "kd", [1.0, INF]), [], 3),
+            ("simulate", _set("lyapunov_q", [[1.0, NAN], [NAN, 1.0]]), [], 3),
+            ("simulate", _set("simulation", "horizon", INF), [], 3),
+            ("simulate", _set("manipulator", "m1", NAN), [], 3),
+            ("simulate", _set("simulation", "record_stride", INF), [], 3),
+            ("simulate", lambda raw: raw["constraints"][0].update(axis=INF), [], 3),
+        ],
+        ids=[
+            "delta_margin",
+            "negative_l_override",
+            "indefinite_q",
+            "explicit_negative_l",
+            "explicit_large_delta",
+            "singular_lyapunov_system",
+            "singular_initial_jacobian",
+            "initial_position_at_origin",
+            "dt_too_large",
+            "dt_zero",
+            "horizon_negative",
+            "horizon_nan",
+            "horizon_inf",
+            "kp_nan",
+            "kd_inf",
+            "q_nan",
+            "configured_horizon_inf",
+            "m1_nan",
+            "record_stride_inf",
+            "constraint_axis_inf",
+        ],
+    )
+    def test_exit_code_and_one_line_message(
+        self, tmp_path, raw_config, capsys, command, mutate, flags, code
+    ):
+        raw = fast(raw_config)
+        mutate(raw)
+        path = write_config(tmp_path, raw)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(path), "--out", str(out), *flags]) == code
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("configuration error:" if code == 3 else "infeasible:")
+        assert not out.exists()  # rejected before any run or output
 
 
 class TestReproduce:

@@ -5,6 +5,7 @@ import pytest
 
 from safefl.errors import NearSingular
 from safefl.manipulator import (
+    GainSchedule,
     ManipulatorParams,
     ManipulatorPlant,
     coriolis_vector,
@@ -224,6 +225,19 @@ class TestDynamicsConsistency:
 
 def _scenario_controller(bundle, k_safe):
     return bundle.controller(k_safe)
+
+
+class TestGainSchedule:
+    def test_gain_validation(self):
+        import safefl
+
+        assert safefl.GainSchedule is GainSchedule
+        with pytest.raises(ValueError):
+            GainSchedule(kp=[1.0, -1.0], kd=[1.0, 1.0], k_safe=[0.0, 0.0])
+        with pytest.raises(ValueError):
+            GainSchedule(kp=[1.0], kd=[1.0, 1.0], k_safe=[0.0, 0.0])
+        with pytest.raises(ValueError):
+            GainSchedule(kp=[1.0, 1.0], kd=[1.0, 1.0], k_safe=[-0.5, 0.0])
 
 
 class TestSafeTaskController:
