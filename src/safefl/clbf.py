@@ -298,12 +298,17 @@ def parameter_bounds(P, region: RegionBox, unsafe: HalfPlaneUnsafe, v2: float) -
     return ParameterBounds(gamma=gamma, l_max=l_max, v1=v1, v2=v2)
 
 
+# Fraction of the region's x1 extent that stands in for gamma in the slope
+# 2 / gamma when gamma <= 0 leaves the slope bound vacuous.
+GAMMA_FALLBACK = 0.1
+
+
 @dataclass(frozen=True)
 class MarginPolicy:
     """How strictly-feasible parameters are picked from their bounds.
 
     l defaults to the slope bound 2/gamma (or, when the region lies entirely
-    in x1 <= 0 and the bound is vacuous, to 2 / (gamma_fallback * x1-extent)).
+    in x1 <= 0 and the bound is vacuous, to 2 / (GAMMA_FALLBACK * x1-extent)).
     delta and theta take their lower bounds inflated by the given factors;
     the strict inequalities need explicit slack.
     """
@@ -311,15 +316,12 @@ class MarginPolicy:
     l: Optional[float] = None
     delta_margin: float = 1.05
     theta_margin: float = 1.05
-    gamma_fallback: float = 0.1
 
     def __post_init__(self):
         if self.delta_margin <= 1.0 or self.theta_margin <= 1.0:
             raise ValueError("margin factors must exceed 1")
         if self.l is not None and self.l <= 0.0:
             raise ValueError("slope override must be positive")
-        if not 0.0 < self.gamma_fallback < 1.0:
-            raise ValueError("gamma_fallback must be in (0, 1)")
 
 
 def assemble_weak_clbf(
@@ -390,7 +392,7 @@ def select_parameters(
     elif bounds.l_max is not None:
         l = bounds.l_max
     else:
-        l = 2.0 / (policy.gamma_fallback * region.x1_extent)
+        l = 2.0 / (GAMMA_FALLBACK * region.x1_extent)
     delta = policy.delta_margin * bounds.delta_min(l)
     theta = policy.theta_margin * bounds.theta_min(l, delta)
     if not math.isfinite(theta):

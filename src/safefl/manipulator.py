@@ -21,7 +21,6 @@ import numpy as np
 from .clbf import WeakCLBF
 from .errors import NearSingular
 from .numerics import is_hurwitz_2x2
-from .sim import ControlAction
 from .sontag import sontag_universal
 
 
@@ -380,6 +379,19 @@ def _task_law(constants: tuple, q1, q2, qd1, qd2, trig, diagnostics: bool):
     return tau1, tau2, (f1, f2, fs1, fs2, w0, w1, margin0, margin1)
 
 
+@dataclass(eq=False)
+class ControlAction:
+    """Joint torques of the safe task controller with the diagnostics
+    recorded alongside them: task-space force, its safety part, certificate
+    values and constraint margins, one entry per task axis."""
+
+    u: np.ndarray
+    force: np.ndarray
+    force_safe: np.ndarray
+    w_values: np.ndarray
+    margins: np.ndarray
+
+
 def _floats(values) -> tuple:
     return tuple(None if v is None else float(v) for v in values)
 
@@ -436,10 +448,6 @@ class SafeTaskController:
             margins=np.array((margin0, margin1)),
         )
 
-    def closed_loop_stage(self, plant) -> Optional[ArmStage]:
-        """The fused stage of this controller on a ManipulatorPlant, else None."""
-        return ArmStage(self, plant.params) if type(plant) is ManipulatorPlant else None
-
 
 def _task_entries(
     p: ManipulatorParams, trig, qd1: float, qd2: float
@@ -453,8 +461,6 @@ def _task_entries(
 
 class ManipulatorPlant:
     """Joint-space plant x = (q, qdot), tau in, integrated by the simulator."""
-
-    state_dim = 4
 
     def __init__(self, params: ManipulatorParams):
         self.params = params
@@ -487,7 +493,9 @@ class ArmStage:
     side's model entries come from its own parameters, so a plant whose
     model differs from the controller's is integrated correctly. Calling the
     stage returns the state derivative only; record() also returns the
-    diagnostics row that the simulator stores at recorded steps.
+    diagnostics row that the simulator stores at recorded steps. layout names
+    the row's blocks as (Trajectory field, width) pairs. Both raise
+    NearSingular when the controller cannot act.
     """
 
     layout = (

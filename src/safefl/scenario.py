@@ -254,7 +254,7 @@ def _parse_config(cls, raw: dict) -> "RunConfig":
     sim = raw["simulation"]
     dt = _number(sim["dt"], "dt")
     horizon = _number(sim["horizon"], "horizon")
-    stride = int(_number(sim.get("record_stride", 1), "record_stride"))
+    stride = _number(sim.get("record_stride", 1), "record_stride")
     check_timing(dt, horizon, stride)
 
     sweep = checked_sweep(raw.get("k_safe", []))
@@ -284,7 +284,7 @@ def _parse_config(cls, raw: dict) -> "RunConfig":
         explicit_params=explicit_params,
         dt=dt,
         horizon=horizon,
-        record_stride=stride,
+        record_stride=int(stride),
         k_safe_sweep=sweep,
         reference_initial_w=reference_w,
     )
@@ -506,20 +506,18 @@ def run_case(
     k_safe_value: float,
     dt: Optional[float] = None,
     horizon: Optional[float] = None,
-    record_stride: Optional[int] = None,
 ) -> Trajectory:
     """Simulate the bundle's scenario at one safety gain.
 
-    dt, horizon and record_stride override the configured values and are
-    checked as those are: an out-of-range one raises ConfigError before the
-    run starts.
+    dt and horizon override the configured values and are checked as those
+    are: an out-of-range one raises ConfigError before the run starts.
     """
     try:
         config = SimConfig(
             dt=dt if dt is not None else bundle.config.dt,
             horizon=horizon if horizon is not None else bundle.config.horizon,
             x0=bundle.x0,
-            record_stride=record_stride if record_stride is not None else bundle.config.record_stride,
+            record_stride=bundle.config.record_stride,
         )
     except ValueError as err:
         raise ConfigError(f"invalid configuration: {err}") from err

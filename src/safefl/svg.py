@@ -141,7 +141,7 @@ def render_trajectories(runs, bundle, path: Path) -> None:
     start = None
     for i, traj in enumerate(runs):
         color = _PALETTE[i % len(_PALETTE)]
-        if len(traj) == 0 or traj.pos is None:
+        if len(traj) == 0:
             continue
         if start is None:
             start = traj.pos[0]
@@ -173,7 +173,7 @@ def render_input_norms(runs, path: Path) -> None:
     series = []
     with np.errstate(over="ignore", invalid="ignore"):
         for traj in runs:
-            if len(traj) == 0 or traj.force is None:
+            if len(traj) == 0:
                 continue
             phi = traj.force - traj.force_safe
             phi_n = np.linalg.norm(phi, axis=1)

@@ -4,25 +4,7 @@ import pytest
 from safefl.clbf import RegionBox, assemble_weak_clbf
 from safefl.numerics import solve_lyapunov_2x2
 from safefl.scenario import build_bundle, default_config_path, load_config
-from safefl.sim import ControlAction
 
-
-class DecoupledSubsystemPlant:
-    """Double-integrator error loop with additive auxiliary input."""
-
-    state_dim = 2
-
-    def __init__(self, kp: float, kd: float):
-        self.kp = kp
-        self.kd = kd
-
-    def derivative(self, t, x, u):
-        return np.array([x[1], -self.kp * x[0] - self.kd * x[1] + u[0]])
-
-
-def zero_controller(n: int = 1):
-    u = np.zeros(n)
-    return lambda t, x: ControlAction(u=u)
 
 Q_DEFAULT = np.array([[1.0, -0.9], [-0.9, 1.0]])
 

@@ -184,6 +184,7 @@ class TestSimulate:
             force=block[:, 6:8],
             force_safe=block[:, 8:10],
             w=block[:, 10:12],
+            margins=np.ones((values.size, 2)),
             safe=np.arange(values.size) % 2 == 0,
         )
         path = tmp_path / "traj.csv"
@@ -333,6 +334,9 @@ class TestErrorExitCodes:
             ("simulate", _set("manipulator", "m1", NAN), [], 3),
             ("simulate", _set("simulation", "record_stride", INF), [], 3),
             ("simulate", lambda raw: raw["constraints"][0].update(axis=INF), [], 3),
+            ("simulate", _set("simulation", "record_stride", 2.5), [], 3),
+            ("simulate", _set("simulation", "record_stride", 0.5), [], 3),
+            ("simulate", _keep, ["--horizon", "1e9", "--k-safe", "0.5"], 3),
         ],
         ids=[
             "delta_margin",
@@ -355,6 +359,9 @@ class TestErrorExitCodes:
             "m1_nan",
             "record_stride_inf",
             "constraint_axis_inf",
+            "record_stride_fractional",
+            "record_stride_below_one",
+            "records_over_limit",
         ],
     )
     def test_exit_code_and_one_line_message(

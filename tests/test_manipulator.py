@@ -20,9 +20,8 @@ from safefl.manipulator import (
     mass_matrix,
     task_space_terms,
 )
-from safefl.sim import SimConfig, simulate_closed_loop
+from safefl.sim import SimConfig, rk4_step, simulate_closed_loop
 from safefl.sontag import safe_aux_input
-from tests.conftest import DecoupledSubsystemPlant, zero_controller
 
 PARAMS = ManipulatorParams(m1=0.8, m2=0.8, L1=1.0, L2=1.0, gravity=9.81)
 
@@ -213,13 +212,13 @@ class TestDynamicsConsistency:
         # checks that the mass matrix and velocity coupling are consistent
         params = ManipulatorParams(m1=0.8, m2=0.8, L1=1.0, L2=1.0, gravity=0.0)
         plant = ManipulatorPlant(params)
-        config = SimConfig(dt=1e-3, horizon=10.0, x0=np.array([0.3, 0.8, 0.4, -0.3]))
-        traj = simulate_closed_loop(plant, zero_controller(2), config)
-        assert not traj.failed
-        energy = np.array(
-            [kinetic_energy(params, s[:2], s[2:]) for s in traj.states]
-        )
-        drift = np.abs(energy - energy[0]).max() / energy[0]
+        torque_free = lambda t, x: plant.derivative(t, x, (0.0, 0.0))
+        x = (0.3, 0.8, 0.4, -0.3)
+        energy = [kinetic_energy(params, x[:2], x[2:])]
+        for step in range(10000):
+            x = rk4_step(torque_free, step * 1e-3, x, 1e-3)
+            energy.append(kinetic_energy(params, x[:2], x[2:]))
+        drift = np.abs(np.array(energy) - energy[0]).max() / energy[0]
         assert drift < 1e-6
 
 
@@ -330,22 +329,16 @@ class TestTaskJointAgreement:
         )
         assert not joint.failed
 
-        from safefl.sim import ControlAction
-
         for i, sub in enumerate(default_bundle.subsystems):
-            cert = sub.certificate
 
-            def aux_controller(t, x, cert=cert, sub=sub):
-                value = safe_aux_input(
-                    cert, (x[0], x[1]), sub.kp, sub.kd, k_safe
-                )
-                return ControlAction(u=np.array([value]))
+            def error_loop(t, x, sub=sub):
+                aux = safe_aux_input(sub.certificate, (x[0], x[1]), sub.kp, sub.kd, k_safe)
+                return (x[1], -sub.kp * x[0] - sub.kd * x[1] + aux)
 
-            plant = DecoupledSubsystemPlant(sub.kp, sub.kd)
-            ref = simulate_closed_loop(
-                plant,
-                aux_controller,
-                SimConfig(dt=1e-3, horizon=horizon, x0=np.array(sub.xbar0)),
-            )
-            p_ref = default_bundle.config.goal[i] + sub.sign * ref.states[:, 0]
+            x = tuple(sub.xbar0)
+            x1 = [x[0]]
+            for step in range(len(joint) - 1):
+                x = rk4_step(error_loop, step * 1e-3, x, 1e-3)
+                x1.append(x[0])
+            p_ref = default_bundle.config.goal[i] + sub.sign * np.array(x1)
             np.testing.assert_allclose(joint.pos[:, i], p_ref, atol=1e-4)

@@ -1,11 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from safefl.errors import NearSingular, NonFiniteState
-from safefl.manipulator import ArmStage, ManipulatorPlant
+from safefl.errors import NonFiniteState
+from safefl.manipulator import ArmStage, ManipulatorPlant, joint_accel
 from safefl.scenario import run_case
 from safefl.sim import (
     SimConfig,
@@ -14,41 +15,39 @@ from safefl.sim import (
     safety_monitor,
     simulate_closed_loop,
 )
-from tests.conftest import DecoupledSubsystemPlant, zero_controller
 
 
-class FragilePlant(DecoupledSubsystemPlant):
-    def derivative(self, t, x, u):
-        if t > 0.05:
-            raise NearSingular("synthetic singularity")
-        return super().derivative(t, x, u)
+def _out_of_reach_controller(bundle):
+    # a goal beyond the arm's reach pulls it into its stretched-out
+    # singularity, where the torques diverge at t = 0.698 s
+    return replace(bundle.controller(1.5), goal=np.array([2.2, 0.0]))
 
 
 class TestRk4Step:
     def test_exponential_decay(self):
-        x = rk4_step(lambda t, x: -x, 0.0, np.array([1.0]), 0.1)
+        x = rk4_step(lambda t, x: (-x[0],), 0.0, (1.0,), 0.1)
         assert x[0] == pytest.approx(math.exp(-0.1), abs=1e-7)
 
     def test_zero_field(self):
-        x0 = np.array([0.3, -0.7])
-        np.testing.assert_array_equal(rk4_step(lambda t, x: np.zeros(2), 0.0, x0, 0.1), x0)
+        x0 = (0.3, -0.7)
+        assert rk4_step(lambda t, x: (0.0, 0.0), 0.0, x0, 0.1) == x0
 
     def test_constant_field(self):
-        x = rk4_step(lambda t, x: np.ones(1), 0.0, np.array([2.0]), 0.25)
+        x = rk4_step(lambda t, x: (1.0,), 0.0, (2.0,), 0.25)
         assert x[0] == pytest.approx(2.25)
 
     def test_fourth_order_convergence(self):
         # error ratio between step sizes h and h/2 approaches 2^5 locally
-        field = lambda t, x: np.array([x[0] * math.sin(t + 1.0)])
+        field = lambda t, x: (x[0] * math.sin(t + 1.0),)
         exact = math.exp(math.cos(1.0) - math.cos(1.1))
-        err_h = abs(rk4_step(field, 0.0, np.array([1.0]), 0.1)[0] - exact)
+        err_h = abs(rk4_step(field, 0.0, (1.0,), 0.1)[0] - exact)
         exact_half = math.exp(math.cos(1.0) - math.cos(1.05))
-        err_half = abs(rk4_step(field, 0.0, np.array([1.0]), 0.05)[0] - exact_half)
+        err_half = abs(rk4_step(field, 0.0, (1.0,), 0.05)[0] - exact_half)
         assert err_h / err_half > 16.0
 
     def test_non_finite_detection(self):
-        with np.errstate(over="ignore"), pytest.raises(NonFiniteState):
-            rk4_step(lambda t, x: x ** 3, 0.0, np.array([1e200]), 1.0)
+        with pytest.raises(NonFiniteState):
+            rk4_step(lambda t, x: (x[0] * x[0] * x[0],), 0.0, (1e200,), 1.0)
 
 
 class TestSimConfig:
@@ -86,66 +85,71 @@ class TestSimConfig:
 
 
 class TestSimulateClosedLoop:
-    def test_matches_matrix_exponential(self):
-        plant = DecoupledSubsystemPlant(kp=1.0, kd=1.0)
-        config = SimConfig(dt=1e-3, horizon=1.0, x0=np.array([1.0, 0.0]))
-        traj = simulate_closed_loop(plant, zero_controller(), config)
+    def test_matches_matrix_exponential(self, default_bundle):
+        # without the safety input the linearized loop makes each task-space
+        # error coordinate the linear subsystem x' = A x
+        config = SimConfig(dt=1e-3, horizon=1.0, x0=default_bundle.x0)
+        traj = simulate_closed_loop(default_bundle.plant(), default_bundle.controller(0.0), config)
         assert len(traj) == 1001
-        A = np.array([[0.0, 1.0], [-1.0, -1.0]])
-        expected = expm(A * 1.0) @ np.array([1.0, 0.0])
-        np.testing.assert_allclose(traj.states[-1], expected, atol=1e-6)
+        goal = default_bundle.config.goal
+        for i, sub in enumerate(default_bundle.subsystems):
+            A = np.array([[0.0, 1.0], [-sub.kp, -sub.kd]])
+            expected = expm(A * 1.0) @ np.array(sub.xbar0)
+            final = sub.sign * np.array([traj.pos[-1, i] - goal[i], traj.vel[-1, i]])
+            np.testing.assert_allclose(final, expected, atol=1e-6)
 
-    def test_time_grid(self):
-        plant = DecoupledSubsystemPlant(kp=1.0, kd=1.0)
-        config = SimConfig(dt=1e-3, horizon=0.25, x0=np.zeros(2))
-        traj = simulate_closed_loop(plant, zero_controller(), config)
+    def test_time_grid(self, default_bundle):
+        config = SimConfig(dt=1e-3, horizon=0.25, x0=default_bundle.x0)
+        traj = simulate_closed_loop(default_bundle.plant(), default_bundle.controller(1.5), config)
         assert traj.t[0] == 0.0
         assert traj.t[-1] == pytest.approx(0.25)
         assert np.all(np.diff(traj.t) > 0.0)
 
-    def test_record_stride(self):
-        plant = DecoupledSubsystemPlant(kp=1.0, kd=1.0)
-        config = SimConfig(dt=1e-3, horizon=0.2, x0=np.array([1.0, 0.0]), record_stride=10)
-        traj = simulate_closed_loop(plant, zero_controller(), config)
+    def test_record_stride(self, default_bundle):
+        config = SimConfig(dt=1e-3, horizon=0.2, x0=default_bundle.x0, record_stride=10)
+        traj = simulate_closed_loop(default_bundle.plant(), default_bundle.controller(1.5), config)
         assert len(traj) == 21
         assert traj.t[1] == pytest.approx(0.01)
         assert traj.meta["steps"] == 200
 
-    def test_determinism(self):
-        plant = DecoupledSubsystemPlant(kp=1.3, kd=0.7)
-        config = SimConfig(dt=1e-3, horizon=0.5, x0=np.array([0.4, -0.2]))
-        a = simulate_closed_loop(plant, zero_controller(), config)
-        b = simulate_closed_loop(plant, zero_controller(), config)
+    def test_last_step_recorded_off_stride(self, default_bundle):
+        # 25 steps at stride 10 record steps 0, 10, 20 and the last one
+        config = SimConfig(dt=1e-3, horizon=0.025, x0=default_bundle.x0, record_stride=10)
+        traj = simulate_closed_loop(default_bundle.plant(), default_bundle.controller(1.5), config)
+        np.testing.assert_allclose(traj.t, [0.0, 0.01, 0.02, 0.025], rtol=0.0, atol=1e-15)
+        assert traj.meta["steps"] == 25
+
+    def test_determinism(self, default_bundle):
+        config = SimConfig(dt=1e-3, horizon=0.5, x0=default_bundle.x0)
+        controller = default_bundle.controller(1.5)
+        a = simulate_closed_loop(default_bundle.plant(), controller, config)
+        b = simulate_closed_loop(default_bundle.plant(), controller, config)
         np.testing.assert_array_equal(a.states, b.states)
         np.testing.assert_array_equal(a.t, b.t)
 
-    def test_abort_returns_partial_trajectory(self):
-        plant = FragilePlant(kp=1.0, kd=1.0)
-        config = SimConfig(dt=1e-3, horizon=1.0, x0=np.array([1.0, 0.0]))
-        traj = simulate_closed_loop(plant, zero_controller(), config)
+    def test_abort_returns_partial_trajectory(self, default_bundle):
+        config = SimConfig(dt=1e-3, horizon=2.0, x0=default_bundle.x0)
+        traj = simulate_closed_loop(
+            default_bundle.plant(), _out_of_reach_controller(default_bundle), config
+        )
         assert traj.failed
-        assert traj.meta["failure"]["error"] == "NearSingular"
-        assert 0 < len(traj) < 1001
-        assert traj.t[-1] <= 0.052
+        assert traj.meta["failure"]["error"] == "NonFiniteState"
+        assert len(traj) == 699
+        assert traj.t[-1] == traj.meta["failure"]["time"]
 
-    def test_steps_on_abort(self):
-        # step 50 starts at t = 0.05 and fails at its second stage
-        config = SimConfig(dt=1e-3, horizon=1.0, x0=np.array([1.0, 0.0]), record_stride=10)
-        traj = simulate_closed_loop(FragilePlant(kp=1.0, kd=1.0), zero_controller(), config)
+    def test_steps_on_abort(self, default_bundle):
+        # step 698 diverges; at stride 10 the last record is step 690
+        config = SimConfig(dt=1e-3, horizon=2.0, x0=default_bundle.x0, record_stride=10)
+        traj = simulate_closed_loop(
+            default_bundle.plant(), _out_of_reach_controller(default_bundle), config
+        )
         assert traj.failed
-        assert traj.meta["steps"] == 50
-        assert len(traj) == 6
+        assert traj.meta["steps"] == 698
+        assert len(traj) == 70
 
-    def test_divergence_aborts(self):
-        class ExplodingPlant:
-            state_dim = 1
-
-            def derivative(self, t, x, u):
-                return x ** 3
-
-        config = SimConfig(dt=1e-2, horizon=5.0, x0=np.array([5.0]))
-        with np.errstate(over="ignore"):
-            traj = simulate_closed_loop(ExplodingPlant(), zero_controller(), config)
+    def test_divergence_aborts(self, default_bundle):
+        config = SimConfig(dt=1e-2, horizon=5.0, x0=np.array([0.3, 0.8, 1e160, 0.0]))
+        traj = simulate_closed_loop(default_bundle.plant(), default_bundle.controller(1.5), config)
         assert traj.failed
         assert traj.meta["failure"]["error"] == "NonFiniteState"
 
@@ -171,30 +175,42 @@ class TestScenarioIntegration:
     def test_run_case_meta(self, default_bundle):
         traj = run_case(default_bundle, 0.5, horizon=0.05)
         assert traj.meta["k_safe"] == 0.5
-        assert traj.w is not None and traj.safe is not None
-        assert traj.pos is not None and traj.force_safe is not None
+        for column in (traj.w, traj.pos, traj.force_safe):
+            assert column.shape == (len(traj), 2)
+        assert traj.safe.shape == (len(traj),)
 
 
-def _unfused(controller):
-    # a plain callable has no closed_loop_stage, so the simulator falls back
-    # to the generic plant/controller stage
-    return lambda t, x: controller(t, x)
+def _random_states(seed, count=300):
+    # joint states away from the singular band |sin q2| < 0.05
+    rng = np.random.default_rng(seed)
+    states = []
+    while len(states) < count:
+        q = rng.uniform(-math.pi, math.pi, size=2)
+        if abs(math.sin(q[1])) >= 0.05:
+            states.append(np.concatenate([q, rng.uniform(-2.0, 2.0, size=2)]))
+    return states
 
 
-_DIAGNOSTICS = ("t", "states", "inputs", "force", "force_safe", "w", "margins", "safe")
+def _assert_stage_matches(controller, plant, states):
+    """ArmStage on plant equals, bit for bit, the controller's torques fed to
+    the plant's joint dynamics, and its row equals compute()'s fields
+    followed by the plant's task state."""
+    stage = ArmStage(controller, plant.params)
+    for x in states:
+        q, qd = x[:2], x[2:]
+        state = tuple(x.tolist())
+        expected = (state[2], state[3], *joint_accel(plant.params, q, qd, controller(0.0, x).u))
+        assert stage(0.0, state) == expected
+        derivative, row = stage.record(0.0, state)
+        assert derivative == expected
+        action = controller.compute(q, qd)
+        fields = (action.u, action.force, action.force_safe, action.w_values, action.margins)
+        np.testing.assert_array_equal(row, np.concatenate([*fields, *plant.task_state(x)]))
 
 
 class TestFusedArmStage:
-    """The fused arm stage against the generic (plant, controller) stage."""
-
-    def test_arm_pair_uses_fused_stage(self, default_bundle):
-        stage = default_bundle.controller(1.5).closed_loop_stage(default_bundle.plant())
-        assert isinstance(stage, ArmStage)
-
-        class CustomPlant(ManipulatorPlant):
-            pass
-
-        assert default_bundle.controller(1.5).closed_loop_stage(CustomPlant(default_bundle.params)) is None
+    """The fused arm stage against the controller and plant views of the
+    same kernels."""
 
     @pytest.mark.parametrize("k_safe", [0.0, 0.2, 0.5, 1.5])
     def test_bundled_runs_bit_identical(self, default_bundle, k_safe):
@@ -202,35 +218,24 @@ class TestFusedArmStage:
             dt=default_bundle.config.dt, horizon=default_bundle.config.horizon, x0=default_bundle.x0
         )
         controller = default_bundle.controller(k_safe)
-        fused = simulate_closed_loop(default_bundle.plant(), controller, config)
-        generic = simulate_closed_loop(default_bundle.plant(), _unfused(controller), config)
-        assert not fused.failed and not generic.failed
-        for name in _DIAGNOSTICS:
-            np.testing.assert_array_equal(getattr(fused, name), getattr(generic, name), err_msg=name)
-        np.testing.assert_allclose(fused.pos, generic.pos, rtol=0.0, atol=1e-12)
-        np.testing.assert_allclose(fused.vel, generic.vel, rtol=0.0, atol=1e-12)
+        plant = default_bundle.plant()
+        traj = simulate_closed_loop(plant, controller, config)
+        assert not traj.failed
+        visited = list(traj.states[::10])
+        _assert_stage_matches(controller, plant, visited + _random_states(41))
 
     @pytest.mark.parametrize("field, factor", [("m2", 1.1), ("L2", 1.05)])
     def test_mismatched_plant_model(self, default_bundle, field, factor):
         # the plant integrates its own model, not the controller's
-        from dataclasses import replace
-
         params = default_bundle.params
         plant = ManipulatorPlant(replace(params, **{field: factor * getattr(params, field)}))
         config = SimConfig(dt=1e-3, horizon=2.0, x0=default_bundle.x0)
         controller = default_bundle.controller(1.5)
-        fused = simulate_closed_loop(plant, controller, config)
-        generic = simulate_closed_loop(plant, _unfused(controller), config)
+        mismatched = simulate_closed_loop(plant, controller, config)
         nominal = simulate_closed_loop(default_bundle.plant(), controller, config)
-        for name in _DIAGNOSTICS:
-            np.testing.assert_array_equal(getattr(fused, name), getattr(generic, name), err_msg=name)
-        assert np.abs(fused.states[-1] - nominal.states[-1]).max() > 1e-6
-        pos = np.empty_like(fused.pos)
-        vel = np.empty_like(fused.vel)
-        for i, state in enumerate(fused.states):
-            pos[i], vel[i] = plant.task_state(state)
-        np.testing.assert_allclose(fused.pos, pos, rtol=0.0, atol=1e-12)
-        np.testing.assert_allclose(fused.vel, vel, rtol=0.0, atol=1e-12)
+        assert np.abs(mismatched.states[-1] - nominal.states[-1]).max() > 1e-6
+        visited = list(mismatched.states[::10])
+        _assert_stage_matches(controller, plant, visited + _random_states(43))
 
     @pytest.mark.parametrize(
         "x0, error, length",
@@ -243,16 +248,13 @@ class TestFusedArmStage:
     )
     def test_aborts_match(self, default_bundle, x0, error, length):
         config = SimConfig(dt=1e-3, horizon=0.2, x0=np.array(x0))
-        controller = default_bundle.controller(1.5)
-        fused = simulate_closed_loop(default_bundle.plant(), controller, config)
-        generic = simulate_closed_loop(default_bundle.plant(), _unfused(controller), config)
-        assert fused.meta["failure"]["error"] == error
-        assert fused.meta["failure"] == generic.meta["failure"]
-        assert len(fused) == len(generic) == length
+        traj = simulate_closed_loop(default_bundle.plant(), default_bundle.controller(1.5), config)
+        assert traj.meta["failure"]["error"] == error
+        assert len(traj) == length
         # the aborted step starts at the failure time
-        steps = round(fused.meta["failure"]["time"] / config.dt)
-        assert fused.meta["steps"] == generic.meta["steps"] == steps
-        np.testing.assert_array_equal(fused.states, generic.states)
+        assert traj.meta["steps"] == round(traj.meta["failure"]["time"] / config.dt)
+        if length:
+            np.testing.assert_array_equal(traj.states[0], x0)
 
 
 class TestValueEquality:
@@ -324,9 +326,10 @@ class TestSafetyMonitor:
         assert np.abs(traj.margins - traj.margins[0]).max() < 1e-9
         assert np.abs(report.w_dot).max() < 1e-6
 
-    def test_requires_diagnostics(self):
-        plant = DecoupledSubsystemPlant(kp=1.0, kd=1.0)
-        config = SimConfig(dt=1e-3, horizon=0.05, x0=np.array([1.0, 0.0]))
-        traj = simulate_closed_loop(plant, zero_controller(), config)
+    def test_rejects_empty_trajectory(self, default_bundle):
+        # a start on the singularity aborts before its first record
+        config = SimConfig(dt=1e-3, horizon=0.05, x0=np.array([0.3, 0.0, 0.0, 0.0]))
+        traj = simulate_closed_loop(default_bundle.plant(), default_bundle.controller(1.5), config)
+        assert len(traj) == 0
         with pytest.raises(ValueError):
             safety_monitor(traj)
