@@ -1,9 +1,9 @@
 """Scaled-certificate safe control for second-order systems.
 
 Builds weak control Lyapunov-barrier functions by sigmoid-scaling a quadratic
-Lyapunov function near a half-plane unsafe set, verifies them on a grid, and
-composes them with feedback linearization into a safe task-space controller
-for a planar two-link manipulator.
+Lyapunov function near a half-plane unsafe set, verifies them exactly from
+closed forms, and composes them with feedback linearization into a safe
+task-space controller for a planar two-link manipulator.
 """
 
 from . import clbf, manipulator, numerics, scenario, sim, sontag

@@ -5,20 +5,21 @@ where sigma is a decreasing sigmoid centered just outside the unsafe half plane
 {x1 <= d}, and shifted by an offset k. With the slope, margin, scaling and offset
 chosen against explicit bounds, the result W is positive on the unsafe set,
 decreases along the drift wherever the input cannot act on it, and has a
-non-empty admissible sublevel set -- all of which this module checks on a grid.
+non-empty admissible sublevel set -- all of which this module decides from
+closed forms in x1, with one certified 1-D interval bisection where the slope
+exceeds its bound.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from dataclasses import asdict, dataclass, fields, replace
+from typing import Optional
 
 import numpy as np
 
 from .errors import (
     EmptyCOmega,
-    GridTooCoarse,
     InvalidUnsafeSet,
     LevelTooSmall,
     MarginInfeasible,
@@ -27,7 +28,6 @@ from .numerics import as_mat2, is_spd
 
 _EXP_CLAMP = 700.0  # IEEE double overflow guard; clamping error < 1e-300
 C_OMEGA_TOL = 1e-9
-MIN_GRID_RESOLUTION = 50
 
 
 # ---------------------------------------------------------------------------
@@ -50,31 +50,8 @@ class RegionBox:
             raise ValueError("region must contain the origin")
 
     @property
-    def x1_extent(self) -> float:
-        return self.x1_max - self.x1_min
-
-    @property
-    def x2_extent(self) -> float:
-        return self.x2_max - self.x2_min
-
-    @property
     def diameter(self) -> float:
-        return math.hypot(self.x1_extent, self.x2_extent)
-
-    def contains(self, x1: float, x2: float) -> bool:
-        return (
-            self.x1_min <= x1 <= self.x1_max and self.x2_min <= x2 <= self.x2_max
-        )
-
-    def axes(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        return (
-            np.linspace(self.x1_min, self.x1_max, n),
-            np.linspace(self.x2_min, self.x2_max, n),
-        )
-
-    def grid(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        a1, a2 = self.axes(n)
-        return np.meshgrid(a1, a2, indexing="ij")
+        return math.hypot(self.x1_max - self.x1_min, self.x2_max - self.x2_min)
 
 
 @dataclass(frozen=True)
@@ -175,24 +152,11 @@ class QuadraticCLF:
     def det(self) -> float:
         return self.p11 * self.p22 - self.p12 * self.p12
 
-    def eigenvalue_range(self) -> tuple[float, float]:
-        trace = self.p11 + self.p22
-        gap = math.hypot(self.p11 - self.p22, 2.0 * self.p12)
-        return 0.5 * (trace - gap), 0.5 * (trace + gap)
-
     def value_and_grad(self, x1, x2):
         """(V, dV/dx1, dV/dx2) at floats or at arrays of one shape."""
         g1 = self.p11 * x1 + self.p12 * x2
         g2 = self.p12 * x1 + self.p22 * x2
         return 0.5 * (g1 * x1 + g2 * x2), g1, g2
-
-
-def v1_minimizer_on_unsafe(P, d: float) -> tuple[float, float]:
-    """Point of D where V is minimal: (d, -(p12/p22) d)."""
-    clf = P if isinstance(P, QuadraticCLF) else QuadraticCLF.from_matrix(P)
-    if d >= 0.0:
-        raise InvalidUnsafeSet(f"unsafe threshold must be negative, got {d}")
-    return d, -(clf.p12 / clf.p22) * d
 
 
 def v1_min_on_unsafe(P, d: float) -> float:
@@ -392,7 +356,7 @@ def select_parameters(
     elif bounds.l_max is not None:
         l = bounds.l_max
     else:
-        l = 2.0 / (GAMMA_FALLBACK * region.x1_extent)
+        l = 2.0 / (GAMMA_FALLBACK * (region.x1_max - region.x1_min))
     delta = policy.delta_margin * bounds.delta_min(l)
     theta = policy.theta_margin * bounds.theta_min(l, delta)
     if not math.isfinite(theta):
@@ -404,38 +368,52 @@ def select_parameters(
 
 # ---------------------------------------------------------------------------
 # verification
+#
+# Every condition is decided from a closed form in x1 (theta >= 0; theta < 0
+# lies outside the construction and is never passed). With c = p12/p22,
+# g(x1) = V(x1, clip(-c x1)) is the minimum of V over the region's x2 range:
+# convex with g(0) = 0, so non-increasing on x1 <= 0. On the line x2 = -c x1,
+# dW/dx2 = 0 and dW/dx1 = (det P/p22) x1 h(x1), h = 1 + theta sigma (1 - l x1
+# (1 - sigma) / 2): every stationary point off the origin lies there with
+# h = 0, and the Lie derivative along a drift with first entry x2 is
+# L = -c (det P/p22) x1^2 h.
+
+PASS, FAIL, UNDECIDED = "pass", "fail", "undecided"
+_NAMES = (
+    "positive_on_unsafe", "line_decrease", "admissible_set_nonempty", "stationary_point_unique"
+)
+
+# Sample counts of the 1-D counterexample search, the only thing
+# grid_resolution and c_omega_resolution size; it never decides a pass.
+MIN_GRID_RESOLUTION = 50
+MAX_GRID_RESOLUTION = 10_000
+# The bisection of h stops, undecided, after this many boxes.
+_BISECTION_BOXES = 4096
+# Rounding allowance of a float enclosure of h, relative to the size of its terms.
+_ENCLOSURE_SLACK = 1e-12
+_OUTSIDE = "theta < 0 lies outside the construction, which needs 1 + theta*sigma >= 1"
 
 
 @dataclass(frozen=True)
 class ConditionResult:
+    """One condition: its verdict ("pass", "fail", or "undecided", which is
+    never a pass), the certified bound it rests on (margin), the point where
+    that bound is attained or violated (witness) and the inequality used."""
+
     name: str
-    passed: bool
+    verdict: str
     margin: float
     witness: Optional[tuple[float, float]]
+    inequality: str
+
+    @property
+    def passed(self) -> bool:
+        return self.verdict == PASS
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": bool(self.passed),
-            "margin": float(self.margin),
-            "witness": None if self.witness is None else [float(c) for c in self.witness],
-        }
-
-
-@dataclass(frozen=True)
-class COmegaResult(ConditionResult):
-    """Margin-set containment: margin is the largest W sampled in the set."""
-
-    samples: int
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": bool(self.passed),
-            "worst_value": float(self.margin),
-            "witness": [float(c) for c in self.witness],
-            "samples": int(self.samples),
-        }
+        """JSON fields; a margin that is not finite (no finite bound) is null."""
+        margin = self.margin if math.isfinite(self.margin) else None
+        return {"passed": self.passed, **asdict(self), "margin": margin}
 
 
 @dataclass(frozen=True)
@@ -446,27 +424,16 @@ class VerificationReport:
     stationary_unique: ConditionResult
     grid_resolution: int
     eps_origin: float
-    c_omega: Optional[COmegaResult] = None
+    c_omega: Optional[ConditionResult] = None
+    c_omega_resolution: Optional[int] = None
 
     @property
     def passed(self) -> bool:
-        core = (
-            self.positive_on_unsafe.passed
-            and self.line_decrease.passed
-            and self.admissible_nonempty.passed
-            and self.stationary_unique.passed
-        )
-        if self.c_omega is not None:
-            core = core and self.c_omega.passed
-        return core
+        return all(c.passed for c in [*self.conditions(), self.c_omega] if c is not None)
 
     def conditions(self) -> list[ConditionResult]:
-        return [
-            self.positive_on_unsafe,
-            self.line_decrease,
-            self.admissible_nonempty,
-            self.stationary_unique,
-        ]
+        """The four defining conditions, in field order."""
+        return [getattr(self, f.name) for f in fields(self)[:4]]
 
     def to_dict(self) -> dict:
         out = {
@@ -476,146 +443,193 @@ class VerificationReport:
             "conditions": [c.to_dict() for c in self.conditions()],
         }
         if self.c_omega is not None:
+            out["c_omega_resolution"] = int(self.c_omega_resolution)
             out["conditions"].append(self.c_omega.to_dict())
         return out
 
 
-def _masked_extreme(values, X1, X2, mask, take_min: bool):
-    idx_flat = np.flatnonzero(mask)
-    sub = values.ravel()[idx_flat]
-    pos = np.argmin(sub) if take_min else np.argmax(sub)
-    flat = idx_flat[pos]
-    return float(sub[pos]), (float(X1.ravel()[flat]), float(X2.ravel()[flat]))
+def _check_resolution(n: int) -> None:
+    if not MIN_GRID_RESOLUTION <= n <= MAX_GRID_RESOLUTION:
+        raise ValueError(f"sample count {n} outside [{MIN_GRID_RESOLUTION}, {MAX_GRID_RESOLUTION}]")
+
+
+def _refute(result: ConditionResult, x1, x2, values, violated) -> ConditionResult:
+    """result, unless it passed and a sample violates the condition: then a
+    fail at the first such sample."""
+    hits = np.flatnonzero(violated)
+    if not result.passed or hits.size == 0:
+        return result
+    i = hits[0]
+    witness = (float(x1[i]), float(x2[i]))
+    return ConditionResult(result.name, FAIL, float(values[i]), witness, "sampled counterexample")
+
+
+def _h(W: WeakCLBF, x1: float) -> float:
+    s = sigmoid_eval(W.shape, x1)
+    return 1.0 + W.theta * s * (1.0 - 0.5 * W.shape.l * x1 * (1.0 - s))
+
+
+def _certify_h(W: WeakCLBF, lo: float, hi: float) -> tuple[str, float, Optional[float]]:
+    """(verdict, bound, x1) for h > 0 on [lo, hi]: PASS with a lower bound of
+    h, FAIL with h(x1) <= 0, UNDECIDED with the point where the boxes ran out.
+
+    On a box [a, b], sigma lies in [sigma(b), sigma(a)] as it decreases, and
+    x (1 - sigma) is largest at b. The enclosure of h they give is exact at a
+    point, so it tightens under bisection (Moore, Kearfott & Cloud, 2009).
+    """
+    l, theta = W.shape.l, W.theta
+    bound, stack, boxes = math.inf, [(lo, hi)], 0
+    while stack:
+        a, b = stack.pop()
+        boxes += 1
+        sa, sb = sigmoid_eval(W.shape, a), sigmoid_eval(W.shape, b)
+        t = 1.0 - 0.5 * l * b * (1.0 - (sb if b >= 0.0 else sa))
+        low = 1.0 + theta * (sb if t >= 0.0 else sa) * t
+        if low > _ENCLOSURE_SLACK * (1.0 + theta * (1.0 + l * max(abs(a), abs(b)))):
+            bound = min(bound, low)
+            continue
+        mid = 0.5 * (a + b)
+        if _h(W, mid) <= 0.0:
+            return FAIL, _h(W, mid), mid
+        if boxes >= _BISECTION_BOXES:
+            return UNDECIDED, low, mid
+        stack += [(mid, b), (a, mid)]
+    return PASS, bound, None
+
+
+def _positive_on_unsafe(W: WeakCLBF, region: RegionBox, d: float, n: int) -> ConditionResult:
+    if d < region.x1_min:
+        return ConditionResult(_NAMES[0], PASS, math.inf, None, "the unsafe set misses the region")
+    # the searched curve x2 = clip(-c x1) ends at the minimizer (d, clip(-c d))
+    x1 = np.linspace(region.x1_min, d, n)
+    x2 = np.clip(-W.line_slope * x1, region.x2_min, region.x2_max)
+    w = W.value_and_grad(x1, x2)[0]
+    result = ConditionResult(
+        _NAMES[0], PASS if w[-1] > 0.0 else FAIL, float(w[-1]), (d, float(x2[-1])),
+        "min of W on x1 <= d is (1 + theta*sigma(d))*g(d) - k: sigma and g fall toward d",
+    )
+    return _refute(result, x1, x2, w, w <= 0.0)
+
+
+def _line_conditions(W: WeakCLBF, region: RegionBox, d: float, n: int, eps_origin: float):
+    """(line_decrease, stationary_point_unique) from the sign of h on the line
+    x2 = -c x1 inside the region."""
+    c, q = W.line_slope, W.clf.det / W.clf.p22
+    lo, hi = region.x1_min, region.x1_max
+    if c != 0.0:
+        ends = sorted((-region.x2_max / c, -region.x2_min / c))
+        lo, hi = max(lo, ends[0]), min(hi, ends[1])
+    verdict, h_min, x_h = _certify_h(W, lo, hi)
+    if verdict != PASS:
+        proof = f"h <= 0 at x1 = {x_h!r}" if verdict == FAIL else "the bisection of h ran out"
+    elif W.shape.l * hi <= 2.0:
+        proof = "h >= 1 + theta*sigma^2 since l*x1 <= 2"
+    else:
+        proof = "h > 0 by interval bisection"
+
+    # L < 0 is required where x1 > d and |x1| >= r, off the origin ball; the
+    # bound is set at |x1| = r
+    r = eps_origin / math.hypot(1.0, c)
+    if c > 0.0 and verdict == PASS:
+        decrease = ConditionResult(
+            _NAMES[1], PASS, -c * q * r * r * h_min, (r, -c * r),
+            f"L = -c*(det P/p22)*x1^2*h <= -c*(det P/p22)*r^2*min h; {proof}",
+        )
+    else:
+        x = x_h if c > 0.0 else (r if r <= hi else -r)
+        lie_x = -c * q * x * x * _h(W, x)
+        counter = lie_x >= 0.0 and lo <= x <= hi and x > d and abs(x) >= r
+        decrease = ConditionResult(
+            _NAMES[1], FAIL if counter else UNDECIDED, lie_x, (x, -c * x),
+            f"L = -c*(det P/p22)*x1^2*h < 0 needs c > 0 and h > 0; {proof}",
+        )
+    stationary = ConditionResult(
+        _NAMES[3], PASS if verdict == PASS else UNDECIDED, h_min,
+        None if x_h is None else (x_h, -c * x_h),
+        f"grad W = 0 off the origin needs h = 0 on x2 = -c*x1; {proof}",
+    )
+
+    x1 = np.linspace(lo, hi, n)
+    x2 = -c * x1
+    w, g1, _ = W.value_and_grad(x1, x2)
+    away = np.hypot(x1, x2) >= eps_origin
+    lie, radial = g1 * x2, g1 * x1  # dW/dx2 = 0 here; radial = (det P/p22) x1^2 h
+    return (
+        _refute(decrease, x1, x2, lie, away & (x1 > d) & (lie >= 0.0)),
+        _refute(stationary, x1, x2, radial, away & (w <= 0.0) & (radial <= 0.0)),
+    )
 
 
 def verify_weak_clbf(
     W: WeakCLBF,
-    drift: Callable[[np.ndarray], np.ndarray],
     region: RegionBox,
     unsafe: HalfPlaneUnsafe,
     grid_resolution: int = 400,
     eps_origin: Optional[float] = None,
 ) -> VerificationReport:
-    """Grid-check the defining conditions of a weak CLBF.
-
-    drift is the uncontrolled closed-loop vector field F(x); it only enters
-    the decrease check, which is restricted to the line where the input
-    channel cannot move W (the velocity component of the gradient vanishes
-    exactly on {p12 x1 + p22 x2 = 0}). Failures are reported as data with
-    worst margins and witness points, not raised.
-    """
-    if grid_resolution < MIN_GRID_RESOLUTION:
-        raise GridTooCoarse(
-            f"grid resolution {grid_resolution} below minimum {MIN_GRID_RESOLUTION}"
-        )
+    """Decide the defining conditions of a weak CLBF from closed forms; failures
+    are data, not raised. grid_resolution sizes only the sampled counterexample
+    search. eps_origin (default 1e-3 of the region's diameter) is the radius of
+    the origin ball the decrease and uniqueness conditions exclude."""
+    _check_resolution(grid_resolution)
     if eps_origin is None:
         eps_origin = 1e-3 * region.diameter
     if eps_origin <= 0.0:
         raise ValueError("eps_origin must be positive")
-
-    X1, X2 = region.grid(grid_resolution)
-    Wgrid, G1, G2 = W.value_and_grad(X1, X2)
-    grad_norm = np.hypot(G1, G2)
-    del G1, G2
-
-    # positivity on the unsafe slice of the region
-    unsafe_mask = X1 <= unsafe.d
-    if np.any(unsafe_mask):
-        worst, witness = _masked_extreme(Wgrid, X1, X2, unsafe_mask, take_min=True)
-        cond_a = ConditionResult(
-            "positive_on_unsafe", worst > 0.0, worst, witness
+    if W.theta < 0.0:
+        conditions = [ConditionResult(name, UNDECIDED, math.nan, None, _OUTSIDE) for name in _NAMES]
+    else:
+        decrease, stationary = _line_conditions(W, region, unsafe.d, grid_resolution, eps_origin)
+        admissible = ConditionResult(
+            _NAMES[2], PASS if W.k >= 0.0 else FAIL, -W.k, (0.0, 0.0),
+            "min W = W(0) = -k, since W >= -k",
         )
-    else:
-        cond_a = ConditionResult("positive_on_unsafe", True, math.inf, None)
-
-    # decrease along the drift on the zero line of dW/dx2
-    cond_b = _check_line_decrease(W, drift, region, unsafe, grid_resolution, eps_origin)
-
-    # admissible set non-empty (the offset makes the origin interior to it)
-    worst_c, witness_c = _masked_extreme(
-        Wgrid, X1, X2, np.ones_like(Wgrid, dtype=bool), take_min=True
-    )
-    cond_c = ConditionResult("admissible_set_nonempty", worst_c <= 0.0, worst_c, witness_c)
-
-    # no stationary point in the admissible set away from the origin
-    level_mask = (Wgrid <= 0.0) & (np.hypot(X1, X2) >= eps_origin)
-    if np.any(level_mask):
-        worst_d, witness_d = _masked_extreme(grad_norm, X1, X2, level_mask, take_min=True)
-        cond_d = ConditionResult("stationary_point_unique", worst_d > 0.0, worst_d, witness_d)
-    else:
-        cond_d = ConditionResult("stationary_point_unique", True, math.inf, None)
-
-    return VerificationReport(
-        positive_on_unsafe=cond_a,
-        line_decrease=cond_b,
-        admissible_nonempty=cond_c,
-        stationary_unique=cond_d,
-        grid_resolution=grid_resolution,
-        eps_origin=float(eps_origin),
-    )
-
-
-def _check_line_decrease(
-    W: WeakCLBF,
-    drift: Callable[[np.ndarray], np.ndarray],
-    region: RegionBox,
-    unsafe: HalfPlaneUnsafe,
-    n_samples: int,
-    eps_origin: float,
-) -> ConditionResult:
-    c = W.line_slope  # x2 = -c * x1 on the uncontrolled line
-    lo, hi = region.x1_min, region.x1_max
-    if c != 0.0:
-        end_a, end_b = -region.x2_max / c, -region.x2_min / c
-        lo = max(lo, min(end_a, end_b))
-        hi = min(hi, max(end_a, end_b))
-    x1 = np.linspace(lo, hi, n_samples)
-    keep = x1 > unsafe.d  # the unsafe set is excluded from the condition
-    keep &= np.abs(x1) * math.hypot(1.0, c) >= eps_origin
-    x1 = x1[keep]
-    if x1.size == 0:
-        return ConditionResult("line_decrease", True, -math.inf, None)
-    worst = -math.inf
-    witness = None
-    for xi in x1.tolist():
-        x2 = -c * xi
-        _, g1, g2 = W.value_and_grad(xi, x2)
-        f1, f2 = drift(np.array((xi, x2)))
-        lie = float(g1 * f1 + g2 * f2)
-        if lie > worst:
-            worst = lie
-            witness = (xi, x2)
-    return ConditionResult("line_decrease", worst < 0.0, worst, witness)
+        positive = _positive_on_unsafe(W, region, unsafe.d, grid_resolution)
+        conditions = [positive, decrease, admissible, stationary]
+    return VerificationReport(*conditions, grid_resolution, float(eps_origin))
 
 
 def check_c_omega_subset(
     W: WeakCLBF, region: RegionBox, grid_resolution: int = 200
-) -> COmegaResult:
-    """Sample {V <= v2, x1 >= d + delta} in X and require W <= C_OMEGA_TOL there.
+) -> ConditionResult:
+    """Require W <= C_OMEGA_TOL on C_omega = {V <= v2, x1 >= d + delta} in X, where
+    sigma <= sigma(d + delta) and V <= v2 bound W. Raises EmptyCOmega exactly
+    when the set has no point in the region."""
+    _check_resolution(grid_resolution)
+    clf, edge, v2 = W.clf, W.shape.d + W.shape.delta, W.levels.v2
 
-    Raises EmptyCOmega when no grid point satisfies both defining inequalities.
-    """
-    if grid_resolution < MIN_GRID_RESOLUTION:
-        raise GridTooCoarse(
-            f"grid resolution {grid_resolution} below minimum {MIN_GRID_RESOLUTION}"
-        )
-    X1, X2 = region.grid(grid_resolution)
-    V = W.clf.value_and_grad(X1, X2)[0]
-    mask = (V <= W.levels.v2) & (X1 >= W.shape.d + W.shape.delta)
-    if not np.any(mask):
-        raise EmptyCOmega(
-            "no grid sample satisfies V <= v2 and x1 >= d + delta inside the region"
-        )
-    Wgrid = W.value_and_grad(X1, X2)[0]
-    worst, witness = _masked_extreme(Wgrid, X1, X2, mask, take_min=False)
-    return COmegaResult(
-        "margin_set_contained", worst <= C_OMEGA_TOL, worst, witness, int(np.count_nonzero(mask))
+    def g(x1: float) -> float:  # the minimum of V over the region's x2 range
+        x2 = min(max(-x1 * W.line_slope, region.x2_min), region.x2_max)
+        return clf.value_and_grad(x1, x2)[0]
+
+    if edge > region.x1_max or g(max(edge, 0.0)) > v2:
+        raise EmptyCOmega("the margin set {V <= v2, x1 >= d + delta} has no point in the region")
+    if W.theta < 0.0:
+        return ConditionResult("margin_set_contained", UNDECIDED, math.nan, None, _OUTSIDE)
+    bound = (1.0 + W.theta * sigmoid_eval(W.shape, edge)) * v2 - W.k
+    # Per sampled x1, V is largest on the slice {V <= v2} at an end of its x2
+    # interval. The first sample is the witness: the set's left edge, or the
+    # origin where V exceeds v2 all along that edge.
+    x1 = np.append(
+        edge if g(edge) <= v2 else 0.0,
+        np.linspace(max(edge, region.x1_min), region.x1_max, grid_resolution),
     )
+    disc = 2.0 * clf.p22 * v2 - clf.det * x1 * x1
+    root = np.sqrt(np.maximum(disc, 0.0))
+    lo = np.maximum(region.x2_min, (-clf.p12 * x1 - root) / clf.p22)
+    hi = np.minimum(region.x2_max, (-clf.p12 * x1 + root) / clf.p22)
+    x2 = np.where(clf.value_and_grad(x1, lo)[0] >= clf.value_and_grad(x1, hi)[0], lo, hi)
+    w = W.value_and_grad(x1, x2)[0]
+    result = ConditionResult(
+        "margin_set_contained", PASS if bound <= C_OMEGA_TOL else FAIL, bound,
+        (float(x1[0]), float(x2[0])),
+        "W <= (1 + theta*sigma(d + delta))*v2 - k on C_omega: sigma decreases, V <= v2",
+    )
+    return _refute(result, x1, x2, w, (disc >= 0.0) & (lo <= hi) & (w > C_OMEGA_TOL))
 
 
 def full_verification(
     W: WeakCLBF,
-    drift: Callable[[np.ndarray], np.ndarray],
     region: RegionBox,
     unsafe: HalfPlaneUnsafe,
     grid_resolution: int = 400,
@@ -623,6 +637,6 @@ def full_verification(
     c_omega_resolution: int = 200,
 ) -> VerificationReport:
     """Run the condition checks and the margin-set containment check together."""
-    report = verify_weak_clbf(W, drift, region, unsafe, grid_resolution, eps_origin)
+    report = verify_weak_clbf(W, region, unsafe, grid_resolution, eps_origin)
     c_omega = check_c_omega_subset(W, region, c_omega_resolution)
-    return replace(report, c_omega=c_omega)
+    return replace(report, c_omega=c_omega, c_omega_resolution=c_omega_resolution)

@@ -14,6 +14,7 @@ from typing import Optional
 
 import numpy as np
 
+from .clbf import MAX_GRID_RESOLUTION, MIN_GRID_RESOLUTION
 from .errors import ConfigError, SafeFlError
 from .scenario import (
     RunConfig,
@@ -112,9 +113,10 @@ def _build_parser() -> argparse.ArgumentParser:
             )
 
     common(sub.add_parser("select-params", help="choose certificate parameters and report bounds"))
-    verify = sub.add_parser("verify", help="grid-check the certificate conditions")
+    verify = sub.add_parser("verify", help="decide the certificate conditions from closed forms")
     common(verify)
-    verify.add_argument("--grid", type=int, default=400, help="grid resolution per axis")
+    grid_help = f"counterexample search samples ({MIN_GRID_RESOLUTION} to {MAX_GRID_RESOLUTION})"
+    verify.add_argument("--grid", type=int, default=400, help=grid_help)
     simulate = sub.add_parser("simulate", help="run the closed-loop scenario and emit CSV/SVG")
     common(simulate, sim_flags=True)
     reproduce = sub.add_parser(
@@ -162,9 +164,9 @@ def cmd_verify(args) -> int:
     for axis, report in results:
         payload["subsystems"].append({"axis": axis, **report.to_dict()})
         all_pass &= report.passed
-        for cond in report.conditions() + ([report.c_omega] if report.c_omega else []):
-            status = "pass" if cond.passed else "FAIL"
-            line = f"axis {axis} {cond.name}: {status} (worst {cond.margin:.6g}"
+        for cond in report.conditions() + [report.c_omega]:
+            status = "pass" if cond.passed else cond.verdict.upper()
+            line = f"axis {axis} {cond.name}: {status} (margin {cond.margin:.6g}"
             witness = cond.witness
             if witness is not None and not cond.passed:
                 line += f", witness ({witness[0]:.6g}, {witness[1]:.6g})"

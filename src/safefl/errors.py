@@ -25,12 +25,8 @@ class MarginInfeasible(SafeFlError):
     """Chosen safety margin pushes the certified initial set out of the region."""
 
 
-class GridTooCoarse(SafeFlError):
-    """Verification grid resolution below the supported minimum."""
-
-
 class EmptyCOmega(SafeFlError):
-    """No grid sample satisfies both defining inequalities of the margin set."""
+    """The margin set has no point inside the region."""
 
 
 class NearSingular(SafeFlError):

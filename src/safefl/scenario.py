@@ -43,7 +43,6 @@ from .manipulator import (
 )
 from .numerics import solve_lyapunov_2x2
 from .sim import SimConfig, Trajectory, check_timing, simulate_closed_loop
-from .sontag import subsystem_drift
 
 SCHEMA_VERSION = 1
 
@@ -529,24 +528,21 @@ def run_case(
 def verify_bundle(
     bundle: ScenarioBundle,
     grid_resolution: int = 400,
-    eps_origin: Optional[float] = None,
     c_omega_resolution: int = 200,
 ):
-    """Certificate verification for every constrained axis: [(axis, report)]."""
+    """Certificate verification for every constrained axis: [(axis, report)].
+    An out-of-range sample count raises ConfigError."""
     results = []
     for sub in bundle.subsystems:
         if not sub.constrained:
             continue
-        drift = subsystem_drift(sub.kp, sub.kd)
-        report = full_verification(
-            sub.certificate,
-            drift,
-            sub.region,
-            sub.unsafe,
-            grid_resolution=grid_resolution,
-            eps_origin=eps_origin,
-            c_omega_resolution=c_omega_resolution,
-        )
+        try:
+            report = full_verification(
+                sub.certificate, sub.region, sub.unsafe, grid_resolution,
+                c_omega_resolution=c_omega_resolution,
+            )
+        except ValueError as err:
+            raise ConfigError(f"invalid verification setting: {err}") from err
         results.append((sub.axis, report))
     return results
 

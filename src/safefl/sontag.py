@@ -11,9 +11,7 @@ decreases along the closed loop wherever the input can act on it.
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple
-
-import numpy as np
+from typing import NamedTuple
 
 from .clbf import WeakCLBF
 
@@ -32,15 +30,6 @@ def sontag_universal(a: float, b: float) -> float:
     if abs(b) < _B_DEADZONE * (1.0 + abs(a)):
         return 0.0
     return -(a + math.hypot(a, b * b)) / b
-
-
-def subsystem_drift(kp: float, kd: float) -> Callable[[np.ndarray], np.ndarray]:
-    """Drift field of one double-integrator subsystem under its position/velocity gains."""
-
-    def field(x: np.ndarray) -> np.ndarray:
-        return np.array([x[1], -kp * x[0] - kd * x[1]])
-
-    return field
 
 
 def lie_derivatives(W: WeakCLBF, x1: float, x2: float, kp: float, kd: float) -> LieValues:

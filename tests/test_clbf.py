@@ -17,7 +17,6 @@ from safefl.clbf import (
     select_parameters,
     sigmoid_eval,
     v1_min_on_unsafe,
-    v1_minimizer_on_unsafe,
 )
 from safefl.errors import InvalidUnsafeSet, LevelTooSmall, MarginInfeasible
 from safefl.numerics import finite_diff_grad
@@ -116,22 +115,28 @@ class TestQuadraticCLF:
             QuadraticCLF.from_matrix([[1.0, 2.0], [2.0, 1.0]])
 
     def test_eigenvalue_range(self):
+        # Rayleigh bounds: V lies between the eigenvalues of P times |x|^2 / 2
         clf = QuadraticCLF.from_matrix(P1)
-        lo, hi = clf.eigenvalue_range()
-        ev = np.linalg.eigvalsh(P1)
-        assert lo == pytest.approx(ev[0])
-        assert hi == pytest.approx(ev[1])
+        lo, hi = np.linalg.eigvalsh(P1)
+        pts = np.random.default_rng(13).uniform(-3, 3, size=(1000, 2))
+        v = clf.value_and_grad(pts[:, 0], pts[:, 1])[0]
+        norm2 = np.sum(pts * pts, axis=1)
+        assert np.all(v >= 0.5 * lo * norm2 * (1 - 1e-12))
+        assert np.all(v <= 0.5 * hi * norm2 * (1 + 1e-12))
 
 
 class TestUnsafeMinimum:
     def test_identity_case(self):
         assert v1_min_on_unsafe(np.eye(2), -1.0) == pytest.approx(0.5)
-        np.testing.assert_allclose(v1_minimizer_on_unsafe(np.eye(2), -1.0), (-1.0, 0.0))
+        # attained at the minimizer (d, -(p12/p22) d) = (-1, 0)
+        assert QuadraticCLF.from_matrix(np.eye(2)).value_and_grad(-1.0, 0.0)[0] == 0.5
 
     def test_scenario_case(self):
         assert v1_min_on_unsafe(P1, -1.0) == pytest.approx(1.175, abs=1e-6)
-        x1, x2 = v1_minimizer_on_unsafe(P1, -1.0)
-        assert (x1, x2) == pytest.approx((-1.0, 0.4), abs=1e-9)
+        x2 = -(P1[0, 1] / P1[1, 1]) * -1.0
+        assert x2 == pytest.approx(0.4, abs=1e-9)
+        value = QuadraticCLF.from_matrix(P1).value_and_grad(-1.0, x2)[0]
+        assert value == pytest.approx(v1_min_on_unsafe(P1, -1.0), rel=1e-14)
 
     def test_grid_minimization_oracle(self):
         # brute-force minimum of V over the unsafe slice at ~1e-3 spacing
@@ -356,7 +361,7 @@ class TestCertificateInvariants:
 
     def test_two_sided_growth_bounds(self):
         cert = select_parameters(P1, BOX1, UNSAFE1, v2=2.0)
-        lam_min, lam_max = cert.clf.eigenvalue_range()
+        lam_min, lam_max = np.linalg.eigvalsh(cert.clf.matrix)
         rng = np.random.default_rng(37)
         pts = rng.uniform(-5, 5, size=(10_000, 2))
         w = cert.value_and_grad(pts[:, 0], pts[:, 1])[0]
@@ -368,7 +373,7 @@ class TestCertificateInvariants:
 
     def test_slope_condition_on_grid(self):
         cert = select_parameters(P1, BOX1, UNSAFE1, v2=2.0)
-        X1, _ = BOX1.grid(200)
+        X1 = np.linspace(BOX1.x1_min, BOX1.x1_max, 200)
         sigma = sigmoid_eval(cert.shape, X1)
         condition = 1.0 - 0.5 * cert.shape.l * (1.0 - sigma) * X1
         assert np.all(condition > 0.0)
@@ -398,8 +403,3 @@ class TestRegionBox:
     def test_diameter(self):
         box = RegionBox(-3.0, 1.0, -1.0, 2.0)
         assert box.diameter == pytest.approx(5.0)
-
-    def test_grid_shape(self):
-        X1, X2 = BOX1.grid(60)
-        assert X1.shape == (60, 60)
-        assert X1[0, 0] == BOX1.x1_min and X1[-1, 0] == BOX1.x1_max

@@ -337,6 +337,9 @@ class TestErrorExitCodes:
             ("simulate", _set("simulation", "record_stride", 2.5), [], 3),
             ("simulate", _set("simulation", "record_stride", 0.5), [], 3),
             ("simulate", _keep, ["--horizon", "1e9", "--k-safe", "0.5"], 3),
+            ("verify", _keep, ["--grid", "10"], 3),
+            ("verify", _keep, ["--grid", "0"], 3),
+            ("verify", _keep, ["--grid", "100000"], 3),
         ],
         ids=[
             "delta_margin",
@@ -362,6 +365,9 @@ class TestErrorExitCodes:
             "record_stride_fractional",
             "record_stride_below_one",
             "records_over_limit",
+            "verify_grid_below_minimum",
+            "verify_grid_zero",
+            "verify_grid_over_cap",
         ],
     )
     def test_exit_code_and_one_line_message(

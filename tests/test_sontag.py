@@ -3,12 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from safefl.sontag import (
-    lie_derivatives,
-    safe_aux_input,
-    sontag_universal,
-    subsystem_drift,
-)
+from safefl.sontag import lie_derivatives, safe_aux_input, sontag_universal
 
 
 class TestUniversalFormula:
@@ -55,9 +50,13 @@ class TestUniversalFormula:
 
 
 class TestSubsystemDrift:
-    def test_closed_loop_signs(self):
-        field = subsystem_drift(1.5, 1.0)
-        np.testing.assert_allclose(field(np.array([2.0, 3.0])), [3.0, -6.0])
+    def test_closed_loop_signs(self, table_cert_sub1):
+        # a is dW along the subsystem drift (x2, -kp x1 - kd x2), which is
+        # (3, -6) at (2, 3) under kp = 1.5, kd = 1
+        _, g1, g2 = table_cert_sub1.value_and_grad(2.0, 3.0)
+        lie = lie_derivatives(table_cert_sub1, 2.0, 3.0, 1.5, 1.0)
+        assert lie.a == pytest.approx(3.0 * g1 - 6.0 * g2, rel=1e-15)
+        assert lie.b == g2
 
 
 
