@@ -21,7 +21,7 @@ from .clbf import (
 from .errors import SafeFlError
 from .manipulator import GainSchedule
 from .numerics import finite_diff_grad, is_spd, solve_lyapunov_2x2
-from .sim import SimConfig, Trajectory, rk4_step, safety_monitor, simulate_closed_loop
+from .sim import SimConfig, Trajectory, safety_monitor, simulate_closed_loop
 from .sontag import safe_aux_input, sontag_universal
 
 __version__ = "0.1.0"
@@ -40,7 +40,6 @@ __all__ = [
     "check_c_omega_subset",
     "finite_diff_grad",
     "is_spd",
-    "rk4_step",
     "safe_aux_input",
     "safety_monitor",
     "select_parameters",

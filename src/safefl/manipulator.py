@@ -4,10 +4,13 @@ The safe task controller feedback-linearizes the Cartesian dynamics around a
 goal position, imposes decoupled second-order error loops per axis, and adds
 the universal-formula safety input of each axis certificate on top.
 
-The model quantities are written as scalar kernels shared between the public
-array-valued functions, the controller law and the fused closed-loop stage
-(ArmStage), which evaluates controller and plant on one set of joint
-trigonometry at every integrator stage.
+The public array-valued model functions sit on small scalar kernels. The
+closed loop that the simulator integrates is one flat kernel in ArmStage: it
+evaluates controller and plant on one set of joint trigonometry, writes the
+torque in computed-torque form, tau = M J^-1 (a - Jdot qdot) + c + g, so the
+task-space terms M_p, c_p and g_p are never formed, and takes the plant's
+acceleration from the plant's own M, c and g. ArmStage.step is classical RK4
+unrolled over the four state scalars.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .clbf import WeakCLBF
-from .errors import NearSingular
+from .errors import NearSingular, NonFiniteState
 from .numerics import is_hurwitz_2x2
 from .sontag import sontag_universal
 
@@ -46,19 +49,6 @@ class ManipulatorParams:
 
 # ---------------------------------------------------------------------------
 # scalar kernels
-
-
-def _trig(q1: float, q2: float) -> tuple[float, float, float, float, float, float]:
-    """(sin q1, cos q1, sin(q1+q2), cos(q1+q2), sin q2, cos q2)."""
-    t12 = q1 + q2
-    return (
-        math.sin(q1),
-        math.cos(q1),
-        math.sin(t12),
-        math.cos(t12),
-        math.sin(q2),
-        math.cos(q2),
-    )
 
 
 def _position_entries(
@@ -129,52 +119,21 @@ def _accel_entries(
     return (m22 * r1 - m12 * r2) / det, (m11 * r2 - m12 * r1) / det
 
 
-def _task_space_entries(
-    p: ManipulatorParams,
-    threshold: float,
-    q1: float,
-    q2: float,
-    qd1: float,
-    qd2: float,
-    trig,
-) -> tuple[float, ...]:
-    """Jacobian, M_p, c_p and g_p entries at one joint state.
-
-    trig holds the _trig values of (q1, q2). Returns (j11, j12, j21, j22,
-    mp11, mp12, mp21, mp22, cp1, cp2, gp1, gp2) with M_p = J^-T M J^-1,
-    c_p = J^-T c - M_p Jdot qdot and g_p = J^-T g. Raises NearSingular when
-    |det J| is at or below threshold.
-    """
-    s1, c1, s12, c12, s2, c2 = trig
-    j11, j12, j21, j22 = _jacobian_entries(p, s1, c1, s12, c12)
-    det = j11 * j22 - j12 * j21
-    if abs(det) <= threshold:
-        raise NearSingular(f"|det J| = {abs(det):.3e} at q = ({q1}, {q2})")
-    ji11, ji12 = j22 / det, -j12 / det
-    ji21, ji22 = -j21 / det, j11 / det
-
-    m11, m12, m22 = _mass_entries(p, c2)
-    cv1, cv2 = _coriolis_entries(p, s2, qd1, qd2)
-    gv1, gv2 = _gravity_entries(p, c1, c12)
-
-    # M_p = Jinv' M Jinv
-    a11 = m11 * ji11 + m12 * ji21
-    a12 = m11 * ji12 + m12 * ji22
-    a21 = m12 * ji11 + m22 * ji21
-    a22 = m12 * ji12 + m22 * ji22
-    mp11 = ji11 * a11 + ji21 * a21
-    mp12 = ji11 * a12 + ji21 * a22
-    mp21 = ji12 * a11 + ji22 * a21
-    mp22 = ji12 * a12 + ji22 * a22
-
-    jd11, jd12, jd21, jd22 = _jacobian_dot_entries(p, s1, c1, s12, c12, qd1, qd2)
-    u1 = jd11 * qd1 + jd12 * qd2
-    u2 = jd21 * qd1 + jd22 * qd2
-    cp1 = -(mp11 * u1 + mp12 * u2) + ji11 * cv1 + ji21 * cv2
-    cp2 = -(mp21 * u1 + mp22 * u2) + ji12 * cv1 + ji22 * cv2
-    gp1 = ji11 * gv1 + ji21 * gv2
-    gp2 = ji12 * gv1 + ji22 * gv2
-    return j11, j12, j21, j22, mp11, mp12, mp21, mp22, cp1, cp2, gp1, gp2
+def _model(p: ManipulatorParams) -> tuple[float, ...]:
+    """(L1, L2, h, m22, m11 at cos q2 = 0, g1, g2): the plain-float constants
+    of the arm dynamics, multiplied in the order of _mass_entries,
+    _coriolis_entries and _gravity_entries so the kernel reproduces them
+    bit for bit."""
+    m22 = p.m2 * p.L2 * p.L2
+    return (
+        p.L1,
+        p.L2,
+        p.m2 * p.L1 * p.L2,
+        m22,
+        (p.m1 + p.m2) * p.L1 * p.L1 + m22,
+        (p.m1 + p.m2) * p.L1 * p.gravity,
+        p.m2 * p.gravity * p.L2,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -270,27 +229,6 @@ def kinetic_energy(params: ManipulatorParams, q, qdot) -> float:
     return 0.5 * float(qd @ M @ qd)
 
 
-def task_space_terms(
-    params: ManipulatorParams, q, qdot
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Cartesian-space mass, velocity and gravity terms (M_p, c_p, g_p).
-
-    Raises NearSingular when |det J| falls at or below the arm's threshold
-    (1e-4 * L1 * L2) rather than regularizing.
-    """
-    q1, q2 = float(q[0]), float(q[1])
-    _, _, _, _, mp11, mp12, mp21, mp22, cp1, cp2, gp1, gp2 = _task_space_entries(
-        params,
-        params.singularity_threshold,
-        q1,
-        q2,
-        float(qdot[0]),
-        float(qdot[1]),
-        _trig(q1, q2),
-    )
-    return np.array([[mp11, mp12], [mp21, mp22]]), np.array((cp1, cp2)), np.array((gp1, gp2))
-
-
 # ---------------------------------------------------------------------------
 # safe task-space controller
 
@@ -321,62 +259,29 @@ class GainSchedule:
         object.__setattr__(self, "k_safe", k_safe)
 
 
-def _axis_law(
-    x1: float,
-    x2: float,
-    kp: float,
-    kd: float,
-    k_safe: float,
-    cert: Optional[WeakCLBF],
-    diagnostics: bool,
-) -> tuple[float, float, float]:
-    """(loop acceleration, safety acceleration, W) of one error subsystem.
+def _axis_law(axis: tuple, p: float, v: float, diagnostics: bool):
+    """(a, a_safe, W, margin) of one task axis at end-effector position p
+    and velocity v along it.
 
-    The certificate is evaluated only when the safety input needs its
-    gradient or its value is to be recorded; W is NaN otherwise.
+    axis is (sign, goal, kp, kd, k_safe, certificate, d) with d the
+    certificate's threshold. a is the commanded task-space acceleration and
+    a_safe its safety part, both mapped back from the error coordinates
+    x1 = sign * (p - goal), x2 = sign * v. The certificate is evaluated only
+    when the safety input needs its gradient or its value is to be
+    recorded; W is NaN otherwise, and the margin is infinite on an
+    unconstrained axis.
     """
+    sign, goal, kp, kd, k_safe, cert, d = axis
+    x1 = sign * (p - goal)
+    x2 = sign * v
     acc = -kp * x1 - kd * x2
-    if cert is None or not (diagnostics or k_safe > 0.0):
-        return acc, 0.0, math.nan
+    if cert is None:
+        return sign * acc, 0.0, math.nan, math.inf
+    if not (diagnostics or k_safe > 0.0):
+        return sign * acc, 0.0, math.nan, x1 - d
     w, g1, g2 = cert.value_and_grad(x1, x2)
-    a_safe = k_safe * sontag_universal(g1 * x2 + g2 * acc, g2) if k_safe > 0.0 else 0.0
-    return acc, a_safe, w
-
-
-def _task_law(constants: tuple, q1, q2, qd1, qd2, trig, diagnostics: bool):
-    """The safe task-space control law at one joint state.
-
-    constants is SafeTaskController.constants and trig the _trig values of
-    (q1, q2). Returns (tau1, tau2), or with diagnostics
-    (tau1, tau2, (F1, F2, Fsafe1, Fsafe2, W1, W2, margin1, margin2)).
-    Raises NearSingular when |det J| is at or below the arm's threshold.
-    """
-    p, threshold, goal, sign, kp, kd, k_safe, cert, d = constants
-    entries = _task_space_entries(p, threshold, q1, q2, qd1, qd2, trig)
-    j11, j12, j21, j22, mp11, mp12, mp21, mp22, cp1, cp2, gp1, gp2 = entries
-    s1, c1, s12, c12, _, _ = trig
-    p1, p2 = _position_entries(p, s1, c1, s12, c12)
-    v1 = j11 * qd1 + j12 * qd2
-    v2 = j21 * qd1 + j22 * qd2
-
-    x10, x20 = sign[0] * (p1 - goal[0]), sign[0] * v1
-    x11, x21 = sign[1] * (p2 - goal[1]), sign[1] * v2
-    acc0, safe0, w0 = _axis_law(x10, x20, kp[0], kd[0], k_safe[0], cert[0], diagnostics)
-    acc1, safe1, w1 = _axis_law(x11, x21, kp[1], kd[1], k_safe[1], cert[1], diagnostics)
-
-    sa0, sa1 = sign[0] * acc0, sign[1] * acc1
-    ss0, ss1 = sign[0] * safe0, sign[1] * safe1
-    fs1 = mp11 * ss0 + mp12 * ss1
-    fs2 = mp21 * ss0 + mp22 * ss1
-    f1 = mp11 * sa0 + mp12 * sa1 + cp1 + gp1 + fs1
-    f2 = mp21 * sa0 + mp22 * sa1 + cp2 + gp2 + fs2
-    tau1 = j11 * f1 + j21 * f2
-    tau2 = j12 * f1 + j22 * f2
-    if not diagnostics:
-        return tau1, tau2
-    margin0 = math.inf if cert[0] is None else x10 - d[0]
-    margin1 = math.inf if cert[1] is None else x11 - d[1]
-    return tau1, tau2, (f1, f2, fs1, fs2, w0, w1, margin0, margin1)
+    safe = k_safe * sontag_universal(g1 * x2 + g2 * acc, g2) if k_safe > 0.0 else 0.0
+    return sign * (acc + safe), sign * safe, w, x1 - d
 
 
 @dataclass(eq=False)
@@ -392,10 +297,6 @@ class ControlAction:
     margins: np.ndarray
 
 
-def _floats(values) -> tuple:
-    return tuple(None if v is None else float(v) for v in values)
-
-
 @dataclass(frozen=True, eq=False)
 class SafeTaskController:
     """Feedback-linearizing force controller with per-axis safety inputs.
@@ -404,7 +305,8 @@ class SafeTaskController:
     (x1_i = signs_i * (p_i - goal_i), x2_i = signs_i * v_i), so that each
     constrained axis sees its unsafe set as a left half plane. certificates
     holds one WeakCLBF per axis, or None for an unconstrained axis. The law
-    reads its settings as plain floats taken at construction (constants).
+    itself is ArmStage's kernel; compute() reads it on the controller's own
+    model.
     """
 
     params: ManipulatorParams
@@ -418,42 +320,26 @@ class SafeTaskController:
         object.__setattr__(self, "signs", np.asarray(self.signs, dtype=float))
         if len(self.certificates) != 2:
             raise ValueError("one certificate slot per task axis required")
-        constants = (
-            self.params,
-            self.params.singularity_threshold,
-            _floats(self.goal),
-            _floats(self.signs),
-            _floats(self.gains.kp),
-            _floats(self.gains.kd),
-            _floats(self.gains.k_safe),
-            tuple(self.certificates),
-            _floats(None if c is None else c.shape.d for c in self.certificates),
-        )
-        object.__setattr__(self, "constants", constants)
 
     def __call__(self, t: float, x: np.ndarray) -> ControlAction:
         return self.compute((x[0], x[1]), (x[2], x[3]))
 
     def compute(self, q, qdot) -> ControlAction:
-        q1, q2 = float(q[0]), float(q[1])
-        tau1, tau2, diag = _task_law(
-            self.constants, q1, q2, float(qdot[0]), float(qdot[1]), _trig(q1, q2), True
-        )
-        f1, f2, fs1, fs2, w0, w1, margin0, margin1 = diag
+        state = (float(q[0]), float(q[1]), float(qdot[0]), float(qdot[1]))
+        _, row = ArmStage(self, self.params).record(0.0, state)
         return ControlAction(
-            u=np.array((tau1, tau2)),
-            force=np.array((f1, f2)),
-            force_safe=np.array((fs1, fs2)),
-            w_values=np.array((w0, w1)),
-            margins=np.array((margin0, margin1)),
+            u=np.array(row[0:2]),
+            force=np.array(row[2:4]),
+            force_safe=np.array(row[4:6]),
+            w_values=np.array(row[6:8]),
+            margins=np.array(row[8:10]),
         )
 
 
 def _task_entries(
-    p: ManipulatorParams, trig, qd1: float, qd2: float
+    p: ManipulatorParams, s1: float, c1: float, s12: float, c12: float, qd1: float, qd2: float
 ) -> tuple[float, float, float, float]:
-    """End-effector (p1, p2, v1, v2) from a joint state's _trig values."""
-    s1, c1, s12, c12, _, _ = trig
+    """End-effector (p1, p2, v1, v2) from a joint state's trigonometry."""
     j11, j12, j21, j22 = _jacobian_entries(p, s1, c1, s12, c12)
     p1, p2 = _position_entries(p, s1, c1, s12, c12)
     return p1, p2, j11 * qd1 + j12 * qd2, j21 * qd1 + j22 * qd2
@@ -482,20 +368,28 @@ class ManipulatorPlant:
 
     def task_state(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         q1, q2, qd1, qd2 = (float(v) for v in x)
-        p1, p2, v1, v2 = _task_entries(self.params, _trig(q1, q2), qd1, qd2)
+        t12 = q1 + q2
+        p1, p2, v1, v2 = _task_entries(
+            self.params, math.sin(q1), math.cos(q1), math.sin(t12), math.cos(t12), qd1, qd2
+        )
         return np.array((p1, p2)), np.array((v1, v2))
 
 
 class ArmStage:
-    """Closed-loop stage of a SafeTaskController driving a ManipulatorPlant.
+    """Closed loop of a SafeTaskController driving an arm with parameters
+    plant_params: its vector field and the RK4 step over it.
 
-    Controller and plant share the trigonometry of the joint state; each
-    side's model entries come from its own parameters, so a plant whose
-    model differs from the controller's is integrated correctly. Calling the
-    stage returns the state derivative only; record() also returns the
-    diagnostics row that the simulator stores at recorded steps. layout names
-    the row's blocks as (Trajectory field, width) pairs. Both raise
-    NearSingular when the controller cannot act.
+    One kernel (_field) evaluates, on one set of joint trigonometry, the
+    controller's Jacobian with the NearSingular check on |det J|, the
+    per-axis law, the torque in computed-torque form
+    tau = M J^-1 (a - Jdot qdot) + c + g with the controller's model, and
+    the joint acceleration from the plant's own M, c and g, so a plant whose
+    model differs from the controller's is integrated exactly. Every setting
+    is a plain float unpacked at construction. Calling the stage returns the
+    state derivative; record() also returns the diagnostics row that the
+    simulator stores at recorded steps, and layout names the row's blocks as
+    (Trajectory field, width) pairs. step() advances the state by one RK4
+    step.
     """
 
     layout = (
@@ -509,23 +403,133 @@ class ArmStage:
     )
 
     def __init__(self, controller: SafeTaskController, plant_params: ManipulatorParams):
-        self.constants = controller.constants
+        gains = controller.gains
+        axes = tuple(
+            (
+                float(controller.signs[i]),
+                float(controller.goal[i]),
+                float(gains.kp[i]),
+                float(gains.kd[i]),
+                float(gains.k_safe[i]),
+                cert,
+                None if cert is None else float(cert.shape.d),
+            )
+            for i, cert in enumerate(controller.certificates)
+        )
+        model = controller.params
+        self._constants = (*_model(model), model.singularity_threshold, *axes, _model(plant_params))
         self.plant_params = plant_params
 
     def __call__(self, t: float, x) -> tuple[float, float, float, float]:
-        q1, q2, qd1, qd2 = x
-        trig = _trig(q1, q2)
-        tau1, tau2 = _task_law(self.constants, q1, q2, qd1, qd2, trig, False)
-        _, c1, _, c12, s2, c2 = trig
-        qdd1, qdd2 = _accel_entries(self.plant_params, c2, s2, qd1, qd2, c1, c12, tau1, tau2)
-        return qd1, qd2, qdd1, qdd2
+        return self._field(*x)
 
     def record(self, t: float, x) -> tuple[tuple[float, ...], tuple[float, ...]]:
-        q1, q2, qd1, qd2 = x
-        trig = _trig(q1, q2)
-        tau1, tau2, diag = _task_law(self.constants, q1, q2, qd1, qd2, trig, True)
-        _, c1, _, c12, s2, c2 = trig
-        plant = self.plant_params
-        qdd1, qdd2 = _accel_entries(plant, c2, s2, qd1, qd2, c1, c12, tau1, tau2)
-        row = (tau1, tau2, *diag, *_task_entries(plant, trig, qd1, qd2))
+        return self._field(*x, diagnostics=True)
+
+    def _field(self, q1, q2, qd1, qd2, diagnostics=False):
+        """(qd1, qd2, qdd1, qdd2), or with diagnostics that derivative and
+        the row described by layout. Raises NearSingular when |det J| is at
+        or below the controller arm's threshold."""
+        L1, L2, h, m22, m11_0, g1, g2, threshold, axis0, axis1, plant = self._constants
+        s1 = math.sin(q1)
+        c1 = math.cos(q1)
+        t12 = q1 + q2
+        s12 = math.sin(t12)
+        c12 = math.cos(t12)
+        s2 = math.sin(q2)
+        c2 = math.cos(q2)
+
+        # Jacobian, end-effector position (e1 + d, e2 + b) and velocity
+        e1, e2 = L1 * c1, L1 * s1
+        b, d = L2 * s12, L2 * c12
+        j11, j12, j21, j22 = -e2 - b, -b, e1 + d, d
+        det = j11 * j22 - j12 * j21
+        if abs(det) <= threshold:
+            raise NearSingular(f"|det J| = {abs(det):.3e} at q = ({q1}, {q2})")
+        a1, safe1, w1, margin1 = _axis_law(axis0, e1 + d, j11 * qd1 + j12 * qd2, diagnostics)
+        a2, safe2, w2, margin2 = _axis_law(axis1, e2 + b, j21 * qd1 + j22 * qd2, diagnostics)
+
+        # tau = M y + c + g with y = J^-1 (a - Jdot qdot) the joint
+        # acceleration that realises a, where
+        # Jdot qdot = -(e1 qd1^2 + d (qd1 + qd2)^2, e2 qd1^2 + b (qd1 + qd2)^2)
+        w12 = qd1 + qd2
+        qq, ww = qd1 * qd1, w12 * w12
+        r1 = a1 + e1 * qq + d * ww
+        r2 = a2 + e2 * qq + b * ww
+        y1 = (j22 * r1 - j12 * r2) / det
+        y2 = (j11 * r2 - j21 * r1) / det
+        coupling = h * c2
+        m11, m12 = m11_0 + 2.0 * coupling, m22 + coupling
+        hs = h * s2
+        cq = 2.0 * qd1 * qd2 + qd2 * qd2
+        gv2 = g2 * c12
+        tau1 = m11 * y1 + m12 * y2 + -hs * cq + (g1 * c1 + gv2)
+        tau2 = m12 * y1 + m22 * y2 + hs * qd1 * qd1 + gv2
+
+        # the plant's joint acceleration M^-1 (tau - c - g) from its own model
+        _, _, ph, pm22, pm11_0, pg1, pg2 = plant
+        coupling = ph * c2
+        pm11, pm12 = pm11_0 + 2.0 * coupling, pm22 + coupling
+        hs = ph * s2
+        gv2 = pg2 * c12
+        n1 = tau1 - -hs * cq - (pg1 * c1 + gv2)
+        n2 = tau2 - hs * qd1 * qd1 - gv2
+        mdet = pm11 * pm22 - pm12 * pm12
+        qdd1 = (pm22 * n1 - pm12 * n2) / mdet
+        qdd2 = (pm11 * n2 - pm12 * n1) / mdet
+        if not diagnostics:
+            return qd1, qd2, qdd1, qdd2
+
+        # F = J^-T tau and F_safe = J^-T M J^-1 a_safe with the controller's model
+        ys1 = (j22 * safe1 - j12 * safe2) / det
+        ys2 = (j11 * safe2 - j21 * safe1) / det
+        z1 = m11 * ys1 + m12 * ys2
+        z2 = m12 * ys1 + m22 * ys2
+        row = (
+            tau1,
+            tau2,
+            (j22 * tau1 - j21 * tau2) / det,
+            (j11 * tau2 - j12 * tau1) / det,
+            (j22 * z1 - j21 * z2) / det,
+            (j11 * z2 - j12 * z1) / det,
+            w1,
+            w2,
+            margin1,
+            margin2,
+            *_task_entries(self.plant_params, s1, c1, s12, c12, qd1, qd2),
+        )
         return (qd1, qd2, qdd1, qdd2), row
+
+    def step(self, t: float, x, dt: float, k1) -> tuple[float, float, float, float]:
+        """Classical 4th-order Runge-Kutta update of the state x from t to
+        t + dt; local error O(dt^5).
+
+        k1 is the stage's derivative at (t, x), which the caller has already
+        evaluated. Every stage and the update are checked with math.isfinite
+        before use; NaN or infinity raises NonFiniteState, and a stage state
+        at the singularity raises NearSingular.
+        """
+        field = self._field
+        isfinite = math.isfinite
+        x1, x2, x3, x4 = x
+        a1, a2, a3, a4 = k1
+        if not (isfinite(a1) and isfinite(a2) and isfinite(a3) and isfinite(a4)):
+            raise NonFiniteState(f"integration stage diverged near t = {t}")
+        half = 0.5 * dt
+        b1, b2, b3, b4 = field(x1 + half * a1, x2 + half * a2, x3 + half * a3, x4 + half * a4)
+        if not (isfinite(b1) and isfinite(b2) and isfinite(b3) and isfinite(b4)):
+            raise NonFiniteState(f"integration stage diverged near t = {t}")
+        c1, c2, c3, c4 = field(x1 + half * b1, x2 + half * b2, x3 + half * b3, x4 + half * b4)
+        if not (isfinite(c1) and isfinite(c2) and isfinite(c3) and isfinite(c4)):
+            raise NonFiniteState(f"integration stage diverged near t = {t}")
+        d1, d2, d3, d4 = field(x1 + dt * c1, x2 + dt * c2, x3 + dt * c3, x4 + dt * c4)
+        if not (isfinite(d1) and isfinite(d2) and isfinite(d3) and isfinite(d4)):
+            raise NonFiniteState(f"integration stage diverged near t = {t}")
+        sixth = dt / 6.0
+        x1 = x1 + sixth * (a1 + 2.0 * b1 + 2.0 * c1 + d1)
+        x2 = x2 + sixth * (a2 + 2.0 * b2 + 2.0 * c2 + d2)
+        x3 = x3 + sixth * (a3 + 2.0 * b3 + 2.0 * c3 + d3)
+        x4 = x4 + sixth * (a4 + 2.0 * b4 + 2.0 * c4 + d4)
+        if not (isfinite(x1) and isfinite(x2) and isfinite(x3) and isfinite(x4)):
+            raise NonFiniteState(f"integration diverged near t = {t}")
+        return x1, x2, x3, x4

@@ -46,7 +46,7 @@ from .sim import SimConfig, Trajectory, check_timing, simulate_closed_loop
 
 SCHEMA_VERSION = 1
 
-_DEFAULT_Q = ((1.0, -0.9), (-0.9, 1.0))
+_DEFAULT_Q = [[1.0, -0.9], [-0.9, 1.0]]
 
 
 @dataclass(frozen=True)
@@ -114,27 +114,36 @@ _TOP_LEVEL_KEYS = {
 
 
 def _number(value, what: str) -> float:
-    """value as a float; NaN and infinities are configuration errors."""
-    number = float(value)
+    """A JSON number (int or float, not a boolean or a string) as a finite
+    float; anything else is a configuration error."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{what}: {value!r} is not a number")
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
     if not math.isfinite(number):
         raise ConfigError(f"{what}: {number} is not a finite number")
     return number
 
 
+def _entries(value, what: str) -> list:
+    """A JSON array of exactly two entries."""
+    if not isinstance(value, list) or len(value) != 2:
+        raise ConfigError(f"{what} must be an array of exactly two entries")
+    return value
+
+
 def _pair(value, what: str) -> tuple[float, float]:
-    seq = list(value)
-    if len(seq) != 2:
-        raise ConfigError(f"{what} must have exactly two entries")
-    return _number(seq[0], what), _number(seq[1], what)
+    first, second = _entries(value, what)
+    return _number(first, what), _number(second, what)
 
 
 def _optional_pair(value, what: str) -> tuple[Optional[float], Optional[float]]:
     if value is None:
         return (None, None)
-    seq = list(value)
-    if len(seq) != 2:
-        raise ConfigError(f"{what} must have exactly two entries")
-    return tuple(None if v is None else _number(v, what) for v in seq)  # type: ignore[return-value]
+    values = _entries(value, what)
+    return tuple(None if v is None else _number(v, what) for v in values)  # type: ignore[return-value]
 
 
 def run_label(k_safe: float) -> str:
@@ -218,9 +227,7 @@ def _parse_config(cls, raw: dict) -> "RunConfig":
     if np.any(kp <= 0.0) or np.any(kd <= 0.0):
         raise ConfigError("gains must be positive")
 
-    q_rows = list(raw.get("lyapunov_q", _DEFAULT_Q))
-    if len(q_rows) != 2:
-        raise ConfigError("lyapunov_q must be a 2x2 matrix")
+    q_rows = _entries(raw.get("lyapunov_q", _DEFAULT_Q), "lyapunov_q")
     q_mat = np.array([_pair(row, "lyapunov_q row") for row in q_rows])
 
     clbf = raw["clbf"]
@@ -256,7 +263,10 @@ def _parse_config(cls, raw: dict) -> "RunConfig":
     stride = _number(sim.get("record_stride", 1), "record_stride")
     check_timing(dt, horizon, stride)
 
-    sweep = checked_sweep(raw.get("k_safe", []))
+    k_safe = raw.get("k_safe", [])
+    if not isinstance(k_safe, list):
+        raise ConfigError("k_safe must be an array of numbers")
+    sweep = checked_sweep(_number(v, "k_safe") for v in k_safe)
 
     reference = raw.get("reference_initial_w")
     reference_w = None if reference is None else _pair(reference, "reference_initial_w")

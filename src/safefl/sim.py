@@ -4,10 +4,11 @@ The controller is treated as continuous feedback: it is evaluated at every
 integrator stage, so the classical Runge-Kutta order applies to the closed
 loop. Runs are deterministic for identical configurations.
 
-The loop integrates manipulator.ArmStage, the closed-loop vector field of the
-safe task controller on the arm, over a tuple of floats. Only the first stage
-of a recorded step computes the diagnostics row (inputs, forces, certificate
-values, margins, task-space position and velocity); the other stages return
+The loop advances a tuple of four floats with manipulator.ArmStage.step, the
+RK4 step over the closed-loop vector field of the safe task controller on the
+arm. Each step starts from the derivative at its own state, which at a
+recorded step comes with the diagnostics row (inputs, forces, certificate
+values, margins, task-space position and velocity); the other stages compute
 the derivative alone. Rows go straight into arrays allocated once per run.
 """
 
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -30,47 +31,6 @@ _STEP_SNAP = 1e-9
 # Most records one run may hold: its rows, states and times take about
 # 152 bytes per record, so the buffers stay near 1.5 GB.
 MAX_RECORDS = 10_000_000
-
-
-def _check_finite(values: Sequence[float], message: str, t: float) -> None:
-    if not all(map(math.isfinite, values)):
-        raise NonFiniteState(f"{message} near t = {t}")
-
-
-def rk4_step(
-    field: Callable[[float, tuple], Sequence[float]],
-    t: float,
-    x: Sequence[float],
-    dt: float,
-    k1: Optional[Sequence[float]] = None,
-) -> tuple:
-    """Classical 4th-order Runge-Kutta update; local error O(dt^5).
-
-    The state is a sequence of floats; stage states and the result are
-    tuples. field returns the derivative as a sequence of floats. k1 may be
-    supplied when the caller already evaluated the field at (t, x). Raises
-    NonFiniteState if any stage or the update produces NaN or infinity;
-    every stage is checked before the next one uses it.
-    """
-    if k1 is None:
-        k1 = field(t, x)
-    half = 0.5 * dt
-    _check_finite(k1, "integration stage diverged", t)
-    k2 = field(t + half, tuple([xi + half * ki for xi, ki in zip(x, k1)]))
-    _check_finite(k2, "integration stage diverged", t)
-    k3 = field(t + half, tuple([xi + half * ki for xi, ki in zip(x, k2)]))
-    _check_finite(k3, "integration stage diverged", t)
-    k4 = field(t + dt, tuple([xi + dt * ki for xi, ki in zip(x, k3)]))
-    _check_finite(k4, "integration stage diverged", t)
-    sixth = dt / 6.0
-    x_next = tuple(
-        [
-            xi + sixth * (a + 2.0 * b + 2.0 * c + d)
-            for xi, a, b, c, d in zip(x, k1, k2, k3, k4)
-        ]
-    )
-    _check_finite(x_next, "integration diverged", t)
-    return x_next
 
 
 def _step_count(dt: float, horizon: float) -> int:
@@ -198,7 +158,7 @@ def simulate_closed_loop(
                     k1 = stage(t, x)
                 if step == n_steps:
                     break
-                x = rk4_step(stage, t, x, dt, k1=k1)
+                x = stage.step(t, x, dt, k1)
             except (NearSingular, NonFiniteState) as err:
                 failure = {"error": type(err).__name__, "message": str(err), "time": t}
                 break

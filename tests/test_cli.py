@@ -337,6 +337,13 @@ class TestErrorExitCodes:
             ("simulate", _set("simulation", "record_stride", 2.5), [], 3),
             ("simulate", _set("simulation", "record_stride", 0.5), [], 3),
             ("simulate", _keep, ["--horizon", "1e9", "--k-safe", "0.5"], 3),
+            ("simulate", _set("goal", "01"), [], 3),
+            ("simulate", _set("manipulator", "m1", "0.8"), [], 3),
+            ("simulate", _set("manipulator", "m1", 10**400), [], 3),
+            ("simulate", _set("simulation", "dt", "1e-3"), [], 3),
+            ("simulate", _set("simulation", "record_stride", True), [], 3),
+            ("simulate", lambda raw: raw["constraints"][1].update(axis=True), [], 3),
+            ("simulate", _set("k_safe", ["0.5"]), [], 3),
             ("verify", _keep, ["--grid", "10"], 3),
             ("verify", _keep, ["--grid", "0"], 3),
             ("verify", _keep, ["--grid", "100000"], 3),
@@ -365,6 +372,13 @@ class TestErrorExitCodes:
             "record_stride_fractional",
             "record_stride_below_one",
             "records_over_limit",
+            "goal_string",
+            "m1_string",
+            "m1_integer_beyond_float",
+            "dt_string",
+            "record_stride_boolean",
+            "constraint_axis_boolean",
+            "k_safe_string",
             "verify_grid_below_minimum",
             "verify_grid_zero",
             "verify_grid_over_cap",

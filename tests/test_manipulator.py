@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from reference import arm_model, rk4_step, task_space_terms
 from safefl.errors import NearSingular
 from safefl.manipulator import (
+    ArmStage,
     GainSchedule,
     ManipulatorParams,
     ManipulatorPlant,
@@ -18,9 +20,8 @@ from safefl.manipulator import (
     joint_accel,
     kinetic_energy,
     mass_matrix,
-    task_space_terms,
 )
-from safefl.sim import SimConfig, rk4_step, simulate_closed_loop
+from safefl.sim import SimConfig, simulate_closed_loop
 from safefl.sontag import safe_aux_input
 
 PARAMS = ManipulatorParams(m1=0.8, m2=0.8, L1=1.0, L2=1.0, gravity=9.81)
@@ -180,9 +181,15 @@ class TestTaskSpaceTerms:
         _, c_p, _ = task_space_terms(PARAMS, [0.5, 1.2], [0.0, 0.0])
         np.testing.assert_allclose(c_p, [0.0, 0.0], atol=1e-12)
 
-    def test_singular_configuration_rejected(self):
-        with pytest.raises(NearSingular):
-            task_space_terms(PARAMS, [0.3, 0.0], [0.0, 0.0])
+    def test_singular_configuration_rejected(self, default_bundle):
+        # the law refuses a pose with |det J| = L1 L2 |sin q2| at or below
+        # the arm's threshold 1e-4 L1 L2, and acts just above it
+        stage = ArmStage(default_bundle.controller(0.0), PARAMS)
+        threshold = PARAMS.singularity_threshold
+        for q2 in (0.0, 0.5 * threshold, -0.5 * threshold):
+            with pytest.raises(NearSingular):
+                stage(0.0, (0.3, q2, 0.0, 0.0))
+        assert all(map(math.isfinite, stage(0.0, (0.3, 2.0 * threshold, 0.0, 0.0))))
 
     def test_mass_positive_definite(self):
         rng = np.random.default_rng(23)
@@ -265,7 +272,8 @@ class TestSafeTaskController:
         assert subs[1].xbar0 == pytest.approx((-0.6, -2.5))
 
     def test_matches_composed_pipeline(self, default_bundle):
-        # the fused scalar path must agree with the composed array pipeline
+        # the computed-torque kernel must agree with the task-space law
+        # composed from the reference model's M_p, c_p and g_p
         controller = _scenario_controller(default_bundle, 1.5)
         signs = default_bundle.signs
         goal = default_bundle.config.goal
@@ -280,8 +288,8 @@ class TestSafeTaskController:
             action = controller.compute(q, qd)
 
             m_p, c_p, g_p = task_space_terms(PARAMS, q, qd)
-            p = forward_kinematics(PARAMS, q)
-            v = jacobian(PARAMS, q) @ qd
+            p, J, _, _, _, _ = arm_model(PARAMS, q, qd)
+            v = J @ qd
             x1 = signs * (p - goal)
             x2 = signs * v
             acc = -gains.kp * x1 - gains.kd * x2
@@ -293,9 +301,11 @@ class TestSafeTaskController:
                     for i in range(2)
                 ]
             )
-            force = m_p @ (signs * acc) + c_p + g_p + m_p @ (signs * a_safe)
-            tau = jacobian(PARAMS, q).T @ force
+            force_safe = m_p @ (signs * a_safe)
+            force = m_p @ (signs * acc) + c_p + g_p + force_safe
+            tau = J.T @ force
             np.testing.assert_allclose(action.force, force, rtol=1e-9, atol=1e-9)
+            np.testing.assert_allclose(action.force_safe, force_safe, rtol=1e-9, atol=1e-9)
             np.testing.assert_allclose(action.u, tau, rtol=1e-9, atol=1e-9)
 
     def test_initial_state_diagnostics(self, default_bundle):

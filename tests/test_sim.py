@@ -5,16 +5,11 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from safefl.errors import NonFiniteState
+from reference import rk4_step
+from safefl.errors import NearSingular, NonFiniteState
 from safefl.manipulator import ArmStage, ManipulatorPlant, joint_accel
 from safefl.scenario import run_case
-from safefl.sim import (
-    SimConfig,
-    Trajectory,
-    rk4_step,
-    safety_monitor,
-    simulate_closed_loop,
-)
+from safefl.sim import SimConfig, Trajectory, safety_monitor, simulate_closed_loop
 
 
 def _out_of_reach_controller(bundle):
@@ -191,10 +186,19 @@ def _random_states(seed, count=300):
     return states
 
 
-def _assert_stage_matches(controller, plant, states):
+def _outcome(step, *args):
+    """step(*args), or the type and message of the abort it raises."""
+    try:
+        return step(*args)
+    except (NearSingular, NonFiniteState) as err:
+        return type(err).__name__, str(err)
+
+
+def _assert_stage_matches(controller, plant, states, dt=1e-3):
     """ArmStage on plant equals, bit for bit, the controller's torques fed to
-    the plant's joint dynamics, and its row equals compute()'s fields
-    followed by the plant's task state."""
+    the plant's joint dynamics, its row equals compute()'s fields followed
+    by the plant's task state, and its RK4 step equals the generic
+    reference step over the stage field, aborts included."""
     stage = ArmStage(controller, plant.params)
     for x in states:
         q, qd = x[:2], x[2:]
@@ -206,6 +210,9 @@ def _assert_stage_matches(controller, plant, states):
         action = controller.compute(q, qd)
         fields = (action.u, action.force, action.force_safe, action.w_values, action.margins)
         np.testing.assert_array_equal(row, np.concatenate([*fields, *plant.task_state(x)]))
+        assert _outcome(stage.step, 0.5, state, dt, derivative) == _outcome(
+            rk4_step, stage, 0.5, state, dt, derivative
+        )
 
 
 class TestFusedArmStage:
@@ -248,13 +255,21 @@ class TestFusedArmStage:
     )
     def test_aborts_match(self, default_bundle, x0, error, length):
         config = SimConfig(dt=1e-3, horizon=0.2, x0=np.array(x0))
-        traj = simulate_closed_loop(default_bundle.plant(), default_bundle.controller(1.5), config)
+        controller, plant = default_bundle.controller(1.5), default_bundle.plant()
+        traj = simulate_closed_loop(plant, controller, config)
         assert traj.meta["failure"]["error"] == error
         assert len(traj) == length
         # the aborted step starts at the failure time
         assert traj.meta["steps"] == round(traj.meta["failure"]["time"] / config.dt)
         if length:
             np.testing.assert_array_equal(traj.states[0], x0)
+            # the aborted step, taken alone, aborts as the reference step does
+            stage = ArmStage(controller, plant.params)
+            t, x = float(traj.t[-1]), tuple(traj.states[-1].tolist())
+            k1 = stage(t, x)
+            aborted = _outcome(stage.step, t, x, config.dt, k1)
+            assert aborted == _outcome(rk4_step, stage, t, x, config.dt, k1)
+            assert aborted[0] == error
 
 
 class TestValueEquality:
