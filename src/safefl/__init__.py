@@ -6,7 +6,7 @@ closed forms, and composes them with feedback linearization into a safe
 task-space controller for a planar two-link manipulator.
 """
 
-from . import clbf, manipulator, numerics, scenario, sim, sontag
+from . import clbf, manipulator, numerics, scenario, sim
 from .clbf import (
     HalfPlaneUnsafe,
     MarginPolicy,
@@ -22,7 +22,6 @@ from .errors import SafeFlError
 from .manipulator import GainSchedule
 from .numerics import finite_diff_grad, is_spd, solve_lyapunov_2x2
 from .sim import SimConfig, Trajectory, safety_monitor, simulate_closed_loop
-from .sontag import safe_aux_input, sontag_universal
 
 __version__ = "0.1.0"
 
@@ -40,12 +39,10 @@ __all__ = [
     "check_c_omega_subset",
     "finite_diff_grad",
     "is_spd",
-    "safe_aux_input",
     "safety_monitor",
     "select_parameters",
     "simulate_closed_loop",
     "solve_lyapunov_2x2",
-    "sontag_universal",
     "verify_weak_clbf",
     "__version__",
 ]

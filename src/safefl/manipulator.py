@@ -9,7 +9,11 @@ closed loop that the simulator integrates is one flat kernel in ArmStage: it
 evaluates controller and plant on one set of joint trigonometry, writes the
 torque in computed-torque form, tau = M J^-1 (a - Jdot qdot) + c + g, so the
 task-space terms M_p, c_p and g_p are never formed, and takes the plant's
-acceleration from the plant's own M, c and g. ArmStage.step is classical RK4
+acceleration from the plant's own M, c and g. Each axis's law evaluates its
+certificate W = (1 + theta*sigma(x1)) V - k, its gradient and Sontag's
+universal formula kappa(a, b) = -(a + sqrt(a^2 + b^4)) / b, zero where b
+vanishes (Syst. Control Lett. 13, 1989): a + b*kappa = -sqrt(a^2 + b^4), so W
+decreases wherever the input acts on it. ArmStage.step is classical RK4
 unrolled over the four state scalars.
 """
 
@@ -21,10 +25,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .clbf import WeakCLBF
+from .clbf import _EXP_CLAMP, _ONE_BELOW, WeakCLBF
 from .errors import NearSingular, NonFiniteState
 from .numerics import is_hurwitz_2x2
-from .sontag import sontag_universal
+
+_B_DEADZONE = 1e-12  # relative to 1 + |a|; below this the channel is treated as closed
 
 
 @dataclass(frozen=True)
@@ -38,8 +43,9 @@ class ManipulatorParams:
     gravity: float = 9.81
 
     def __post_init__(self):
-        if min(self.m1, self.m2, self.L1, self.L2) <= 0.0:
-            raise ValueError("masses and lengths must be positive")
+        sizes = (self.m1, self.m2, self.L1, self.L2)
+        if not (all(0.0 < v < math.inf for v in sizes) and math.isfinite(self.gravity)):
+            raise ValueError("masses and lengths must be positive and finite, gravity finite")
 
     @property
     def singularity_threshold(self) -> float:
@@ -247,6 +253,8 @@ class GainSchedule:
         k_safe = np.atleast_1d(np.asarray(self.k_safe, dtype=float))
         if not (kp.shape == kd.shape == k_safe.shape):
             raise ValueError("gain arrays must share one length")
+        if not np.all(np.isfinite(np.concatenate((kp, kd, k_safe)))):
+            raise ValueError("gains must be finite")
         if np.any(kp <= 0.0) or np.any(kd <= 0.0):
             raise ValueError("kp and kd must be positive")
         if np.any(k_safe < 0.0):
@@ -259,28 +267,59 @@ class GainSchedule:
         object.__setattr__(self, "k_safe", k_safe)
 
 
+def _axis(sign, goal, kp, kd, k_safe, cert: Optional[WeakCLBF]) -> tuple:
+    """_axis_law's tuple (sign, goal, kp, kd, k_safe, d, p11, p12, p22, l,
+    center, theta, k) of plain floats: the axis's map and gains, then its
+    certificate's threshold, P, sigmoid slope and center d + delta/2,
+    scaling and offset, all None on an unconstrained axis."""
+    head = (float(sign), float(goal), float(kp), float(kd), float(k_safe))
+    if cert is None:
+        return head + (None,) * 8
+    clf, shape = cert.clf, cert.shape
+    values = (shape.d, clf.p11, clf.p12, clf.p22, shape.l, shape.center, cert.theta, cert.k)
+    return head + tuple(map(float, values))
+
+
 def _axis_law(axis: tuple, p: float, v: float, diagnostics: bool):
     """(a, a_safe, W, margin) of one task axis at end-effector position p
-    and velocity v along it.
+    and velocity v along it, from the plain floats of _axis.
 
-    axis is (sign, goal, kp, kd, k_safe, certificate, d) with d the
-    certificate's threshold. a is the commanded task-space acceleration and
-    a_safe its safety part, both mapped back from the error coordinates
-    x1 = sign * (p - goal), x2 = sign * v. The certificate is evaluated only
-    when the safety input needs its gradient or its value is to be
-    recorded; W is NaN otherwise, and the margin is infinite on an
-    unconstrained axis.
+    a is the commanded task-space acceleration and a_safe its safety part
+    k_safe * kappa(a, b), both mapped back from the error coordinates
+    x1 = sign * (p - goal), x2 = sign * v. W is evaluated only when the safety
+    input needs it or it is recorded, and is NaN otherwise; the margin is
+    infinite on an unconstrained axis. The arithmetic is that of sigmoid_eval
+    and WeakCLBF.value_and_grad, so the outputs equal theirs bit for bit.
     """
-    sign, goal, kp, kd, k_safe, cert, d = axis
+    sign, goal, kp, kd, k_safe, d, p11, p12, p22, l, center, theta, k = axis
     x1 = sign * (p - goal)
     x2 = sign * v
     acc = -kp * x1 - kd * x2
-    if cert is None:
+    if d is None:
         return sign * acc, 0.0, math.nan, math.inf
     if not (diagnostics or k_safe > 0.0):
         return sign * acc, 0.0, math.nan, x1 - d
-    w, g1, g2 = cert.value_and_grad(x1, x2)
-    safe = k_safe * sontag_universal(g1 * x2 + g2 * acc, g2) if k_safe > 0.0 else 0.0
+    v1 = p11 * x1 + p12 * x2
+    v2 = p12 * x1 + p22 * x2
+    value = 0.5 * (v1 * x1 + v2 * x2)
+    z = l * (x1 - center)
+    if z > _EXP_CLAMP:
+        z = _EXP_CLAMP
+    elif z < -_EXP_CLAMP:
+        z = -_EXP_CLAMP
+    s = 1.0 / (1.0 + math.exp(z))
+    if not s < 1.0:
+        s = _ONE_BELOW
+    scale = 1.0 + theta * s
+    w = scale * value - k
+    safe = 0.0
+    if k_safe > 0.0:
+        # the universal formula on a = dW along the drift and b = dW/dx2
+        g1 = theta * value * (-l * s * (1.0 - s)) + scale * v1
+        g2 = scale * v2
+        a = g1 * x2 + g2 * acc
+        if not abs(g2) < _B_DEADZONE * (1.0 + abs(a)):
+            safe = k_safe * (-(a + math.hypot(a, g2 * g2)) / g2)
     return sign * (acc + safe), sign * safe, w, x1 - d
 
 
@@ -404,18 +443,8 @@ class ArmStage:
 
     def __init__(self, controller: SafeTaskController, plant_params: ManipulatorParams):
         gains = controller.gains
-        axes = tuple(
-            (
-                float(controller.signs[i]),
-                float(controller.goal[i]),
-                float(gains.kp[i]),
-                float(gains.kd[i]),
-                float(gains.k_safe[i]),
-                cert,
-                None if cert is None else float(cert.shape.d),
-            )
-            for i, cert in enumerate(controller.certificates)
-        )
+        rows = zip(controller.signs, controller.goal, gains.kp, gains.kd, gains.k_safe)
+        axes = [_axis(*row, cert) for row, cert in zip(rows, controller.certificates)]
         model = controller.params
         self._constants = (*_model(model), model.singularity_threshold, *axes, _model(plant_params))
         self.plant_params = plant_params

@@ -142,26 +142,23 @@ def simulate_closed_loop(
     rows = np.empty((n_records, sum(width for _, width in ArmStage.layout)))
     failure: Optional[dict] = None
     count = 0
-    # overflow at extreme states is reported through NonFiniteState, not as
-    # console warnings
-    with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(n_steps + 1):
-            t = step * dt
-            try:
-                if step % stride == 0 or step == n_steps:
-                    k1, row = stage.record(t, x)
-                    t_out[count] = t
-                    states[count] = x
-                    rows[count] = row
-                    count += 1
-                else:
-                    k1 = stage(t, x)
-                if step == n_steps:
-                    break
-                x = stage.step(t, x, dt, k1)
-            except (NearSingular, NonFiniteState) as err:
-                failure = {"error": type(err).__name__, "message": str(err), "time": t}
+    for step in range(n_steps + 1):
+        t = step * dt
+        try:
+            if step % stride == 0 or step == n_steps:
+                k1, row = stage.record(t, x)
+                t_out[count] = t
+                states[count] = x
+                rows[count] = row
+                count += 1
+            else:
+                k1 = stage(t, x)
+            if step == n_steps:
                 break
+            x = stage.step(t, x, dt, k1)
+        except (NearSingular, NonFiniteState) as err:
+            failure = {"error": type(err).__name__, "message": str(err), "time": t}
+            break
 
     columns: dict[str, np.ndarray] = {}
     start = 0

@@ -5,9 +5,13 @@ float tuples, the reference that ArmStage.step must reproduce bit for bit.
 The arm quantities below are written from the formulas with numpy and
 compose the task-space terms M_p, c_p and g_p, an independent derivation of
 the law that the controller evaluates in computed-torque form.
+sontag_universal and safe_aux_input compose the per-axis safety input from
+a certificate's value_and_grad, the reference for the law that the
+controller evaluates from plain-float constants.
 """
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -86,3 +90,40 @@ def task_space_terms(params, q, qdot):
     J_inv = np.linalg.inv(J)
     m_p = J_inv.T @ M @ J_inv
     return m_p, J_inv.T @ c - m_p @ Jdot @ np.asarray(qdot), J_inv.T @ g
+
+
+_B_DEADZONE = 1e-12  # relative to 1 + |a|; below this the channel is treated as closed
+
+
+class LieValues(NamedTuple):
+    """Certificate derivatives along the drift (a) and the input direction (b)."""
+
+    a: float
+    b: float
+
+
+def sontag_universal(a, b):
+    """Sontag's universal formula kappa(a, b) = -(a + sqrt(a^2 + b^4)) / b,
+    zero where the channel b is closed; a + b*kappa = -sqrt(a^2 + b^4)."""
+    if abs(b) < _B_DEADZONE * (1.0 + abs(a)):
+        return 0.0
+    return -(a + math.hypot(a, b * b)) / b
+
+
+def lie_derivatives(W, x1, x2, kp, kd):
+    """(a, b) = (dW along the subsystem drift, dW along the input direction)."""
+    _, g1, g2 = W.value_and_grad(x1, x2)
+    return LieValues(a=g1 * x2 + g2 * (-kp * x1 - kd * x2), b=g2)
+
+
+def safe_aux_input(W, xbar, kp, kd, k_safe):
+    """Auxiliary input k_safe * kappa(a, b) for one constrained subsystem.
+
+    With k_safe = 1 the subsystem's certificate derivative along the closed
+    loop is exactly -sqrt(a^2 + b^4) <= 0 wherever b != 0; where b = 0 the
+    decrease is the certificate's own line condition, not the controller's.
+    """
+    if k_safe < 0.0:
+        raise ValueError("k_safe must be non-negative")
+    a, b = lie_derivatives(W, xbar[0], xbar[1], kp, kd)
+    return k_safe * sontag_universal(a, b)

@@ -21,6 +21,8 @@ from safefl.cli import main, write_trajectory_csv
 from safefl.manipulator import (
     ManipulatorParams,
     ManipulatorPlant,
+    _axis,
+    _axis_law,
     forward_kinematics,
     jacobian,
     kinetic_energy,
@@ -28,7 +30,6 @@ from safefl.manipulator import (
 )
 from safefl.numerics import solve_lyapunov_2x2
 from safefl.scenario import run_case
-from safefl.sontag import sontag_universal
 
 
 def _emit(num: int, label: str, status: str) -> None:
@@ -152,21 +153,31 @@ def test_criterion_04_margin_set_containment(default_bundle):
         assert time.perf_counter() - start < 2.0
 
 
-def test_criterion_05_universal_formula_identity():
-    with criterion(5, "universal-formula decrease identity"):
+def test_criterion_05_universal_formula_identity(default_bundle):
+    with criterion(5, "universal-formula decrease identity of the law's safety input"):
+        sub = default_bundle.subsystems[0]
+        cert = sub.certificate
+        # sign 1, goal 0 and k_safe 1: the law's safety input is kappa(a, b)
+        # at x = (p, v)
+        axis = _axis(1.0, 0.0, sub.kp, sub.kd, 1.0, cert)
         rng = np.random.default_rng(20240805)
-        a = rng.uniform(-10.0, 10.0, size=10_000)
-        b = rng.uniform(1e-6, 10.0, size=10_000) * rng.choice((-1.0, 1.0), size=10_000)
+        x1 = rng.uniform(sub.region.x1_min, sub.region.x1_max, size=10_000).tolist()
+        x2 = rng.uniform(sub.region.x2_min, sub.region.x2_max, size=10_000).tolist()
         start = time.perf_counter()
-        worst = 0.0
-        for ai, bi in zip(a, b):
-            kappa = sontag_universal(ai, bi)
-            target = -math.hypot(ai, bi * bi)
-            worst = max(worst, abs(ai + bi * kappa - target) / abs(target))
+        kappa = [_axis_law(axis, p, v, False)[1] for p, v in zip(x1, x2)]
         elapsed = time.perf_counter() - start
+        worst = 0.0
+        for p, v, k in zip(x1, x2, kappa):
+            _, g1, b = cert.value_and_grad(p, v)
+            a = g1 * v + b * (-sub.kp * p - sub.kd * v)
+            target = -math.hypot(a, b * b)
+            worst = max(worst, abs(a + b * k - target) / abs(target))
         assert worst < 1e-9
-        assert sontag_universal(3.7, 0.0) == 0.0
-        assert sontag_universal(-2.2, 0.0) == 0.0
+        # where b = dW/dx2 vanishes (the origin, the line x2 = -c x1) the
+        # input is zero
+        c = cert.line_slope
+        for p in (0.0, -0.8, 0.4):
+            assert _axis_law(axis, p, -c * p, False)[1] == 0.0
         assert elapsed < 0.1
 
 

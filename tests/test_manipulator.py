@@ -1,9 +1,13 @@
 import math
+import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from reference import arm_model, rk4_step, task_space_terms
+from reference import arm_model, rk4_step, safe_aux_input, sontag_universal, task_space_terms
+from safefl import manipulator
+from safefl.clbf import HalfPlaneUnsafe, assemble_weak_clbf
 from safefl.errors import NearSingular
 from safefl.manipulator import (
     ArmStage,
@@ -20,9 +24,12 @@ from safefl.manipulator import (
     joint_accel,
     kinetic_energy,
     mass_matrix,
+    _axis,
+    _axis_law,
 )
+from safefl.scenario import run_case
 from safefl.sim import SimConfig, simulate_closed_loop
-from safefl.sontag import safe_aux_input
+from tests.conftest import BOX_SUB1
 
 PARAMS = ManipulatorParams(m1=0.8, m2=0.8, L1=1.0, L2=1.0, gravity=9.81)
 
@@ -82,6 +89,19 @@ class TestModelQuantities:
             a = gravity_vector(PARAMS, [q1, 0.7])[1]
             b = gravity_vector(PARAMS, [q1 + shift, 0.7 - shift])[1]
             assert a == pytest.approx(b, abs=1e-12)
+
+
+class TestParamsValidation:
+    @pytest.mark.parametrize("field", ["m1", "m2", "L1", "L2"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
+    def test_rejects_bad_masses_and_lengths(self, field, value):
+        with pytest.raises(ValueError):
+            replace(PARAMS, **{field: value})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_gravity(self, value):
+        with pytest.raises(ValueError):
+            replace(PARAMS, gravity=value)
 
 
 class TestKinematics:
@@ -245,6 +265,16 @@ class TestGainSchedule:
         with pytest.raises(ValueError):
             GainSchedule(kp=[1.0, 1.0], kd=[1.0, 1.0], k_safe=[-0.5, 0.0])
 
+    @pytest.mark.parametrize("name", ["kp", "kd", "k_safe"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_non_finite_gains(self, name, value):
+        # a NaN k_safe would fail k_safe > 0 and silently switch the safety
+        # input off
+        gains = {"kp": [1.5, 1.0], "kd": [1.0, 1.0], "k_safe": [1.5, 1.5]}
+        gains[name] = [value, gains[name][1]]
+        with pytest.raises(ValueError):
+            GainSchedule(**gains)
+
 
 class TestSafeTaskController:
     def test_gravity_compensation_at_goal(self, default_bundle):
@@ -323,6 +353,123 @@ class TestSafeTaskController:
         controller = _scenario_controller(default_bundle, 0.0)
         with pytest.raises(NearSingular):
             controller.compute(np.array([0.3, 0.0]), np.zeros(2))
+
+
+def _bits(values):
+    """The IEEE bit patterns of values: equal bits, equal floats, with signed
+    zeros told apart and NaN equal to itself."""
+    return np.array(values, dtype=float).view(np.uint64).tolist()
+
+
+def _composed_axis_law(cert, axis, p, v):
+    """_axis_law's outputs composed from WeakCLBF.value_and_grad and the
+    reference universal formula."""
+    sign, goal, kp, kd, k_safe = axis[:5]
+    x1 = sign * (p - goal)
+    x2 = sign * v
+    acc = -kp * x1 - kd * x2
+    if cert is None:
+        return sign * acc, 0.0, math.nan, math.inf
+    w, g1, g2 = cert.value_and_grad(x1, x2)
+    safe = k_safe * sontag_universal(g1 * x2 + g2 * acc, g2) if k_safe > 0.0 else 0.0
+    return sign * (acc + safe), sign * safe, w, x1 - cert.shape.d
+
+
+def _clamped_certificate(p_sub1):
+    # l = 600, far above the slope bound 2 / x1_max = 4, puts
+    # l (x1 - center) beyond the +-700 exponent clamp at x1 = 0.5 and -2.5
+    return assemble_weak_clbf(
+        p_sub1, BOX_SUB1, HalfPlaneUnsafe(-1.0), v2=2.0, l=600.0, delta=0.1, theta=50.0,
+        enforce_bounds=False,
+    )
+
+
+class TestAxisLaw:
+    """The law's certificate, gradient and universal formula, written from
+    plain floats, against WeakCLBF.value_and_grad (with sigmoid_eval) and the
+    reference universal formula, bit for bit."""
+
+    @pytest.mark.parametrize("k_safe", [0.0, 0.2, 0.5, 1.5])
+    def test_stage_matches_composed_law(self, default_bundle, monkeypatch, k_safe):
+        controller = default_bundle.controller(k_safe)
+        gains = controller.gains
+        certs = {
+            _axis(controller.signs[i], controller.goal[i], gains.kp[i], gains.kd[i],
+                  gains.k_safe[i], cert): cert
+            for i, cert in enumerate(controller.certificates)
+        }
+        traj = run_case(default_bundle, k_safe)
+        assert not traj.failed
+        # the visited states and 300 random ones away from |sin q2| < 0.05
+        rng = np.random.default_rng(47)
+        states = traj.states[::10].tolist()
+        random = rng.uniform([-math.pi, -math.pi, -2.0, -2.0], [math.pi, math.pi, 2.0, 2.0], (400, 4))
+        states += random[np.abs(np.sin(random[:, 1])) >= 0.05][:300].tolist()
+        stage = ArmStage(controller, default_bundle.params)
+        records = [stage.record(0.0, x) for x in states]
+        fields = [stage(0.0, x) for x in states]
+        monkeypatch.setattr(
+            manipulator,
+            "_axis_law",
+            lambda axis, p, v, diagnostics: _composed_axis_law(certs[axis], axis, p, v),
+        )
+        expected = [stage.record(0.0, x) for x in states]
+        assert _bits([d for d, _ in records]) == _bits([d for d, _ in expected])
+        # the w and force_safe columns, and every other column with them
+        assert _bits([row for _, row in records]) == _bits([row for _, row in expected])
+        assert _bits(fields) == _bits([d for d, _ in expected])
+
+    def test_sigmoid_clamp(self, p_sub1):
+        cert = _clamped_certificate(p_sub1)
+        axis = _axis(1.0, 0.0, 1.5, 1.0, 1.0, cert)
+        for x1 in (-2.5, 0.5):
+            assert abs(cert.shape.l * (x1 - cert.shape.center)) > 700.0
+            for x2 in (-1.5, 0.3, 2.0):
+                law = _axis_law(axis, x1, x2, False)
+                assert _bits(law) == _bits(_composed_axis_law(cert, axis, x1, x2))
+                assert all(map(math.isfinite, law))
+
+    def test_deadzone_gives_zero_safety_input(self, table_cert_sub1):
+        # on the line x2 = -c x1, dW/dx2 vanishes up to rounding
+        cert = table_cert_sub1
+        axis = _axis(1.0, 0.0, 1.5, 1.0, 1.0, cert)
+        c = cert.line_slope
+        for x1 in (0.0, -0.8, -0.3, 0.2, 0.4):
+            x2 = -c * x1
+            _, g1, g2 = cert.value_and_grad(x1, x2)
+            a = g1 * x2 + g2 * (-1.5 * x1 - 1.0 * x2)
+            assert abs(g2) < 1e-12 * (1.0 + abs(a))
+            law = _axis_law(axis, x1, x2, False)
+            assert law[1] == 0.0
+            assert _bits(law) == _bits(_composed_axis_law(cert, axis, x1, x2))
+
+    def test_unconstrained_axis(self):
+        axis = _axis(-1.0, 0.3, 1.5, 1.0, 1.0, None)
+        for diagnostics in (False, True):
+            a, a_safe, w, margin = _axis_law(axis, 0.9, -0.4, diagnostics)
+            assert a == -1.0 * (-1.5 * (-1.0 * (0.9 - 0.3)) - 1.0 * (-1.0 * -0.4))
+            assert a_safe == 0.0
+            assert math.isnan(w)
+            assert margin == math.inf
+
+    def test_step_call_budget(self, default_bundle):
+        # one RK4 step is one step call, three stage kernels and two axis
+        # laws per stage: 10 Python calls
+        stage = ArmStage(default_bundle.controller(1.5), default_bundle.params)
+        x = tuple(default_bundle.x0.tolist())
+        k1 = stage(0.0, x)
+        calls = []
+
+        def profile(frame, event, arg):
+            if event == "call":
+                calls.append(frame.f_code.co_name)
+
+        sys.setprofile(profile)
+        try:
+            stage.step(0.0, x, 1e-3, k1)
+        finally:
+            sys.setprofile(None)
+        assert len(calls) <= 10, calls
 
 
 class TestTaskJointAgreement:

@@ -1,9 +1,12 @@
+"""The reference universal formula and per-subsystem safety input, against
+which manipulator._axis_law is pinned bit for bit."""
+
 import math
 
 import numpy as np
 import pytest
 
-from safefl.sontag import lie_derivatives, safe_aux_input, sontag_universal
+from reference import lie_derivatives, safe_aux_input, sontag_universal
 
 
 class TestUniversalFormula:
