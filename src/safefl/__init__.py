@@ -20,7 +20,7 @@ from .clbf import (
 )
 from .errors import SafeFlError
 from .manipulator import GainSchedule
-from .numerics import finite_diff_grad, is_spd, solve_lyapunov_2x2
+from .numerics import is_spd, solve_lyapunov_2x2
 from .sim import SimConfig, Trajectory, safety_monitor, simulate_closed_loop
 
 __version__ = "0.1.0"
@@ -37,7 +37,6 @@ __all__ = [
     "WeakCLBF",
     "GainSchedule",
     "check_c_omega_subset",
-    "finite_diff_grad",
     "is_spd",
     "safety_monitor",
     "select_parameters",

@@ -236,7 +236,8 @@ class ParameterBounds:
         return (2.0 / l) * math.log(self.v2 / self.v1)
 
     def sigma_endpoints(self, l: float, delta: float) -> tuple[float, float]:
-        sigma1 = 1.0 / (1.0 + math.exp(-0.5 * l * delta))
+        # rounded below 1 as sigmoid_eval rounds, so large l * delta stays valid
+        sigma1 = min(1.0 / (1.0 + math.exp(-0.5 * l * delta)), _ONE_BELOW)
         sigma2 = 1.0 / (1.0 + math.exp(min(0.5 * l * delta, _EXP_CLAMP)))
         return sigma1, sigma2
 

@@ -6,10 +6,12 @@ the universal-formula safety input of each axis certificate on top.
 
 The public array-valued model functions sit on small scalar kernels. The
 closed loop that the simulator integrates is one flat kernel in ArmStage: it
-evaluates controller and plant on one set of joint trigonometry, writes the
-torque in computed-torque form, tau = M J^-1 (a - Jdot qdot) + c + g, so the
-task-space terms M_p, c_p and g_p are never formed, and takes the plant's
-acceleration from the plant's own M, c and g. Each axis's law evaluates its
+evaluates controller and plant on one set of joint trigonometry and commands
+the joint acceleration y = J^-1 (a - Jdot qdot), so the task-space terms M_p,
+c_p and g_p are never formed. On the controller's own model computed torque
+tau = M y + c + g leaves exactly qddot = y, so the kernel returns y and forms
+tau only for the recorded diagnostics; a plant with another model gets its
+acceleration from tau through its own M, c and g. Each axis's law evaluates its
 certificate W = (1 + theta*sigma(x1)) V - k, its gradient and Sontag's
 universal formula kappa(a, b) = -(a + sqrt(a^2 + b^4)) / b, zero where b
 vanishes (Syst. Control Lett. 13, 1989): a + b*kappa = -sqrt(a^2 + b^4), so W
@@ -176,10 +178,6 @@ def jacobian(params: ManipulatorParams, q) -> np.ndarray:
     return np.array([[j11, j12], [j21, j22]])
 
 
-def jacobian_det(params: ManipulatorParams, q) -> float:
-    return params.L1 * params.L2 * math.sin(q[1])
-
-
 def jacobian_dot(params: ManipulatorParams, q, qdot) -> np.ndarray:
     t12 = q[0] + q[1]
     jd11, jd12, jd21, jd22 = _jacobian_dot_entries(
@@ -227,12 +225,6 @@ def joint_accel(params: ManipulatorParams, q, qdot, tau) -> np.ndarray:
             tau[1],
         )
     )
-
-
-def kinetic_energy(params: ManipulatorParams, q, qdot) -> float:
-    M = mass_matrix(params, q)
-    qd = np.asarray(qdot, dtype=float)
-    return 0.5 * float(qd @ M @ qd)
 
 
 # ---------------------------------------------------------------------------
@@ -420,11 +412,14 @@ class ArmStage:
 
     One kernel (_field) evaluates, on one set of joint trigonometry, the
     controller's Jacobian with the NearSingular check on |det J|, the
-    per-axis law, the torque in computed-torque form
-    tau = M J^-1 (a - Jdot qdot) + c + g with the controller's model, and
-    the joint acceleration from the plant's own M, c and g, so a plant whose
-    model differs from the controller's is integrated exactly. Every setting
-    is a plain float unpacked at construction. Calling the stage returns the
+    per-axis law and the joint acceleration y = J^-1 (a - Jdot qdot) that
+    realises it. When the plant's model equals the controller's, y is the
+    plant's acceleration and the kernel returns it, with no sin or cos of q2
+    and no torque. Otherwise, and for recorded rows, it forms the torque
+    tau = M y + c + g with the controller's model; a plant whose model
+    differs from the controller's takes its acceleration from tau through
+    its own M, c and g, so it is integrated exactly. Every setting is a
+    plain float unpacked at construction. Calling the stage returns the
     state derivative; record() also returns the diagnostics row that the
     simulator stores at recorded steps, and layout names the row's blocks as
     (Trajectory field, width) pairs. step() advances the state by one RK4
@@ -446,7 +441,10 @@ class ArmStage:
         rows = zip(controller.signs, controller.goal, gains.kp, gains.kd, gains.k_safe)
         axes = [_axis(*row, cert) for row, cert in zip(rows, controller.certificates)]
         model = controller.params
-        self._constants = (*_model(model), model.singularity_threshold, *axes, _model(plant_params))
+        plant = _model(plant_params)
+        if plant == _model(model):
+            plant = None  # the plant's acceleration is the law's own y
+        self._constants = (*_model(model), model.singularity_threshold, *axes, plant)
         self.plant_params = plant_params
 
     def __call__(self, t: float, x) -> tuple[float, float, float, float]:
@@ -465,8 +463,6 @@ class ArmStage:
         t12 = q1 + q2
         s12 = math.sin(t12)
         c12 = math.cos(t12)
-        s2 = math.sin(q2)
-        c2 = math.cos(q2)
 
         # Jacobian, end-effector position (e1 + d, e2 + b) and velocity
         e1, e2 = L1 * c1, L1 * s1
@@ -478,8 +474,7 @@ class ArmStage:
         a1, safe1, w1, margin1 = _axis_law(axis0, e1 + d, j11 * qd1 + j12 * qd2, diagnostics)
         a2, safe2, w2, margin2 = _axis_law(axis1, e2 + b, j21 * qd1 + j22 * qd2, diagnostics)
 
-        # tau = M y + c + g with y = J^-1 (a - Jdot qdot) the joint
-        # acceleration that realises a, where
+        # y = J^-1 (a - Jdot qdot), the joint acceleration that realises a, where
         # Jdot qdot = -(e1 qd1^2 + d (qd1 + qd2)^2, e2 qd1^2 + b (qd1 + qd2)^2)
         w12 = qd1 + qd2
         qq, ww = qd1 * qd1, w12 * w12
@@ -487,6 +482,12 @@ class ArmStage:
         r2 = a2 + e2 * qq + b * ww
         y1 = (j22 * r1 - j12 * r2) / det
         y2 = (j11 * r2 - j21 * r1) / det
+        if plant is None and not diagnostics:
+            return qd1, qd2, y1, y2
+
+        # tau = M y + c + g with the controller's model
+        s2 = math.sin(q2)
+        c2 = math.cos(q2)
         coupling = h * c2
         m11, m12 = m11_0 + 2.0 * coupling, m22 + coupling
         hs = h * s2
@@ -495,17 +496,20 @@ class ArmStage:
         tau1 = m11 * y1 + m12 * y2 + -hs * cq + (g1 * c1 + gv2)
         tau2 = m12 * y1 + m22 * y2 + hs * qd1 * qd1 + gv2
 
-        # the plant's joint acceleration M^-1 (tau - c - g) from its own model
-        _, _, ph, pm22, pm11_0, pg1, pg2 = plant
-        coupling = ph * c2
-        pm11, pm12 = pm11_0 + 2.0 * coupling, pm22 + coupling
-        hs = ph * s2
-        gv2 = pg2 * c12
-        n1 = tau1 - -hs * cq - (pg1 * c1 + gv2)
-        n2 = tau2 - hs * qd1 * qd1 - gv2
-        mdet = pm11 * pm22 - pm12 * pm12
-        qdd1 = (pm22 * n1 - pm12 * n2) / mdet
-        qdd2 = (pm11 * n2 - pm12 * n1) / mdet
+        if plant is None:
+            qdd1, qdd2 = y1, y2
+        else:
+            # the plant's joint acceleration M^-1 (tau - c - g) from its own model
+            _, _, ph, pm22, pm11_0, pg1, pg2 = plant
+            coupling = ph * c2
+            pm11, pm12 = pm11_0 + 2.0 * coupling, pm22 + coupling
+            hs = ph * s2
+            gv2 = pg2 * c12
+            n1 = tau1 - -hs * cq - (pg1 * c1 + gv2)
+            n2 = tau2 - hs * qd1 * qd1 - gv2
+            mdet = pm11 * pm22 - pm12 * pm12
+            qdd1 = (pm22 * n1 - pm12 * n2) / mdet
+            qdd2 = (pm11 * n2 - pm12 * n1) / mdet
         if not diagnostics:
             return qd1, qd2, qdd1, qdd2
 

@@ -7,8 +7,6 @@ entries (p11, p12, p22) of the symmetric unknown.
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
 from .errors import NotHurwitz, SingularSystem
@@ -84,17 +82,3 @@ def solve_lyapunov_2x2(A, Q) -> np.ndarray:
         raise SingularSystem(f"solved P is not positive definite: {P.tolist()}")
     return P
 
-
-def finite_diff_grad(
-    f: Callable[[np.ndarray], float], x, h: float = 1e-6
-) -> np.ndarray:
-    """Central-difference gradient of a scalar field on R^2, error O(h^2)."""
-    if h <= 0.0:
-        raise ValueError("step h must be positive")
-    x = np.asarray(x, dtype=float)
-    grad = np.empty_like(x)
-    for i in range(x.size):
-        step = np.zeros_like(x)
-        step[i] = h
-        grad[i] = (f(x + step) - f(x - step)) / (2.0 * h)
-    return grad

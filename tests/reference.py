@@ -7,7 +7,10 @@ compose the task-space terms M_p, c_p and g_p, an independent derivation of
 the law that the controller evaluates in computed-torque form.
 sontag_universal and safe_aux_input compose the per-axis safety input from
 a certificate's value_and_grad, the reference for the law that the
-controller evaluates from plain-float constants.
+controller evaluates from plain-float constants; joint_accel_reference
+composes both into the joint acceleration y = J^-1 (a - Jdot qdot) that the
+law commands. finite_diff_grad, kinetic_energy and jacobian_det are the
+numerical and closed-form checks that the model and certificate tests use.
 """
 
 import math
@@ -83,6 +86,31 @@ def arm_model(params, q, qdot):
     return p, J, Jdot, M, c, g
 
 
+def jacobian_det(params, q):
+    """det J = L1 L2 sin(q2)."""
+    return params.L1 * params.L2 * math.sin(q[1])
+
+
+def kinetic_energy(params, q, qdot):
+    """0.5 qdot' M(q) qdot."""
+    M = arm_model(params, q, qdot)[3]
+    qd = np.asarray(qdot, dtype=float)
+    return 0.5 * float(qd @ M @ qd)
+
+
+def finite_diff_grad(f, x, h=1e-6):
+    """Central-difference gradient of a scalar field on R^2, error O(h^2)."""
+    if h <= 0.0:
+        raise ValueError("step h must be positive")
+    x = np.asarray(x, dtype=float)
+    grad = np.empty_like(x)
+    for i in range(x.size):
+        step = np.zeros_like(x)
+        step[i] = h
+        grad[i] = (f(x + step) - f(x - step)) / (2.0 * h)
+    return grad
+
+
 def task_space_terms(params, q, qdot):
     """Cartesian-space (M_p, c_p, g_p): M_p = J^-T M J^-1,
     c_p = J^-T c - M_p Jdot qdot and g_p = J^-T g."""
@@ -127,3 +155,20 @@ def safe_aux_input(W, xbar, kp, kd, k_safe):
         raise ValueError("k_safe must be non-negative")
     a, b = lie_derivatives(W, xbar[0], xbar[1], kp, kd)
     return k_safe * sontag_universal(a, b)
+
+
+def joint_accel_reference(controller, q, qdot):
+    """Joint acceleration y = J^-1 (a - Jdot qdot) commanded by a
+    SafeTaskController at (q, qdot): per axis the error coordinates
+    x1 = sign (p - goal), x2 = sign v, the loop acceleration -kp x1 - kd x2
+    plus the certificate's safety input, mapped back by the sign."""
+    p, J, Jdot, _, _, _ = arm_model(controller.params, q, qdot)
+    v = J @ np.asarray(qdot, dtype=float)
+    gains = controller.gains
+    a = np.empty(2)
+    for i, cert in enumerate(controller.certificates):
+        sign, kp, kd, k_safe = controller.signs[i], gains.kp[i], gains.kd[i], gains.k_safe[i]
+        x1, x2 = sign * (p[i] - controller.goal[i]), sign * v[i]
+        safe = 0.0 if cert is None else safe_aux_input(cert, (x1, x2), kp, kd, k_safe)
+        a[i] = sign * (-kp * x1 - kd * x2 + safe)
+    return np.linalg.solve(J, a - Jdot @ np.asarray(qdot, dtype=float))

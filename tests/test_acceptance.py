@@ -15,7 +15,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from reference import rk4_step, task_space_terms
+from reference import kinetic_energy, rk4_step, task_space_terms
 from safefl.clbf import WeakCLBF, check_c_omega_subset, verify_weak_clbf
 from safefl.cli import main, write_trajectory_csv
 from safefl.manipulator import (
@@ -25,7 +25,6 @@ from safefl.manipulator import (
     _axis_law,
     forward_kinematics,
     jacobian,
-    kinetic_energy,
     mass_matrix,
 )
 from safefl.numerics import solve_lyapunov_2x2

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from reference import finite_diff_grad
 from safefl.clbf import (
     HalfPlaneUnsafe,
     LevelParams,
@@ -19,7 +20,6 @@ from safefl.clbf import (
     v1_min_on_unsafe,
 )
 from safefl.errors import InvalidUnsafeSet, LevelTooSmall, MarginInfeasible
-from safefl.numerics import finite_diff_grad
 
 P1 = np.array([[0.9 + 1 / 3 + 1.25, 1 / 3], [1 / 3, 5 / 6]])
 SHAPE1 = SigmoidShape(l=4.0, d=-1.0, delta=0.28)
@@ -385,6 +385,16 @@ class TestCertificateInvariants:
             clf=base.clf, shape=base.shape, theta=0.0, k=2.0, levels=base.levels
         )
         assert mutant.value_and_grad(0.0, 0.0)[0] == -2.0
+
+    def test_large_slope_builds_without_bounds(self):
+        # sigma1 = 1 / (1 + exp(-l delta / 2)) rounds to 1 once l delta / 2
+        # exceeds about 37; it is held below 1 as sigmoid_eval holds sigma
+        cert = assemble_weak_clbf(
+            P1, BOX1, UNSAFE1, v2=2.0, l=5000.0, delta=0.28, theta=50.0, enforce_bounds=False
+        )
+        levels = cert.levels
+        assert 0.0 < levels.sigma2 < 0.5 < levels.sigma1 < 1.0
+        assert levels.sigma1 == sigmoid_eval(cert.shape, cert.shape.d)
 
     def test_level_params_validation(self):
         with pytest.raises(ValueError):

@@ -5,7 +5,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from reference import arm_model, rk4_step, safe_aux_input, sontag_universal, task_space_terms
+from reference import (
+    arm_model,
+    jacobian_det,
+    kinetic_energy,
+    rk4_step,
+    safe_aux_input,
+    sontag_universal,
+    task_space_terms,
+)
 from safefl import manipulator
 from safefl.clbf import HalfPlaneUnsafe, assemble_weak_clbf
 from safefl.errors import NearSingular
@@ -19,10 +27,8 @@ from safefl.manipulator import (
     gravity_vector,
     inverse_kinematics,
     jacobian,
-    jacobian_det,
     jacobian_dot,
     joint_accel,
-    kinetic_energy,
     mass_matrix,
     _axis,
     _axis_law,
@@ -455,21 +461,35 @@ class TestAxisLaw:
     def test_step_call_budget(self, default_bundle):
         # one RK4 step is one step call, three stage kernels and two axis
         # laws per stage: 10 Python calls
-        stage = ArmStage(default_bundle.controller(1.5), default_bundle.params)
-        x = tuple(default_bundle.x0.tolist())
-        k1 = stage(0.0, x)
-        calls = []
+        calls = _step_profile(default_bundle, "call")
+        assert len(calls) <= 10, [frame.f_code.co_name for frame, _ in calls]
 
-        def profile(frame, event, arg):
-            if event == "call":
-                calls.append(frame.f_code.co_name)
+    def test_step_trig_budget(self, default_bundle):
+        # on the controller's own model a stage takes sin and cos of q1 and
+        # q1 + q2 only, and forms no torque: 4 per stage, 12 per step
+        calls = _step_profile(default_bundle, "c_call")
+        trig = [fn.__name__ for _, fn in calls if fn in (math.sin, math.cos)]
+        assert len(trig) <= 12, trig
 
-        sys.setprofile(profile)
-        try:
-            stage.step(0.0, x, 1e-3, k1)
-        finally:
-            sys.setprofile(None)
-        assert len(calls) <= 10, calls
+
+def _step_profile(bundle, kind):
+    """(frame, arg) of each profile event of one kind during one exact-model
+    ArmStage.step at k_safe 1.5 from the bundled start, k1 passed in."""
+    stage = ArmStage(bundle.controller(1.5), bundle.params)
+    x = tuple(bundle.x0.tolist())
+    k1 = stage(0.0, x)
+    events = []
+
+    def profile(frame, event, arg):
+        if event == kind:
+            events.append((frame, arg))
+
+    sys.setprofile(profile)
+    try:
+        stage.step(0.0, x, 1e-3, k1)
+    finally:
+        sys.setprofile(None)
+    return events
 
 
 class TestTaskJointAgreement:

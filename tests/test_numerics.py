@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from safefl.errors import NotHurwitz
+from reference import finite_diff_grad
 from safefl.numerics import (
-    finite_diff_grad,
     is_hurwitz_2x2,
     is_spd,
     solve_lyapunov_2x2,
