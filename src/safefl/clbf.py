@@ -18,12 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (
-    EmptyCOmega,
-    InvalidUnsafeSet,
-    LevelTooSmall,
-    MarginInfeasible,
-)
+from .errors import InvalidUnsafeSet, LevelTooSmall, MarginInfeasible
 from .numerics import as_mat2, is_spd
 
 _EXP_CLAMP = 700.0  # IEEE double overflow guard; clamping error < 1e-300
@@ -594,8 +589,8 @@ def check_c_omega_subset(
     W: WeakCLBF, region: RegionBox, grid_resolution: int = 200
 ) -> ConditionResult:
     """Require W <= C_OMEGA_TOL on C_omega = {V <= v2, x1 >= d + delta} in X, where
-    sigma <= sigma(d + delta) and V <= v2 bound W. Raises EmptyCOmega exactly
-    when the set has no point in the region."""
+    sigma <= sigma(d + delta) and V <= v2 bound W. A set with no point in the
+    region fails, with no margin and no witness."""
     _check_resolution(grid_resolution)
     clf, edge, v2 = W.clf, W.shape.d + W.shape.delta, W.levels.v2
 
@@ -604,7 +599,10 @@ def check_c_omega_subset(
         return clf.value_and_grad(x1, x2)[0]
 
     if edge > region.x1_max or g(max(edge, 0.0)) > v2:
-        raise EmptyCOmega("the margin set {V <= v2, x1 >= d + delta} has no point in the region")
+        return ConditionResult(
+            "margin_set_contained", FAIL, math.nan, None,
+            "C_omega is empty in X: d + delta > x1_max, or V > v2 at every x1 >= d + delta",
+        )
     if W.theta < 0.0:
         return ConditionResult("margin_set_contained", UNDECIDED, math.nan, None, _OUTSIDE)
     bound = (1.0 + W.theta * sigmoid_eval(W.shape, edge)) * v2 - W.k

@@ -25,10 +25,6 @@ class MarginInfeasible(SafeFlError):
     """Chosen safety margin pushes the certified initial set out of the region."""
 
 
-class EmptyCOmega(SafeFlError):
-    """The margin set has no point inside the region."""
-
-
 class NearSingular(SafeFlError):
     """Kinematic Jacobian too close to singular for task-space inversion."""
 

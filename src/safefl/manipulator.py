@@ -4,14 +4,15 @@ The safe task controller feedback-linearizes the Cartesian dynamics around a
 goal position, imposes decoupled second-order error loops per axis, and adds
 the universal-formula safety input of each axis certificate on top.
 
-The public array-valued model functions sit on small scalar kernels. The
-closed loop that the simulator integrates is one flat kernel in ArmStage: it
-evaluates controller and plant on one set of joint trigonometry and commands
-the joint acceleration y = J^-1 (a - Jdot qdot), so the task-space terms M_p,
-c_p and g_p are never formed. On the controller's own model computed torque
-tau = M y + c + g leaves exactly qddot = y, so the kernel returns y and forms
-tau only for the recorded diagnostics; a plant with another model gets its
-acceleration from tau through its own M, c and g. Each axis's law evaluates its
+The closed loop that the simulator integrates is one flat kernel in ArmStage,
+the one text of the joint dynamics M, c and g: it evaluates controller and
+plant on one set of joint trigonometry and commands the joint acceleration
+y = J^-1 (a - Jdot qdot), so the task-space terms M_p, c_p and g_p are never
+formed. On the controller's own model computed torque tau = M y + c + g
+leaves exactly qddot = y, so the kernel returns y and forms tau only for the
+recorded diagnostics; a plant with another model gets its acceleration
+M^-1 (tau - c - g) from its own constants through _joint_accel, which
+ManipulatorPlant.derivative also calls. Each axis's law evaluates its
 certificate W = (1 + theta*sigma(x1)) V - k, its gradient and Sontag's
 universal formula kappa(a, b) = -(a + sqrt(a^2 + b^4)) / b, zero where b
 vanishes (Syst. Control Lett. 13, 1989): a + b*kappa = -sqrt(a^2 + b^4), so W
@@ -56,32 +57,13 @@ class ManipulatorParams:
 
 
 # ---------------------------------------------------------------------------
-# scalar kernels
+# kinematic and dynamic kernels
 
 
 def _position_entries(
     p: ManipulatorParams, s1: float, c1: float, s12: float, c12: float
 ) -> tuple[float, float]:
     return p.L1 * c1 + p.L2 * c12, p.L1 * s1 + p.L2 * s12
-
-
-def _mass_entries(p: ManipulatorParams, c2: float) -> tuple[float, float, float]:
-    a = p.m2 * p.L1 * p.L2 * c2
-    m22 = p.m2 * p.L2 * p.L2
-    m11 = (p.m1 + p.m2) * p.L1 * p.L1 + m22 + 2.0 * a
-    return m11, m22 + a, m22
-
-
-def _coriolis_entries(
-    p: ManipulatorParams, s2: float, qd1: float, qd2: float
-) -> tuple[float, float]:
-    h = p.m2 * p.L1 * p.L2 * s2
-    return -h * (2.0 * qd1 * qd2 + qd2 * qd2), h * qd1 * qd1
-
-
-def _gravity_entries(p: ManipulatorParams, c1: float, c12: float) -> tuple[float, float]:
-    second = p.m2 * p.gravity * p.L2 * c12
-    return (p.m1 + p.m2) * p.L1 * p.gravity * c1 + second, second
 
 
 def _jacobian_entries(
@@ -92,46 +74,12 @@ def _jacobian_entries(
     return -a - b, -b, c + d, d
 
 
-def _jacobian_dot_entries(
-    p: ManipulatorParams,
-    s1: float,
-    c1: float,
-    s12: float,
-    c12: float,
-    qd1: float,
-    qd2: float,
-) -> tuple[float, float, float, float]:
-    w12 = qd1 + qd2
-    a, b = p.L1 * c1 * qd1, p.L2 * c12 * w12
-    c, d = p.L1 * s1 * qd1, p.L2 * s12 * w12
-    return -a - b, -b, -c - d, -d
-
-
-def _accel_entries(
-    p: ManipulatorParams,
-    c2: float,
-    s2: float,
-    qd1: float,
-    qd2: float,
-    c1: float,
-    c12: float,
-    tau1: float,
-    tau2: float,
-) -> tuple[float, float]:
-    m11, m12, m22 = _mass_entries(p, c2)
-    cv1, cv2 = _coriolis_entries(p, s2, qd1, qd2)
-    gv1, gv2 = _gravity_entries(p, c1, c12)
-    r1 = tau1 - cv1 - gv1
-    r2 = tau2 - cv2 - gv2
-    det = m11 * m22 - m12 * m12
-    return (m22 * r1 - m12 * r2) / det, (m11 * r2 - m12 * r1) / det
-
-
 def _model(p: ManipulatorParams) -> tuple[float, ...]:
-    """(L1, L2, h, m22, m11 at cos q2 = 0, g1, g2): the plain-float constants
-    of the arm dynamics, multiplied in the order of _mass_entries,
-    _coriolis_entries and _gravity_entries so the kernel reproduces them
-    bit for bit."""
+    """(L1, L2, h, m22, m11_0, g1, g2): the plain-float constants of the arm
+    dynamics M = [[m11_0 + 2 h c2, m22 + h c2], [m22 + h c2, m22]],
+    c = h s2 (-(2 qd1 qd2 + qd2^2), qd1^2) and g = (g1 c1 + g2 c12, g2 c12)
+    (Siciliano et al., Robotics: Modelling, Planning and Control, 2009,
+    ch. 7)."""
     m22 = p.m2 * p.L2 * p.L2
     return (
         p.L1,
@@ -144,21 +92,22 @@ def _model(p: ManipulatorParams) -> tuple[float, ...]:
     )
 
 
+def _joint_accel(model, c1, c12, s2, c2, qd1, qd2, tau1, tau2) -> tuple[float, float]:
+    """Forward dynamics qddot = M^-1 (tau - c - g) over the constants of
+    _model, from the joint state's trigonometry and velocities."""
+    _, _, h, m22, m11_0, g1, g2 = model
+    coupling = h * c2
+    m11, m12 = m11_0 + 2.0 * coupling, m22 + coupling
+    hs = h * s2
+    gv2 = g2 * c12
+    n1 = tau1 - -hs * (2.0 * qd1 * qd2 + qd2 * qd2) - (g1 * c1 + gv2)
+    n2 = tau2 - hs * qd1 * qd1 - gv2
+    det = m11 * m22 - m12 * m12
+    return (m22 * n1 - m12 * n2) / det, (m11 * n2 - m12 * n1) / det
+
+
 # ---------------------------------------------------------------------------
 # public model functions
-
-
-def mass_matrix(params: ManipulatorParams, q) -> np.ndarray:
-    m11, m12, m22 = _mass_entries(params, math.cos(q[1]))
-    return np.array([[m11, m12], [m12, m22]])
-
-
-def coriolis_vector(params: ManipulatorParams, q, qdot) -> np.ndarray:
-    return np.array(_coriolis_entries(params, math.sin(q[1]), qdot[0], qdot[1]))
-
-
-def gravity_vector(params: ManipulatorParams, q) -> np.ndarray:
-    return np.array(_gravity_entries(params, math.cos(q[0]), math.cos(q[0] + q[1])))
 
 
 def forward_kinematics(params: ManipulatorParams, q) -> np.ndarray:
@@ -178,20 +127,6 @@ def jacobian(params: ManipulatorParams, q) -> np.ndarray:
     return np.array([[j11, j12], [j21, j22]])
 
 
-def jacobian_dot(params: ManipulatorParams, q, qdot) -> np.ndarray:
-    t12 = q[0] + q[1]
-    jd11, jd12, jd21, jd22 = _jacobian_dot_entries(
-        params,
-        math.sin(q[0]),
-        math.cos(q[0]),
-        math.sin(t12),
-        math.cos(t12),
-        qdot[0],
-        qdot[1],
-    )
-    return np.array([[jd11, jd12], [jd21, jd22]])
-
-
 def inverse_kinematics(params: ManipulatorParams, p, elbow: str = "up") -> np.ndarray:
     """Joint angles reaching Cartesian p; elbow selects the sign of theta2."""
     r2 = p[0] * p[0] + p[1] * p[1]
@@ -207,24 +142,6 @@ def inverse_kinematics(params: ManipulatorParams, p, elbow: str = "up") -> np.nd
         params.L2 * math.sin(t2), params.L1 + params.L2 * math.cos(t2)
     )
     return np.array([t1, t2])
-
-
-def joint_accel(params: ManipulatorParams, q, qdot, tau) -> np.ndarray:
-    """Forward dynamics: solve M(q) qddot = tau - c(q, qdot) - g(q)."""
-    t12 = q[0] + q[1]
-    return np.array(
-        _accel_entries(
-            params,
-            math.cos(q[1]),
-            math.sin(q[1]),
-            qdot[0],
-            qdot[1],
-            math.cos(q[0]),
-            math.cos(t12),
-            tau[0],
-            tau[1],
-        )
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -336,8 +253,8 @@ class SafeTaskController:
     (x1_i = signs_i * (p_i - goal_i), x2_i = signs_i * v_i), so that each
     constrained axis sees its unsafe set as a left half plane. certificates
     holds one WeakCLBF per axis, or None for an unconstrained axis. The law
-    itself is ArmStage's kernel; compute() reads it on the controller's own
-    model.
+    itself is ArmStage's kernel; calling the controller at a joint state
+    x = (q, qdot) reads its recorded row on the controller's own model.
     """
 
     params: ManipulatorParams
@@ -353,11 +270,8 @@ class SafeTaskController:
             raise ValueError("one certificate slot per task axis required")
 
     def __call__(self, t: float, x: np.ndarray) -> ControlAction:
-        return self.compute((x[0], x[1]), (x[2], x[3]))
-
-    def compute(self, q, qdot) -> ControlAction:
-        state = (float(q[0]), float(q[1]), float(qdot[0]), float(qdot[1]))
-        _, row = ArmStage(self, self.params).record(0.0, state)
+        state = (float(x[0]), float(x[1]), float(x[2]), float(x[3]))
+        _, row = ArmStage(self, self.params).record(t, state)
         return ControlAction(
             u=np.array(row[0:2]),
             force=np.array(row[2:4]),
@@ -384,14 +298,14 @@ class ManipulatorPlant:
 
     def derivative(self, t: float, x: np.ndarray, u: np.ndarray) -> np.ndarray:
         q1, q2, qd1, qd2 = x[0], x[1], x[2], x[3]
-        qdd1, qdd2 = _accel_entries(
-            self.params,
-            math.cos(q2),
-            math.sin(q2),
-            qd1,
-            qd2,
+        qdd1, qdd2 = _joint_accel(
+            _model(self.params),
             math.cos(q1),
             math.cos(q1 + q2),
+            math.sin(q2),
+            math.cos(q2),
+            qd1,
+            qd2,
             u[0],
             u[1],
         )
@@ -418,7 +332,7 @@ class ArmStage:
     and no torque. Otherwise, and for recorded rows, it forms the torque
     tau = M y + c + g with the controller's model; a plant whose model
     differs from the controller's takes its acceleration from tau through
-    its own M, c and g, so it is integrated exactly. Every setting is a
+    its own M, c and g (_joint_accel), so it is integrated exactly. Every setting is a
     plain float unpacked at construction. Calling the stage returns the
     state derivative; record() also returns the diagnostics row that the
     simulator stores at recorded steps, and layout names the row's blocks as
@@ -499,17 +413,8 @@ class ArmStage:
         if plant is None:
             qdd1, qdd2 = y1, y2
         else:
-            # the plant's joint acceleration M^-1 (tau - c - g) from its own model
-            _, _, ph, pm22, pm11_0, pg1, pg2 = plant
-            coupling = ph * c2
-            pm11, pm12 = pm11_0 + 2.0 * coupling, pm22 + coupling
-            hs = ph * s2
-            gv2 = pg2 * c12
-            n1 = tau1 - -hs * cq - (pg1 * c1 + gv2)
-            n2 = tau2 - hs * qd1 * qd1 - gv2
-            mdet = pm11 * pm22 - pm12 * pm12
-            qdd1 = (pm22 * n1 - pm12 * n2) / mdet
-            qdd2 = (pm11 * n2 - pm12 * n1) / mdet
+            # the plant's joint acceleration from its own model
+            qdd1, qdd2 = _joint_accel(plant, c1, c12, s2, c2, qd1, qd2, tau1, tau2)
         if not diagnostics:
             return qd1, qd2, qdd1, qdd2
 

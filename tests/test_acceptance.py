@@ -15,7 +15,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from reference import kinetic_energy, rk4_step, task_space_terms
+from reference import arm_model, kinetic_energy, rk4_step, task_space_terms
 from safefl.clbf import WeakCLBF, check_c_omega_subset, verify_weak_clbf
 from safefl.cli import main, write_trajectory_csv
 from safefl.manipulator import (
@@ -25,7 +25,6 @@ from safefl.manipulator import (
     _axis_law,
     forward_kinematics,
     jacobian,
-    mass_matrix,
 )
 from safefl.numerics import solve_lyapunov_2x2
 from safefl.scenario import run_case
@@ -201,7 +200,7 @@ def test_criterion_06_manipulator_model():
             if abs(math.sin(q[1])) > 0.05:
                 qd = rng.uniform(-2, 2, size=2)
                 m_p, _, _ = task_space_terms(params, q, qd)
-                assert np.abs(J.T @ m_p @ J - mass_matrix(params, q)).max() < 1e-9
+                assert np.abs(J.T @ m_p @ J - arm_model(params, q, qd)[3]).max() < 1e-9
             checked += 1
 
         free = ManipulatorParams(m1=0.8, m2=0.8, L1=1.0, L2=1.0, gravity=0.0)

@@ -91,6 +91,23 @@ class TestVerify:
         assert len(verdicts) == 10
         assert set(verdicts) <= {"pass", "fail", "undecided"}
 
+    def test_empty_margin_set_gets_all_verdicts(self, tmp_path, raw_config, capsys):
+        # d + delta = 49 leaves axis 0's margin set empty: that condition
+        # fails with no margin and no witness, and every other condition of
+        # both axes is still decided and reported
+        _explicit(delta=50.0)(raw_config)
+        path = write_config(tmp_path, raw_config)
+        out = tmp_path / "out"
+        assert main(["verify", "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == ""
+        report = json.loads((out / "verification_report.json").read_text())
+        verdicts = [c["verdict"] for sub in report["subsystems"] for c in sub["conditions"]]
+        assert len(verdicts) == 10
+        assert set(verdicts) <= {"pass", "fail", "undecided"}
+        first = {c["name"]: c for c in report["subsystems"][0]["conditions"]}
+        empty = first["margin_set_contained"]
+        assert (empty["verdict"], empty["margin"], empty["witness"]) == ("fail", None, None)
+
     def test_negative_offset_fails(self, tmp_path, raw_config):
         raw_config["clbf"] = {
             "mode": "explicit",
@@ -331,9 +348,6 @@ class TestErrorExitCodes:
             ("simulate", _set("clbf", "l", [-1.0, None]), [], 3),
             ("simulate", _set("lyapunov_q", [[1.0, 2.0], [2.0, 1.0]]), [], 3),
             ("verify", _explicit(l=-4.0), [], 3),
-            # d + delta = 49 leaves the margin set empty: the verifier's
-            # EmptyCOmega, not a configuration error
-            ("verify", _explicit(delta=50.0), [], 2),
             ("simulate", _set("gains", "kp", [1e-300, 1.0]), [], 2),
             ("simulate", _singular_start, [], 3),
             ("simulate", _set("initial", "position", [0.0, 0.0]), [], 3),
@@ -368,7 +382,6 @@ class TestErrorExitCodes:
             "negative_l_override",
             "indefinite_q",
             "explicit_negative_l",
-            "explicit_large_delta",
             "singular_lyapunov_system",
             "singular_initial_jacobian",
             "initial_position_at_origin",

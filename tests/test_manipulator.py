@@ -22,14 +22,9 @@ from safefl.manipulator import (
     GainSchedule,
     ManipulatorParams,
     ManipulatorPlant,
-    coriolis_vector,
     forward_kinematics,
-    gravity_vector,
     inverse_kinematics,
     jacobian,
-    jacobian_dot,
-    joint_accel,
-    mass_matrix,
     _axis,
     _axis_law,
 )
@@ -40,15 +35,34 @@ from tests.conftest import BOX_SUB1
 PARAMS = ManipulatorParams(m1=0.8, m2=0.8, L1=1.0, L2=1.0, gravity=9.81)
 
 
+def _mass(params, q):
+    return arm_model(params, q, (0.0, 0.0))[3]
+
+
+def _coriolis(params, q, qdot):
+    return arm_model(params, q, qdot)[4]
+
+
+def _gravity(params, q):
+    return arm_model(params, q, (0.0, 0.0))[5]
+
+
+def _plant_accel(params, q, qdot, tau):
+    """The plant's forward dynamics at joint state (q, qdot) under torque tau."""
+    return ManipulatorPlant(params).derivative(0.0, np.concatenate([q, qdot]), tau)[2:]
+
+
 class TestModelQuantities:
+    """Hand-computed M, c and g of the reference model."""
+
     def test_mass_stretched(self):
         np.testing.assert_allclose(
-            mass_matrix(PARAMS, [0.0, 0.0]), [[4.0, 1.6], [1.6, 0.8]], atol=1e-12
+            _mass(PARAMS, [0.0, 0.0]), [[4.0, 1.6], [1.6, 0.8]], atol=1e-12
         )
 
     def test_mass_right_angle(self):
         np.testing.assert_allclose(
-            mass_matrix(PARAMS, [0.3, math.pi / 2]),
+            _mass(PARAMS, [0.3, math.pi / 2]),
             [[2.4, 0.8], [0.8, 0.8]],
             atol=1e-12,
         )
@@ -56,35 +70,35 @@ class TestModelQuantities:
     def test_mass_lower_corner_constant(self):
         rng = np.random.default_rng(2)
         for q in rng.uniform(-math.pi, math.pi, size=(25, 2)):
-            M = mass_matrix(PARAMS, q)
+            M = _mass(PARAMS, q)
             assert M[1, 1] == pytest.approx(0.8)
             assert M[0, 1] == M[1, 0]
 
     def test_coriolis_zero_velocity(self):
         np.testing.assert_allclose(
-            coriolis_vector(PARAMS, [0.4, 1.1], [0.0, 0.0]), [0.0, 0.0]
+            _coriolis(PARAMS, [0.4, 1.1], [0.0, 0.0]), [0.0, 0.0]
         )
 
     def test_coriolis_right_angle(self):
         np.testing.assert_allclose(
-            coriolis_vector(PARAMS, [0.0, math.pi / 2], [1.0, 1.0]),
+            _coriolis(PARAMS, [0.0, math.pi / 2], [1.0, 1.0]),
             [-2.4, 0.8],
             atol=1e-12,
         )
 
     def test_coriolis_straight_arm(self):
         np.testing.assert_allclose(
-            coriolis_vector(PARAMS, [1.2, 0.0], [3.0, -2.0]), [0.0, 0.0], atol=1e-12
+            _coriolis(PARAMS, [1.2, 0.0], [3.0, -2.0]), [0.0, 0.0], atol=1e-12
         )
 
     def test_gravity_upright(self):
         np.testing.assert_allclose(
-            gravity_vector(PARAMS, [math.pi / 2, 0.0]), [0.0, 0.0], atol=1e-12
+            _gravity(PARAMS, [math.pi / 2, 0.0]), [0.0, 0.0], atol=1e-12
         )
 
     def test_gravity_horizontal(self):
         np.testing.assert_allclose(
-            gravity_vector(PARAMS, [0.0, 0.0]), [23.544, 7.848], atol=1e-9
+            _gravity(PARAMS, [0.0, 0.0]), [23.544, 7.848], atol=1e-9
         )
 
     def test_gravity_second_component_depends_on_sum(self):
@@ -92,9 +106,37 @@ class TestModelQuantities:
         for _ in range(20):
             q1 = rng.uniform(-2, 2)
             shift = rng.uniform(-1, 1)
-            a = gravity_vector(PARAMS, [q1, 0.7])[1]
-            b = gravity_vector(PARAMS, [q1 + shift, 0.7 - shift])[1]
+            a = _gravity(PARAMS, [q1, 0.7])[1]
+            b = _gravity(PARAMS, [q1 + shift, 0.7 - shift])[1]
             assert a == pytest.approx(b, abs=1e-12)
+
+
+# the stretched arm at rest: g = (23.544, 7.848), M = [[4, 1.6], [1.6, 0.8]]
+_G_STRETCHED = np.array([23.544, 7.848])
+_M_STRETCHED = np.array([[4.0, 1.6], [1.6, 0.8]])
+
+
+def _dense_accel(params, q, qdot, tau):
+    """M^-1 (tau - c - g) of the reference model by a dense solve."""
+    _, _, _, M, c, g = arm_model(params, q, qdot)
+    return np.linalg.solve(M, np.asarray(tau, dtype=float) - c - g)
+
+
+class TestForwardDynamics:
+    """The hand-computed M and g pin the plant's forward dynamics and the
+    reference model's: gravity torque holds the stretched arm at rest, and
+    tau = g + M e_i accelerates it by e_i."""
+
+    @pytest.mark.parametrize("accel", [_plant_accel, _dense_accel])
+    def test_gravity_torque_holds_the_arm(self, accel):
+        qdd = accel(PARAMS, np.zeros(2), np.zeros(2), _G_STRETCHED)
+        np.testing.assert_allclose(qdd, [0.0, 0.0], atol=1e-12)
+
+    @pytest.mark.parametrize("accel", [_plant_accel, _dense_accel])
+    def test_unit_accelerations(self, accel):
+        for e in np.eye(2):
+            qdd = accel(PARAMS, np.zeros(2), np.zeros(2), _G_STRETCHED + _M_STRETCHED @ e)
+            np.testing.assert_allclose(qdd, e, atol=1e-12)
 
 
 class TestParamsValidation:
@@ -157,11 +199,11 @@ class TestKinematics:
             q = rng.uniform(-math.pi, math.pi, size=2)
             qd = rng.uniform(-2, 2, size=2)
             fd = (jacobian(PARAMS, q + h * qd) - jacobian(PARAMS, q - h * qd)) / (2 * h)
-            np.testing.assert_allclose(jacobian_dot(PARAMS, q, qd), fd, atol=1e-6)
+            np.testing.assert_allclose(arm_model(PARAMS, q, qd)[2], fd, atol=1e-6)
 
     def test_jacobian_dot_zero_velocity(self):
         np.testing.assert_allclose(
-            jacobian_dot(PARAMS, [0.7, -0.4], [0.0, 0.0]), np.zeros((2, 2)), atol=1e-15
+            arm_model(PARAMS, [0.7, -0.4], [0.0, 0.0])[2], np.zeros((2, 2)), atol=1e-15
         )
 
     def test_inverse_kinematics_round_trip(self):
@@ -199,7 +241,7 @@ class TestTaskSpaceTerms:
             m_p, _, _ = task_space_terms(PARAMS, q, qd)
             J = jacobian(PARAMS, q)
             np.testing.assert_allclose(
-                J.T @ m_p @ J, mass_matrix(PARAMS, q), atol=1e-9
+                J.T @ m_p @ J, _mass(PARAMS, q), atol=1e-9
             )
             count += 1
 
@@ -235,11 +277,9 @@ class TestDynamicsConsistency:
             q = rng.uniform(-math.pi, math.pi, size=2)
             qd = rng.uniform(-3, 3, size=2)
             tau = rng.uniform(-10, 10, size=2)
-            expected = np.linalg.solve(
-                mass_matrix(PARAMS, q),
-                tau - coriolis_vector(PARAMS, q, qd) - gravity_vector(PARAMS, q),
+            np.testing.assert_allclose(
+                _plant_accel(PARAMS, q, qd, tau), _dense_accel(PARAMS, q, qd, tau), atol=1e-12
             )
-            np.testing.assert_allclose(joint_accel(PARAMS, q, qd, tau), expected, atol=1e-12)
 
     def test_energy_conserved_without_gravity_and_torque(self):
         # checks that the mass matrix and velocity coupling are consistent
@@ -286,7 +326,7 @@ class TestSafeTaskController:
     def test_gravity_compensation_at_goal(self, default_bundle):
         controller = _scenario_controller(default_bundle, 0.0)
         q_goal = inverse_kinematics(PARAMS, default_bundle.config.goal)
-        action = controller.compute(q_goal, np.zeros(2))
+        action = controller(0.0, np.concatenate([q_goal, np.zeros(2)]))
         _, _, g_p = task_space_terms(PARAMS, q_goal, np.zeros(2))
         np.testing.assert_allclose(action.force, g_p, atol=1e-9)
         np.testing.assert_allclose(action.force_safe, np.zeros(2), atol=1e-12)
@@ -321,7 +361,7 @@ class TestSafeTaskController:
             if abs(math.sin(q[1])) < 0.05:
                 continue
             qd = rng.uniform(-2, 2, size=2)
-            action = controller.compute(q, qd)
+            action = controller(0.0, np.concatenate([q, qd]))
 
             m_p, c_p, g_p = task_space_terms(PARAMS, q, qd)
             p, J, _, _, _, _ = arm_model(PARAMS, q, qd)
@@ -345,9 +385,7 @@ class TestSafeTaskController:
             np.testing.assert_allclose(action.u, tau, rtol=1e-9, atol=1e-9)
 
     def test_initial_state_diagnostics(self, default_bundle):
-        action = _scenario_controller(default_bundle, 1.5).compute(
-            default_bundle.q0, default_bundle.qdot0
-        )
+        action = _scenario_controller(default_bundle, 1.5)(0.0, default_bundle.x0)
         np.testing.assert_allclose(
             action.u, jacobian(PARAMS, default_bundle.q0).T @ action.force, rtol=1e-12
         )
@@ -358,7 +396,7 @@ class TestSafeTaskController:
     def test_singularity_propagates(self, default_bundle):
         controller = _scenario_controller(default_bundle, 0.0)
         with pytest.raises(NearSingular):
-            controller.compute(np.array([0.3, 0.0]), np.zeros(2))
+            controller(0.0, np.array([0.3, 0.0, 0.0, 0.0]))
 
 
 def _bits(values):

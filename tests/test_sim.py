@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from reference import joint_accel_reference, rk4_step
+from reference import arm_model, joint_accel_reference, rk4_step
 from safefl.errors import NearSingular, NonFiniteState
-from safefl.manipulator import ArmStage, ManipulatorPlant, joint_accel
+from safefl.manipulator import ArmStage, ManipulatorPlant
 from safefl.scenario import run_case
 from safefl.sim import SimConfig, Trajectory, safety_monitor, simulate_closed_loop
 
@@ -194,38 +194,43 @@ def _outcome(step, *args):
         return type(err).__name__, str(err)
 
 
-# exact-model accelerations against the torques fed back through the joint
-# dynamics and against the reference y, relative to 1 + max(|qdd|, |tau|)
+# the stage's accelerations against the torques fed back through the joint
+# dynamics, the reference model's dense solve and the reference y, relative to
+# 1 + max(|qdd|, |tau|)
 EXACT_MODEL_RTOL = 1e-13
 
 
 def _assert_stage_matches(controller, plant, states, dt=1e-3):
     """ArmStage on a plant with its own model equals, bit for bit, the
-    controller's torques fed to the plant's joint dynamics. On the
+    controller's torques fed to ManipulatorPlant.derivative. On the
     controller's own model the stage returns the law's y = J^-1 (a - Jdot qdot),
     which equals those torques fed back and the reference y within
-    EXACT_MODEL_RTOL. Either way record() returns the call's derivative, its
-    row equals compute()'s fields followed by the plant's task state, and
-    its RK4 step equals the generic reference step over the stage field,
-    aborts included."""
+    EXACT_MODEL_RTOL. Either way the acceleration equals the reference
+    model's dense solve M^-1 (tau - c - g) within EXACT_MODEL_RTOL, record()
+    returns the call's derivative, its row equals the controller's action
+    followed by the plant's task state, and its RK4 step equals the generic
+    reference step over the stage field, aborts included."""
     stage = ArmStage(controller, plant.params)
     exact = plant.params == controller.params
     for x in states:
         q, qd = x[:2], x[2:]
         state = tuple(x.tolist())
-        tau = controller(0.0, x).u
-        expected = (state[2], state[3], *joint_accel(plant.params, q, qd, tau))
+        action = controller(0.0, x)
+        tau = action.u
+        expected = tuple(plant.derivative(0.0, x, tau).tolist())
+        _, _, _, M, c, g = arm_model(plant.params, q, qd)
+        references = [np.linalg.solve(M, tau - c - g)]
         derivative = stage(0.0, state)
         if exact:
             assert derivative[:2] == state[2:]
-            scale = 1.0 + max(*np.abs(derivative[2:]), *np.abs(tau))
-            for accel in (expected[2:], joint_accel_reference(controller, q, qd)):
-                assert np.abs(np.subtract(derivative[2:], accel)).max() <= EXACT_MODEL_RTOL * scale
+            references += [expected[2:], joint_accel_reference(controller, q, qd)]
         else:
             assert derivative == expected
+        scale = 1.0 + max(*np.abs(derivative[2:]), *np.abs(tau))
+        for accel in references:
+            assert np.abs(np.subtract(derivative[2:], accel)).max() <= EXACT_MODEL_RTOL * scale
         recorded, row = stage.record(0.0, state)
         assert recorded == derivative
-        action = controller.compute(q, qd)
         fields = (action.u, action.force, action.force_safe, action.w_values, action.margins)
         np.testing.assert_array_equal(row, np.concatenate([*fields, *plant.task_state(x)]))
         assert _outcome(stage.step, 0.5, state, dt, derivative) == _outcome(
@@ -234,8 +239,8 @@ def _assert_stage_matches(controller, plant, states, dt=1e-3):
 
 
 class TestFusedArmStage:
-    """The fused arm stage against the controller and plant views of the
-    same kernels."""
+    """The fused arm stage against the controller's action, the plant's
+    forward dynamics and the reference model."""
 
     @pytest.mark.parametrize("k_safe", [0.0, 0.2, 0.5, 1.5])
     def test_bundled_runs_bit_identical(self, default_bundle, k_safe):

@@ -19,7 +19,6 @@ from safefl.clbf import (
     select_parameters,
     verify_weak_clbf,
 )
-from safefl.errors import EmptyCOmega
 from safefl.scenario import build_bundle, verify_bundle
 from tests.conftest import BOX_SUB1, BOX_SUB2
 
@@ -137,12 +136,18 @@ class TestCOmegaSubset:
         assert cert.value_and_grad(x1, x2)[0] == pytest.approx(0.0, abs=1e-9)
 
     def test_empty_margin_set(self, table_cert_sub1):
-        # margin pushed past the region's right edge leaves no point
+        # margin pushed past the region's right edge leaves no point: a
+        # verdict, with no margin (null in JSON) and no witness
         inflated = replace(
             table_cert_sub1, shape=replace(table_cert_sub1.shape, delta=2.6)
         )
-        with pytest.raises(EmptyCOmega):
-            check_c_omega_subset(inflated, BOX_SUB1, 200)
+        result = check_c_omega_subset(inflated, BOX_SUB1, 200)
+        assert result.name == "margin_set_contained"
+        assert result.verdict == "fail"
+        assert math.isnan(result.margin)
+        assert result.witness is None
+        assert "empty" in result.inequality
+        assert result.to_dict()["margin"] is None
 
     def test_selected_parameters_also_contained(self, p_sub1):
         cert = select_parameters(p_sub1, BOX_SUB1, UNSAFE1, v2=2.0)
@@ -360,9 +365,9 @@ def _dense_counterexamples(cert, P, box, d) -> int:
 
     omega = (0.5 * (P[0, 0] * X1 * X1 + 2.0 * P[0, 1] * X1 * X2 + P[1, 1] * X2 * X2) <= v2)
     omega &= X1 >= d + delta
-    try:
-        c_omega = check_c_omega_subset(cert, box, 100)
-    except EmptyCOmega:
+    c_omega = check_c_omega_subset(cert, box, 100)
+    if c_omega.verdict == "fail" and c_omega.witness is None:  # the set is empty
+        assert math.isnan(c_omega.margin)
         assert not omega.any()
         return found
     if np.any(WX[omega] > 1e-9):
