@@ -1,5 +1,12 @@
 """Command-line front end: parameter selection, verification, simulation.
 
+`simulate` and `reproduce-paper` run each gain of the sweep in a forked child
+process, at most one per usable CPU (os.sched_getaffinity). Each child makes
+its run and writes its CSV, then sends the Trajectory back over a pipe; the
+parent takes the results in sweep order and writes summary.json and the
+SVGs. The outputs do not depend on the CPU count. Forking makes this
+POSIX only.
+
 Exit codes: 0 success, 2 verification or feasibility failure, 3 configuration
 error, 4 numerical abort (singularity or divergence during simulation).
 """
@@ -8,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 from typing import Optional
@@ -177,13 +185,96 @@ def cmd_verify(args) -> int:
     return EXIT_OK if all_pass else EXIT_CHECK_FAILED
 
 
+def _simulate_in_child(conn, bundle, k_safe: float, dt, horizon, out: Path) -> None:
+    """Body of one forked child: the run at k_safe and its CSV in out. Sends
+    the Trajectory, or in its place the exception that stopped the child,
+    which the parent raises.
+
+    run_case and write_trajectory_csv are looked up as module globals, so a
+    name replaced in the parent before the fork is the one called here.
+    """
+    try:
+        traj = run_case(bundle, k_safe, dt=dt, horizon=horizon)
+        out.mkdir(parents=True, exist_ok=True)
+        write_trajectory_csv(traj, out / f"{run_label(traj.meta['k_safe'])}.csv")
+        conn.send(traj)
+    except BaseException as err:
+        conn.send(err)
+    finally:
+        conn.close()
+
+
+def _receive(k_safe: float, proc, receiver):
+    """What the child running k_safe sent, once the child has exited; a
+    child that exits without sending anything gives a RuntimeError."""
+    try:
+        result = receiver.recv()
+    except EOFError:
+        proc.join()
+        result = RuntimeError(
+            f"the run at k_safe {k_safe} ended without a result (exit code {proc.exitcode})"
+        )
+    finally:
+        receiver.close()
+    proc.join()
+    proc.close()
+    return result
+
+
+def _simulate_sweep(bundle, gains, dt, horizon, out: Path) -> list[Trajectory]:
+    """The runs at gains, in their order, each made in a forked child that
+    also writes its CSV; at most one child per usable CPU runs at a time.
+
+    Once a child reports an error no further child starts. Every started
+    child is joined before this returns or raises, and the first error in
+    sweep order is raised only after all of them are.
+    """
+    # imported here: the modules that import cli but never simulate skip it
+    import multiprocessing
+
+    ctx = multiprocessing.get_context("fork")
+    slots = len(os.sched_getaffinity(0))
+    running = []  # (gain, process, receiving end), oldest first
+    results = []
+    try:
+        for k in gains:
+            if len(running) == slots:
+                results.append(_receive(*running[0]))
+                del running[0]
+                if isinstance(results[-1], BaseException):
+                    break
+            receiver, sender = ctx.Pipe(duplex=False)
+            proc = ctx.Process(target=_simulate_in_child, args=(sender, bundle, k, dt, horizon, out))
+            running.append((k, proc, receiver))
+            try:
+                proc.start()
+            finally:
+                sender.close()
+        while running:
+            results.append(_receive(*running[0]))
+            del running[0]
+    finally:
+        # children are left here only when the parent itself failed
+        for _, proc, receiver in running:
+            receiver.close()
+            if proc.pid is not None:
+                proc.terminate()
+                proc.join()
+    for result in results:
+        if isinstance(result, BaseException):
+            raise result
+    return results
+
+
 def cmd_simulate(args, force_default: bool = False) -> int:
     config = _load(args, force_default=force_default)
     sweep = checked_sweep(args.k_safe) if args.k_safe is not None else config.k_safe_sweep
     bundle = build_bundle(config, enforce_bounds=True)
-    # every run is made before any output is written, so an out-of-range
-    # --dt or --horizon (ConfigError from the first run_case) leaves none
-    runs = [run_case(bundle, k, dt=args.dt, horizon=args.horizon) for k in (0.0, *sweep)]
+    # Each run and its CSV are made in a forked child (_simulate_sweep); the
+    # parent writes summary.json and the SVGs once every run is back. An
+    # out-of-range --dt or --horizon makes every run_case raise the same
+    # ConfigError before it simulates, so no CSV and no directory is written.
+    runs = _simulate_sweep(bundle, (0.0, *sweep), args.dt, args.horizon, args.out)
 
     args.out.mkdir(parents=True, exist_ok=True)
     summary = parameter_report(bundle)
@@ -191,7 +282,6 @@ def cmd_simulate(args, force_default: bool = False) -> int:
     aborted = False
     for traj in runs:
         label = run_label(traj.meta["k_safe"])
-        write_trajectory_csv(traj, args.out / f"{label}.csv")
         entry = {"label": label, "k_safe": traj.meta["k_safe"], "steps": traj.meta["steps"]}
         if traj.failed:
             entry["failure"] = traj.meta["failure"]

@@ -423,6 +423,11 @@ class ArmStage:
         ys2 = (j11 * safe2 - j21 * safe1) / det
         z1 = m11 * ys1 + m12 * ys2
         z2 = m12 * ys1 + m22 * ys2
+        if plant is None:
+            # the plant's kinematics are the controller's, already evaluated
+            task = (e1 + d, e2 + b, j11 * qd1 + j12 * qd2, j21 * qd1 + j22 * qd2)
+        else:
+            task = _task_entries(self.plant_params, s1, c1, s12, c12, qd1, qd2)
         row = (
             tau1,
             tau2,
@@ -434,7 +439,7 @@ class ArmStage:
             w2,
             margin1,
             margin2,
-            *_task_entries(self.plant_params, s1, c1, s12, c12, qd1, qd2),
+            *task,
         )
         return (qd1, qd2, qdd1, qdd2), row
 

@@ -7,6 +7,7 @@ the acceptance status at a glance:
 """
 
 import math
+import os
 import sys
 import time
 from contextlib import contextmanager
@@ -267,14 +268,21 @@ def test_criterion_09_safety_force_transient(scenario_runs):
         assert time.perf_counter() - start < 1.0
 
 
-def test_criterion_10_reproducibility(tmp_path):
+def test_criterion_10_reproducibility(tmp_path, monkeypatch):
     with criterion(10, "repeated scenario reproduction is byte-identical"):
         start = time.perf_counter()
         out_a = tmp_path / "a"
         out_b = tmp_path / "b"
+        out_one = tmp_path / "one_cpu"
         assert main(["reproduce-paper", "--out", str(out_a)]) == 0
         assert main(["reproduce-paper", "--out", str(out_b)]) == 0
+        # the runs are forked children, one per usable CPU; one CPU runs them
+        # one at a time and gives the same bytes
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert main(["reproduce-paper", "--out", str(out_one)]) == 0
         names = ["baseline.csv", "ksafe_0.2.csv", "ksafe_0.5.csv", "ksafe_1.5.csv"]
         for name in names:
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+        for name in names + ["summary.json", "trajectories.svg", "input_norms.svg"]:
+            assert (out_one / name).read_bytes() == (out_a / name).read_bytes()
         assert time.perf_counter() - start < 20.0

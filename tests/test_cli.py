@@ -1,5 +1,8 @@
 import json
 import math
+import multiprocessing
+import os
+import time
 
 import numpy as np
 import pytest
@@ -245,6 +248,7 @@ class TestSimulate:
         # steps completed before the aborted one, which starts at the failure time
         assert summary["runs"][0]["steps"] == round(summary["runs"][0]["failure"]["time"] / 1e-3)
         assert (out / "baseline.csv").exists()  # partial trajectory still emitted
+        assert multiprocessing.active_children() == []
 
     def test_abort_before_first_record_exits_4(self, tmp_path, raw_config, monkeypatch):
         # the configuration layer rejects a start at the stretched
@@ -267,6 +271,7 @@ class TestSimulate:
         for run in summary["runs"]:
             assert run["failure"]["error"] == "NearSingular"
             assert run["steps"] == 0 and run["safe"] is False
+        assert multiprocessing.active_children() == []
 
 
 class TestStepCount:
@@ -435,3 +440,107 @@ class TestReproduce:
             assert (out / f"ksafe_{k}.csv").exists()
         summary = json.loads((out / "summary.json").read_text())
         assert [run["steps"] for run in summary["runs"]] == [20] * 4
+
+
+class TestParallelSweep:
+    """Each run of the sweep is a forked child that writes its own CSV."""
+
+    NAMES = ("baseline.csv", "ksafe_0.2.csv", "ksafe_0.5.csv", "ksafe_1.5.csv")
+
+    def test_csvs_match_in_process_runs(self, tmp_path):
+        from safefl.cli import write_trajectory_csv
+        from safefl.scenario import build_bundle, default_config_path, load_config, run_case
+
+        out = tmp_path / "out"
+        assert main(["reproduce-paper", "--horizon", "0.05", "--out", str(out)]) == 0
+        bundle = build_bundle(load_config(default_config_path()), enforce_bounds=True)
+        for name, k in zip(self.NAMES, (0.0, 0.2, 0.5, 1.5)):
+            serial = tmp_path / f"serial_{name}"
+            write_trajectory_csv(run_case(bundle, k, horizon=0.05), serial)
+            assert (out / name).read_bytes() == serial.read_bytes()
+
+    def test_one_cpu_gives_the_same_outputs(self, tmp_path, monkeypatch, capsys):
+        out_all, out_one = tmp_path / "all", tmp_path / "one"
+        assert main(["reproduce-paper", "--horizon", "0.05", "--out", str(out_all)]) == 0
+        stdout_all = capsys.readouterr().out
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert main(["reproduce-paper", "--horizon", "0.05", "--out", str(out_one)]) == 0
+        stdout_one = capsys.readouterr().out
+        assert stdout_one == stdout_all.replace(str(out_all), str(out_one))
+        names = (*self.NAMES, "summary.json", "trajectories.svg", "input_norms.svg")
+        assert sorted(p.name for p in out_one.iterdir()) == sorted(names)
+        for name in names:
+            assert (out_one / name).read_bytes() == (out_all / name).read_bytes()
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_runs_at_once_bounded_by_cpus(self, tmp_path, monkeypatch, cpus):
+        # each run stamps its interval on the system-wide monotonic clock
+        import safefl.cli as cli
+
+        run_case = cli.run_case
+
+        def stamped(bundle, k, **kw):
+            start = time.monotonic()
+            traj = run_case(bundle, k, **kw)
+            (tmp_path / f"span_{k}").write_text(f"{start} {time.monotonic()}")
+            return traj
+
+        monkeypatch.setattr(cli, "run_case", stamped)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        out = tmp_path / "out"
+        assert main(["reproduce-paper", "--horizon", "0.05", "--out", str(out)]) == 0
+        spans = [tuple(map(float, p.read_text().split())) for p in tmp_path.glob("span_*")]
+        assert len(spans) == 4
+        for start, _ in spans:
+            assert sum(s <= start < e for s, e in spans) <= cpus
+
+
+class TestNoChildLeft:
+    """No forked child outlives the command, on any exit path."""
+
+    def test_after_a_sweep(self, tmp_path):
+        assert main(["reproduce-paper", "--horizon", "0.02", "--out", str(tmp_path / "out")]) == 0
+        assert multiprocessing.active_children() == []
+
+    def test_after_a_configuration_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        flags = ["--dt", "0.5", "--k-safe", "0.2", "--k-safe", "0.5", "--k-safe", "1.5"]
+        assert main(["simulate", "--out", str(out), *flags]) == 3
+        assert capsys.readouterr().err.startswith("configuration error:")
+        assert not out.exists()
+        assert multiprocessing.active_children() == []
+
+    def test_after_a_run_raises(self, tmp_path, monkeypatch):
+        import safefl.cli as cli
+
+        run_case = cli.run_case
+
+        def failing(bundle, k, **kw):
+            if k == 0.0:
+                raise RuntimeError("baseline run failed")
+            return run_case(bundle, k, **kw)
+
+        # the other runs are still simulating when the baseline's error arrives
+        monkeypatch.setattr(cli, "run_case", failing)
+        out = tmp_path / "out"
+        with pytest.raises(RuntimeError, match="baseline run failed"):
+            main(["reproduce-paper", "--horizon", "2", "--out", str(out)])
+        assert multiprocessing.active_children() == []
+        assert not (out / "summary.json").exists()
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_after_a_child_dies_without_a_result(self, tmp_path, monkeypatch, cpus):
+        import safefl.cli as cli
+
+        run_case = cli.run_case
+
+        def dying(bundle, k, **kw):
+            if k == 0.2:
+                os._exit(7)  # runs in the forked child only
+            return run_case(bundle, k, **kw)
+
+        monkeypatch.setattr(cli, "run_case", dying)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        with pytest.raises(RuntimeError, match=r"k_safe 0.2 ended without a result \(exit code 7\)"):
+            main(["reproduce-paper", "--horizon", "0.02", "--out", str(tmp_path / "out")])
+        assert multiprocessing.active_children() == []
