@@ -2,9 +2,11 @@
 
 `simulate` and `reproduce-paper` run each gain of the sweep in a forked child
 process, at most one per usable CPU (os.sched_getaffinity). Each child makes
-its run and writes its CSV, then sends the Trajectory back over a pipe; the
-parent takes the results in sweep order and writes summary.json and the
-SVGs. The outputs do not depend on the CPU count. Forking makes this
+its run, writes its CSV and reduces the run to its summary.json entry and the
+thinned series the figures plot (svg.RunSeries), and sends only that pair
+back over a pipe, never the trajectory. The parent takes the pairs in sweep
+order and writes summary.json and the SVGs, so its memory does not grow with
+the horizon. The outputs do not depend on the CPU count. Forking makes this
 POSIX only.
 
 Exit codes: 0 success, 2 verification or feasibility failure, 3 configuration
@@ -36,7 +38,7 @@ from .scenario import (
     verify_bundle,
 )
 from .sim import Trajectory, safety_monitor
-from .svg import render_input_norms, render_trajectories
+from .svg import RunSeries, render_input_norms, render_trajectories, run_series
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 2
@@ -185,19 +187,44 @@ def cmd_verify(args) -> int:
     return EXIT_OK if all_pass else EXIT_CHECK_FAILED
 
 
+def _summarize(bundle, traj: Trajectory) -> tuple[dict, Optional[RunSeries]]:
+    """The run's summary.json entry and what the figures plot of it (None
+    for a run without records)."""
+    k_safe = traj.meta["k_safe"]
+    entry = {"label": run_label(k_safe), "k_safe": k_safe, "steps": traj.meta["steps"]}
+    if traj.failed:
+        entry["failure"] = traj.meta["failure"]
+    if len(traj) == 0:
+        entry["safe"] = False
+        return entry, None
+    monitor = safety_monitor(traj)
+    entry.update(
+        {
+            "safe": monitor.first_violation_time is None and not traj.failed,
+            "min_margin": monitor.min_margin,
+            "first_violation_time": monitor.first_violation_time,
+            "final_goal_distance": float(np.linalg.norm(traj.pos[-1] - bundle.config.goal)),
+        }
+    )
+    series = run_series(k_safe, traj.t, traj.pos, monitor.phi_norm, monitor.force_safe_norm)
+    return entry, series
+
+
 def _simulate_in_child(conn, bundle, k_safe: float, dt, horizon, out: Path) -> None:
     """Body of one forked child: the run at k_safe and its CSV in out. Sends
-    the Trajectory, or in its place the exception that stopped the child,
-    which the parent raises.
+    the pair _summarize makes of the run, a few tens of kB at any horizon, or
+    in its place the exception that stopped the child, which the parent
+    raises. The trajectory itself never leaves the child.
 
-    run_case and write_trajectory_csv are looked up as module globals, so a
-    name replaced in the parent before the fork is the one called here.
+    run_case, write_trajectory_csv and safety_monitor are looked up as module
+    globals, so a name replaced in the parent before the fork is the one
+    called here.
     """
     try:
         traj = run_case(bundle, k_safe, dt=dt, horizon=horizon)
         out.mkdir(parents=True, exist_ok=True)
         write_trajectory_csv(traj, out / f"{run_label(traj.meta['k_safe'])}.csv")
-        conn.send(traj)
+        conn.send(_summarize(bundle, traj))
     except BaseException as err:
         conn.send(err)
     finally:
@@ -221,9 +248,10 @@ def _receive(k_safe: float, proc, receiver):
     return result
 
 
-def _simulate_sweep(bundle, gains, dt, horizon, out: Path) -> list[Trajectory]:
-    """The runs at gains, in their order, each made in a forked child that
-    also writes its CSV; at most one child per usable CPU runs at a time.
+def _simulate_sweep(bundle, gains, dt, horizon, out: Path) -> list[tuple[dict, Optional[RunSeries]]]:
+    """The summary entry and figure series of the run at each gain, in their
+    order (see _summarize). Each run is made in a forked child that also
+    writes its CSV; at most one child per usable CPU runs at a time.
 
     Once a child reports an error no further child starts. Every started
     child is joined before this returns or raises, and the first error in
@@ -270,51 +298,36 @@ def cmd_simulate(args, force_default: bool = False) -> int:
     config = _load(args, force_default=force_default)
     sweep = checked_sweep(args.k_safe) if args.k_safe is not None else config.k_safe_sweep
     bundle = build_bundle(config, enforce_bounds=True)
-    # Each run and its CSV are made in a forked child (_simulate_sweep); the
-    # parent writes summary.json and the SVGs once every run is back. An
-    # out-of-range --dt or --horizon makes every run_case raise the same
-    # ConfigError before it simulates, so no CSV and no directory is written.
+    # Each run, its CSV and its summary are made in a forked child
+    # (_simulate_sweep); the parent writes summary.json and the SVGs once
+    # every run is back. An out-of-range --dt or --horizon makes every
+    # run_case raise the same ConfigError before it simulates, so no CSV and
+    # no directory is written.
     runs = _simulate_sweep(bundle, (0.0, *sweep), args.dt, args.horizon, args.out)
 
     args.out.mkdir(parents=True, exist_ok=True)
     summary = parameter_report(bundle)
-    summary["runs"] = []
-    aborted = False
-    for traj in runs:
-        label = run_label(traj.meta["k_safe"])
-        entry = {"label": label, "k_safe": traj.meta["k_safe"], "steps": traj.meta["steps"]}
-        if traj.failed:
-            entry["failure"] = traj.meta["failure"]
-            aborted = True
-        if len(traj) > 0:
-            monitor = safety_monitor(traj)
-            goal_err = float(np.linalg.norm(traj.pos[-1] - bundle.config.goal))
-            entry.update(
-                {
-                    "safe": monitor.first_violation_time is None and not traj.failed,
-                    "min_margin": monitor.min_margin,
-                    "first_violation_time": monitor.first_violation_time,
-                    "final_goal_distance": goal_err,
-                }
-            )
-            status = (
-                "aborted"
-                if traj.failed
-                else "safe"
-                if monitor.first_violation_time is None
-                else f"VIOLATION at t={monitor.first_violation_time:.3f}s"
-            )
-            print(
-                f"{label}: {status}, min margin {monitor.min_margin:.4f}, "
-                f"final goal distance {goal_err:.2e}"
-            )
-        else:
-            entry["safe"] = False
-            print(f"{label}: aborted before the first step")
-        summary["runs"].append(entry)
+    summary["runs"] = [entry for entry, _ in runs]
+    for entry, series in runs:
+        if series is None:
+            print(f"{entry['label']}: aborted before the first step")
+            continue
+        violation = entry["first_violation_time"]
+        status = (
+            "aborted"
+            if "failure" in entry
+            else "safe"
+            if violation is None
+            else f"VIOLATION at t={violation:.3f}s"
+        )
+        print(
+            f"{entry['label']}: {status}, min margin {entry['min_margin']:.4f}, "
+            f"final goal distance {entry['final_goal_distance']:.2e}"
+        )
 
-    render_trajectories(runs, bundle, args.out / "trajectories.svg")
-    render_input_norms(runs, args.out / "input_norms.svg")
+    figures = [series for _, series in runs]
+    render_trajectories(figures, bundle, args.out / "trajectories.svg")
+    render_input_norms(figures, args.out / "input_norms.svg")
     (args.out / "summary.json").write_text(
         json.dumps(summary, indent=2) + "\n", encoding="utf-8"
     )
@@ -330,6 +343,7 @@ def cmd_simulate(args, force_default: bool = False) -> int:
         ) + "; reported for comparison, not asserted)"
     print(line)
     print(f"outputs written to {args.out}")
+    aborted = any("failure" in entry for entry in summary["runs"])
     return EXIT_NUMERICAL if aborted else EXIT_OK
 
 

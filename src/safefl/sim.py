@@ -203,19 +203,25 @@ def safety_monitor(traj: Trajectory) -> MonitorReport:
     if len(traj) == 0:
         raise ValueError("trajectory is empty")
 
-    per_constraint = np.min(traj.margins, axis=0)
-    min_margin = float(np.min(per_constraint))
-    violated = np.flatnonzero(np.any(traj.margins <= 0.0, axis=1))
-    first_violation = float(traj.t[violated[0]]) if violated.size else None
+    # a run that diverged records huge or non-finite values; their rates and
+    # norms overflow to inf, which is what the report should say
+    with np.errstate(over="ignore", invalid="ignore"):
+        per_constraint = np.min(traj.margins, axis=0)
+        min_margin = float(np.min(per_constraint))
+        violated = np.flatnonzero(np.any(traj.margins <= 0.0, axis=1))
+        first_violation = float(traj.t[violated[0]]) if violated.size else None
 
-    dt = np.diff(traj.t)
-    w_dot = np.diff(traj.w, axis=0) / dt[:, None]
+        dt = np.diff(traj.t)
+        w_dot = np.diff(traj.w, axis=0) / dt[:, None]
 
-    crossings: list[Optional[float]] = []
-    for j in range(traj.w.shape[1]):
-        col = traj.w[:, j]
-        idx = np.flatnonzero((col[:-1] <= 0.0) & (col[1:] > 0.0))
-        crossings.append(float(traj.t[idx[0] + 1]) if idx.size else None)
+        crossings: list[Optional[float]] = []
+        for j in range(traj.w.shape[1]):
+            col = traj.w[:, j]
+            idx = np.flatnonzero((col[:-1] <= 0.0) & (col[1:] > 0.0))
+            crossings.append(float(traj.t[idx[0] + 1]) if idx.size else None)
+
+        phi_norm = np.linalg.norm(traj.force - traj.force_safe, axis=1)
+        force_safe_norm = np.linalg.norm(traj.force_safe, axis=1)
 
     return MonitorReport(
         min_margin=min_margin,
@@ -223,6 +229,6 @@ def safety_monitor(traj: Trajectory) -> MonitorReport:
         first_violation_time=first_violation,
         w_dot=w_dot,
         w_crossing_times=crossings,
-        phi_norm=np.linalg.norm(traj.force - traj.force_safe, axis=1),
-        force_safe_norm=np.linalg.norm(traj.force_safe, axis=1),
+        phi_norm=phi_norm,
+        force_safe_norm=force_safe_norm,
     )

@@ -1,9 +1,13 @@
-"""Hand-rolled static SVG figures (polylines and rectangles, no dependencies)."""
+"""Hand-rolled static SVG figures (polylines and rectangles, no dependencies).
+
+The figures plot each run's RunSeries, the thinned series that run_series
+keeps of it, not the run's trajectory.
+"""
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -46,9 +50,10 @@ class _Frame:
         keep = np.isfinite(xs) & np.isfinite(ys)
         if not np.any(keep):
             return ""
-        pts = " ".join(
-            f"{self.x(x):.2f},{self.y(y):.2f}" for x, y in zip(xs[keep], ys[keep])
-        )
+        # the operations of x() and y(), in their order, over whole arrays
+        px = _MARGIN + (xs[keep] - self.x0) / (self.x1 - self.x0) * (_WIDTH - 2 * _MARGIN)
+        py = _HEIGHT - _MARGIN - (ys[keep] - self.y0) / (self.y1 - self.y0) * (_HEIGHT - 2 * _MARGIN)
+        pts = " ".join(["%.2f,%.2f" % point for point in zip(px.tolist(), py.tolist())])
         dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
         return (
             f'<polyline points="{pts}" fill="none" stroke="{color}" '
@@ -90,18 +95,43 @@ def _document(body: Sequence[str]) -> str:
     return "\n".join([head, *[p for p in body if p], "</svg>"]) + "\n"
 
 
-def _thin(arr: np.ndarray, target: int = 800) -> np.ndarray:
-    stride = max(1, len(arr) // target)
-    idx = np.arange(0, len(arr), stride)
-    if idx[-1] != len(arr) - 1:
-        idx = np.append(idx, len(arr) - 1)
-    return arr[idx]
+def _thin(n: int, target: int = 800) -> np.ndarray:
+    """Indices of every (n // target)-th of n records and of the last: all n
+    below 2 * target, at most 2 * target + 1 otherwise."""
+    idx = np.arange(0, n, max(1, n // target))
+    if idx[-1] != n - 1:
+        idx = np.append(idx, n - 1)
+    return idx
 
 
 def _finite_cap(values: np.ndarray) -> float:
     """Largest finite magnitude in a series; aborted runs can record huge forces."""
     finite = values[np.isfinite(values)]
     return float(finite.max()) if finite.size else 1.0
+
+
+class RunSeries(NamedTuple):
+    """What the figures plot of one run with records: the thinned time,
+    position (n, 2) and force norms, and norm_cap, the largest finite force
+    norm over the whole run (1.0 if there is none)."""
+
+    k_safe: float
+    t: np.ndarray
+    pos: np.ndarray
+    phi_norm: np.ndarray
+    force_safe_norm: np.ndarray
+    norm_cap: float
+
+
+def run_series(k_safe: float, t, pos, phi_norm, force_safe_norm) -> RunSeries:
+    """The RunSeries of a run with records, from its full-length columns."""
+    idx = _thin(len(t))
+    cap = max(_finite_cap(phi_norm), _finite_cap(force_safe_norm))
+    return RunSeries(k_safe, t[idx], pos[idx], phi_norm[idx], force_safe_norm[idx], cap)
+
+
+def _run_name(k_safe: float) -> str:
+    return "baseline" if k_safe == 0.0 else f"k_safe={k_safe:g}"
 
 
 def _legend(labels: list[str], colors: list[str]) -> list[str]:
@@ -118,8 +148,9 @@ def _legend(labels: list[str], colors: list[str]) -> list[str]:
     return parts
 
 
-def render_trajectories(runs, bundle, path: Path) -> None:
-    """End-effector paths over the region box, unsafe half planes shaded."""
+def render_trajectories(runs: Sequence[Optional[RunSeries]], bundle, path: Path) -> None:
+    """End-effector paths over the region box, unsafe half planes shaded.
+    A run without records (None) plots nothing but keeps its colour."""
     config = bundle.config
     frame = _Frame(config.region_p1, config.region_p2)
     body = []
@@ -139,18 +170,15 @@ def render_trajectories(runs, bundle, path: Path) -> None:
 
     labels, colors = [], []
     start = None
-    for i, traj in enumerate(runs):
+    for i, run in enumerate(runs):
         color = _PALETTE[i % len(_PALETTE)]
-        if len(traj) == 0:
+        if run is None:
             continue
         if start is None:
-            start = traj.pos[0]
-        pos = _thin(traj.pos)
-        dash = "6,4" if traj.meta.get("k_safe", 0.0) == 0.0 else ""
-        body.append(frame.polyline(pos[:, 0], pos[:, 1], color, 1.6, dash))
-        labels.append(
-            "baseline" if traj.meta.get("k_safe", 0.0) == 0.0 else f"k_safe={traj.meta['k_safe']:g}"
-        )
+            start = run.pos[0]
+        dash = "6,4" if run.k_safe == 0.0 else ""
+        body.append(frame.polyline(run.pos[:, 0], run.pos[:, 1], color, 1.6, dash))
+        labels.append(_run_name(run.k_safe))
         colors.append(color)
 
     goal = config.goal
@@ -167,31 +195,21 @@ def render_trajectories(runs, bundle, path: Path) -> None:
     path.write_text(_document(body), encoding="utf-8")
 
 
-def render_input_norms(runs, path: Path) -> None:
-    """Plain feedback-linearization force norm and safety force norm vs time."""
-    y_max = 0.0
-    series = []
-    with np.errstate(over="ignore", invalid="ignore"):
-        for traj in runs:
-            if len(traj) == 0:
-                continue
-            phi = traj.force - traj.force_safe
-            phi_n = np.linalg.norm(phi, axis=1)
-            safe_n = np.linalg.norm(traj.force_safe, axis=1)
-            series.append((traj, phi_n, safe_n))
-            y_max = max(y_max, _finite_cap(phi_n), _finite_cap(safe_n))
-    t_max = max((float(traj.t[-1]) for traj, _, _ in series), default=1.0)
+def render_input_norms(runs: Sequence[Optional[RunSeries]], path: Path) -> None:
+    """Plain feedback-linearization force norm and safety force norm vs time,
+    for the runs with records, coloured in their order."""
+    series = [run for run in runs if run is not None]
+    y_max = max((run.norm_cap for run in series), default=0.0)
+    t_max = max((float(run.t[-1]) for run in series), default=1.0)
     frame = _Frame((0.0, max(t_max, 1e-9)), (0.0, 1.05 * max(y_max, 1e-9)))
 
     body = []
     labels, colors = [], []
-    for i, (traj, phi_n, safe_n) in enumerate(series):
+    for i, run in enumerate(series):
         color = _PALETTE[i % len(_PALETTE)]
-        t = _thin(traj.t)
-        body.append(frame.polyline(t, _thin(phi_n), color, 1.0, dash="3,3"))
-        body.append(frame.polyline(t, _thin(safe_n), color, 1.8))
-        k_safe = traj.meta.get("k_safe", 0.0)
-        labels.append("baseline" if k_safe == 0.0 else f"k_safe={k_safe:g}")
+        body.append(frame.polyline(run.t, run.phi_norm, color, 1.0, dash="3,3"))
+        body.append(frame.polyline(run.t, run.force_safe_norm, color, 1.8))
+        labels.append(_run_name(run.k_safe))
         colors.append(color)
     body.extend(_legend(labels, colors))
     body.extend(frame.axes("time (s)", "force norm (dashed: plain FL, solid: safety)"))

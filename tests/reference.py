@@ -11,6 +11,8 @@ controller evaluates from plain-float constants; joint_accel_reference
 composes both into the joint acceleration y = J^-1 (a - Jdot qdot) that the
 law commands. finite_diff_grad, kinetic_energy and jacobian_det are the
 numerical and closed-form checks that the model and certificate tests use.
+svg_polyline maps and formats a figure's points one at a time, the
+reference for the whole-array mapping of svg._Frame.polyline.
 """
 
 import math
@@ -172,3 +174,30 @@ def joint_accel_reference(controller, q, qdot):
         safe = 0.0 if cert is None else safe_aux_input(cert, (x1, x2), kp, kd, k_safe)
         a[i] = sign * (-kp * x1 - kd * x2 + safe)
     return np.linalg.solve(J, a - Jdot @ np.asarray(qdot, dtype=float))
+
+
+def svg_polyline(frame, xs, ys, color, width=1.5, dash=""):
+    """The SVG polyline through the finite points (x, y) of xs and ys on the
+    viewport of frame, each point mapped and formatted on its own; "" if
+    no point is finite."""
+    from safefl.svg import _HEIGHT, _MARGIN, _WIDTH
+
+    def px(value):
+        span = frame.x1 - frame.x0
+        return _MARGIN + (value - frame.x0) / span * (_WIDTH - 2 * _MARGIN)
+
+    def py(value):
+        span = frame.y1 - frame.y0
+        return _HEIGHT - _MARGIN - (value - frame.y0) / span * (_HEIGHT - 2 * _MARGIN)
+
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    keep = np.isfinite(xs) & np.isfinite(ys)
+    if not np.any(keep):
+        return ""
+    pts = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(xs[keep], ys[keep]))
+    dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
+    return (
+        f'<polyline points="{pts}" fill="none" stroke="{color}" '
+        f'stroke-width="{width}"{dash_attr}/>'
+    )

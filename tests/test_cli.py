@@ -241,8 +241,7 @@ class TestSimulate:
         raw["k_safe"] = []
         path = write_config(tmp_path, raw)
         out = tmp_path / "out"
-        with np.errstate(over="ignore"):
-            assert main(["simulate", "--config", str(path), "--out", str(out)]) == 4
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 4
         summary = json.loads((out / "summary.json").read_text())
         assert summary["runs"][0]["failure"]["error"] in ("NearSingular", "NonFiniteState")
         # steps completed before the aborted one, which starts at the failure time
@@ -448,16 +447,46 @@ class TestParallelSweep:
     NAMES = ("baseline.csv", "ksafe_0.2.csv", "ksafe_0.5.csv", "ksafe_1.5.csv")
 
     def test_csvs_match_in_process_runs(self, tmp_path):
-        from safefl.cli import write_trajectory_csv
+        # and so do summary.json's runs and both figures, made in-process
+        # from the same trajectories by the same builders and renderers
+        from safefl.cli import _summarize, write_trajectory_csv
         from safefl.scenario import build_bundle, default_config_path, load_config, run_case
+        from safefl.svg import render_input_norms, render_trajectories
 
         out = tmp_path / "out"
         assert main(["reproduce-paper", "--horizon", "0.05", "--out", str(out)]) == 0
         bundle = build_bundle(load_config(default_config_path()), enforce_bounds=True)
+        pairs = []
         for name, k in zip(self.NAMES, (0.0, 0.2, 0.5, 1.5)):
             serial = tmp_path / f"serial_{name}"
-            write_trajectory_csv(run_case(bundle, k, horizon=0.05), serial)
+            traj = run_case(bundle, k, horizon=0.05)
+            write_trajectory_csv(traj, serial)
             assert (out / name).read_bytes() == serial.read_bytes()
+            pairs.append(_summarize(bundle, traj))
+        runs = json.loads((out / "summary.json").read_text(encoding="utf-8"))["runs"]
+        assert json.dumps(runs) == json.dumps([entry for entry, _ in pairs])
+        figures = [series for _, series in pairs]
+        render_trajectories(figures, bundle, tmp_path / "serial_trajectories.svg")
+        render_input_norms(figures, tmp_path / "serial_input_norms.svg")
+        for name in ("trajectories.svg", "input_norms.svg"):
+            assert (out / name).read_bytes() == (tmp_path / f"serial_{name}").read_bytes()
+
+    @pytest.mark.parametrize("horizon", [2.0, 10.0])
+    def test_child_sends_a_bounded_summary(self, tmp_path, horizon):
+        # what a child sends is its summary entry and figure series, never
+        # the trajectory; the series are thinned to 800 to 1600 points, so
+        # the message does not grow with the run
+        from multiprocessing.reduction import ForkingPickler
+
+        from safefl.cli import _simulate_sweep
+        from safefl.scenario import build_bundle, default_config_path, load_config
+        from safefl.svg import RunSeries
+
+        bundle = build_bundle(load_config(default_config_path()), enforce_bounds=True)
+        [(entry, series)] = _simulate_sweep(bundle, (1.5,), None, horizon, tmp_path)
+        assert entry["steps"] == round(horizon / 1e-3) and entry["safe"] is True
+        assert isinstance(series, RunSeries)
+        assert len(ForkingPickler.dumps((entry, series))) < 64 * 1024
 
     def test_one_cpu_gives_the_same_outputs(self, tmp_path, monkeypatch, capsys):
         out_all, out_one = tmp_path / "all", tmp_path / "one"
