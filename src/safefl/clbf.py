@@ -163,25 +163,13 @@ def v1_min_on_unsafe(P, d: float) -> float:
 
 
 @dataclass(frozen=True)
-class LevelParams:
-    """Level values and sigmoid endpoints entering the parameter bounds."""
-
-    v1: float
-    v2: float
-    sigma1: float
-    sigma2: float
-    gamma: float
-
-    def __post_init__(self):
-        if not (0.0 < self.v1 < self.v2):
-            raise ValueError("levels must satisfy 0 < v1 < v2")
-        if not (0.0 < self.sigma2 < 0.5 < self.sigma1 < 1.0):
-            raise ValueError("sigmoid endpoints must satisfy 0 < sigma2 < 1/2 < sigma1 < 1")
-
-
-@dataclass(frozen=True)
 class WeakCLBF:
     """Scaled-and-shifted certificate W(x) = (1 + theta*sigma(x1)) V(x) - k.
+
+    bounds is the certificate's one design record: the levels v1 and v2 and
+    gamma its parameters were chosen against. The sigmoid endpoints sigma1
+    and sigma2 follow from it and the shape, as
+    bounds.sigma_endpoints(shape.l, shape.delta).
 
     Instances produced by select_parameters / assemble_weak_clbf satisfy the
     slope, margin, scaling and offset bounds; direct construction performs no
@@ -193,7 +181,7 @@ class WeakCLBF:
     shape: SigmoidShape
     theta: float
     k: float
-    levels: LevelParams
+    bounds: ParameterBounds
 
     def value_and_grad(self, x1, x2):
         """(W, dW/dx1, dW/dx2) at floats or at arrays of one shape, sharing
@@ -324,15 +312,14 @@ def assemble_weak_clbf(
         ratio = sigma1 / sigma2
         if abs(ratio - math.exp(0.5 * l * delta)) > 1e-9 * ratio:
             raise MarginInfeasible("sigmoid endpoint identity violated (delta too large)")
+    if not 0.0 < sigma2 < 0.5 < sigma1 < 1.0:
+        raise ValueError("sigmoid endpoints must satisfy 0 < sigma2 < 1/2 < sigma1 < 1")
     if k is None:
         k = (1.0 + theta * sigma2) * v2
     # plain floats keep the scalar evaluations inside the controller off
     # numpy's slower scalar arithmetic
     shape = SigmoidShape(l=float(l), d=float(unsafe.d), delta=float(delta))
-    levels = LevelParams(
-        v1=bounds.v1, v2=v2, sigma1=sigma1, sigma2=sigma2, gamma=bounds.gamma
-    )
-    return WeakCLBF(clf=clf, shape=shape, theta=float(theta), k=float(k), levels=levels)
+    return WeakCLBF(clf=clf, shape=shape, theta=float(theta), k=float(k), bounds=bounds)
 
 
 def select_parameters(
@@ -592,7 +579,7 @@ def check_c_omega_subset(
     sigma <= sigma(d + delta) and V <= v2 bound W. A set with no point in the
     region fails, with no margin and no witness."""
     _check_resolution(grid_resolution)
-    clf, edge, v2 = W.clf, W.shape.d + W.shape.delta, W.levels.v2
+    clf, edge, v2 = W.clf, W.shape.d + W.shape.delta, W.bounds.v2
 
     def g(x1: float) -> float:  # the minimum of V over the region's x2 range
         x2 = min(max(-x1 * W.line_slope, region.x2_min), region.x2_max)

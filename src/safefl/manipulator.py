@@ -30,7 +30,6 @@ import numpy as np
 
 from .clbf import _EXP_CLAMP, _ONE_BELOW, WeakCLBF
 from .errors import NearSingular, NonFiniteState
-from .numerics import is_hurwitz_2x2
 
 _B_DEADZONE = 1e-12  # relative to 1 + |a|; below this the channel is treated as closed
 
@@ -60,18 +59,15 @@ class ManipulatorParams:
 # kinematic and dynamic kernels
 
 
-def _position_entries(
-    p: ManipulatorParams, s1: float, c1: float, s12: float, c12: float
-) -> tuple[float, float]:
-    return p.L1 * c1 + p.L2 * c12, p.L1 * s1 + p.L2 * s12
-
-
-def _jacobian_entries(
-    p: ManipulatorParams, s1: float, c1: float, s12: float, c12: float
-) -> tuple[float, float, float, float]:
+def _task_entries(
+    p: ManipulatorParams, s1: float, c1: float, s12: float, c12: float, qd1: float, qd2: float
+) -> tuple[tuple[float, float, float, float], tuple[float, float], tuple[float, float]]:
+    """The Jacobian's entries (j11, j12, j21, j22), the end-effector position
+    (p1, p2) and velocity (v1, v2) from a joint state's trigonometry."""
     a, b = p.L1 * s1, p.L2 * s12
     c, d = p.L1 * c1, p.L2 * c12
-    return -a - b, -b, c + d, d
+    j11, j12, j21, j22 = -a - b, -b, c + d, d
+    return (j11, j12, j21, j22), (c + d, a + b), (j11 * qd1 + j12 * qd2, j21 * qd1 + j22 * qd2)
 
 
 def _model(p: ManipulatorParams) -> tuple[float, ...]:
@@ -110,20 +106,20 @@ def _joint_accel(model, c1, c12, s2, c2, qd1, qd2, tau1, tau2) -> tuple[float, f
 # public model functions
 
 
-def forward_kinematics(params: ManipulatorParams, q) -> np.ndarray:
+def _kinematics(params: ManipulatorParams, q):
+    """_task_entries at joint angles q, at rest."""
     t12 = q[0] + q[1]
-    return np.array(
-        _position_entries(
-            params, math.sin(q[0]), math.cos(q[0]), math.sin(t12), math.cos(t12)
-        )
+    return _task_entries(
+        params, math.sin(q[0]), math.cos(q[0]), math.sin(t12), math.cos(t12), 0.0, 0.0
     )
+
+
+def forward_kinematics(params: ManipulatorParams, q) -> np.ndarray:
+    return np.array(_kinematics(params, q)[1])
 
 
 def jacobian(params: ManipulatorParams, q) -> np.ndarray:
-    t12 = q[0] + q[1]
-    j11, j12, j21, j22 = _jacobian_entries(
-        params, math.sin(q[0]), math.cos(q[0]), math.sin(t12), math.cos(t12)
-    )
+    j11, j12, j21, j22 = _kinematics(params, q)[0]
     return np.array([[j11, j12], [j21, j22]])
 
 
@@ -168,9 +164,6 @@ class GainSchedule:
             raise ValueError("kp and kd must be positive")
         if np.any(k_safe < 0.0):
             raise ValueError("k_safe must be non-negative")
-        for kp_i, kd_i in zip(kp, kd):
-            if not is_hurwitz_2x2([[0.0, 1.0], [-kp_i, -kd_i]]):
-                raise ValueError(f"subsystem gains ({kp_i}, {kd_i}) are not stabilizing")
         object.__setattr__(self, "kp", kp)
         object.__setattr__(self, "kd", kd)
         object.__setattr__(self, "k_safe", k_safe)
@@ -281,15 +274,6 @@ class SafeTaskController:
         )
 
 
-def _task_entries(
-    p: ManipulatorParams, s1: float, c1: float, s12: float, c12: float, qd1: float, qd2: float
-) -> tuple[float, float, float, float]:
-    """End-effector (p1, p2, v1, v2) from a joint state's trigonometry."""
-    j11, j12, j21, j22 = _jacobian_entries(p, s1, c1, s12, c12)
-    p1, p2 = _position_entries(p, s1, c1, s12, c12)
-    return p1, p2, j11 * qd1 + j12 * qd2, j21 * qd1 + j22 * qd2
-
-
 class ManipulatorPlant:
     """Joint-space plant x = (q, qdot), tau in, integrated by the simulator."""
 
@@ -314,10 +298,10 @@ class ManipulatorPlant:
     def task_state(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         q1, q2, qd1, qd2 = (float(v) for v in x)
         t12 = q1 + q2
-        p1, p2, v1, v2 = _task_entries(
+        _, pos, vel = _task_entries(
             self.params, math.sin(q1), math.cos(q1), math.sin(t12), math.cos(t12), qd1, qd2
         )
-        return np.array((p1, p2)), np.array((v1, v2))
+        return np.array(pos), np.array(vel)
 
 
 class ArmStage:
@@ -427,7 +411,8 @@ class ArmStage:
             # the plant's kinematics are the controller's, already evaluated
             task = (e1 + d, e2 + b, j11 * qd1 + j12 * qd2, j21 * qd1 + j22 * qd2)
         else:
-            task = _task_entries(self.plant_params, s1, c1, s12, c12, qd1, qd2)
+            _, pos, vel = _task_entries(self.plant_params, s1, c1, s12, c12, qd1, qd2)
+            task = (*pos, *vel)
         row = (
             tau1,
             tau2,

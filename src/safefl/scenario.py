@@ -4,7 +4,10 @@ A configuration names the arm, the Cartesian goal, per-axis position
 constraints, loop gains and certificate parameters. Assembly normalizes each
 constraint onto a canonical left half plane (recording the axis sign flip),
 solves the per-axis Lyapunov equations, selects or validates the certificate
-parameters, and exposes plant/controller factories for simulation.
+parameters, and exposes plant/controller factories for simulation. Each
+certificate carries its one design record, the ParameterBounds (v1, v2,
+gamma) its parameters were chosen against; parameter_report reads the bounds
+and sigmoid endpoints from it.
 """
 
 from __future__ import annotations
@@ -20,14 +23,12 @@ import numpy as np
 from .clbf import (
     HalfPlaneUnsafe,
     MarginPolicy,
-    ParameterBounds,
     QuadraticCLF,
     RegionBox,
     WeakCLBF,
     assemble_weak_clbf,
     full_verification,
     normalize_constraint,
-    parameter_bounds,
     select_parameters,
     v1_min_on_unsafe,
 )
@@ -329,7 +330,6 @@ class SubsystemSetup:
     clf: QuadraticCLF
     region: RegionBox
     unsafe: Optional[HalfPlaneUnsafe]
-    bounds: Optional[ParameterBounds]
     certificate: Optional[WeakCLBF]
     xbar0: tuple[float, float]
 
@@ -356,18 +356,6 @@ class ScenarioBundle:
     @property
     def certificates(self) -> list[Optional[WeakCLBF]]:
         return [sub.certificate for sub in self.subsystems]
-
-    def initial_w(self) -> np.ndarray:
-        return np.array(
-            [
-                sub.certificate.value_and_grad(*sub.xbar0)[0] if sub.certificate else np.nan
-                for sub in self.subsystems
-            ]
-        )
-
-    def initial_member(self) -> bool:
-        values = self.initial_w()
-        return bool(np.all(values[~np.isnan(values)] <= 0.0))
 
     def gain_schedule(self, k_safe_value: float) -> GainSchedule:
         k_safe = np.array(
@@ -447,7 +435,6 @@ def _assemble(config: RunConfig, enforce_bounds: bool) -> ScenarioBundle:
         edot0 = sign * config.initial_velocity[axis]
 
         certificate = None
-        bounds = None
         if unsafe is not None:
             v2 = config.v2[constrained_index]
             if v2 is None:
@@ -455,7 +442,6 @@ def _assemble(config: RunConfig, enforce_bounds: bool) -> ScenarioBundle:
                 # over the unsafe-set minimum so the level set reaches it
                 v0 = clf.value_and_grad(e0, edot0)[0]
                 v2 = max(v0, 1.5 * v1_min_on_unsafe(clf, unsafe.d))
-            bounds = parameter_bounds(clf, region, unsafe, v2)
             if config.clbf_mode == "auto":
                 policy = MarginPolicy(
                     l=config.l_override[constrained_index],
@@ -487,7 +473,6 @@ def _assemble(config: RunConfig, enforce_bounds: bool) -> ScenarioBundle:
                 clf=clf,
                 region=region,
                 unsafe=unsafe,
-                bounds=bounds,
                 certificate=certificate,
                 xbar0=(e0, edot0),
             )
@@ -559,7 +544,7 @@ def verify_bundle(
 
 def parameter_report(bundle: ScenarioBundle) -> dict:
     """Chosen certificate parameters with their bounds and slack factors."""
-    subsystems = []
+    subsystems, initial_w = [], []
     for sub in bundle.subsystems:
         entry: dict = {
             "axis": sub.axis,
@@ -571,11 +556,14 @@ def parameter_report(bundle: ScenarioBundle) -> dict:
         }
         if sub.constrained:
             cert = sub.certificate
-            bounds = sub.bounds
+            bounds = cert.bounds
             l = cert.shape.l
             delta = cert.shape.delta
             delta_min = bounds.delta_min(l)
             theta_min = bounds.theta_min(l, delta)
+            sigma1, sigma2 = bounds.sigma_endpoints(l, delta)
+            w0 = cert.value_and_grad(*sub.xbar0)[0]
+            initial_w.append(w0)
             entry.update(
                 {
                     "d": sub.unsafe.d,
@@ -589,21 +577,23 @@ def parameter_report(bundle: ScenarioBundle) -> dict:
                     "theta_min": theta_min,
                     "theta": cert.theta,
                     "k": cert.k,
-                    "sigma1": cert.levels.sigma1,
-                    "sigma2": cert.levels.sigma2,
-                    "w0": cert.value_and_grad(*sub.xbar0)[0],
+                    "sigma1": sigma1,
+                    "sigma2": sigma2,
+                    "w0": w0,
                     "slack": {
                         "delta_over_min": delta / delta_min if delta_min > 0 else math.inf,
                         "theta_over_min": cert.theta / theta_min if math.isfinite(theta_min) else 0.0,
                     },
                 }
             )
+        else:
+            initial_w.append(None)
         subsystems.append(entry)
     out = {
         "name": bundle.config.name,
         "subsystems": subsystems,
-        "initial_w": [None if math.isnan(v) else v for v in bundle.initial_w()],
-        "initial_member": bundle.initial_member(),
+        "initial_w": initial_w,
+        "initial_member": all(w <= 0.0 for w in initial_w if w is not None),
     }
     if bundle.config.reference_initial_w is not None:
         out["reference_initial_w"] = list(bundle.config.reference_initial_w)

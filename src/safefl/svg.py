@@ -24,6 +24,7 @@ class _Frame:
         self.x0, self.x1 = x_range
         self.y0, self.y1 = y_range
 
+    # x() and y() map a float or, with the same operations, a whole array
     def x(self, value: float) -> float:
         span = self.x1 - self.x0
         return _MARGIN + (value - self.x0) / span * (_WIDTH - 2 * _MARGIN)
@@ -50,9 +51,7 @@ class _Frame:
         keep = np.isfinite(xs) & np.isfinite(ys)
         if not np.any(keep):
             return ""
-        # the operations of x() and y(), in their order, over whole arrays
-        px = _MARGIN + (xs[keep] - self.x0) / (self.x1 - self.x0) * (_WIDTH - 2 * _MARGIN)
-        py = _HEIGHT - _MARGIN - (ys[keep] - self.y0) / (self.y1 - self.y0) * (_HEIGHT - 2 * _MARGIN)
+        px, py = self.x(xs[keep]), self.y(ys[keep])
         pts = " ".join(["%.2f,%.2f" % point for point in zip(px.tolist(), py.tolist())])
         dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
         return (
@@ -96,9 +95,9 @@ def _document(body: Sequence[str]) -> str:
 
 
 def _thin(n: int, target: int = 800) -> np.ndarray:
-    """Indices of every (n // target)-th of n records and of the last: all n
-    below 2 * target, at most 2 * target + 1 otherwise."""
-    idx = np.arange(0, n, max(1, n // target))
+    """Indices of every ceil(n / target)-th of n records and of the last: all
+    n up to target, at most target + 1 otherwise."""
+    idx = np.arange(0, n, -(-n // target))
     if idx[-1] != n - 1:
         idx = np.append(idx, n - 1)
     return idx

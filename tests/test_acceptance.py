@@ -121,7 +121,7 @@ def test_criterion_03_certificate_verification(default_bundle):
         cert = sub0.certificate
         unscaled = WeakCLBF(
             clf=cert.clf, shape=cert.shape, theta=0.0,
-            k=cert.levels.v2, levels=cert.levels,
+            k=cert.bounds.v2, bounds=cert.bounds,
         )
         broken = verify_weak_clbf(unscaled, sub0.region, sub0.unsafe, 400)
         assert not broken.positive_on_unsafe.passed
@@ -146,7 +146,7 @@ def test_criterion_04_margin_set_containment(default_bundle):
             result = check_c_omega_subset(cert, sub.region, grid_resolution=200)
             assert result.passed and result.margin <= 1e-9
             x1 = cert.shape.d + cert.shape.delta
-            disc = 2.0 * cert.clf.p22 * cert.levels.v2 - cert.clf.det * x1 * x1
+            disc = 2.0 * cert.clf.p22 * cert.bounds.v2 - cert.clf.det * x1 * x1
             x2 = (-cert.clf.p12 * x1 + math.sqrt(disc)) / cert.clf.p22
             assert abs(cert.value_and_grad(x1, x2)[0]) < 1e-9
         assert time.perf_counter() - start < 2.0

@@ -6,7 +6,6 @@ import pytest
 from reference import finite_diff_grad
 from safefl.clbf import (
     HalfPlaneUnsafe,
-    LevelParams,
     MarginPolicy,
     QuadraticCLF,
     RegionBox,
@@ -229,7 +228,8 @@ class TestParameterSelection:
         assert cert.shape.l == pytest.approx(4.0)
         assert cert.shape.delta > bounds.delta_min(cert.shape.l)
         assert cert.theta > bounds.theta_min(cert.shape.l, cert.shape.delta)
-        assert cert.k == pytest.approx((1 + cert.theta * cert.levels.sigma2) * 2.0)
+        sigma2 = bounds.sigma_endpoints(cert.shape.l, cert.shape.delta)[1]
+        assert cert.k == pytest.approx((1 + cert.theta * sigma2) * 2.0)
 
     def test_slope_override_and_rejection(self):
         cert = select_parameters(P1, BOX1, UNSAFE1, v2=2.0, policy=MarginPolicy(l=2.0))
@@ -281,10 +281,10 @@ class TestWeakCLBFEvaluation:
         # x1 = d + delta and V = v2 determine x2 by the quadratic formula
         clf = cert.clf
         x1 = cert.shape.d + cert.shape.delta
-        disc = 2.0 * clf.p22 * cert.levels.v2 - clf.det * x1 * x1
+        disc = 2.0 * clf.p22 * cert.bounds.v2 - clf.det * x1 * x1
         assert disc > 0.0
         x2 = (-clf.p12 * x1 + math.sqrt(disc)) / clf.p22
-        assert clf.value_and_grad(x1, x2)[0] == pytest.approx(cert.levels.v2, abs=1e-12)
+        assert clf.value_and_grad(x1, x2)[0] == pytest.approx(cert.bounds.v2, abs=1e-12)
         assert cert.value_and_grad(x1, x2)[0] == pytest.approx(0.0, abs=1e-9)
 
     def test_grad_zero_at_origin(self, cert):
@@ -356,8 +356,9 @@ class TestCertificateInvariants:
     def test_denominator_positive_for_selected(self):
         for v2 in (1.3, 2.0, 5.0, 20.0):
             cert = select_parameters(P1, BOX1, UNSAFE1, v2=v2)
-            lv = cert.levels
-            assert lv.sigma1 * lv.v1 - lv.sigma2 * lv.v2 > 0.0
+            b = cert.bounds
+            sigma1, sigma2 = b.sigma_endpoints(cert.shape.l, cert.shape.delta)
+            assert sigma1 * b.v1 - sigma2 * b.v2 > 0.0
 
     def test_two_sided_growth_bounds(self):
         cert = select_parameters(P1, BOX1, UNSAFE1, v2=2.0)
@@ -382,7 +383,7 @@ class TestCertificateInvariants:
         # the verifier, not the constructor, judges broken certificates
         base = select_parameters(P1, BOX1, UNSAFE1, v2=2.0)
         mutant = WeakCLBF(
-            clf=base.clf, shape=base.shape, theta=0.0, k=2.0, levels=base.levels
+            clf=base.clf, shape=base.shape, theta=0.0, k=2.0, bounds=base.bounds
         )
         assert mutant.value_and_grad(0.0, 0.0)[0] == -2.0
 
@@ -392,15 +393,21 @@ class TestCertificateInvariants:
         cert = assemble_weak_clbf(
             P1, BOX1, UNSAFE1, v2=2.0, l=5000.0, delta=0.28, theta=50.0, enforce_bounds=False
         )
-        levels = cert.levels
-        assert 0.0 < levels.sigma2 < 0.5 < levels.sigma1 < 1.0
-        assert levels.sigma1 == sigmoid_eval(cert.shape, cert.shape.d)
+        sigma1, sigma2 = cert.bounds.sigma_endpoints(cert.shape.l, cert.shape.delta)
+        assert 0.0 < sigma2 < 0.5 < sigma1 < 1.0
+        assert sigma1 == sigmoid_eval(cert.shape, cert.shape.d)
 
-    def test_level_params_validation(self):
-        with pytest.raises(ValueError):
-            LevelParams(v1=2.0, v2=1.0, sigma1=0.6, sigma2=0.4, gamma=0.5)
-        with pytest.raises(ValueError):
-            LevelParams(v1=1.0, v2=2.0, sigma1=0.4, sigma2=0.6, gamma=0.5)
+    def test_level_and_endpoint_validation(self):
+        # v2 at or below v1, and a sigmoid so flat that sigma1 rounds to 1/2,
+        # are rejected even when the feasibility bounds are not enforced
+        with pytest.raises(LevelTooSmall):
+            assemble_weak_clbf(
+                P1, BOX1, UNSAFE1, v2=1.0, l=4.0, delta=0.28, theta=50.0, enforce_bounds=False
+            )
+        with pytest.raises(ValueError, match="0 < sigma2 < 1/2 < sigma1 < 1"):
+            assemble_weak_clbf(
+                P1, BOX1, UNSAFE1, v2=2.0, l=1e-10, delta=1e-8, theta=50.0, enforce_bounds=False
+            )
 
 
 class TestRegionBox:

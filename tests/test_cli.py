@@ -39,6 +39,14 @@ class TestSelectParams:
         assert report["initial_member"] is True
         text = capsys.readouterr().out
         assert "axis 0" in text and "theta" in text
+        # the sigmoid endpoints are read from each certificate's design record
+        from safefl.scenario import build_bundle, default_config_path, load_config
+
+        bundle = build_bundle(load_config(default_config_path()))
+        for entry, sub in zip(report["subsystems"], bundle.subsystems):
+            cert = sub.certificate
+            sigmas = cert.bounds.sigma_endpoints(cert.shape.l, cert.shape.delta)
+            assert (entry["sigma1"], entry["sigma2"]) == sigmas
 
     def test_level_too_small_exits_2(self, tmp_path, raw_config):
         raw_config["clbf"]["v2"] = [1.0, 2.0]
@@ -352,6 +360,7 @@ class TestErrorExitCodes:
             ("simulate", _set("clbf", "l", [-1.0, None]), [], 3),
             ("simulate", _set("lyapunov_q", [[1.0, 2.0], [2.0, 1.0]]), [], 3),
             ("verify", _explicit(l=-4.0), [], 3),
+            ("verify", _explicit(l=1e-10, delta=1e-8), [], 3),
             ("simulate", _set("gains", "kp", [1e-300, 1.0]), [], 2),
             ("simulate", _singular_start, [], 3),
             ("simulate", _set("initial", "position", [0.0, 0.0]), [], 3),
@@ -386,6 +395,7 @@ class TestErrorExitCodes:
             "negative_l_override",
             "indefinite_q",
             "explicit_negative_l",
+            "explicit_sigmoid_endpoints_at_one_half",
             "singular_lyapunov_system",
             "singular_initial_jacobian",
             "initial_position_at_origin",
@@ -474,7 +484,7 @@ class TestParallelSweep:
     @pytest.mark.parametrize("horizon", [2.0, 10.0])
     def test_child_sends_a_bounded_summary(self, tmp_path, horizon):
         # what a child sends is its summary entry and figure series, never
-        # the trajectory; the series are thinned to 800 to 1600 points, so
+        # the trajectory; the series are thinned to at most 801 points, so
         # the message does not grow with the run
         from multiprocessing.reduction import ForkingPickler
 

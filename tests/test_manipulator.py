@@ -28,7 +28,7 @@ from safefl.manipulator import (
     _axis,
     _axis_law,
 )
-from safefl.scenario import run_case
+from safefl.scenario import parameter_report, run_case
 from safefl.sim import SimConfig, simulate_closed_loop
 from tests.conftest import BOX_SUB1
 
@@ -390,7 +390,7 @@ class TestSafeTaskController:
             action.u, jacobian(PARAMS, default_bundle.q0).T @ action.force, rtol=1e-12
         )
         np.testing.assert_allclose(
-            action.w_values, default_bundle.initial_w(), rtol=1e-9
+            action.w_values, parameter_report(default_bundle)["initial_w"], rtol=1e-9
         )
 
     def test_singularity_propagates(self, default_bundle):

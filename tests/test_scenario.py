@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from safefl.clbf import parameter_bounds
 from safefl.errors import ConfigError, LevelTooSmall, MarginInfeasible
 from safefl.manipulator import forward_kinematics, jacobian
 from safefl.scenario import (
@@ -86,8 +87,8 @@ class TestBundleAssembly:
         subs = default_bundle.subsystems
         assert (subs[0].region.x1_min, subs[0].region.x1_max) == pytest.approx((-1.2, 0.5))
         assert (subs[1].region.x1_min, subs[1].region.x1_max) == pytest.approx((-2.0, 0.2))
-        assert subs[0].bounds.gamma == pytest.approx(0.5)
-        assert subs[1].bounds.gamma == pytest.approx(0.2)
+        assert subs[0].certificate.bounds.gamma == pytest.approx(0.5)
+        assert subs[1].certificate.bounds.gamma == pytest.approx(0.2)
 
     def test_lyapunov_solutions(self, default_bundle):
         np.testing.assert_allclose(
@@ -103,8 +104,15 @@ class TestBundleAssembly:
 
     def test_default_levels(self, default_bundle):
         subs = default_bundle.subsystems
-        assert subs[0].bounds.v2 == pytest.approx(1.895917, abs=1e-6)
-        assert subs[1].bounds.v2 == pytest.approx(4.307, abs=1e-6)
+        assert subs[0].certificate.bounds.v2 == pytest.approx(1.895917, abs=1e-6)
+        assert subs[1].certificate.bounds.v2 == pytest.approx(4.307, abs=1e-6)
+
+    def test_certificates_carry_their_bounds(self, default_bundle):
+        for sub in default_bundle.subsystems:
+            cert = sub.certificate
+            fresh = parameter_bounds(sub.clf, sub.region, sub.unsafe, cert.bounds.v2)
+            assert cert.clf == sub.clf
+            assert cert.bounds == fresh
 
     def test_initial_joint_state(self, default_bundle):
         params = default_bundle.params
@@ -118,9 +126,9 @@ class TestBundleAssembly:
         )
 
     def test_initial_membership(self, default_bundle):
-        assert default_bundle.initial_member()
-        w0 = default_bundle.initial_w()
-        assert np.all(w0 < 0.0)
+        report = parameter_report(default_bundle)
+        assert report["initial_member"] is True
+        assert np.all(np.array(report["initial_w"]) < 0.0)
 
     def test_explicit_published_row_feasible(self, raw_config):
         raw_config["clbf"] = {

@@ -4,7 +4,7 @@ import pytest
 from reference import svg_polyline
 from safefl.scenario import run_case
 from safefl.sim import safety_monitor
-from safefl.svg import _HEIGHT, _MARGIN, _WIDTH, _Frame, run_series
+from safefl.svg import _HEIGHT, _MARGIN, _WIDTH, _Frame, _thin, run_series
 
 # a frame off the origin, as the position figure's, and one at it, as the
 # time axis of the force-norm figure
@@ -16,6 +16,15 @@ def _with_special_values(rng, n):
     picks = rng.choice(n, size=n // 4, replace=False)
     values[picks] = rng.choice([np.nan, np.inf, -np.inf, -0.0, 0.0], size=picks.size)
     return values
+
+
+@pytest.mark.parametrize(
+    "n, count", [(1, 1), (799, 799), (800, 800), (801, 401), (1599, 800), (2001, 668), (10001, 771)]
+)
+def test_thin_keeps_at_most_target_plus_one(n, count):
+    idx = _thin(n)
+    assert len(idx) == count <= 801
+    assert idx[0] == 0 and idx[-1] == n - 1
 
 
 class TestPolyline:

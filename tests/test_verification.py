@@ -47,8 +47,8 @@ class TestVerifyWeakCLBF:
             clf=table_cert_sub1.clf,
             shape=table_cert_sub1.shape,
             theta=0.0,
-            k=table_cert_sub1.levels.v2,
-            levels=table_cert_sub1.levels,
+            k=table_cert_sub1.bounds.v2,
+            bounds=table_cert_sub1.bounds,
         )
         report = verify_weak_clbf(mutant, BOX_SUB1, UNSAFE1, grid_resolution=200)
         assert not report.passed
@@ -122,7 +122,7 @@ class TestCOmegaSubset:
         # the bound is attained on the set's left edge, where V = v2
         x1, x2 = result.witness
         assert x1 == cert.shape.d + cert.shape.delta
-        assert cert.clf.value_and_grad(x1, x2)[0] == pytest.approx(cert.levels.v2, rel=1e-12)
+        assert cert.clf.value_and_grad(x1, x2)[0] == pytest.approx(cert.bounds.v2, rel=1e-12)
 
     def test_published_second_axis(self, table_cert_sub2):
         result = check_c_omega_subset(table_cert_sub2, BOX_SUB2, 200)
@@ -131,7 +131,7 @@ class TestCOmegaSubset:
     def test_corner_touches_zero(self, table_cert_sub1):
         cert = table_cert_sub1
         x1 = cert.shape.d + cert.shape.delta
-        disc = 2.0 * cert.clf.p22 * cert.levels.v2 - cert.clf.det * x1 * x1
+        disc = 2.0 * cert.clf.p22 * cert.bounds.v2 - cert.clf.det * x1 * x1
         x2 = (-cert.clf.p12 * x1 + math.sqrt(disc)) / cert.clf.p22
         assert cert.value_and_grad(x1, x2)[0] == pytest.approx(0.0, abs=1e-9)
 
@@ -177,12 +177,12 @@ def _explicit_config(default_config, theta_factor):
     params = []
     for sub in bundle.subsystems:
         cert = sub.certificate
-        theta = theta_factor * sub.bounds.theta_min(cert.shape.l, cert.shape.delta)
+        theta = theta_factor * sub.certificate.bounds.theta_min(cert.shape.l, cert.shape.delta)
         params.append({"l": cert.shape.l, "delta": cert.shape.delta, "theta": theta, "k": None})
     return replace(
         default_config,
         clbf_mode="explicit",
-        v2=tuple(sub.bounds.v2 for sub in bundle.subsystems),
+        v2=tuple(sub.certificate.bounds.v2 for sub in bundle.subsystems),
         explicit_params=tuple(params),
     )
 
@@ -318,7 +318,7 @@ class TestExactVerdicts:
 def _dense_counterexamples(cert, P, box, d) -> int:
     """Assert no verdict passes against a counterexample found by dense
     sampling; return how many conditions had one."""
-    l, delta, theta, k, v2 = cert.shape.l, cert.shape.delta, cert.theta, cert.k, cert.levels.v2
+    l, delta, theta, k, v2 = cert.shape.l, cert.shape.delta, cert.theta, cert.k, cert.bounds.v2
     found = 0
 
     def w(x1, x2):
