@@ -19,7 +19,6 @@ from .clbf import (
     verify_weak_clbf,
 )
 from .errors import SafeFlError
-from .manipulator import GainSchedule
 from .numerics import is_spd, solve_lyapunov_2x2
 from .sim import SimConfig, Trajectory, safety_monitor, simulate_closed_loop
 
@@ -35,7 +34,6 @@ __all__ = [
     "SimConfig",
     "Trajectory",
     "WeakCLBF",
-    "GainSchedule",
     "check_c_omega_subset",
     "is_spd",
     "safety_monitor",

@@ -370,6 +370,9 @@ _NAMES = (
 # grid_resolution and c_omega_resolution size; it never decides a pass.
 MIN_GRID_RESOLUTION = 50
 MAX_GRID_RESOLUTION = 10_000
+# Radius of the origin ball that the decrease and uniqueness conditions
+# exclude, relative to the region's diameter; reported as eps_origin.
+EPS_ORIGIN_FRACTION = 1e-3
 # The bisection of h stops, undecided, after this many boxes.
 _BISECTION_BOXES = 4096
 # Rounding allowance of a float enclosure of h, relative to the size of its terms.
@@ -548,17 +551,13 @@ def verify_weak_clbf(
     region: RegionBox,
     unsafe: HalfPlaneUnsafe,
     grid_resolution: int = 400,
-    eps_origin: Optional[float] = None,
 ) -> VerificationReport:
     """Decide the defining conditions of a weak CLBF from closed forms; failures
     are data, not raised. grid_resolution sizes only the sampled counterexample
-    search. eps_origin (default 1e-3 of the region's diameter) is the radius of
-    the origin ball the decrease and uniqueness conditions exclude."""
+    search. The decrease and uniqueness conditions exclude the origin ball of
+    radius EPS_ORIGIN_FRACTION times the region's diameter."""
     _check_resolution(grid_resolution)
-    if eps_origin is None:
-        eps_origin = 1e-3 * region.diameter
-    if eps_origin <= 0.0:
-        raise ValueError("eps_origin must be positive")
+    eps_origin = EPS_ORIGIN_FRACTION * region.diameter
     if W.theta < 0.0:
         conditions = [ConditionResult(name, UNDECIDED, math.nan, None, _OUTSIDE) for name in _NAMES]
     else:
@@ -619,10 +618,9 @@ def full_verification(
     region: RegionBox,
     unsafe: HalfPlaneUnsafe,
     grid_resolution: int = 400,
-    eps_origin: Optional[float] = None,
     c_omega_resolution: int = 200,
 ) -> VerificationReport:
     """Run the condition checks and the margin-set containment check together."""
-    report = verify_weak_clbf(W, region, unsafe, grid_resolution, eps_origin)
+    report = verify_weak_clbf(W, region, unsafe, grid_resolution)
     c_omega = check_c_omega_subset(W, region, c_omega_resolution)
     return replace(report, c_omega=c_omega, c_omega_resolution=c_omega_resolution)

@@ -4,15 +4,20 @@ The safe task controller feedback-linearizes the Cartesian dynamics around a
 goal position, imposes decoupled second-order error loops per axis, and adds
 the universal-formula safety input of each axis certificate on top.
 
-The closed loop that the simulator integrates is one flat kernel in ArmStage,
-the one text of the joint dynamics M, c and g: it evaluates controller and
-plant on one set of joint trigonometry and commands the joint acceleration
-y = J^-1 (a - Jdot qdot), so the task-space terms M_p, c_p and g_p are never
-formed. On the controller's own model computed torque tau = M y + c + g
-leaves exactly qddot = y, so the kernel returns y and forms tau only for the
-recorded diagnostics; a plant with another model gets its acceleration
-M^-1 (tau - c - g) from its own constants through _joint_accel, which
-ManipulatorPlant.derivative also calls. Each axis's law evaluates its
+The closed loop that the simulator integrates is one flat kernel in ArmStage:
+it evaluates controller and plant on one set of joint trigonometry and
+commands the joint acceleration y = J^-1 (a - Jdot qdot), so the task-space
+terms M_p, c_p and g_p are never formed. On the controller's own model
+computed torque tau = M y + c + g leaves exactly qddot = y, so the kernel
+returns y and forms tau only for the recorded diagnostics; a plant with
+another model gets its acceleration M^-1 (tau - c - g) from its own
+constants through _joint_accel, which ManipulatorPlant.derivative also
+calls. The joint dynamics M, c and g are thus written twice, in the kernel
+and in _joint_accel, both over the constants of _model. The tests hold the
+two texts together: on the exact model the kernel's torque fed through
+_joint_accel gives back y to within EXACT_MODEL_RTOL, and on a mismatched
+plant the kernel's acceleration equals that torque fed through
+ManipulatorPlant.derivative bit for bit. Each axis's law evaluates its
 certificate W = (1 + theta*sigma(x1)) V - k, its gradient and Sontag's
 universal formula kappa(a, b) = -(a + sqrt(a^2 + b^4)) / b, zero where b
 vanishes (Syst. Control Lett. 13, 1989): a + b*kappa = -sqrt(a^2 + b^4), so W
@@ -144,31 +149,6 @@ def inverse_kinematics(params: ManipulatorParams, p, elbow: str = "up") -> np.nd
 # safe task-space controller
 
 
-@dataclass(frozen=True, eq=False)
-class GainSchedule:
-    """Per-subsystem position/velocity gains and safety gains."""
-
-    kp: np.ndarray
-    kd: np.ndarray
-    k_safe: np.ndarray
-
-    def __post_init__(self):
-        kp = np.atleast_1d(np.asarray(self.kp, dtype=float))
-        kd = np.atleast_1d(np.asarray(self.kd, dtype=float))
-        k_safe = np.atleast_1d(np.asarray(self.k_safe, dtype=float))
-        if not (kp.shape == kd.shape == k_safe.shape):
-            raise ValueError("gain arrays must share one length")
-        if not np.all(np.isfinite(np.concatenate((kp, kd, k_safe)))):
-            raise ValueError("gains must be finite")
-        if np.any(kp <= 0.0) or np.any(kd <= 0.0):
-            raise ValueError("kp and kd must be positive")
-        if np.any(k_safe < 0.0):
-            raise ValueError("k_safe must be non-negative")
-        object.__setattr__(self, "kp", kp)
-        object.__setattr__(self, "kd", kd)
-        object.__setattr__(self, "k_safe", k_safe)
-
-
 def _axis(sign, goal, kp, kd, k_safe, cert: Optional[WeakCLBF]) -> tuple:
     """_axis_law's tuple (sign, goal, kp, kd, k_safe, d, p11, p12, p22, l,
     center, theta, k) of plain floats: the axis's map and gains, then its
@@ -225,57 +205,51 @@ def _axis_law(axis: tuple, p: float, v: float, diagnostics: bool):
     return sign * (acc + safe), sign * safe, w, x1 - d
 
 
-@dataclass(eq=False)
-class ControlAction:
-    """Joint torques of the safe task controller with the diagnostics
-    recorded alongside them: task-space force, its safety part, certificate
-    values and constraint margins, one entry per task axis."""
-
-    u: np.ndarray
-    force: np.ndarray
-    force_safe: np.ndarray
-    w_values: np.ndarray
-    margins: np.ndarray
-
-
 @dataclass(frozen=True, eq=False)
 class SafeTaskController:
     """Feedback-linearizing force controller with per-axis safety inputs.
 
     signs maps task coordinates onto the canonical error coordinates
     (x1_i = signs_i * (p_i - goal_i), x2_i = signs_i * v_i), so that each
-    constrained axis sees its unsafe set as a left half plane. certificates
-    holds one WeakCLBF per axis, or None for an unconstrained axis. The law
-    itself is ArmStage's kernel; calling the controller at a joint state
-    x = (q, qdot) reads its recorded row on the controller's own model.
+    constrained axis sees its unsafe set as a left half plane. kp, kd and
+    k_safe are the per-axis position, velocity and safety gains.
+    certificates holds one WeakCLBF per axis, or None for an unconstrained
+    axis. The law itself is ArmStage's kernel; calling the controller at a
+    joint state x = (q, qdot) reads its recorded row on the controller's own
+    model.
     """
 
     params: ManipulatorParams
     goal: np.ndarray
     signs: np.ndarray
-    gains: GainSchedule
+    kp: np.ndarray
+    kd: np.ndarray
+    k_safe: np.ndarray
     certificates: Sequence[Optional[WeakCLBF]]
 
     def __post_init__(self):
-        object.__setattr__(self, "goal", np.asarray(self.goal, dtype=float))
-        object.__setattr__(self, "signs", np.asarray(self.signs, dtype=float))
-        if len(self.certificates) != 2:
-            raise ValueError("one certificate slot per task axis required")
+        for name in ("goal", "signs", "kp", "kd", "k_safe"):
+            object.__setattr__(self, name, np.array(getattr(self, name), dtype=float, ndmin=1))
+        kp, kd, k_safe = self.kp, self.kd, self.k_safe
+        if not (len(self.certificates) == 2 and kp.shape == kd.shape == k_safe.shape == (2,)):
+            raise ValueError("one gain of each kind and one certificate per task axis required")
+        if not np.all(np.isfinite(np.concatenate((kp, kd, k_safe)))):
+            raise ValueError("gains must be finite")
+        if np.any(kp <= 0.0) or np.any(kd <= 0.0):
+            raise ValueError("kp and kd must be positive")
+        if np.any(k_safe < 0.0):
+            raise ValueError("k_safe must be non-negative")
 
-    def __call__(self, t: float, x: np.ndarray) -> ControlAction:
+    def __call__(self, t: float, x: np.ndarray) -> dict[str, np.ndarray]:
+        """The recorded row at (t, x) as {name: array}, keyed by ArmStage.layout."""
         state = (float(x[0]), float(x[1]), float(x[2]), float(x[3]))
         _, row = ArmStage(self, self.params).record(t, state)
-        return ControlAction(
-            u=np.array(row[0:2]),
-            force=np.array(row[2:4]),
-            force_safe=np.array(row[4:6]),
-            w_values=np.array(row[6:8]),
-            margins=np.array(row[8:10]),
-        )
+        return ArmStage.columns(np.array(row))
 
 
 class ManipulatorPlant:
-    """Joint-space plant x = (q, qdot), tau in, integrated by the simulator."""
+    """Joint-space plant x = (q, qdot), tau in: its forward dynamics and task
+    state. The simulator takes only the plant's ManipulatorParams."""
 
     def __init__(self, params: ManipulatorParams):
         self.params = params
@@ -335,15 +309,27 @@ class ArmStage:
     )
 
     def __init__(self, controller: SafeTaskController, plant_params: ManipulatorParams):
-        gains = controller.gains
-        rows = zip(controller.signs, controller.goal, gains.kp, gains.kd, gains.k_safe)
-        axes = [_axis(*row, cert) for row, cert in zip(rows, controller.certificates)]
+        rows = zip(
+            controller.signs, controller.goal, controller.kp, controller.kd, controller.k_safe,
+            controller.certificates,
+        )
+        axes = [_axis(*row) for row in rows]
         model = controller.params
         plant = _model(plant_params)
         if plant == _model(model):
             plant = None  # the plant's acceleration is the law's own y
         self._constants = (*_model(model), model.singularity_threshold, *axes, plant)
         self.plant_params = plant_params
+
+    @classmethod
+    def columns(cls, rows: np.ndarray) -> dict[str, np.ndarray]:
+        """rows split along their last axis into the named blocks of layout,
+        as views."""
+        out, start = {}, 0
+        for name, width in cls.layout:
+            out[name] = rows[..., start : start + width]
+            start += width
+        return out
 
     def __call__(self, t: float, x) -> tuple[float, float, float, float]:
         return self._field(*x)

@@ -4,7 +4,7 @@ A configuration names the arm, the Cartesian goal, per-axis position
 constraints, loop gains and certificate parameters. Assembly normalizes each
 constraint onto a canonical left half plane (recording the axis sign flip),
 solves the per-axis Lyapunov equations, selects or validates the certificate
-parameters, and exposes plant/controller factories for simulation. Each
+parameters, and exposes the controller factory for simulation. Each
 certificate carries its one design record, the ParameterBounds (v1, v2,
 gamma) its parameters were chosen against; parameter_report reads the bounds
 and sigmoid endpoints from it.
@@ -34,9 +34,7 @@ from .clbf import (
 )
 from .errors import ConfigError
 from .manipulator import (
-    GainSchedule,
     ManipulatorParams,
-    ManipulatorPlant,
     SafeTaskController,
     forward_kinematics,
     inverse_kinematics,
@@ -357,23 +355,17 @@ class ScenarioBundle:
     def certificates(self) -> list[Optional[WeakCLBF]]:
         return [sub.certificate for sub in self.subsystems]
 
-    def gain_schedule(self, k_safe_value: float) -> GainSchedule:
-        k_safe = np.array(
-            [k_safe_value if sub.constrained else 0.0 for sub in self.subsystems]
-        )
-        return GainSchedule(kp=self.config.kp.copy(), kd=self.config.kd.copy(), k_safe=k_safe)
-
     def controller(self, k_safe_value: float) -> SafeTaskController:
+        """The controller with safety gain k_safe_value on each constrained axis."""
         return SafeTaskController(
             params=self.params,
             goal=self.config.goal,
             signs=self.signs,
-            gains=self.gain_schedule(k_safe_value),
+            kp=self.config.kp,
+            kd=self.config.kd,
+            k_safe=[k_safe_value if sub.constrained else 0.0 for sub in self.subsystems],
             certificates=self.certificates,
         )
-
-    def plant(self) -> ManipulatorPlant:
-        return ManipulatorPlant(self.params)
 
     @property
     def x0(self) -> np.ndarray:
@@ -515,7 +507,7 @@ def run_case(
         )
     except ValueError as err:
         raise ConfigError(f"invalid configuration: {err}") from err
-    traj = simulate_closed_loop(bundle.plant(), bundle.controller(k_safe_value), config)
+    traj = simulate_closed_loop(bundle.controller(k_safe_value), bundle.params, config)
     traj.meta["k_safe"] = k_safe_value
     return traj
 

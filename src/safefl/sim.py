@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import NearSingular, NonFiniteState
-from .manipulator import ArmStage, ManipulatorPlant, SafeTaskController
+from .manipulator import ArmStage, ManipulatorParams, SafeTaskController
 
 # A step count horizon / dt within this relative distance of an integer is
 # taken as that integer: the quotient of two decimal floats can land a
@@ -75,7 +75,10 @@ class SimConfig:
 
     def __post_init__(self):
         check_timing(self.dt, self.horizon, self.record_stride)
-        object.__setattr__(self, "x0", np.asarray(self.x0, dtype=float))
+        x0 = np.asarray(self.x0, dtype=float)
+        if x0.shape != (4,):
+            raise ValueError(f"x0 must be the joint state (q1, q2, qd1, qd2), got shape {x0.shape}")
+        object.__setattr__(self, "x0", x0)
 
     @property
     def n_steps(self) -> int:
@@ -119,19 +122,20 @@ class Trajectory:
 
 
 def simulate_closed_loop(
-    plant: ManipulatorPlant,
     controller: SafeTaskController,
+    plant_params: ManipulatorParams,
     config: SimConfig,
 ) -> Trajectory:
-    """Integrate the arm plant under the safe task controller, recording
-    diagnostics per step.
+    """Integrate the arm with parameters plant_params under the safe task
+    controller, recording diagnostics per step. The plant may differ from
+    the controller's model, controller.params.
 
     A step is recorded once its first stage has been evaluated. NearSingular
     and NonFiniteState abort the run; the partial trajectory is returned
     with failure metadata instead of raising. meta["steps"] counts the
     completed integration steps, whatever the recording stride.
     """
-    stage = ArmStage(controller, plant.params)
+    stage = ArmStage(controller, plant_params)
     dt, stride = config.dt, config.record_stride
     n_steps = config.n_steps
     n_records = _record_count(n_steps, stride)
@@ -160,11 +164,7 @@ def simulate_closed_loop(
             failure = {"error": type(err).__name__, "message": str(err), "time": t}
             break
 
-    columns: dict[str, np.ndarray] = {}
-    start = 0
-    for name, width in ArmStage.layout:
-        columns[name] = rows[:count, start : start + width]
-        start += width
+    columns = ArmStage.columns(rows[:count])
     traj = Trajectory(
         t=t_out[:count],
         states=states[:count],

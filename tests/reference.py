@@ -166,10 +166,11 @@ def joint_accel_reference(controller, q, qdot):
     plus the certificate's safety input, mapped back by the sign."""
     p, J, Jdot, _, _, _ = arm_model(controller.params, q, qdot)
     v = J @ np.asarray(qdot, dtype=float)
-    gains = controller.gains
+    per_axis = zip(
+        controller.signs, controller.kp, controller.kd, controller.k_safe, controller.certificates
+    )
     a = np.empty(2)
-    for i, cert in enumerate(controller.certificates):
-        sign, kp, kd, k_safe = controller.signs[i], gains.kp[i], gains.kd[i], gains.k_safe[i]
+    for i, (sign, kp, kd, k_safe, cert) in enumerate(per_axis):
         x1, x2 = sign * (p[i] - controller.goal[i]), sign * v[i]
         safe = 0.0 if cert is None else safe_aux_input(cert, (x1, x2), kp, kd, k_safe)
         a[i] = sign * (-kp * x1 - kd * x2 + safe)

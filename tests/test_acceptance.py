@@ -106,10 +106,8 @@ def test_criterion_03_certificate_verification(default_bundle):
         start = time.perf_counter()
         reports = []
         for sub in default_bundle.subsystems:
-            eps = 1e-3 * sub.region.diameter
             report = verify_weak_clbf(
-                sub.certificate, sub.region, sub.unsafe,
-                grid_resolution=400, eps_origin=eps,
+                sub.certificate, sub.region, sub.unsafe, grid_resolution=400
             )
             reports.append((sub, report))
             assert report.positive_on_unsafe.passed

@@ -19,9 +19,9 @@ from safefl.clbf import HalfPlaneUnsafe, assemble_weak_clbf
 from safefl.errors import NearSingular
 from safefl.manipulator import (
     ArmStage,
-    GainSchedule,
     ManipulatorParams,
     ManipulatorPlant,
+    SafeTaskController,
     forward_kinematics,
     inverse_kinematics,
     jacobian,
@@ -299,17 +299,37 @@ def _scenario_controller(bundle, k_safe):
     return bundle.controller(k_safe)
 
 
-class TestGainSchedule:
-    def test_gain_validation(self):
-        import safefl
+def _gain_controller(**fields):
+    """A SafeTaskController on PARAMS with unconstrained axes, the fields
+    given replacing its defaults."""
+    defaults = {
+        "kp": [1.5, 1.0], "kd": [1.0, 1.0], "k_safe": [1.5, 1.5],
+        "certificates": [None, None],
+    }
+    return SafeTaskController(PARAMS, goal=[0.3, 1.0], signs=[1.0, -1.0], **{**defaults, **fields})
 
-        assert safefl.GainSchedule is GainSchedule
-        with pytest.raises(ValueError):
-            GainSchedule(kp=[1.0, -1.0], kd=[1.0, 1.0], k_safe=[0.0, 0.0])
-        with pytest.raises(ValueError):
-            GainSchedule(kp=[1.0], kd=[1.0, 1.0], k_safe=[0.0, 0.0])
-        with pytest.raises(ValueError):
-            GainSchedule(kp=[1.0, 1.0], kd=[1.0, 1.0], k_safe=[-0.5, 0.0])
+
+class TestGainSchedule:
+    """The per-axis gains kp, kd and k_safe that SafeTaskController holds
+    and checks at construction."""
+
+    def test_gain_validation(self):
+        kp = np.array([1.5, 1.0])
+        controller = _gain_controller(kp=kp, k_safe=0.5 * np.ones(2))
+        kp[0] = 9.0  # the controller holds its own float copies
+        assert controller.kp.tolist() == [1.5, 1.0]
+        assert controller.k_safe.dtype == float
+        cases = [
+            ({"kp": [1.0, -1.0]}, "kp and kd must be positive"),
+            ({"kd": [1.0, 0.0]}, "kp and kd must be positive"),
+            ({"kp": [1.0]}, "per task axis"),
+            ({"k_safe": [0.5, 0.5, 0.5]}, "per task axis"),
+            ({"certificates": [None]}, "per task axis"),
+            ({"k_safe": [-0.5, 0.0]}, "k_safe must be non-negative"),
+        ]
+        for gains, message in cases:
+            with pytest.raises(ValueError, match=message):
+                _gain_controller(**gains)
 
     @pytest.mark.parametrize("name", ["kp", "kd", "k_safe"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
@@ -318,8 +338,8 @@ class TestGainSchedule:
         # input off
         gains = {"kp": [1.5, 1.0], "kd": [1.0, 1.0], "k_safe": [1.5, 1.5]}
         gains[name] = [value, gains[name][1]]
-        with pytest.raises(ValueError):
-            GainSchedule(**gains)
+        with pytest.raises(ValueError, match="gains must be finite"):
+            _gain_controller(**gains)
 
 
 class TestSafeTaskController:
@@ -328,8 +348,8 @@ class TestSafeTaskController:
         q_goal = inverse_kinematics(PARAMS, default_bundle.config.goal)
         action = controller(0.0, np.concatenate([q_goal, np.zeros(2)]))
         _, _, g_p = task_space_terms(PARAMS, q_goal, np.zeros(2))
-        np.testing.assert_allclose(action.force, g_p, atol=1e-9)
-        np.testing.assert_allclose(action.force_safe, np.zeros(2), atol=1e-12)
+        np.testing.assert_allclose(action["force"], g_p, atol=1e-9)
+        np.testing.assert_allclose(action["force_safe"], np.zeros(2), atol=1e-12)
 
     def test_zero_safety_gain_reduces_to_plain_law(self, default_bundle):
         plain = _scenario_controller(default_bundle, 0.0)
@@ -337,8 +357,8 @@ class TestSafeTaskController:
         x = np.array([-0.4, 1.8, 0.5, -0.7])
         a0 = plain(0.0, x)
         a1 = lifted(0.0, x)
-        np.testing.assert_allclose(a0.force_safe, np.zeros(2), atol=1e-12)
-        np.testing.assert_allclose(a1.force - a1.force_safe, a0.force, atol=1e-9)
+        np.testing.assert_allclose(a0["force_safe"], np.zeros(2), atol=1e-12)
+        np.testing.assert_allclose(a1["force"] - a1["force_safe"], a0["force"], atol=1e-9)
 
     def test_initial_error_coordinates(self, default_bundle):
         # state map at the bundled initial condition: x1 = (-0.7, -0.6),
@@ -353,7 +373,7 @@ class TestSafeTaskController:
         controller = _scenario_controller(default_bundle, 1.5)
         signs = default_bundle.signs
         goal = default_bundle.config.goal
-        gains = default_bundle.gain_schedule(1.5)
+        kp, kd, k_safe = controller.kp, controller.kd, controller.k_safe
         certs = default_bundle.certificates
         rng = np.random.default_rng(31)
         for _ in range(50):
@@ -368,30 +388,38 @@ class TestSafeTaskController:
             v = J @ qd
             x1 = signs * (p - goal)
             x2 = signs * v
-            acc = -gains.kp * x1 - gains.kd * x2
+            acc = -kp * x1 - kd * x2
             a_safe = np.array(
-                [
-                    safe_aux_input(
-                        certs[i], (x1[i], x2[i]), gains.kp[i], gains.kd[i], gains.k_safe[i]
-                    )
-                    for i in range(2)
-                ]
+                [safe_aux_input(certs[i], (x1[i], x2[i]), kp[i], kd[i], k_safe[i]) for i in (0, 1)]
             )
             force_safe = m_p @ (signs * a_safe)
             force = m_p @ (signs * acc) + c_p + g_p + force_safe
             tau = J.T @ force
-            np.testing.assert_allclose(action.force, force, rtol=1e-9, atol=1e-9)
-            np.testing.assert_allclose(action.force_safe, force_safe, rtol=1e-9, atol=1e-9)
-            np.testing.assert_allclose(action.u, tau, rtol=1e-9, atol=1e-9)
+            np.testing.assert_allclose(action["force"], force, rtol=1e-9, atol=1e-9)
+            np.testing.assert_allclose(action["force_safe"], force_safe, rtol=1e-9, atol=1e-9)
+            np.testing.assert_allclose(action["inputs"], tau, rtol=1e-9, atol=1e-9)
 
     def test_initial_state_diagnostics(self, default_bundle):
         action = _scenario_controller(default_bundle, 1.5)(0.0, default_bundle.x0)
         np.testing.assert_allclose(
-            action.u, jacobian(PARAMS, default_bundle.q0).T @ action.force, rtol=1e-12
+            action["inputs"], jacobian(PARAMS, default_bundle.q0).T @ action["force"], rtol=1e-12
         )
         np.testing.assert_allclose(
-            action.w_values, parameter_report(default_bundle)["initial_w"], rtol=1e-9
+            action["w"], parameter_report(default_bundle)["initial_w"], rtol=1e-9
         )
+
+    def test_call_reads_the_recorded_row(self, default_bundle):
+        # the call's names are the layout's, and its values are the
+        # simulator's record at the same state, bit for bit
+        controller = _scenario_controller(default_bundle, 1.5)
+        config = SimConfig(dt=1e-3, horizon=0.3, x0=default_bundle.x0)
+        traj = simulate_closed_loop(controller, default_bundle.params, config)
+        assert not traj.failed
+        for i in (0, 137, len(traj) - 1):
+            action = controller(float(traj.t[i]), traj.states[i])
+            assert list(action) == [name for name, _ in ArmStage.layout]
+            for name, values in action.items():
+                assert _bits(values) == _bits(getattr(traj, name)[i])
 
     def test_singularity_propagates(self, default_bundle):
         controller = _scenario_controller(default_bundle, 0.0)
@@ -436,12 +464,11 @@ class TestAxisLaw:
     @pytest.mark.parametrize("k_safe", [0.0, 0.2, 0.5, 1.5])
     def test_stage_matches_composed_law(self, default_bundle, monkeypatch, k_safe):
         controller = default_bundle.controller(k_safe)
-        gains = controller.gains
-        certs = {
-            _axis(controller.signs[i], controller.goal[i], gains.kp[i], gains.kd[i],
-                  gains.k_safe[i], cert): cert
-            for i, cert in enumerate(controller.certificates)
-        }
+        per_axis = zip(
+            controller.signs, controller.goal, controller.kp, controller.kd, controller.k_safe,
+            controller.certificates,
+        )
+        certs = {_axis(*row): row[-1] for row in per_axis}
         traj = run_case(default_bundle, k_safe)
         assert not traj.failed
         # the visited states and 300 random ones away from |sin q2| < 0.05
@@ -538,8 +565,8 @@ class TestTaskJointAgreement:
         k_safe = 1.5
         horizon = 5.0
         joint = simulate_closed_loop(
-            default_bundle.plant(),
             default_bundle.controller(k_safe),
+            default_bundle.params,
             SimConfig(dt=1e-3, horizon=horizon, x0=default_bundle.x0),
         )
         assert not joint.failed

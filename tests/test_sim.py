@@ -48,16 +48,25 @@ class TestRk4Step:
 class TestSimConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
-            SimConfig(dt=0.0, horizon=1.0, x0=np.zeros(2))
+            SimConfig(dt=0.0, horizon=1.0, x0=np.zeros(4))
         with pytest.raises(ValueError):
-            SimConfig(dt=0.02, horizon=1.0, x0=np.zeros(2))
+            SimConfig(dt=0.02, horizon=1.0, x0=np.zeros(4))
         with pytest.raises(ValueError):
-            SimConfig(dt=1e-3, horizon=0.0, x0=np.zeros(2))
+            SimConfig(dt=1e-3, horizon=0.0, x0=np.zeros(4))
         with pytest.raises(ValueError):
-            SimConfig(dt=1e-3, horizon=1.0, x0=np.zeros(2), record_stride=0)
+            SimConfig(dt=1e-3, horizon=1.0, x0=np.zeros(4), record_stride=0)
+
+    @pytest.mark.parametrize(
+        "x0", [[0.1, 0.2, 0.0], [0.1, 0.2, 0.0, 0.0, 0.0], [[0.1, 0.2], [0.0, 0.0]]]
+    )
+    def test_rejects_x0_not_four_entries(self, x0):
+        # a joint state is (q1, q2, qd1, qd2); any other shape must fail here,
+        # not inside the kernel
+        with pytest.raises(ValueError, match="x0"):
+            SimConfig(dt=1e-3, horizon=0.01, x0=x0)
 
     def test_step_count(self):
-        config = SimConfig(dt=1e-3, horizon=1.0, x0=np.zeros(2))
+        config = SimConfig(dt=1e-3, horizon=1.0, x0=np.zeros(4))
         assert config.n_steps == 1000
 
     @pytest.mark.parametrize(
@@ -76,7 +85,7 @@ class TestSimConfig:
     def test_step_count_ignores_quotient_rounding(self, horizon, dt, steps):
         # horizon / dt can land a rounding error above an integer; that must
         # not add a step past the horizon, while true fractions still round up
-        assert SimConfig(dt=dt, horizon=horizon, x0=np.zeros(2)).n_steps == steps
+        assert SimConfig(dt=dt, horizon=horizon, x0=np.zeros(4)).n_steps == steps
 
 
 class TestSimulateClosedLoop:
@@ -84,7 +93,7 @@ class TestSimulateClosedLoop:
         # without the safety input the linearized loop makes each task-space
         # error coordinate the linear subsystem x' = A x
         config = SimConfig(dt=1e-3, horizon=1.0, x0=default_bundle.x0)
-        traj = simulate_closed_loop(default_bundle.plant(), default_bundle.controller(0.0), config)
+        traj = simulate_closed_loop(default_bundle.controller(0.0), default_bundle.params, config)
         assert len(traj) == 1001
         goal = default_bundle.config.goal
         for i, sub in enumerate(default_bundle.subsystems):
@@ -95,14 +104,14 @@ class TestSimulateClosedLoop:
 
     def test_time_grid(self, default_bundle):
         config = SimConfig(dt=1e-3, horizon=0.25, x0=default_bundle.x0)
-        traj = simulate_closed_loop(default_bundle.plant(), default_bundle.controller(1.5), config)
+        traj = simulate_closed_loop(default_bundle.controller(1.5), default_bundle.params, config)
         assert traj.t[0] == 0.0
         assert traj.t[-1] == pytest.approx(0.25)
         assert np.all(np.diff(traj.t) > 0.0)
 
     def test_record_stride(self, default_bundle):
         config = SimConfig(dt=1e-3, horizon=0.2, x0=default_bundle.x0, record_stride=10)
-        traj = simulate_closed_loop(default_bundle.plant(), default_bundle.controller(1.5), config)
+        traj = simulate_closed_loop(default_bundle.controller(1.5), default_bundle.params, config)
         assert len(traj) == 21
         assert traj.t[1] == pytest.approx(0.01)
         assert traj.meta["steps"] == 200
@@ -110,22 +119,22 @@ class TestSimulateClosedLoop:
     def test_last_step_recorded_off_stride(self, default_bundle):
         # 25 steps at stride 10 record steps 0, 10, 20 and the last one
         config = SimConfig(dt=1e-3, horizon=0.025, x0=default_bundle.x0, record_stride=10)
-        traj = simulate_closed_loop(default_bundle.plant(), default_bundle.controller(1.5), config)
+        traj = simulate_closed_loop(default_bundle.controller(1.5), default_bundle.params, config)
         np.testing.assert_allclose(traj.t, [0.0, 0.01, 0.02, 0.025], rtol=0.0, atol=1e-15)
         assert traj.meta["steps"] == 25
 
     def test_determinism(self, default_bundle):
         config = SimConfig(dt=1e-3, horizon=0.5, x0=default_bundle.x0)
         controller = default_bundle.controller(1.5)
-        a = simulate_closed_loop(default_bundle.plant(), controller, config)
-        b = simulate_closed_loop(default_bundle.plant(), controller, config)
+        a = simulate_closed_loop(controller, default_bundle.params, config)
+        b = simulate_closed_loop(controller, default_bundle.params, config)
         np.testing.assert_array_equal(a.states, b.states)
         np.testing.assert_array_equal(a.t, b.t)
 
     def test_abort_returns_partial_trajectory(self, default_bundle):
         config = SimConfig(dt=1e-3, horizon=2.0, x0=default_bundle.x0)
         traj = simulate_closed_loop(
-            default_bundle.plant(), _out_of_reach_controller(default_bundle), config
+            _out_of_reach_controller(default_bundle), default_bundle.params, config
         )
         assert traj.failed
         assert traj.meta["failure"]["error"] == "NonFiniteState"
@@ -136,7 +145,7 @@ class TestSimulateClosedLoop:
         # step 698 diverges; at stride 10 the last record is step 690
         config = SimConfig(dt=1e-3, horizon=2.0, x0=default_bundle.x0, record_stride=10)
         traj = simulate_closed_loop(
-            default_bundle.plant(), _out_of_reach_controller(default_bundle), config
+            _out_of_reach_controller(default_bundle), default_bundle.params, config
         )
         assert traj.failed
         assert traj.meta["steps"] == 698
@@ -144,7 +153,7 @@ class TestSimulateClosedLoop:
 
     def test_divergence_aborts(self, default_bundle):
         config = SimConfig(dt=1e-2, horizon=5.0, x0=np.array([0.3, 0.8, 1e160, 0.0]))
-        traj = simulate_closed_loop(default_bundle.plant(), default_bundle.controller(1.5), config)
+        traj = simulate_closed_loop(default_bundle.controller(1.5), default_bundle.params, config)
         assert traj.failed
         assert traj.meta["failure"]["error"] == "NonFiniteState"
 
@@ -156,9 +165,7 @@ class TestScenarioIntegration:
         q_goal = inverse_kinematics(default_bundle.params, default_bundle.config.goal)
         x0 = np.concatenate([q_goal, np.zeros(2)])
         config = SimConfig(dt=1e-3, horizon=2.0, x0=x0)
-        traj = simulate_closed_loop(
-            default_bundle.plant(), default_bundle.controller(1.5), config
-        )
+        traj = simulate_closed_loop(default_bundle.controller(1.5), default_bundle.params, config)
         drift = np.abs(traj.pos - default_bundle.config.goal).max()
         assert drift < 1e-6
 
@@ -200,9 +207,10 @@ def _outcome(step, *args):
 EXACT_MODEL_RTOL = 1e-13
 
 
-def _assert_stage_matches(controller, plant, states, dt=1e-3):
-    """ArmStage on a plant with its own model equals, bit for bit, the
-    controller's torques fed to ManipulatorPlant.derivative. On the
+def _assert_stage_matches(controller, plant_params, states, dt=1e-3):
+    """ArmStage on a plant with parameters plant_params and its own model
+    equals, bit for bit, the controller's torques fed to
+    ManipulatorPlant.derivative. On the
     controller's own model the stage returns the law's y = J^-1 (a - Jdot qdot),
     which equals those torques fed back and the reference y within
     EXACT_MODEL_RTOL. Either way the acceleration equals the reference
@@ -210,15 +218,16 @@ def _assert_stage_matches(controller, plant, states, dt=1e-3):
     returns the call's derivative, its row equals the controller's action
     followed by the plant's task state, and its RK4 step equals the generic
     reference step over the stage field, aborts included."""
-    stage = ArmStage(controller, plant.params)
-    exact = plant.params == controller.params
+    stage = ArmStage(controller, plant_params)
+    plant = ManipulatorPlant(plant_params)
+    exact = plant_params == controller.params
     for x in states:
         q, qd = x[:2], x[2:]
         state = tuple(x.tolist())
         action = controller(0.0, x)
-        tau = action.u
+        tau = action["inputs"]
         expected = tuple(plant.derivative(0.0, x, tau).tolist())
-        _, _, _, M, c, g = arm_model(plant.params, q, qd)
+        _, _, _, M, c, g = arm_model(plant_params, q, qd)
         references = [np.linalg.solve(M, tau - c - g)]
         derivative = stage(0.0, state)
         if exact:
@@ -231,7 +240,7 @@ def _assert_stage_matches(controller, plant, states, dt=1e-3):
             assert np.abs(np.subtract(derivative[2:], accel)).max() <= EXACT_MODEL_RTOL * scale
         recorded, row = stage.record(0.0, state)
         assert recorded == derivative
-        fields = (action.u, action.force, action.force_safe, action.w_values, action.margins)
+        fields = [action[name] for name in ("inputs", "force", "force_safe", "w", "margins")]
         np.testing.assert_array_equal(row, np.concatenate([*fields, *plant.task_state(x)]))
         assert _outcome(stage.step, 0.5, state, dt, derivative) == _outcome(
             rk4_step, stage, 0.5, state, dt, derivative
@@ -248,21 +257,20 @@ class TestFusedArmStage:
             dt=default_bundle.config.dt, horizon=default_bundle.config.horizon, x0=default_bundle.x0
         )
         controller = default_bundle.controller(k_safe)
-        plant = default_bundle.plant()
-        traj = simulate_closed_loop(plant, controller, config)
+        traj = simulate_closed_loop(controller, default_bundle.params, config)
         assert not traj.failed
         visited = list(traj.states[::10])
-        _assert_stage_matches(controller, plant, visited + _random_states(41))
+        _assert_stage_matches(controller, default_bundle.params, visited + _random_states(41))
 
     @pytest.mark.parametrize("field, factor", [("m2", 1.1), ("L2", 1.05)])
     def test_mismatched_plant_model(self, default_bundle, field, factor):
         # the plant integrates its own model, not the controller's
         params = default_bundle.params
-        plant = ManipulatorPlant(replace(params, **{field: factor * getattr(params, field)}))
+        plant = replace(params, **{field: factor * getattr(params, field)})
         config = SimConfig(dt=1e-3, horizon=2.0, x0=default_bundle.x0)
         controller = default_bundle.controller(1.5)
-        mismatched = simulate_closed_loop(plant, controller, config)
-        nominal = simulate_closed_loop(default_bundle.plant(), controller, config)
+        mismatched = simulate_closed_loop(controller, plant, config)
+        nominal = simulate_closed_loop(controller, default_bundle.params, config)
         assert np.abs(mismatched.states[-1] - nominal.states[-1]).max() > 1e-6
         visited = list(mismatched.states[::10])
         _assert_stage_matches(controller, plant, visited + _random_states(43))
@@ -278,8 +286,8 @@ class TestFusedArmStage:
     )
     def test_aborts_match(self, default_bundle, x0, error, length):
         config = SimConfig(dt=1e-3, horizon=0.2, x0=np.array(x0))
-        controller, plant = default_bundle.controller(1.5), default_bundle.plant()
-        traj = simulate_closed_loop(plant, controller, config)
+        controller, params = default_bundle.controller(1.5), default_bundle.params
+        traj = simulate_closed_loop(controller, params, config)
         assert traj.meta["failure"]["error"] == error
         assert len(traj) == length
         # the aborted step starts at the failure time
@@ -287,7 +295,7 @@ class TestFusedArmStage:
         if length:
             np.testing.assert_array_equal(traj.states[0], x0)
             # the aborted step, taken alone, aborts as the reference step does
-            stage = ArmStage(controller, plant.params)
+            stage = ArmStage(controller, params)
             t, x = float(traj.t[-1]), tuple(traj.states[-1].tolist())
             k1 = stage(t, x)
             aborted = _outcome(stage.step, t, x, config.dt, k1)
@@ -300,7 +308,7 @@ class TestValueEquality:
         import pickle
 
         config = SimConfig(dt=1e-3, horizon=0.2, x0=default_bundle.x0)
-        for obj in (default_bundle.controller(1.5), config, default_bundle.gain_schedule(1.5)):
+        for obj in (default_bundle.controller(1.5), config):
             copy = pickle.loads(pickle.dumps(obj))
             assert (obj == copy) is False
             assert (obj == obj) is True
@@ -353,8 +361,8 @@ class TestSafetyMonitor:
 
         q_goal = inverse_kinematics(default_bundle.params, default_bundle.config.goal)
         traj = simulate_closed_loop(
-            default_bundle.plant(),
             default_bundle.controller(1.5),
+            default_bundle.params,
             SimConfig(dt=1e-3, horizon=0.5, x0=np.concatenate([q_goal, np.zeros(2)])),
         )
         report = safety_monitor(traj)
@@ -367,7 +375,7 @@ class TestSafetyMonitor:
     def test_rejects_empty_trajectory(self, default_bundle):
         # a start on the singularity aborts before its first record
         config = SimConfig(dt=1e-3, horizon=0.05, x0=np.array([0.3, 0.0, 0.0, 0.0]))
-        traj = simulate_closed_loop(default_bundle.plant(), default_bundle.controller(1.5), config)
+        traj = simulate_closed_loop(default_bundle.controller(1.5), default_bundle.params, config)
         assert len(traj) == 0
         with pytest.raises(ValueError):
             safety_monitor(traj)
