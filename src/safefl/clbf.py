@@ -13,7 +13,7 @@ exceeds its bound.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -58,22 +58,6 @@ class HalfPlaneUnsafe:
     def __post_init__(self):
         if not (math.isfinite(self.d) and self.d < 0.0):
             raise InvalidUnsafeSet(f"unsafe threshold must be negative, got {self.d}")
-
-
-def normalize_constraint(direction: str, d_raw: float) -> tuple[HalfPlaneUnsafe, bool]:
-    """Canonicalize an unsafe half plane given as x1 <= d_raw or x1 >= d_raw.
-
-    The 'ge' form is mapped onto the canonical 'le' form by the coordinate
-    flip x -> -x; the returned flag tells the caller to compose downstream
-    dynamics with that sign change. Raises InvalidUnsafeSet when the
-    canonical threshold is not negative.
-    """
-    key = direction.strip().lower()
-    if key in ("le", "<="):
-        return HalfPlaneUnsafe(d_raw), False
-    if key in ("ge", ">="):
-        return HalfPlaneUnsafe(-d_raw), True
-    raise ValueError(f"direction must be 'le' or 'ge', got {direction!r}")
 
 
 @dataclass(frozen=True)
@@ -359,11 +343,14 @@ def select_parameters(
 # dW/dx2 = 0 and dW/dx1 = (det P/p22) x1 h(x1), h = 1 + theta sigma (1 - l x1
 # (1 - sigma) / 2): every stationary point off the origin lies there with
 # h = 0, and the Lie derivative along a drift with first entry x2 is
-# L = -c (det P/p22) x1^2 h.
+# L = -c (det P/p22) x1^2 h. The fifth condition, that the margin set C_omega
+# lies in {W <= 0}, is bounded by sigma(d + delta) and V <= v2 on that set.
+# verify_weak_clbf decides all five; a certificate passes only when each does.
 
 PASS, FAIL, UNDECIDED = "pass", "fail", "undecided"
 _NAMES = (
-    "positive_on_unsafe", "line_decrease", "admissible_set_nonempty", "stationary_point_unique"
+    "positive_on_unsafe", "line_decrease", "admissible_set_nonempty", "stationary_point_unique",
+    "margin_set_contained",
 )
 
 # Sample counts of the 1-D counterexample search, the only thing
@@ -404,34 +391,34 @@ class ConditionResult:
 
 @dataclass(frozen=True)
 class VerificationReport:
+    """The five verdicts on one certificate, with the sample counts of their
+    counterexample searches and the excluded origin ball's radius."""
+
     positive_on_unsafe: ConditionResult
     line_decrease: ConditionResult
     admissible_nonempty: ConditionResult
     stationary_unique: ConditionResult
+    c_omega: ConditionResult
     grid_resolution: int
     eps_origin: float
-    c_omega: Optional[ConditionResult] = None
-    c_omega_resolution: Optional[int] = None
+    c_omega_resolution: int
 
     @property
     def passed(self) -> bool:
-        return all(c.passed for c in [*self.conditions(), self.c_omega] if c is not None)
+        return all(c.passed for c in self.conditions())
 
     def conditions(self) -> list[ConditionResult]:
-        """The four defining conditions, in field order."""
-        return [getattr(self, f.name) for f in fields(self)[:4]]
+        """The five conditions, in field order."""
+        return [getattr(self, f.name) for f in fields(self)[:5]]
 
     def to_dict(self) -> dict:
-        out = {
+        return {
             "passed": bool(self.passed),
             "grid_resolution": int(self.grid_resolution),
             "eps_origin": float(self.eps_origin),
             "conditions": [c.to_dict() for c in self.conditions()],
+            "c_omega_resolution": int(self.c_omega_resolution),
         }
-        if self.c_omega is not None:
-            out["c_omega_resolution"] = int(self.c_omega_resolution)
-            out["conditions"].append(self.c_omega.to_dict())
-        return out
 
 
 def _check_resolution(n: int) -> None:
@@ -551,15 +538,18 @@ def verify_weak_clbf(
     region: RegionBox,
     unsafe: HalfPlaneUnsafe,
     grid_resolution: int = 400,
+    c_omega_resolution: int = 200,
 ) -> VerificationReport:
-    """Decide the defining conditions of a weak CLBF from closed forms; failures
-    are data, not raised. grid_resolution sizes only the sampled counterexample
-    search. The decrease and uniqueness conditions exclude the origin ball of
-    radius EPS_ORIGIN_FRACTION times the region's diameter."""
+    """Decide the five conditions of a weak CLBF from closed forms: the four
+    defining ones and check_c_omega_subset's margin-set containment. Failures
+    are data, not raised; the report passes only when all five pass.
+    grid_resolution and c_omega_resolution size only the sampled
+    counterexample searches. The decrease and uniqueness conditions exclude
+    the origin ball of radius EPS_ORIGIN_FRACTION times the region's diameter."""
     _check_resolution(grid_resolution)
     eps_origin = EPS_ORIGIN_FRACTION * region.diameter
     if W.theta < 0.0:
-        conditions = [ConditionResult(name, UNDECIDED, math.nan, None, _OUTSIDE) for name in _NAMES]
+        conditions = [ConditionResult(name, UNDECIDED, math.nan, None, _OUTSIDE) for name in _NAMES[:4]]
     else:
         decrease, stationary = _line_conditions(W, region, unsafe.d, grid_resolution, eps_origin)
         admissible = ConditionResult(
@@ -568,15 +558,19 @@ def verify_weak_clbf(
         )
         positive = _positive_on_unsafe(W, region, unsafe.d, grid_resolution)
         conditions = [positive, decrease, admissible, stationary]
-    return VerificationReport(*conditions, grid_resolution, float(eps_origin))
+    c_omega = check_c_omega_subset(W, region, c_omega_resolution)
+    return VerificationReport(
+        *conditions, c_omega, grid_resolution, float(eps_origin), c_omega_resolution
+    )
 
 
 def check_c_omega_subset(
     W: WeakCLBF, region: RegionBox, grid_resolution: int = 200
 ) -> ConditionResult:
-    """Require W <= C_OMEGA_TOL on C_omega = {V <= v2, x1 >= d + delta} in X, where
-    sigma <= sigma(d + delta) and V <= v2 bound W. A set with no point in the
-    region fails, with no margin and no witness."""
+    """The fifth verdict of verify_weak_clbf: W <= C_OMEGA_TOL on C_omega =
+    {V <= v2, x1 >= d + delta} in X, where sigma <= sigma(d + delta) and
+    V <= v2 bound W. A set with no point in the region fails, with no margin
+    and no witness."""
     _check_resolution(grid_resolution)
     clf, edge, v2 = W.clf, W.shape.d + W.shape.delta, W.bounds.v2
 
@@ -586,11 +580,11 @@ def check_c_omega_subset(
 
     if edge > region.x1_max or g(max(edge, 0.0)) > v2:
         return ConditionResult(
-            "margin_set_contained", FAIL, math.nan, None,
+            _NAMES[4], FAIL, math.nan, None,
             "C_omega is empty in X: d + delta > x1_max, or V > v2 at every x1 >= d + delta",
         )
     if W.theta < 0.0:
-        return ConditionResult("margin_set_contained", UNDECIDED, math.nan, None, _OUTSIDE)
+        return ConditionResult(_NAMES[4], UNDECIDED, math.nan, None, _OUTSIDE)
     bound = (1.0 + W.theta * sigmoid_eval(W.shape, edge)) * v2 - W.k
     # Per sampled x1, V is largest on the slice {V <= v2} at an end of its x2
     # interval. The first sample is the witness: the set's left edge, or the
@@ -606,21 +600,9 @@ def check_c_omega_subset(
     x2 = np.where(clf.value_and_grad(x1, lo)[0] >= clf.value_and_grad(x1, hi)[0], lo, hi)
     w = W.value_and_grad(x1, x2)[0]
     result = ConditionResult(
-        "margin_set_contained", PASS if bound <= C_OMEGA_TOL else FAIL, bound,
+        _NAMES[4], PASS if bound <= C_OMEGA_TOL else FAIL, bound,
         (float(x1[0]), float(x2[0])),
         "W <= (1 + theta*sigma(d + delta))*v2 - k on C_omega: sigma decreases, V <= v2",
     )
     return _refute(result, x1, x2, w, (disc >= 0.0) & (lo <= hi) & (w > C_OMEGA_TOL))
 
-
-def full_verification(
-    W: WeakCLBF,
-    region: RegionBox,
-    unsafe: HalfPlaneUnsafe,
-    grid_resolution: int = 400,
-    c_omega_resolution: int = 200,
-) -> VerificationReport:
-    """Run the condition checks and the margin-set containment check together."""
-    report = verify_weak_clbf(W, region, unsafe, grid_resolution)
-    c_omega = check_c_omega_subset(W, region, c_omega_resolution)
-    return replace(report, c_omega=c_omega, c_omega_resolution=c_omega_resolution)

@@ -174,7 +174,7 @@ def cmd_verify(args) -> int:
     for axis, report in results:
         payload["subsystems"].append({"axis": axis, **report.to_dict()})
         all_pass &= report.passed
-        for cond in report.conditions() + [report.c_omega]:
+        for cond in report.conditions():
             status = "pass" if cond.passed else cond.verdict.upper()
             line = f"axis {axis} {cond.name}: {status} (margin {cond.margin:.6g}"
             witness = cond.witness

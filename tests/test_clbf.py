@@ -12,7 +12,6 @@ from safefl.clbf import (
     SigmoidShape,
     WeakCLBF,
     assemble_weak_clbf,
-    normalize_constraint,
     parameter_bounds,
     select_parameters,
     sigmoid_eval,
@@ -149,24 +148,6 @@ class TestUnsafeMinimum:
     def test_rejects_nonnegative_threshold(self):
         with pytest.raises(InvalidUnsafeSet):
             v1_min_on_unsafe(P1, 0.0)
-
-
-class TestNormalizeConstraint:
-    def test_canonical_passthrough(self):
-        unsafe, flip = normalize_constraint("le", -1.0)
-        assert unsafe.d == -1.0 and not flip
-
-    def test_flip(self):
-        unsafe, flip = normalize_constraint("ge", 1.3)
-        assert unsafe.d == -1.3 and flip
-
-    def test_invalid_after_flip(self):
-        with pytest.raises(InvalidUnsafeSet):
-            normalize_constraint("ge", -0.5)
-
-    def test_unknown_direction(self):
-        with pytest.raises(ValueError):
-            normalize_constraint("above", 1.0)
 
 
 BOX1 = RegionBox(-1.2, 0.5, -2.5, 2.5)

@@ -376,6 +376,7 @@ class TestErrorExitCodes:
             ("simulate", _set("manipulator", "m1", NAN), [], 3),
             ("simulate", _set("simulation", "record_stride", INF), [], 3),
             ("simulate", lambda raw: raw["constraints"][0].update(axis=INF), [], 3),
+            ("verify", lambda raw: raw["constraints"][0].update(bound=0.2), [], 2),
             ("simulate", _set("simulation", "record_stride", 2.5), [], 3),
             ("simulate", _set("simulation", "record_stride", 0.5), [], 3),
             ("simulate", _keep, ["--horizon", "1e9", "--k-safe", "0.5"], 3),
@@ -411,6 +412,7 @@ class TestErrorExitCodes:
             "m1_nan",
             "record_stride_inf",
             "constraint_axis_inf",
+            "constraint_bound_below_goal",
             "record_stride_fractional",
             "record_stride_below_one",
             "records_over_limit",

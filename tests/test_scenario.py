@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from safefl.clbf import parameter_bounds
-from safefl.errors import ConfigError, LevelTooSmall, MarginInfeasible
+from safefl.errors import ConfigError, InvalidUnsafeSet, LevelTooSmall, MarginInfeasible
 from safefl.manipulator import forward_kinematics, jacobian
 from safefl.scenario import (
     RunConfig,
@@ -54,6 +54,11 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             RunConfig.from_dict(raw_config)
 
+    def test_unknown_side_rejected(self, raw_config):
+        raw_config["constraints"][0]["side"] = "above"
+        with pytest.raises(ConfigError, match="'min' or 'max'"):
+            RunConfig.from_dict(raw_config)
+
     def test_malformed_json_file(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json", encoding="utf-8")
@@ -82,6 +87,18 @@ class TestBundleAssembly:
         subs = default_bundle.subsystems
         assert subs[0].sign == -1.0 and subs[0].unsafe.d == pytest.approx(-1.0)
         assert subs[1].sign == 1.0 and subs[1].unsafe.d == pytest.approx(-1.3)
+
+    @pytest.mark.parametrize(
+        "axis, bound", [(0, 0.2), (0, 0.3), (1, 1.1)],
+        ids=["max_below_goal", "max_at_goal", "min_above_goal"],
+    )
+    def test_bound_not_beyond_the_goal_is_an_invalid_unsafe_set(self, raw_config, axis, bound):
+        # axis 0 keeps p1 below its max bound and axis 1 keeps p2 above its
+        # min bound; a bound on the goal's wrong side (or on the goal) puts
+        # the canonical threshold d at or above zero, flipped or not
+        raw_config["constraints"][axis]["bound"] = bound
+        with pytest.raises(InvalidUnsafeSet, match="must be negative"):
+            build_bundle(RunConfig.from_dict(raw_config))
 
     def test_error_boxes(self, default_bundle):
         subs = default_bundle.subsystems

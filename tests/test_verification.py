@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from safefl import clbf
 from safefl.clbf import (
@@ -15,7 +17,6 @@ from safefl.clbf import (
     WeakCLBF,
     assemble_weak_clbf,
     check_c_omega_subset,
-    full_verification,
     select_parameters,
     verify_weak_clbf,
 )
@@ -24,6 +25,10 @@ from tests.conftest import BOX_SUB1, BOX_SUB2
 
 UNSAFE1 = HalfPlaneUnsafe(-1.0)
 UNSAFE2 = HalfPlaneUnsafe(-1.3)
+CONDITION_NAMES = [
+    "positive_on_unsafe", "line_decrease", "admissible_set_nonempty",
+    "stationary_point_unique", "margin_set_contained",
+]
 
 
 class TestVerifyWeakCLBF:
@@ -91,13 +96,28 @@ class TestVerifyWeakCLBF:
         assert report.eps_origin == pytest.approx(1e-3 * BOX_SUB1.diameter)
 
     def test_report_serializes(self, table_cert_sub1):
-        report = full_verification(table_cert_sub1, BOX_SUB1, UNSAFE1, 100, c_omega_resolution=100)
+        report = verify_weak_clbf(table_cert_sub1, BOX_SUB1, UNSAFE1, 100, c_omega_resolution=100)
         payload = json.loads(json.dumps(report.to_dict()))
+        assert list(payload) == [
+            "passed", "grid_resolution", "eps_origin", "conditions", "c_omega_resolution"
+        ]
         assert payload["passed"] is True
         assert payload["grid_resolution"] == 100 and payload["c_omega_resolution"] == 100
-        assert len(payload["conditions"]) == 5
+        assert [cond["name"] for cond in payload["conditions"]] == CONDITION_NAMES
         for cond in payload["conditions"]:
             assert cond["verdict"] == "pass" and cond["inequality"]
+
+    def test_lowered_offset_fails_only_the_margin_set(self, p_sub1):
+        # the README certificate with k lowered by 0.1 %: W rises above zero
+        # on the margin set, and the one-call verifier must say so
+        cert = select_parameters(p_sub1, BOX_SUB1, UNSAFE1, v2=2.0)
+        assert verify_weak_clbf(cert, BOX_SUB1, UNSAFE1).passed
+        lowered = replace(cert, k=cert.k * (1.0 - 1e-3))
+        report = verify_weak_clbf(lowered, BOX_SUB1, UNSAFE1)
+        assert not report.passed
+        failing = [cond.name for cond in report.conditions() if not cond.passed]
+        assert failing == ["margin_set_contained"]
+        assert report.c_omega.verdict == "fail" and report.c_omega.margin > 0.0
 
     def test_gradient_minimum_sits_at_origin(self, table_cert_sub1):
         # dense-sample argmin of the gradient norm over the admissible set lies
@@ -275,10 +295,45 @@ class TestExactVerdicts:
     @pytest.mark.parametrize("theta", [-0.5, -50.0])
     def test_negative_theta_never_passes(self, table_cert_sub1, theta):
         cert = replace(table_cert_sub1, theta=theta)
-        report = full_verification(cert, BOX_SUB1, UNSAFE1)
+        report = verify_weak_clbf(cert, BOX_SUB1, UNSAFE1)
         assert not report.passed
-        for cond in report.conditions() + [report.c_omega]:
+        for cond in report.conditions():
             assert cond.verdict == "undecided"
+
+    @settings(max_examples=100, derandomize=True, deadline=None, database=None)
+    @given(
+        axis=st.sampled_from((0, 1)),
+        l_factor=st.floats(0.3, 1.0),
+        delta_factor=st.floats(0.7, 2.0),
+        theta_factor=st.floats(0.2, 3.0),
+        k_factor=st.floats(0.99, 1.01),
+    )
+    def test_no_verdict_depends_on_the_sample_count(
+        self, default_bundle, axis, l_factor, delta_factor, theta_factor, k_factor
+    ):
+        # certificates on both sides of the delta, theta and offset bounds,
+        # around each bundled axis's design; the sampled searches only
+        # refute, so 50 and 3000 samples must give the same five verdicts
+        sub = default_bundle.subsystems[axis]
+        bounds = sub.certificate.bounds
+        l = l_factor * sub.certificate.shape.l
+        delta_min = bounds.delta_min(l)
+        delta = delta_factor * delta_min
+        # theta_min is infinite for delta <= delta_min, so there theta is
+        # scaled from its bound at the default margin, 1.05 * delta_min
+        theta = theta_factor * bounds.theta_min(l, max(delta, 1.05 * delta_min))
+        cert = assemble_weak_clbf(
+            sub.clf, sub.region, sub.unsafe, bounds.v2, l, delta, theta, enforce_bounds=False
+        )
+        # the default offset puts the margin set's bound at zero; k_factor
+        # moves it to either side
+        cert = replace(cert, k=k_factor * cert.k)
+
+        def verdicts(n):
+            report = verify_weak_clbf(cert, sub.region, sub.unsafe, n, c_omega_resolution=n)
+            return [cond.verdict for cond in report.conditions()]
+
+        assert verdicts(50) == verdicts(3000)
 
     def test_no_pass_against_dense_counterexample(self):
         # ~200 seeded explicit certificates, slopes and scalings on both sides
