@@ -9,7 +9,6 @@ task-space controller for a planar two-link manipulator.
 from . import clbf, manipulator, numerics, scenario, sim
 from .clbf import (
     HalfPlaneUnsafe,
-    MarginPolicy,
     QuadraticCLF,
     RegionBox,
     SigmoidShape,
@@ -26,7 +25,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "HalfPlaneUnsafe",
-    "MarginPolicy",
     "QuadraticCLF",
     "RegionBox",
     "SafeFlError",

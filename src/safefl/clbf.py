@@ -8,6 +8,10 @@ decreases along the drift wherever the input cannot act on it, and has a
 non-empty admissible sublevel set -- all of which this module decides from
 closed forms in x1, with one certified 1-D interval bisection where the slope
 exceeds its bound.
+
+select_parameters makes the one automatic choice: the slope at its bound
+2/gamma, and the margin and scaling at BOUND_SLACK = 1.05 times their lower
+bounds. assemble_weak_clbf builds a certificate from any other choice.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ C_OMEGA_TOL = 1e-9
 
 @dataclass(frozen=True)
 class RegionBox:
-    """Axis-aligned compact region of interest; must contain the origin."""
+    """Axis-aligned compact region of interest with the origin in its interior."""
 
     x1_min: float
     x1_max: float
@@ -39,10 +43,8 @@ class RegionBox:
     x2_max: float
 
     def __post_init__(self):
-        if not (self.x1_min < self.x1_max and self.x2_min < self.x2_max):
-            raise ValueError("region bounds must satisfy lower < upper")
-        if not (self.x1_min <= 0.0 <= self.x1_max and self.x2_min <= 0.0 <= self.x2_max):
-            raise ValueError("region must contain the origin")
+        if not (self.x1_min < 0.0 < self.x1_max and self.x2_min < 0.0 < self.x2_max):
+            raise ValueError("region must contain the origin in its interior")
 
     @property
     def diameter(self) -> float:
@@ -195,9 +197,13 @@ class ParameterBounds:
     """Feasible-parameter bounds for a given (P, X, d, v2) problem."""
 
     gamma: float
-    l_max: Optional[float]  # None when gamma <= 0 (slope bound vacuous)
     v1: float
     v2: float
+
+    @property
+    def l_max(self) -> float:
+        """The slope bound 2/gamma; gamma = x1_max > 0 as X has 0 inside."""
+        return 2.0 / self.gamma
 
     def delta_min(self, l: float) -> float:
         return (2.0 / l) * math.log(self.v2 / self.v1)
@@ -225,35 +231,12 @@ def parameter_bounds(P, region: RegionBox, unsafe: HalfPlaneUnsafe, v2: float) -
     v1 = v1_min_on_unsafe(clf, unsafe.d)
     if v2 <= v1:
         raise LevelTooSmall(f"v2 = {v2} must exceed v1 = {v1}")
-    gamma = region.x1_max
-    l_max = 2.0 / gamma if gamma > 0.0 else None
-    return ParameterBounds(gamma=gamma, l_max=l_max, v1=v1, v2=v2)
+    return ParameterBounds(gamma=region.x1_max, v1=v1, v2=v2)
 
 
-# Fraction of the region's x1 extent that stands in for gamma in the slope
-# 2 / gamma when gamma <= 0 leaves the slope bound vacuous.
-GAMMA_FALLBACK = 0.1
-
-
-@dataclass(frozen=True)
-class MarginPolicy:
-    """How strictly-feasible parameters are picked from their bounds.
-
-    l defaults to the slope bound 2/gamma (or, when the region lies entirely
-    in x1 <= 0 and the bound is vacuous, to 2 / (GAMMA_FALLBACK * x1-extent)).
-    delta and theta take their lower bounds inflated by the given factors;
-    the strict inequalities need explicit slack.
-    """
-
-    l: Optional[float] = None
-    delta_margin: float = 1.05
-    theta_margin: float = 1.05
-
-    def __post_init__(self):
-        if self.delta_margin <= 1.0 or self.theta_margin <= 1.0:
-            raise ValueError("margin factors must exceed 1")
-        if self.l is not None and self.l <= 0.0:
-            raise ValueError("slope override must be positive")
+# Factor by which select_parameters inflates the margin and scaling lower
+# bounds, which are strict inequalities.
+BOUND_SLACK = 1.05
 
 
 def assemble_weak_clbf(
@@ -271,12 +254,13 @@ def assemble_weak_clbf(
 
     With enforce_bounds=False the certificate is built as given (out-of-bound
     parameters included) so that the verifier, not the constructor, judges it.
+    A theta or k that is not finite is never a certificate: ValueError.
     """
     clf = P if isinstance(P, QuadraticCLF) else QuadraticCLF.from_matrix(P)
     bounds = parameter_bounds(clf, region, unsafe, v2)
     sigma1, sigma2 = bounds.sigma_endpoints(l, delta)
     if enforce_bounds:
-        if bounds.l_max is not None and not (0.0 < l <= bounds.l_max * (1.0 + 1e-12)):
+        if not 0.0 < l <= bounds.l_max * (1.0 + 1e-12):
             raise MarginInfeasible(
                 f"slope l = {l} violates 0 < l <= {bounds.l_max}"
             )
@@ -300,34 +284,24 @@ def assemble_weak_clbf(
         raise ValueError("sigmoid endpoints must satisfy 0 < sigma2 < 1/2 < sigma1 < 1")
     if k is None:
         k = (1.0 + theta * sigma2) * v2
+    if not (math.isfinite(theta) and math.isfinite(k)):
+        raise ValueError(f"theta = {theta} and k = {k} must be finite")
     # plain floats keep the scalar evaluations inside the controller off
     # numpy's slower scalar arithmetic
     shape = SigmoidShape(l=float(l), d=float(unsafe.d), delta=float(delta))
     return WeakCLBF(clf=clf, shape=shape, theta=float(theta), k=float(k), bounds=bounds)
 
 
-def select_parameters(
-    P,
-    region: RegionBox,
-    unsafe: HalfPlaneUnsafe,
-    v2: float,
-    policy: MarginPolicy = MarginPolicy(),
-) -> WeakCLBF:
-    """Pick (l, delta, theta, k) strictly inside their feasible bounds."""
+def select_parameters(P, region: RegionBox, unsafe: HalfPlaneUnsafe, v2: float) -> WeakCLBF:
+    """The one automatic choice of (l, delta, theta, k): the slope bound
+    l = 2/gamma, delta and theta at BOUND_SLACK times their lower bounds, and
+    k from the offset identity. Any other choice goes through
+    assemble_weak_clbf."""
     clf = P if isinstance(P, QuadraticCLF) else QuadraticCLF.from_matrix(P)
     bounds = parameter_bounds(clf, region, unsafe, v2)
-    if policy.l is not None:
-        l = policy.l
-        if bounds.l_max is not None and l > bounds.l_max * (1.0 + 1e-12):
-            raise MarginInfeasible(f"slope override {l} exceeds bound {bounds.l_max}")
-    elif bounds.l_max is not None:
-        l = bounds.l_max
-    else:
-        l = 2.0 / (GAMMA_FALLBACK * (region.x1_max - region.x1_min))
-    delta = policy.delta_margin * bounds.delta_min(l)
-    theta = policy.theta_margin * bounds.theta_min(l, delta)
-    if not math.isfinite(theta):
-        raise MarginInfeasible("scaling bound is unbounded for the chosen margin")
+    l = bounds.l_max
+    delta = BOUND_SLACK * bounds.delta_min(l)
+    theta = BOUND_SLACK * bounds.theta_min(l, delta)
     return assemble_weak_clbf(
         clf, region, unsafe, v2, l=l, delta=delta, theta=theta, enforce_bounds=True
     )

@@ -108,8 +108,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, sim_flags: bool = False) -> None:
-        p.add_argument("--config", type=Path, default=None, help="JSON run configuration")
+    def common(p: argparse.ArgumentParser, sim_flags: bool = False, config: bool = True) -> None:
+        if config:
+            p.add_argument("--config", type=Path, default=None, help="JSON run configuration")
+        else:
+            p.set_defaults(config=None)
         p.add_argument("--out", type=Path, default=Path("out"), help="output directory")
         if sim_flags:
             p.add_argument("--dt", type=float, default=None, help="integration step override")
@@ -133,13 +136,13 @@ def _build_parser() -> argparse.ArgumentParser:
         "reproduce-paper",
         help="simulate the bundled reference scenario with its published gain sweep",
     )
-    common(reproduce, sim_flags=True)
+    # the bundled configuration only: it takes no --config
+    common(reproduce, sim_flags=True, config=False)
     return parser
 
 
-def _load(args, force_default: bool = False) -> RunConfig:
-    path = default_config_path() if force_default or args.config is None else args.config
-    return load_config(path)
+def _load(args) -> RunConfig:
+    return load_config(default_config_path() if args.config is None else args.config)
 
 
 def cmd_select_params(args) -> int:
@@ -294,8 +297,8 @@ def _simulate_sweep(bundle, gains, dt, horizon, out: Path) -> list[tuple[dict, O
     return results
 
 
-def cmd_simulate(args, force_default: bool = False) -> int:
-    config = _load(args, force_default=force_default)
+def cmd_simulate(args) -> int:
+    config = _load(args)
     sweep = checked_sweep(args.k_safe) if args.k_safe is not None else config.k_safe_sweep
     bundle = build_bundle(config, enforce_bounds=True)
     # Each run, its CSV and its summary are made in a forked child
@@ -354,10 +357,8 @@ def main(argv: Optional[list[str]] = None) -> int:
             return cmd_select_params(args)
         if args.command == "verify":
             return cmd_verify(args)
-        if args.command == "simulate":
+        if args.command in ("simulate", "reproduce-paper"):
             return cmd_simulate(args)
-        if args.command == "reproduce-paper":
-            return cmd_simulate(args, force_default=True)
         raise AssertionError(f"unhandled command {args.command}")
     except ConfigError as err:
         print(f"configuration error: {err}", file=sys.stderr)

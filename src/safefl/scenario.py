@@ -3,11 +3,16 @@
 A configuration names the arm, the Cartesian goal, per-axis position
 constraints, loop gains and certificate parameters. Assembly normalizes each
 constraint onto a canonical left half plane (recording the axis sign flip),
-solves the per-axis Lyapunov equations, selects or validates the certificate
-parameters, and exposes the controller factory for simulation. Each
-certificate carries its one design record, the ParameterBounds (v1, v2,
-gamma) its parameters were chosen against; parameter_report reads the bounds
-and sigmoid endpoints from it.
+solves the per-axis Lyapunov equations, builds each certificate and exposes
+the controller factory for simulation. clbf.mode "auto" builds it by
+clbf.select_parameters, the one automatic choice; "explicit" builds it from
+the configured l, delta, theta and optional k. Each certificate carries its
+one design record, the ParameterBounds (v1, v2, gamma) its parameters were
+chosen against; parameter_report reads the bounds and sigmoid endpoints from
+it.
+
+Every object in a configuration takes only its documented keys: any other
+key, a misspelled one included, is a ConfigError that names it.
 """
 
 from __future__ import annotations
@@ -23,7 +28,6 @@ import numpy as np
 from . import clbf
 from .clbf import (
     HalfPlaneUnsafe,
-    MarginPolicy,
     QuadraticCLF,
     RegionBox,
     WeakCLBF,
@@ -74,9 +78,6 @@ class RunConfig:
     lyapunov_q: np.ndarray
     clbf_mode: str
     v2: tuple[Optional[float], Optional[float]]
-    l_override: tuple[Optional[float], Optional[float]]
-    delta_margin: float
-    theta_margin: float
     explicit_params: Optional[tuple[dict, ...]]
     dt: float
     horizon: float
@@ -94,21 +95,32 @@ class RunConfig:
             raise ConfigError(f"invalid configuration: {err}") from err
 
 
-_TOP_LEVEL_KEYS = {
-    "schema_version",
-    "name",
-    "manipulator",
-    "goal",
-    "initial",
-    "region",
-    "constraints",
-    "gains",
-    "lyapunov_q",
-    "clbf",
-    "simulation",
-    "k_safe",
-    "reference_initial_w",
+# The keys each object of a configuration may hold, by the object's name in
+# error messages.
+_KEYS = {
+    "configuration": {
+        "schema_version", "name", "manipulator", "goal", "initial", "region", "constraints",
+        "gains", "lyapunov_q", "clbf", "simulation", "k_safe", "reference_initial_w",
+    },
+    "manipulator": {"m1", "m2", "L1", "L2", "gravity"},
+    "initial": {"position", "velocity", "elbow"},
+    "region": {"p1", "p2", "speed_limit"},
+    "constraint": {"axis", "side", "bound"},
+    "gains": {"kp", "kd"},
+    "clbf": {"mode", "v2", "params"},
+    "clbf params": {"l", "delta", "theta", "k"},
+    "simulation": {"dt", "horizon", "record_stride"},
 }
+
+
+def _object(value, what: str) -> dict:
+    """A JSON object holding only the keys _KEYS[what] names."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{what} must be an object")
+    unknown = set(value) - _KEYS[what]
+    if unknown:
+        raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
+    return value
 
 
 def _number(value, what: str) -> float:
@@ -167,17 +179,13 @@ def checked_sweep(values) -> tuple[float, ...]:
 
 
 def _parse_config(cls, raw: dict) -> "RunConfig":
-    if not isinstance(raw, dict):
-        raise ConfigError("configuration root must be an object")
-    unknown = set(raw) - _TOP_LEVEL_KEYS
-    if unknown:
-        raise ConfigError(f"unknown configuration keys: {sorted(unknown)}")
+    _object(raw, "configuration")
     if raw.get("schema_version") != SCHEMA_VERSION:
         raise ConfigError(
             f"schema_version must be {SCHEMA_VERSION}, got {raw.get('schema_version')!r}"
         )
 
-    arm = raw["manipulator"]
+    arm = _object(raw["manipulator"], "manipulator")
     params = ManipulatorParams(
         m1=_number(arm["m1"], "m1"),
         m2=_number(arm["m2"], "m2"),
@@ -186,14 +194,14 @@ def _parse_config(cls, raw: dict) -> "RunConfig":
         gravity=_number(arm.get("gravity", 9.81), "gravity"),
     )
     goal = np.array(_pair(raw["goal"], "goal"))
-    initial = raw["initial"]
+    initial = _object(raw["initial"], "initial")
     p0 = np.array(_pair(initial["position"], "initial position"))
     v0 = np.array(_pair(initial["velocity"], "initial velocity"))
     elbow = str(initial.get("elbow", "up"))
     if elbow not in ("up", "down"):
         raise ConfigError(f"elbow must be 'up' or 'down', got {elbow!r}")
 
-    region = raw["region"]
+    region = _object(raw["region"], "region")
     p1_lo, p1_hi = _pair(region["p1"], "region p1")
     p2_lo, p2_hi = _pair(region["p2"], "region p2")
     speed = _number(region["speed_limit"], "speed_limit")
@@ -203,6 +211,7 @@ def _parse_config(cls, raw: dict) -> "RunConfig":
     constraints = []
     seen_axes = set()
     for entry in raw["constraints"]:
+        entry = _object(entry, "constraint")
         axis = _number(entry["axis"], "constraint axis")
         side = str(entry["side"])
         if axis not in (0, 1):
@@ -219,7 +228,7 @@ def _parse_config(cls, raw: dict) -> "RunConfig":
         raise ConfigError("at least one constraint required")
     constraints.sort(key=lambda c: c.axis)
 
-    gains = raw["gains"]
+    gains = _object(raw["gains"], "gains")
     kp = np.array(_pair(gains["kp"], "kp"))
     kd = np.array(_pair(gains["kd"], "kd"))
     if np.any(kp <= 0.0) or np.any(kd <= 0.0):
@@ -228,14 +237,11 @@ def _parse_config(cls, raw: dict) -> "RunConfig":
     q_rows = _entries(raw.get("lyapunov_q", _DEFAULT_Q), "lyapunov_q")
     q_mat = np.array([_pair(row, "lyapunov_q row") for row in q_rows])
 
-    section = raw["clbf"]
+    section = _object(raw["clbf"], "clbf")
     mode = str(section.get("mode", "auto"))
     if mode not in ("auto", "explicit"):
         raise ConfigError(f"clbf mode must be 'auto' or 'explicit', got {mode!r}")
     v2 = _optional_pair(section.get("v2"), "clbf v2")
-    l_override = _optional_pair(section.get("l"), "clbf l")
-    delta_margin = _number(section.get("delta_margin", 1.05), "delta_margin")
-    theta_margin = _number(section.get("theta_margin", 1.05), "theta_margin")
     explicit_params = None
     if mode == "explicit":
         entries = section.get("params")
@@ -243,6 +249,7 @@ def _parse_config(cls, raw: dict) -> "RunConfig":
             raise ConfigError("explicit mode needs one params entry per constraint")
         cooked = []
         for entry in entries:
+            entry = _object(entry, "clbf params")
             cooked.append(
                 {
                     "l": _number(entry["l"], "explicit l"),
@@ -255,7 +262,7 @@ def _parse_config(cls, raw: dict) -> "RunConfig":
         if any(v is None for v in v2):
             raise ConfigError("explicit mode requires v2 for every constraint")
 
-    sim = raw["simulation"]
+    sim = _object(raw["simulation"], "simulation")
     dt = _number(sim["dt"], "dt")
     horizon = _number(sim["horizon"], "horizon")
     stride = _number(sim.get("record_stride", 1), "record_stride")
@@ -285,9 +292,6 @@ def _parse_config(cls, raw: dict) -> "RunConfig":
         lyapunov_q=q_mat,
         clbf_mode=mode,
         v2=v2,
-        l_override=l_override,
-        delta_margin=delta_margin,
-        theta_margin=theta_margin,
         explicit_params=explicit_params,
         dt=dt,
         horizon=horizon,
@@ -434,12 +438,7 @@ def _assemble(config: RunConfig, enforce_bounds: bool) -> ScenarioBundle:
                 v0 = clf.value_and_grad(e0, edot0)[0]
                 v2 = max(v0, 1.5 * v1_min_on_unsafe(clf, unsafe.d))
             if config.clbf_mode == "auto":
-                policy = MarginPolicy(
-                    l=config.l_override[constrained_index],
-                    delta_margin=config.delta_margin,
-                    theta_margin=config.theta_margin,
-                )
-                certificate = select_parameters(clf, region, unsafe, v2, policy)
+                certificate = select_parameters(clf, region, unsafe, v2)
             else:
                 entry = config.explicit_params[constrained_index]
                 certificate = assemble_weak_clbf(

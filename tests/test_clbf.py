@@ -6,7 +6,6 @@ import pytest
 from reference import finite_diff_grad
 from safefl.clbf import (
     HalfPlaneUnsafe,
-    MarginPolicy,
     QuadraticCLF,
     RegionBox,
     SigmoidShape,
@@ -203,36 +202,35 @@ class TestParameterSelection:
         with pytest.raises(MarginInfeasible):
             select_parameters(np.eye(2), box, unsafe, v2=v1 * math.exp(30.0))
 
-    def test_default_policy_respects_bounds(self):
-        cert = select_parameters(P1, BOX1, UNSAFE1, v2=2.0)
-        bounds = parameter_bounds(P1, BOX1, UNSAFE1, v2=2.0)
-        assert cert.shape.l == pytest.approx(4.0)
-        assert cert.shape.delta > bounds.delta_min(cert.shape.l)
-        assert cert.theta > bounds.theta_min(cert.shape.l, cert.shape.delta)
-        sigma2 = bounds.sigma_endpoints(cert.shape.l, cert.shape.delta)[1]
-        assert cert.k == pytest.approx((1 + cert.theta * sigma2) * 2.0)
+    def test_default_policy_respects_bounds(self, default_bundle):
+        # auto mode is one policy: the slope at its bound 2/gamma, and delta
+        # and theta at 1.05 times their lower bounds
+        for sub in default_bundle.subsystems:
+            cert = sub.certificate
+            bounds = cert.bounds
+            delta = 1.05 * bounds.delta_min(bounds.l_max)
+            expected = assemble_weak_clbf(
+                sub.clf, sub.region, sub.unsafe, bounds.v2, l=bounds.l_max, delta=delta,
+                theta=1.05 * bounds.theta_min(bounds.l_max, delta),
+            )
+            for field in ("clf", "shape", "theta", "k", "bounds"):
+                assert getattr(cert, field) == getattr(expected, field), field
+            assert cert.shape.l == 2.0 / sub.region.x1_max
 
-    def test_slope_override_and_rejection(self):
-        cert = select_parameters(P1, BOX1, UNSAFE1, v2=2.0, policy=MarginPolicy(l=2.0))
-        assert cert.shape.l == 2.0
-        with pytest.raises(MarginInfeasible):
-            select_parameters(P1, BOX1, UNSAFE1, v2=2.0, policy=MarginPolicy(l=9.0))
-
-    def test_vacuous_slope_bound_fallback(self):
-        # region entirely in x1 <= 0 (origin on the boundary): the slope bound
-        # is vacuous and the fallback slope 2 / (0.1 * extent) applies
-        box = RegionBox(-3.0, 0.0, -2.0, 2.0)
-        unsafe = HalfPlaneUnsafe(-1.0)
-        bounds = parameter_bounds(np.eye(2), box, unsafe, v2=1.0)
-        assert bounds.l_max is None
-        cert = select_parameters(np.eye(2), box, unsafe, v2=1.0)
-        assert cert.shape.l == pytest.approx(2.0 / (0.1 * 3.0))
-
-    def test_policy_validation(self):
-        with pytest.raises(ValueError):
-            MarginPolicy(delta_margin=1.0)
-        with pytest.raises(ValueError):
-            MarginPolicy(l=-1.0)
+    @pytest.mark.parametrize(
+        "theta, k",
+        [(math.inf, None), (math.nan, None), (50.0, math.inf), (50.0, math.nan)],
+        ids=["theta_inf", "theta_nan", "k_inf", "k_nan"],
+    )
+    @pytest.mark.parametrize("enforce", [True, False])
+    def test_non_finite_theta_or_k_rejected(self, theta, k, enforce):
+        # an unbounded scaling (theta_min of a delta at or below its bound)
+        # or offset is no certificate; it is refused, not verified
+        with pytest.raises(ValueError, match="must be finite"):
+            assemble_weak_clbf(
+                P1, BOX1, UNSAFE1, v2=2.0, l=4.0, delta=0.28, theta=theta, k=k,
+                enforce_bounds=enforce,
+            )
 
 
 @pytest.fixture(scope="module")
@@ -397,6 +395,10 @@ class TestRegionBox:
             RegionBox(1.0, -1.0, -1.0, 1.0)
         with pytest.raises(ValueError):
             RegionBox(0.1, 1.0, -1.0, 1.0)  # origin outside
+        with pytest.raises(ValueError, match="interior"):
+            RegionBox(-3.0, 0.0, -2.0, 2.0)  # origin on the boundary
+        with pytest.raises(ValueError, match="interior"):
+            RegionBox(-1.0, 1.0, 0.0, 2.0)
 
     def test_diameter(self):
         box = RegionBox(-3.0, 1.0, -1.0, 2.0)

@@ -441,6 +441,21 @@ class TestErrorExitCodes:
         assert lines[0].startswith("configuration error:" if code == 3 else "infeasible:")
         assert not out.exists()  # rejected before any run or output
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("l", [None, None]), ("delta_margin", 1.05), ("theta_margin", 1.05)],
+        ids=["l", "delta_margin", "theta_margin"],
+    )
+    def test_removed_auto_mode_knob_is_named(self, tmp_path, raw_config, capsys, key, value):
+        # auto mode has one parameter policy; explicit mode chooses any other
+        raw_config["clbf"][key] = value
+        path = write_config(tmp_path, raw_config)
+        out = tmp_path / "out"
+        assert main(["select-params", "--config", str(path), "--out", str(out)]) == 3
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert lines == [f"configuration error: unknown clbf keys: ['{key}']"]
+        assert not out.exists()
+
 
 class TestReproduce:
     def test_short_horizon_smoke(self, tmp_path):
@@ -451,6 +466,15 @@ class TestReproduce:
             assert (out / f"ksafe_{k}.csv").exists()
         summary = json.loads((out / "summary.json").read_text())
         assert [run["steps"] for run in summary["runs"]] == [20] * 4
+
+    def test_config_flag_is_a_usage_error(self, tmp_path, capsys):
+        # reproduce-paper runs the bundled configuration only
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["reproduce-paper", "--config", str(tmp_path / "missing.json"), "--out", str(out)])
+        assert exit_info.value.code == 2
+        assert "--config" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestParallelSweep:

@@ -22,6 +22,19 @@ def raw_config():
         return json.load(fh)
 
 
+def _explicit_published_row(raw) -> list:
+    """Switch raw to explicit mode with the published rows; their entries."""
+    raw["clbf"] = {
+        "mode": "explicit",
+        "v2": [2.0, 2.0],
+        "params": [
+            {"l": 4.0, "delta": 0.28, "theta": 50.0},
+            {"l": 4.0, "delta": 0.58, "theta": 6.1},
+        ],
+    }
+    return raw["clbf"]["params"]
+
+
 class TestConfigParsing:
     def test_default_config_loads(self, default_config):
         assert default_config.name == "two_link_reach_avoid"
@@ -32,6 +45,26 @@ class TestConfigParsing:
     def test_unknown_key_rejected(self, raw_config):
         raw_config["extra"] = 1
         with pytest.raises(ConfigError):
+            RunConfig.from_dict(raw_config)
+
+    @pytest.mark.parametrize(
+        "section, key",
+        [
+            (lambda raw: raw["manipulator"], "m3"),
+            (lambda raw: raw["initial"], "elbw"),
+            (lambda raw: raw["region"], "speed"),
+            (lambda raw: raw["constraints"][1], "sid"),
+            (lambda raw: raw["gains"], "kpp"),
+            (lambda raw: raw["clbf"], "delta_margin"),
+            (lambda raw: _explicit_published_row(raw)[1], "kk"),
+            (lambda raw: raw["simulation"], "horizn"),
+        ],
+        ids=["manipulator", "initial", "region", "constraint", "gains", "clbf", "clbf_params", "simulation"],
+    )
+    def test_unknown_key_in_a_section_rejected(self, raw_config, section, key):
+        # a misspelled or removed key is an error that names it, never ignored
+        section(raw_config)[key] = 1.0
+        with pytest.raises(ConfigError, match=rf"unknown .* keys: \['{key}'\]$"):
             RunConfig.from_dict(raw_config)
 
     def test_wrong_schema_version(self, raw_config):
@@ -148,14 +181,7 @@ class TestBundleAssembly:
         assert np.all(np.array(report["initial_w"]) < 0.0)
 
     def test_explicit_published_row_feasible(self, raw_config):
-        raw_config["clbf"] = {
-            "mode": "explicit",
-            "v2": [2.0, 2.0],
-            "params": [
-                {"l": 4.0, "delta": 0.28, "theta": 50.0},
-                {"l": 4.0, "delta": 0.58, "theta": 6.1},
-            ],
-        }
+        _explicit_published_row(raw_config)
         bundle = build_bundle(RunConfig.from_dict(raw_config))
         assert bundle.subsystems[0].certificate.k == pytest.approx(38.355, abs=1e-3)
         assert bundle.subsystems[1].certificate.theta == 6.1
