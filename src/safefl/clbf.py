@@ -2,12 +2,12 @@
 
 A quadratic Lyapunov function V(x) = 0.5 x'Px is rescaled by 1 + theta*sigma(x1),
 where sigma is a decreasing sigmoid centered just outside the unsafe half plane
-{x1 <= d}, and shifted by an offset k. With the slope, margin, scaling and offset
-chosen against explicit bounds, the result W is positive on the unsafe set,
-decreases along the drift wherever the input cannot act on it, and has a
-non-empty admissible sublevel set -- all of which this module decides from
-closed forms in x1, with one certified 1-D interval bisection where the slope
-exceeds its bound.
+{x1 <= d}, and shifted by the offset k = (1 + theta*sigma2)*v2. With the slope,
+margin and scaling chosen against explicit bounds, the result W is positive on
+the unsafe set, decreases along the drift wherever the input cannot act on it,
+and has a non-empty admissible sublevel set -- all of which this module decides
+from closed forms in x1, with one certified 1-D interval bisection where the
+slope exceeds its bound.
 
 select_parameters makes the one automatic choice: the slope at its bound
 2/gamma, and the margin and scaling at BOUND_SLACK = 1.05 times their lower
@@ -26,7 +26,6 @@ from .errors import InvalidUnsafeSet, LevelTooSmall, MarginInfeasible
 from .numerics import as_mat2, is_spd
 
 _EXP_CLAMP = 700.0  # IEEE double overflow guard; clamping error < 1e-300
-C_OMEGA_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -247,10 +246,10 @@ def assemble_weak_clbf(
     l: float,
     delta: float,
     theta: float,
-    k: Optional[float] = None,
     enforce_bounds: bool = True,
 ) -> WeakCLBF:
-    """Build a WeakCLBF from explicit parameters, checking them against bounds.
+    """Build a WeakCLBF from explicit (l, delta, theta), checking them against
+    bounds; the offset is always the design's k = (1 + theta*sigma2)*v2.
 
     With enforce_bounds=False the certificate is built as given (out-of-bound
     parameters included) so that the verifier, not the constructor, judges it.
@@ -282,8 +281,7 @@ def assemble_weak_clbf(
             raise MarginInfeasible("sigmoid endpoint identity violated (delta too large)")
     if not 0.0 < sigma2 < 0.5 < sigma1 < 1.0:
         raise ValueError("sigmoid endpoints must satisfy 0 < sigma2 < 1/2 < sigma1 < 1")
-    if k is None:
-        k = (1.0 + theta * sigma2) * v2
+    k = (1.0 + theta * sigma2) * v2
     if not (math.isfinite(theta) and math.isfinite(k)):
         raise ValueError(f"theta = {theta} and k = {k} must be finite")
     # plain floats keep the scalar evaluations inside the controller off
@@ -318,8 +316,9 @@ def select_parameters(P, region: RegionBox, unsafe: HalfPlaneUnsafe, v2: float) 
 # (1 - sigma) / 2): every stationary point off the origin lies there with
 # h = 0, and the Lie derivative along a drift with first entry x2 is
 # L = -c (det P/p22) x1^2 h. The fifth condition, that the margin set C_omega
-# lies in {W <= 0}, is bounded by sigma(d + delta) and V <= v2 on that set.
-# verify_weak_clbf decides all five; a certificate passes only when each does.
+# lies in {W <= 0}, is bounded by sigma2 = sigma(d + delta) and V <= v2 on that
+# set. verify_weak_clbf decides all five from the certificate alone, its own
+# design record of d, sigma2 and v2; it passes only when each does.
 
 PASS, FAIL, UNDECIDED = "pass", "fail", "undecided"
 _NAMES = (
@@ -338,6 +337,12 @@ EPS_ORIGIN_FRACTION = 1e-3
 _BISECTION_BOXES = 4096
 # Rounding allowance of a float enclosure of h, relative to the size of its terms.
 _ENCLOSURE_SLACK = 1e-12
+# Rounding allowance of W on the margin set, relative to |k| + theta*sigma2*v2
+# + v2, the size of its terms there, so the verdict is the same at any scale of
+# P. A sampled W takes about a dozen roundings of at most eps/2 each (Higham
+# 2002, ch. 3): V (4), sigma (3), the products and k, and the square root that
+# places a sample on {V = v2}. 16 eps = 32 of them covers that with room.
+_C_OMEGA_ROUNDING = 16.0 * float(np.finfo(float).eps)
 _OUTSIDE = "theta < 0 lies outside the construction, which needs 1 + theta*sigma >= 1"
 
 
@@ -510,13 +515,13 @@ def _line_conditions(W: WeakCLBF, region: RegionBox, d: float, n: int, eps_origi
 def verify_weak_clbf(
     W: WeakCLBF,
     region: RegionBox,
-    unsafe: HalfPlaneUnsafe,
     grid_resolution: int = 400,
     c_omega_resolution: int = 200,
 ) -> VerificationReport:
-    """Decide the five conditions of a weak CLBF from closed forms: the four
-    defining ones and check_c_omega_subset's margin-set containment. Failures
-    are data, not raised; the report passes only when all five pass.
+    """Decide the five conditions of a weak CLBF, on its own unsafe set
+    {x1 <= W.shape.d}, from closed forms: the four defining ones and
+    check_c_omega_subset's margin-set containment. Failures are data, not
+    raised; the report passes only when all five pass.
     grid_resolution and c_omega_resolution size only the sampled
     counterexample searches. The decrease and uniqueness conditions exclude
     the origin ball of radius EPS_ORIGIN_FRACTION times the region's diameter."""
@@ -525,12 +530,13 @@ def verify_weak_clbf(
     if W.theta < 0.0:
         conditions = [ConditionResult(name, UNDECIDED, math.nan, None, _OUTSIDE) for name in _NAMES[:4]]
     else:
-        decrease, stationary = _line_conditions(W, region, unsafe.d, grid_resolution, eps_origin)
+        d = W.shape.d
+        decrease, stationary = _line_conditions(W, region, d, grid_resolution, eps_origin)
         admissible = ConditionResult(
             _NAMES[2], PASS if W.k >= 0.0 else FAIL, -W.k, (0.0, 0.0),
             "min W = W(0) = -k, since W >= -k",
         )
-        positive = _positive_on_unsafe(W, region, unsafe.d, grid_resolution)
+        positive = _positive_on_unsafe(W, region, d, grid_resolution)
         conditions = [positive, decrease, admissible, stationary]
     c_omega = check_c_omega_subset(W, region, c_omega_resolution)
     return VerificationReport(
@@ -541,10 +547,11 @@ def verify_weak_clbf(
 def check_c_omega_subset(
     W: WeakCLBF, region: RegionBox, grid_resolution: int = 200
 ) -> ConditionResult:
-    """The fifth verdict of verify_weak_clbf: W <= C_OMEGA_TOL on C_omega =
-    {V <= v2, x1 >= d + delta} in X, where sigma <= sigma(d + delta) and
-    V <= v2 bound W. A set with no point in the region fails, with no margin
-    and no witness."""
+    """The fifth verdict of verify_weak_clbf: W <= 0 (to _C_OMEGA_ROUNDING) on
+    C_omega = {V <= v2, x1 >= d + delta} in X, where W <= (1 + theta*sigma2)*v2
+    - k, with the design's sigma2 and v2 that k was built from: exactly 0 for
+    every certificate assemble_weak_clbf builds. A set with no point in the
+    region fails, with no margin and no witness."""
     _check_resolution(grid_resolution)
     clf, edge, v2 = W.clf, W.shape.d + W.shape.delta, W.bounds.v2
 
@@ -559,7 +566,9 @@ def check_c_omega_subset(
         )
     if W.theta < 0.0:
         return ConditionResult(_NAMES[4], UNDECIDED, math.nan, None, _OUTSIDE)
-    bound = (1.0 + W.theta * sigmoid_eval(W.shape, edge)) * v2 - W.k
+    sigma2 = W.bounds.sigma_endpoints(W.shape.l, W.shape.delta)[1]
+    bound = (1.0 + W.theta * sigma2) * v2 - W.k
+    allowance = _C_OMEGA_ROUNDING * (abs(W.k) + W.theta * sigma2 * v2 + v2)
     # Per sampled x1, V is largest on the slice {V <= v2} at an end of its x2
     # interval. The first sample is the witness: the set's left edge, or the
     # origin where V exceeds v2 all along that edge.
@@ -574,9 +583,9 @@ def check_c_omega_subset(
     x2 = np.where(clf.value_and_grad(x1, lo)[0] >= clf.value_and_grad(x1, hi)[0], lo, hi)
     w = W.value_and_grad(x1, x2)[0]
     result = ConditionResult(
-        _NAMES[4], PASS if bound <= C_OMEGA_TOL else FAIL, bound,
+        _NAMES[4], PASS if bound <= allowance else FAIL, bound,
         (float(x1[0]), float(x2[0])),
         "W <= (1 + theta*sigma(d + delta))*v2 - k on C_omega: sigma decreases, V <= v2",
     )
-    return _refute(result, x1, x2, w, (disc >= 0.0) & (lo <= hi) & (w > C_OMEGA_TOL))
+    return _refute(result, x1, x2, w, (disc >= 0.0) & (lo <= hi) & (w > allowance))
 

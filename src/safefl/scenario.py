@@ -6,10 +6,10 @@ constraint onto a canonical left half plane (recording the axis sign flip),
 solves the per-axis Lyapunov equations, builds each certificate and exposes
 the controller factory for simulation. clbf.mode "auto" builds it by
 clbf.select_parameters, the one automatic choice; "explicit" builds it from
-the configured l, delta, theta and optional k. Each certificate carries its
-one design record, the ParameterBounds (v1, v2, gamma) its parameters were
-chosen against; parameter_report reads the bounds and sigmoid endpoints from
-it.
+the configured l, delta and theta, with the offset k that the design fixes.
+Each certificate is its own design record: its shape holds d, and its
+ParameterBounds the v1, v2 and gamma its parameters were chosen against;
+verify_bundle and parameter_report read them from it.
 
 Every object in a configuration takes only its documented keys: any other
 key, a misspelled one included, is a ConfigError that names it.
@@ -108,7 +108,7 @@ _KEYS = {
     "constraint": {"axis", "side", "bound"},
     "gains": {"kp", "kd"},
     "clbf": {"mode", "v2", "params"},
-    "clbf params": {"l", "delta", "theta", "k"},
+    "clbf params": {"l", "delta", "theta"},
     "simulation": {"dt", "horizon", "record_stride"},
 }
 
@@ -247,18 +247,11 @@ def _parse_config(cls, raw: dict) -> "RunConfig":
         entries = section.get("params")
         if not isinstance(entries, list) or len(entries) != len(constraints):
             raise ConfigError("explicit mode needs one params entry per constraint")
-        cooked = []
-        for entry in entries:
-            entry = _object(entry, "clbf params")
-            cooked.append(
-                {
-                    "l": _number(entry["l"], "explicit l"),
-                    "delta": _number(entry["delta"], "explicit delta"),
-                    "theta": _number(entry["theta"], "explicit theta"),
-                    "k": None if entry.get("k") is None else _number(entry["k"], "explicit k"),
-                }
-            )
-        explicit_params = tuple(cooked)
+        entries = [_object(entry, "clbf params") for entry in entries]
+        explicit_params = tuple(
+            {key: _number(entry[key], f"explicit {key}") for key in ("l", "delta", "theta")}
+            for entry in entries
+        )
         if any(v is None for v in v2):
             raise ConfigError("explicit mode requires v2 for every constraint")
 
@@ -330,7 +323,6 @@ class SubsystemSetup:
     kd: float
     clf: QuadraticCLF
     region: RegionBox
-    unsafe: Optional[HalfPlaneUnsafe]
     certificate: Optional[WeakCLBF]
     xbar0: tuple[float, float]
 
@@ -440,17 +432,9 @@ def _assemble(config: RunConfig, enforce_bounds: bool) -> ScenarioBundle:
             if config.clbf_mode == "auto":
                 certificate = select_parameters(clf, region, unsafe, v2)
             else:
-                entry = config.explicit_params[constrained_index]
+                entry = config.explicit_params[constrained_index]  # l, delta and theta
                 certificate = assemble_weak_clbf(
-                    clf,
-                    region,
-                    unsafe,
-                    v2,
-                    l=entry["l"],
-                    delta=entry["delta"],
-                    theta=entry["theta"],
-                    k=entry["k"],
-                    enforce_bounds=enforce_bounds,
+                    clf, region, unsafe, v2, **entry, enforce_bounds=enforce_bounds
                 )
             constrained_index += 1
 
@@ -462,7 +446,6 @@ def _assemble(config: RunConfig, enforce_bounds: bool) -> ScenarioBundle:
                 kd=float(config.kd[axis]),
                 clf=clf,
                 region=region,
-                unsafe=unsafe,
                 certificate=certificate,
                 xbar0=(e0, edot0),
             )
@@ -524,7 +507,7 @@ def verify_bundle(
         try:
             # looked up on the module at call time, so a patched one is seen
             report = clbf.verify_weak_clbf(
-                sub.certificate, sub.region, sub.unsafe, grid_resolution, c_omega_resolution
+                sub.certificate, sub.region, grid_resolution, c_omega_resolution
             )
         except ValueError as err:
             raise ConfigError(f"invalid verification setting: {err}") from err
@@ -556,7 +539,7 @@ def parameter_report(bundle: ScenarioBundle) -> dict:
             initial_w.append(w0)
             entry.update(
                 {
-                    "d": sub.unsafe.d,
+                    "d": cert.shape.d,
                     "gamma": bounds.gamma,
                     "l_max": bounds.l_max,
                     "v1": bounds.v1,

@@ -1,3 +1,6 @@
+import importlib.util
+import warnings
+
 import numpy as np
 import pytest
 
@@ -5,6 +8,17 @@ from safefl.clbf import RegionBox, assemble_weak_clbf
 from safefl.numerics import solve_lyapunov_2x2
 from safefl.scenario import build_bundle, default_config_path, load_config
 
+
+# A failing hypothesis test imports libcst to explain its falsifying example,
+# and importing libcst warns "mypy_extensions.TypedDict is deprecated"; under
+# -W error that warning becomes a pytest INTERNALERROR that hides the example.
+# Import libcst once here, ignoring that one warning only.
+if importlib.util.find_spec("libcst") is not None:
+    with warnings.catch_warnings():
+        warnings.filterwarnings(
+            "ignore", "mypy_extensions.TypedDict is deprecated", DeprecationWarning
+        )
+        import libcst  # noqa: F401
 
 Q_DEFAULT = np.array([[1.0, -0.9], [-0.9, 1.0]])
 

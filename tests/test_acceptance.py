@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from reference import arm_model, kinetic_energy, rk4_step, task_space_terms
-from safefl.clbf import WeakCLBF, check_c_omega_subset, verify_weak_clbf
+from safefl.clbf import HalfPlaneUnsafe, WeakCLBF, check_c_omega_subset, verify_weak_clbf
 from safefl.cli import main, write_trajectory_csv
 from safefl.manipulator import (
     ManipulatorParams,
@@ -85,7 +85,8 @@ def test_criterion_02_parameter_bounds(default_bundle):
         from safefl.clbf import parameter_bounds
 
         start = time.perf_counter()
-        bounds = parameter_bounds(sub.clf, sub.region, sub.unsafe, v2=2.0)
+        unsafe = HalfPlaneUnsafe(sub.certificate.shape.d)
+        bounds = parameter_bounds(sub.clf, sub.region, unsafe, v2=2.0)
         l_max = bounds.l_max
         delta_min = bounds.delta_min(4.0)
         theta_min = bounds.theta_min(4.0, 0.28)
@@ -106,9 +107,7 @@ def test_criterion_03_certificate_verification(default_bundle):
         start = time.perf_counter()
         reports = []
         for sub in default_bundle.subsystems:
-            report = verify_weak_clbf(
-                sub.certificate, sub.region, sub.unsafe, grid_resolution=400
-            )
+            report = verify_weak_clbf(sub.certificate, sub.region, grid_resolution=400)
             reports.append((sub, report))
             assert report.positive_on_unsafe.passed
             assert report.line_decrease.passed
@@ -121,14 +120,15 @@ def test_criterion_03_certificate_verification(default_bundle):
             clf=cert.clf, shape=cert.shape, theta=0.0,
             k=cert.bounds.v2, bounds=cert.bounds,
         )
-        broken = verify_weak_clbf(unscaled, sub0.region, sub0.unsafe, 400)
+        broken = verify_weak_clbf(unscaled, sub0.region, 400)
         assert not broken.positive_on_unsafe.passed
         # the minimizer of V on the unsafe set, exactly
-        expected_witness = (sub0.unsafe.d, -cert.clf.p12 / cert.clf.p22 * sub0.unsafe.d)
+        d = cert.shape.d
+        expected_witness = (d, -cert.clf.p12 / cert.clf.p22 * d)
         assert broken.positive_on_unsafe.witness == expected_witness
 
         negated = replace(cert, k=-1.0)
-        broken2 = verify_weak_clbf(negated, sub0.region, sub0.unsafe, 400)
+        broken2 = verify_weak_clbf(negated, sub0.region, 400)
         assert not broken2.admissible_nonempty.passed
         # the minimum sits at the origin, where W = -k = +1
         assert broken2.admissible_nonempty.margin == 1.0

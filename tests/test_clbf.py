@@ -210,25 +210,26 @@ class TestParameterSelection:
             bounds = cert.bounds
             delta = 1.05 * bounds.delta_min(bounds.l_max)
             expected = assemble_weak_clbf(
-                sub.clf, sub.region, sub.unsafe, bounds.v2, l=bounds.l_max, delta=delta,
-                theta=1.05 * bounds.theta_min(bounds.l_max, delta),
+                sub.clf, sub.region, HalfPlaneUnsafe(cert.shape.d), bounds.v2,
+                l=bounds.l_max, delta=delta, theta=1.05 * bounds.theta_min(bounds.l_max, delta),
             )
             for field in ("clf", "shape", "theta", "k", "bounds"):
                 assert getattr(cert, field) == getattr(expected, field), field
             assert cert.shape.l == 2.0 / sub.region.x1_max
 
     @pytest.mark.parametrize(
-        "theta, k",
-        [(math.inf, None), (math.nan, None), (50.0, math.inf), (50.0, math.nan)],
-        ids=["theta_inf", "theta_nan", "k_inf", "k_nan"],
+        "theta, v2, delta",
+        [(math.inf, 2.0, 0.28), (math.nan, 2.0, 0.28), (1.79e308, 20.0, 1.42)],
+        ids=["theta_inf", "theta_nan", "k_inf"],
     )
     @pytest.mark.parametrize("enforce", [True, False])
-    def test_non_finite_theta_or_k_rejected(self, theta, k, enforce):
-        # an unbounded scaling (theta_min of a delta at or below its bound)
-        # or offset is no certificate; it is refused, not verified
+    def test_non_finite_theta_or_k_rejected(self, theta, v2, delta, enforce):
+        # an unbounded scaling (theta_min of a delta at or below its bound),
+        # or a finite one whose offset (1 + theta*sigma2)*v2 overflows, is no
+        # certificate; it is refused, not verified
         with pytest.raises(ValueError, match="must be finite"):
             assemble_weak_clbf(
-                P1, BOX1, UNSAFE1, v2=2.0, l=4.0, delta=0.28, theta=theta, k=k,
+                P1, BOX1, UNSAFE1, v2=v2, l=4.0, delta=delta, theta=theta,
                 enforce_bounds=enforce,
             )
 

@@ -119,22 +119,6 @@ class TestVerify:
         empty = first["margin_set_contained"]
         assert (empty["verdict"], empty["margin"], empty["witness"]) == ("fail", None, None)
 
-    def test_negative_offset_fails(self, tmp_path, raw_config):
-        raw_config["clbf"] = {
-            "mode": "explicit",
-            "v2": [2.0, 2.0],
-            "params": [
-                {"l": 4.0, "delta": 0.28, "theta": 50.0, "k": -1.0},
-                {"l": 4.0, "delta": 0.58, "theta": 6.1},
-            ],
-        }
-        path = write_config(tmp_path, raw_config)
-        code = main(["verify", "--config", str(path), "--out", str(tmp_path), "--grid", "120"])
-        assert code == 2
-        report = json.loads((tmp_path / "verification_report.json").read_text())
-        first = {c["name"]: c for c in report["subsystems"][0]["conditions"]}
-        assert not first["admissible_set_nonempty"]["passed"]
-
 
 class TestSimulate:
     def test_outputs_and_schema(self, tmp_path, raw_config):
@@ -454,6 +438,18 @@ class TestErrorExitCodes:
         assert main(["select-params", "--config", str(path), "--out", str(out)]) == 3
         lines = capsys.readouterr().err.strip().splitlines()
         assert lines == [f"configuration error: unknown clbf keys: ['{key}']"]
+        assert not out.exists()
+
+    def test_explicit_offset_is_named(self, tmp_path, raw_config, capsys):
+        # the design fixes the offset k = (1 + theta*sigma2)*v2; an explicit
+        # entry takes l, delta and theta only
+        _explicit()(raw_config)
+        raw_config["clbf"]["params"][0]["k"] = -1.0
+        path = write_config(tmp_path, raw_config)
+        out = tmp_path / "out"
+        assert main(["verify", "--config", str(path), "--out", str(out)]) == 3
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert lines == ["configuration error: unknown clbf params keys: ['k']"]
         assert not out.exists()
 
 

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from safefl.clbf import parameter_bounds
+from safefl.clbf import HalfPlaneUnsafe, parameter_bounds
 from safefl.errors import ConfigError, InvalidUnsafeSet, LevelTooSmall, MarginInfeasible
 from safefl.manipulator import forward_kinematics, jacobian
 from safefl.scenario import (
@@ -118,8 +118,8 @@ class TestConfigParsing:
 class TestBundleAssembly:
     def test_axis_normalization(self, default_bundle):
         subs = default_bundle.subsystems
-        assert subs[0].sign == -1.0 and subs[0].unsafe.d == pytest.approx(-1.0)
-        assert subs[1].sign == 1.0 and subs[1].unsafe.d == pytest.approx(-1.3)
+        assert subs[0].sign == -1.0 and subs[0].certificate.shape.d == pytest.approx(-1.0)
+        assert subs[1].sign == 1.0 and subs[1].certificate.shape.d == pytest.approx(-1.3)
 
     @pytest.mark.parametrize(
         "axis, bound", [(0, 0.2), (0, 0.3), (1, 1.1)],
@@ -160,7 +160,8 @@ class TestBundleAssembly:
     def test_certificates_carry_their_bounds(self, default_bundle):
         for sub in default_bundle.subsystems:
             cert = sub.certificate
-            fresh = parameter_bounds(sub.clf, sub.region, sub.unsafe, cert.bounds.v2)
+            unsafe = HalfPlaneUnsafe(cert.shape.d)
+            fresh = parameter_bounds(sub.clf, sub.region, unsafe, cert.bounds.v2)
             assert cert.clf == sub.clf
             assert cert.bounds == fresh
 

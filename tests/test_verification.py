@@ -20,11 +20,11 @@ from safefl.clbf import (
     select_parameters,
     verify_weak_clbf,
 )
-from safefl.scenario import build_bundle, verify_bundle
+from safefl.cli import main
+from safefl.scenario import build_bundle, default_config_path, verify_bundle
 from tests.conftest import BOX_SUB1, BOX_SUB2
 
 UNSAFE1 = HalfPlaneUnsafe(-1.0)
-UNSAFE2 = HalfPlaneUnsafe(-1.3)
 CONDITION_NAMES = [
     "positive_on_unsafe", "line_decrease", "admissible_set_nonempty",
     "stationary_point_unique", "margin_set_contained",
@@ -33,7 +33,7 @@ CONDITION_NAMES = [
 
 class TestVerifyWeakCLBF:
     def test_published_first_axis_passes(self, table_cert_sub1):
-        report = verify_weak_clbf(table_cert_sub1, BOX_SUB1, UNSAFE1, grid_resolution=200)
+        report = verify_weak_clbf(table_cert_sub1, BOX_SUB1, grid_resolution=200)
         assert report.passed
         assert report.positive_on_unsafe.margin > 0.0
         assert report.line_decrease.margin < 0.0
@@ -41,7 +41,7 @@ class TestVerifyWeakCLBF:
         assert report.stationary_unique.margin > 0.0
 
     def test_published_second_axis_passes(self, table_cert_sub2):
-        report = verify_weak_clbf(table_cert_sub2, BOX_SUB2, UNSAFE2, grid_resolution=200)
+        report = verify_weak_clbf(table_cert_sub2, BOX_SUB2, grid_resolution=200)
         assert report.passed
 
     def test_unscaled_certificate_fails_on_unsafe_set(self, table_cert_sub1):
@@ -55,7 +55,7 @@ class TestVerifyWeakCLBF:
             k=table_cert_sub1.bounds.v2,
             bounds=table_cert_sub1.bounds,
         )
-        report = verify_weak_clbf(mutant, BOX_SUB1, UNSAFE1, grid_resolution=200)
+        report = verify_weak_clbf(mutant, BOX_SUB1, grid_resolution=200)
         assert not report.passed
         cond = report.positive_on_unsafe
         assert cond.verdict == "fail"
@@ -65,7 +65,7 @@ class TestVerifyWeakCLBF:
 
     def test_negative_offset_fails_admissibility(self, table_cert_sub1):
         mutant = replace(table_cert_sub1, k=-1.0)
-        report = verify_weak_clbf(mutant, BOX_SUB1, UNSAFE1, grid_resolution=200)
+        report = verify_weak_clbf(mutant, BOX_SUB1, grid_resolution=200)
         assert not report.admissible_nonempty.passed
         assert report.admissible_nonempty.margin > 0.0
 
@@ -74,7 +74,7 @@ class TestVerifyWeakCLBF:
         # vanishes, so the Lie derivative along a drift with any second entry
         # is g1 * x2, and the certified margin bounds it off the origin ball
         cert = table_cert_sub1
-        report = verify_weak_clbf(cert, BOX_SUB1, UNSAFE1, 200)
+        report = verify_weak_clbf(cert, BOX_SUB1, 200)
         assert report.line_decrease.passed
         c = cert.clf.p12 / cert.clf.p22
         x1 = np.linspace(UNSAFE1.d, BOX_SUB1.x1_max, 4001)[1:]
@@ -87,16 +87,16 @@ class TestVerifyWeakCLBF:
     def test_grid_too_coarse(self, table_cert_sub1):
         for n in (0, MIN_GRID_RESOLUTION - 1, MAX_GRID_RESOLUTION + 1):
             with pytest.raises(ValueError):
-                verify_weak_clbf(table_cert_sub1, BOX_SUB1, UNSAFE1, n)
+                verify_weak_clbf(table_cert_sub1, BOX_SUB1, n)
             with pytest.raises(ValueError):
                 check_c_omega_subset(table_cert_sub1, BOX_SUB1, n)
 
     def test_default_eps_origin(self, table_cert_sub1):
-        report = verify_weak_clbf(table_cert_sub1, BOX_SUB1, UNSAFE1, 100)
+        report = verify_weak_clbf(table_cert_sub1, BOX_SUB1, 100)
         assert report.eps_origin == pytest.approx(1e-3 * BOX_SUB1.diameter)
 
     def test_report_serializes(self, table_cert_sub1):
-        report = verify_weak_clbf(table_cert_sub1, BOX_SUB1, UNSAFE1, 100, c_omega_resolution=100)
+        report = verify_weak_clbf(table_cert_sub1, BOX_SUB1, 100, c_omega_resolution=100)
         payload = json.loads(json.dumps(report.to_dict()))
         assert list(payload) == [
             "passed", "grid_resolution", "eps_origin", "conditions", "c_omega_resolution"
@@ -111,9 +111,9 @@ class TestVerifyWeakCLBF:
         # the README certificate with k lowered by 0.1 %: W rises above zero
         # on the margin set, and the one-call verifier must say so
         cert = select_parameters(p_sub1, BOX_SUB1, UNSAFE1, v2=2.0)
-        assert verify_weak_clbf(cert, BOX_SUB1, UNSAFE1).passed
+        assert verify_weak_clbf(cert, BOX_SUB1).passed
         lowered = replace(cert, k=cert.k * (1.0 - 1e-3))
-        report = verify_weak_clbf(lowered, BOX_SUB1, UNSAFE1)
+        report = verify_weak_clbf(lowered, BOX_SUB1)
         assert not report.passed
         failing = [cond.name for cond in report.conditions() if not cond.passed]
         assert failing == ["margin_set_contained"]
@@ -198,7 +198,7 @@ def _explicit_config(default_config, theta_factor):
     for sub in bundle.subsystems:
         cert = sub.certificate
         theta = theta_factor * sub.certificate.bounds.theta_min(cert.shape.l, cert.shape.delta)
-        params.append({"l": cert.shape.l, "delta": cert.shape.delta, "theta": theta, "k": None})
+        params.append({"l": cert.shape.l, "delta": cert.shape.delta, "theta": theta})
     return replace(
         default_config,
         clbf_mode="explicit",
@@ -212,7 +212,8 @@ class TestExactVerdicts:
         reports = dict(verify_bundle(default_bundle))
         expected = {0: 0.0360458, 1: 0.1245125}
         for sub in default_bundle.subsystems:
-            cert, d = sub.certificate, sub.unsafe.d
+            cert = sub.certificate
+            d = cert.shape.d
             x2 = -cert.clf.p12 / cert.clf.p22 * d
             cond = reports[sub.axis].positive_on_unsafe
             assert cond.passed
@@ -260,7 +261,7 @@ class TestExactVerdicts:
                 p_sub1, BOX_SUB1, unsafe, v2=0.5, l=20.0, delta=0.2, theta=theta,
                 enforce_bounds=False,
             )
-            report = verify_weak_clbf(cert, BOX_SUB1, unsafe)
+            report = verify_weak_clbf(cert, BOX_SUB1)
             sigma = 1.0 / (1.0 + np.exp(20.0 * (x1 + 0.2)))
             h = 1.0 + theta * sigma * (1.0 - 10.0 * x1 * (1.0 - sigma))
             decrease, stationary = report.line_decrease, report.stationary_unique
@@ -287,7 +288,7 @@ class TestExactVerdicts:
             enforce_bounds=False,
         )
         monkeypatch.setattr(clbf, "_certify_h", lambda W, lo, hi: (clbf.PASS, 1.0, None))
-        report = verify_weak_clbf(cert, BOX_SUB1, unsafe)
+        report = verify_weak_clbf(cert, BOX_SUB1)
         for cond in (report.line_decrease, report.stationary_unique):
             assert cond.verdict == "fail"
             assert cond.inequality == "sampled counterexample"
@@ -295,7 +296,7 @@ class TestExactVerdicts:
     @pytest.mark.parametrize("theta", [-0.5, -50.0])
     def test_negative_theta_never_passes(self, table_cert_sub1, theta):
         cert = replace(table_cert_sub1, theta=theta)
-        report = verify_weak_clbf(cert, BOX_SUB1, UNSAFE1)
+        report = verify_weak_clbf(cert, BOX_SUB1)
         assert not report.passed
         for cond in report.conditions():
             assert cond.verdict == "undecided"
@@ -323,14 +324,15 @@ class TestExactVerdicts:
         # scaled from its bound at the default margin, 1.05 * delta_min
         theta = theta_factor * bounds.theta_min(l, max(delta, 1.05 * delta_min))
         cert = assemble_weak_clbf(
-            sub.clf, sub.region, sub.unsafe, bounds.v2, l, delta, theta, enforce_bounds=False
+            sub.clf, sub.region, HalfPlaneUnsafe(sub.certificate.shape.d), bounds.v2, l, delta,
+            theta, enforce_bounds=False,
         )
         # the default offset puts the margin set's bound at zero; k_factor
         # moves it to either side
         cert = replace(cert, k=k_factor * cert.k)
 
         def verdicts(n):
-            report = verify_weak_clbf(cert, sub.region, sub.unsafe, n, c_omega_resolution=n)
+            report = verify_weak_clbf(cert, sub.region, n, c_omega_resolution=n)
             return [cond.verdict for cond in report.conditions()]
 
         assert verdicts(50) == verdicts(3000)
@@ -359,11 +361,13 @@ class TestExactVerdicts:
             k = rng.choice((None, None, rng.uniform(-0.5, 2.0) * v2))
             try:
                 cert = assemble_weak_clbf(
-                    P, box, HalfPlaneUnsafe(d), v2=v2, l=l, delta=delta, theta=theta, k=k,
+                    P, box, HalfPlaneUnsafe(d), v2=v2, l=l, delta=delta, theta=theta,
                     enforce_bounds=False,
                 )
             except ValueError:
                 continue  # sigmoid endpoints saturate; not a certificate
+            if k is not None:
+                cert = replace(cert, k=k)  # an offset off the design
             checked += 1
             counterexamples += _dense_counterexamples(cert, P, box, d)
         # the sample must exercise the check, not pass it vacuously
@@ -386,7 +390,7 @@ def _dense_counterexamples(cert, P, box, d) -> int:
         g1 = -theta * v * l * sigma * (1.0 - sigma) + scale * (P[0, 0] * x1 + P[0, 1] * x2)
         return g1, scale * (P[0, 1] * x1 + P[1, 1] * x2)
 
-    report = verify_weak_clbf(cert, box, HalfPlaneUnsafe(d), grid_resolution=100)
+    report = verify_weak_clbf(cert, box, grid_resolution=100)
     eps = report.eps_origin
     X1, X2 = np.meshgrid(
         np.linspace(box.x1_min, box.x1_max, 161), np.linspace(box.x2_min, box.x2_max, 161),
@@ -429,3 +433,49 @@ def _dense_counterexamples(cert, P, box, d) -> int:
         found += 1
         assert not c_omega.passed
     return found
+
+
+# ---------------------------------------------------------------------------
+# scale
+
+
+SCALES = (1e-9, 1.0, 1e3, 1e6, 1e12)
+
+
+class TestScaleFreeVerdicts:
+    # Q times s multiplies P, V, v1, v2, k and W by s, so no verdict's truth
+    # depends on s: W's minimum on the unsafe set, the Lie derivative on the
+    # line and -k scale as s, h not at all
+
+    @pytest.mark.parametrize("s", SCALES)
+    def test_verdicts_and_relative_margins(self, default_config, default_bundle, s):
+        reference = dict(verify_bundle(default_bundle))
+        scaled = build_bundle(replace(default_config, lyapunov_q=s * default_config.lyapunov_q))
+        for axis, report in verify_bundle(scaled):
+            assert [cond.verdict for cond in report.conditions()] == ["pass"] * 5
+            # the design's own sigma2 and v2 put the bound at exactly zero
+            assert report.c_omega.margin == 0.0
+            pairs = zip(report.conditions()[:4], reference[axis].conditions()[:4], (1, 1, 1, 0))
+            for cond, ref, power in pairs:
+                assert cond.margin / s**power == pytest.approx(ref.margin, rel=1e-11), cond.name
+
+    @pytest.mark.parametrize("s", SCALES)
+    def test_lowered_offset_fails_at_every_scale(self, default_config, s):
+        scaled = build_bundle(replace(default_config, lyapunov_q=s * default_config.lyapunov_q))
+        for sub in scaled.subsystems:
+            cert = sub.certificate
+            lowered = replace(cert, k=(1.0 - 1e-6) * cert.k)
+            report = verify_weak_clbf(lowered, sub.region)
+            failing = [cond.name for cond in report.conditions() if not cond.passed]
+            assert failing == ["margin_set_contained"]
+            assert report.c_omega.margin == pytest.approx(1e-6 * cert.k, rel=1e-6)
+
+    def test_extreme_damping_gain_verifies(self, tmp_path):
+        # kd = 1e-12 makes theta*v2 about 6e13; one ulp of a recomputed
+        # sigma2 used to fail the margin set there
+        with open(default_config_path(), encoding="utf-8") as fh:
+            raw = json.load(fh)
+        raw["gains"]["kd"] = [1e-12, 1.0]
+        path = tmp_path / "kd.json"
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        assert main(["verify", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
