@@ -92,11 +92,7 @@ def sigmoid_eval(shape: SigmoidShape, x1):
     arguments.
     """
     if isinstance(x1, (float, int)):
-        z = shape.l * (x1 - shape.center)
-        if z > _EXP_CLAMP:
-            z = _EXP_CLAMP
-        elif z < -_EXP_CLAMP:
-            z = -_EXP_CLAMP
+        z = min(max(shape.l * (x1 - shape.center), -_EXP_CLAMP), _EXP_CLAMP)
         s = 1.0 / (1.0 + math.exp(z))
         return s if s < 1.0 else _ONE_BELOW
     z = shape.l * (np.asarray(x1, dtype=float) - shape.center)
@@ -318,7 +314,10 @@ def select_parameters(P, region: RegionBox, unsafe: HalfPlaneUnsafe, v2: float) 
 # L = -c (det P/p22) x1^2 h. The fifth condition, that the margin set C_omega
 # lies in {W <= 0}, is bounded by sigma2 = sigma(d + delta) and V <= v2 on that
 # set. verify_weak_clbf decides all five from the certificate alone, its own
-# design record of d, sigma2 and v2; it passes only when each does.
+# design record of d, sigma2 and v2; it passes only when each does. Sampled
+# counterexample searches only refute passes. They share one table of 1-D
+# samples, sized by grid_resolution and c_omega_resolution, and one evaluation
+# of W: a search is (x1, x2, finish), and finish(W, dW/dx1) its verdicts.
 
 PASS, FAIL, UNDECIDED = "pass", "fail", "undecided"
 _NAMES = (
@@ -326,8 +325,6 @@ _NAMES = (
     "margin_set_contained",
 )
 
-# Sample counts of the 1-D counterexample search, the only thing
-# grid_resolution and c_omega_resolution size; it never decides a pass.
 MIN_GRID_RESOLUTION = 50
 MAX_GRID_RESOLUTION = 10_000
 # Radius of the origin ball that the decrease and uniqueness conditions
@@ -344,6 +341,9 @@ _ENCLOSURE_SLACK = 1e-12
 # places a sample on {V = v2}. 16 eps = 32 of them covers that with room.
 _C_OMEGA_ROUNDING = 16.0 * float(np.finfo(float).eps)
 _OUTSIDE = "theta < 0 lies outside the construction, which needs 1 + theta*sigma >= 1"
+_EMPTY = "C_omega is empty in X: d + delta > x1_max, or V > v2 at every x1 >= d + delta"
+_MISSES = "the unsafe set misses the region"
+_AT_ORIGIN = "min W = W(0) = -k, since W >= -k"
 
 
 @dataclass(frozen=True)
@@ -405,11 +405,14 @@ def _check_resolution(n: int) -> None:
         raise ValueError(f"sample count {n} outside [{MIN_GRID_RESOLUTION}, {MAX_GRID_RESOLUTION}]")
 
 
-def _refute(result: ConditionResult, x1, x2, values, violated) -> ConditionResult:
-    """result, unless it passed and a sample violates the condition: then a
-    fail at the first such sample."""
-    hits = np.flatnonzero(violated)
-    if not result.passed or hits.size == 0:
+def _refute(result: ConditionResult, x1, x2, values, violated, radius=0.0) -> ConditionResult:
+    """result, unless it passed and a sample off the origin ball of that radius
+    violates the condition: then a fail at the first such sample. The mask
+    violated() is built for a pass only, and the distance only where it holds."""
+    hits = np.flatnonzero(violated()) if result.passed else ()
+    if radius and len(hits):
+        hits = hits[np.hypot(x1[hits], x2[hits]) >= radius]
+    if len(hits) == 0:
         return result
     i = hits[0]
     witness = (float(x1[i]), float(x2[i]))
@@ -449,23 +452,25 @@ def _certify_h(W: WeakCLBF, lo: float, hi: float) -> tuple[str, float, Optional[
     return PASS, bound, None
 
 
-def _positive_on_unsafe(W: WeakCLBF, region: RegionBox, d: float, n: int) -> ConditionResult:
-    if d < region.x1_min:
-        return ConditionResult(_NAMES[0], PASS, math.inf, None, "the unsafe set misses the region")
+def _positive_on_unsafe(W: WeakCLBF, region: RegionBox, d: float, n: int):
     # the searched curve x2 = clip(-c x1) ends at the minimizer (d, clip(-c d))
-    x1 = np.linspace(region.x1_min, d, n)
+    x1 = np.linspace(region.x1_min, d, n if d >= region.x1_min else 0)
     x2 = np.clip(-W.line_slope * x1, region.x2_min, region.x2_max)
-    w = W.value_and_grad(x1, x2)[0]
-    result = ConditionResult(
-        _NAMES[0], PASS if w[-1] > 0.0 else FAIL, float(w[-1]), (d, float(x2[-1])),
-        "min of W on x1 <= d is (1 + theta*sigma(d))*g(d) - k: sigma and g fall toward d",
-    )
-    return _refute(result, x1, x2, w, w <= 0.0)
+
+    def finish(w, g1):
+        if not w.size:
+            return [ConditionResult(_NAMES[0], PASS, math.inf, None, _MISSES)]
+        result = ConditionResult(
+            _NAMES[0], PASS if w[-1] > 0.0 else FAIL, float(w[-1]), (d, float(x2[-1])),
+            "min of W on x1 <= d is (1 + theta*sigma(d))*g(d) - k: sigma and g fall toward d",
+        )
+        return [_refute(result, x1, x2, w, lambda: w <= 0.0)]
+    return x1, x2, finish
 
 
 def _line_conditions(W: WeakCLBF, region: RegionBox, d: float, n: int, eps_origin: float):
-    """(line_decrease, stationary_point_unique) from the sign of h on the line
-    x2 = -c x1 inside the region."""
+    """The search of line_decrease and stationary_point_unique: their verdicts
+    from the sign of h on the line x2 = -c x1 inside the region."""
     c, q = W.line_slope, W.clf.det / W.clf.p22
     lo, hi = region.x1_min, region.x1_max
     if c != 0.0:
@@ -500,48 +505,78 @@ def _line_conditions(W: WeakCLBF, region: RegionBox, d: float, n: int, eps_origi
         None if x_h is None else (x_h, -c * x_h),
         f"grad W = 0 off the origin needs h = 0 on x2 = -c*x1; {proof}",
     )
-
     x1 = np.linspace(lo, hi, n)
     x2 = -c * x1
-    w, g1, _ = W.value_and_grad(x1, x2)
-    away = np.hypot(x1, x2) >= eps_origin
-    lie, radial = g1 * x2, g1 * x1  # dW/dx2 = 0 here; radial = (det P/p22) x1^2 h
-    return (
-        _refute(decrease, x1, x2, lie, away & (x1 > d) & (lie >= 0.0)),
-        _refute(stationary, x1, x2, radial, away & (w <= 0.0) & (radial <= 0.0)),
+
+    def finish(w, g1):
+        lie, radial = g1 * x2, g1 * x1  # dW/dx2 = 0 here; radial = (det P/p22) x1^2 h
+        return [
+            _refute(decrease, x1, x2, lie, lambda: (x1 > d) & (lie >= 0.0), eps_origin),
+            _refute(stationary, x1, x2, radial, lambda: (w <= 0.0) & (radial <= 0.0), eps_origin),
+        ]
+    return x1, x2, finish
+
+
+def _margin_set(W: WeakCLBF, region: RegionBox, m: int):
+    """The search of check_c_omega_subset's verdict. Per sampled x1, V is
+    largest on the slice {V <= v2} at an end of its x2 interval; the first
+    sample is the set's left edge, or the origin where V > v2 all along it."""
+    _check_resolution(m)
+    clf, edge, v2 = W.clf, W.shape.d + W.shape.delta, W.bounds.v2
+
+    def g(x1: float) -> float:  # the minimum of V over the region's x2 range
+        x2 = min(max(-x1 * W.line_slope, region.x2_min), region.x2_max)
+        return clf.value_and_grad(x1, x2)[0]
+    empty = edge > region.x1_max or g(max(edge, 0.0)) > v2
+    if empty or W.theta < 0.0:  # decided, with no samples
+        result = ConditionResult(
+            _NAMES[4], FAIL if empty else UNDECIDED, math.nan, None, _EMPTY if empty else _OUTSIDE
+        )
+        return np.empty(0), np.empty(0), lambda w, g1: [result]
+    sigma2 = W.bounds.sigma_endpoints(W.shape.l, W.shape.delta)[1]
+    bound = (1.0 + W.theta * sigma2) * v2 - W.k
+    allowance = _C_OMEGA_ROUNDING * (abs(W.k) + W.theta * sigma2 * v2 + v2)
+    start = edge if g(edge) <= v2 else 0.0
+    x1 = np.append(start, np.linspace(max(edge, region.x1_min), region.x1_max, m))
+    disc = 2.0 * clf.p22 * v2 - clf.det * x1 * x1
+    root = np.sqrt(np.maximum(disc, 0.0))
+    lo = np.maximum(region.x2_min, (-clf.p12 * x1 - root) / clf.p22)
+    hi = np.minimum(region.x2_max, (-clf.p12 * x1 + root) / clf.p22)
+    x2 = np.where(clf.value_and_grad(x1, lo)[0] >= clf.value_and_grad(x1, hi)[0], lo, hi)
+    result = ConditionResult(
+        _NAMES[4], PASS if bound <= allowance else FAIL, bound, (float(x1[0]), float(x2[0])),
+        "W <= (1 + theta*sigma(d + delta))*v2 - k on C_omega: sigma decreases, V <= v2",
     )
+    return x1, x2, lambda w, g1: [
+        _refute(result, x1, x2, w, lambda: (disc >= 0.0) & (lo <= hi) & (w > allowance))
+    ]
 
 
 def verify_weak_clbf(
-    W: WeakCLBF,
-    region: RegionBox,
-    grid_resolution: int = 400,
-    c_omega_resolution: int = 200,
+    W: WeakCLBF, region: RegionBox, grid_resolution: int = 400, c_omega_resolution: int = 200
 ) -> VerificationReport:
     """Decide the five conditions of a weak CLBF, on its own unsafe set
     {x1 <= W.shape.d}, from closed forms: the four defining ones and
     check_c_omega_subset's margin-set containment. Failures are data, not
-    raised; the report passes only when all five pass.
-    grid_resolution and c_omega_resolution size only the sampled
-    counterexample searches. The decrease and uniqueness conditions exclude
-    the origin ball of radius EPS_ORIGIN_FRACTION times the region's diameter."""
+    raised; the report passes only when all five pass. The decrease and
+    uniqueness conditions exclude the origin ball of radius
+    EPS_ORIGIN_FRACTION times the region's diameter."""
     _check_resolution(grid_resolution)
-    eps_origin = EPS_ORIGIN_FRACTION * region.diameter
+    eps, d, n = EPS_ORIGIN_FRACTION * region.diameter, W.shape.d, grid_resolution
     if W.theta < 0.0:
-        conditions = [ConditionResult(name, UNDECIDED, math.nan, None, _OUTSIDE) for name in _NAMES[:4]]
+        verdicts = [ConditionResult(c, UNDECIDED, math.nan, None, _OUTSIDE) for c in _NAMES[:4]]
+        searches = []
     else:
-        d = W.shape.d
-        decrease, stationary = _line_conditions(W, region, d, grid_resolution, eps_origin)
-        admissible = ConditionResult(
-            _NAMES[2], PASS if W.k >= 0.0 else FAIL, -W.k, (0.0, 0.0),
-            "min W = W(0) = -k, since W >= -k",
-        )
-        positive = _positive_on_unsafe(W, region, d, grid_resolution)
-        conditions = [positive, decrease, admissible, stationary]
-    c_omega = check_c_omega_subset(W, region, c_omega_resolution)
-    return VerificationReport(
-        *conditions, c_omega, grid_resolution, float(eps_origin), c_omega_resolution
-    )
+        admissible = PASS if W.k >= 0.0 else FAIL
+        verdicts = [ConditionResult(_NAMES[2], admissible, -W.k, (0.0, 0.0), _AT_ORIGIN)]
+        searches = [_positive_on_unsafe(W, region, d, n), _line_conditions(W, region, d, n, eps)]
+    x1s, x2s, finishes = zip(*searches, _margin_set(W, region, c_omega_resolution))
+    w, g1, _ = W.value_and_grad(np.concatenate(x1s), np.concatenate(x2s))
+    for finish, x1 in zip(finishes, x1s):
+        verdicts += finish(w[: x1.size], g1[: x1.size])
+        w, g1 = w[x1.size :], g1[x1.size :]
+    verdicts.sort(key=lambda result: _NAMES.index(result.name))
+    return VerificationReport(*verdicts, n, float(eps), c_omega_resolution)
 
 
 def check_c_omega_subset(
@@ -552,40 +587,5 @@ def check_c_omega_subset(
     - k, with the design's sigma2 and v2 that k was built from: exactly 0 for
     every certificate assemble_weak_clbf builds. A set with no point in the
     region fails, with no margin and no witness."""
-    _check_resolution(grid_resolution)
-    clf, edge, v2 = W.clf, W.shape.d + W.shape.delta, W.bounds.v2
-
-    def g(x1: float) -> float:  # the minimum of V over the region's x2 range
-        x2 = min(max(-x1 * W.line_slope, region.x2_min), region.x2_max)
-        return clf.value_and_grad(x1, x2)[0]
-
-    if edge > region.x1_max or g(max(edge, 0.0)) > v2:
-        return ConditionResult(
-            _NAMES[4], FAIL, math.nan, None,
-            "C_omega is empty in X: d + delta > x1_max, or V > v2 at every x1 >= d + delta",
-        )
-    if W.theta < 0.0:
-        return ConditionResult(_NAMES[4], UNDECIDED, math.nan, None, _OUTSIDE)
-    sigma2 = W.bounds.sigma_endpoints(W.shape.l, W.shape.delta)[1]
-    bound = (1.0 + W.theta * sigma2) * v2 - W.k
-    allowance = _C_OMEGA_ROUNDING * (abs(W.k) + W.theta * sigma2 * v2 + v2)
-    # Per sampled x1, V is largest on the slice {V <= v2} at an end of its x2
-    # interval. The first sample is the witness: the set's left edge, or the
-    # origin where V exceeds v2 all along that edge.
-    x1 = np.append(
-        edge if g(edge) <= v2 else 0.0,
-        np.linspace(max(edge, region.x1_min), region.x1_max, grid_resolution),
-    )
-    disc = 2.0 * clf.p22 * v2 - clf.det * x1 * x1
-    root = np.sqrt(np.maximum(disc, 0.0))
-    lo = np.maximum(region.x2_min, (-clf.p12 * x1 - root) / clf.p22)
-    hi = np.minimum(region.x2_max, (-clf.p12 * x1 + root) / clf.p22)
-    x2 = np.where(clf.value_and_grad(x1, lo)[0] >= clf.value_and_grad(x1, hi)[0], lo, hi)
-    w = W.value_and_grad(x1, x2)[0]
-    result = ConditionResult(
-        _NAMES[4], PASS if bound <= allowance else FAIL, bound,
-        (float(x1[0]), float(x2[0])),
-        "W <= (1 + theta*sigma(d + delta))*v2 - k on C_omega: sigma decreases, V <= v2",
-    )
-    return _refute(result, x1, x2, w, (disc >= 0.0) & (lo <= hi) & (w > allowance))
-
+    x1, x2, finish = _margin_set(W, region, grid_resolution)
+    return finish(*W.value_and_grad(x1, x2)[:2])[0]

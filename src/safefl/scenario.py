@@ -12,7 +12,8 @@ ParameterBounds the v1, v2 and gamma its parameters were chosen against;
 verify_bundle and parameter_report read them from it.
 
 Every object in a configuration takes only its documented keys: any other
-key, a misspelled one included, is a ConfigError that names it.
+key, a misspelled one included, is a ConfigError that names it. So is a
+required key that is missing, with the object it is missing from.
 """
 
 from __future__ import annotations
@@ -113,14 +114,26 @@ _KEYS = {
 }
 
 
-def _object(value, what: str) -> dict:
+class _Section(dict):
+    """A configuration object; reading a key it lacks is a ConfigError that
+    names the key and the object."""
+
+    def __init__(self, value: dict, what: str):
+        super().__init__(value)
+        self.what = what
+
+    def __missing__(self, key):
+        raise ConfigError(f"{self.what}: missing key {key!r}")
+
+
+def _object(value, what: str) -> _Section:
     """A JSON object holding only the keys _KEYS[what] names."""
     if not isinstance(value, dict):
         raise ConfigError(f"{what} must be an object")
     unknown = set(value) - _KEYS[what]
     if unknown:
         raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
-    return value
+    return _Section(value, what)
 
 
 def _number(value, what: str) -> float:
@@ -179,7 +192,7 @@ def checked_sweep(values) -> tuple[float, ...]:
 
 
 def _parse_config(cls, raw: dict) -> "RunConfig":
-    _object(raw, "configuration")
+    raw = _object(raw, "configuration")
     if raw.get("schema_version") != SCHEMA_VERSION:
         raise ConfigError(
             f"schema_version must be {SCHEMA_VERSION}, got {raw.get('schema_version')!r}"

@@ -324,6 +324,23 @@ def _explicit(l=4.0, delta=0.28):
     return mutate
 
 
+def _drop(*path_and_key):
+    *path, key = path_and_key
+
+    def mutate(raw):
+        node = raw
+        for name in path:
+            node = node[name]
+        del node[key]
+
+    return mutate
+
+
+def _explicit_without_l(raw):
+    _explicit()(raw)
+    del raw["clbf"]["params"][0]["l"]
+
+
 def _singular_start(raw):
     raw["region"]["p1"] = [-0.2, 2.5]
     raw["initial"]["position"] = [2.0, 0.0]
@@ -374,6 +391,9 @@ class TestErrorExitCodes:
             ("verify", _keep, ["--grid", "10"], 3),
             ("verify", _keep, ["--grid", "0"], 3),
             ("verify", _keep, ["--grid", "100000"], 3),
+            ("verify", _explicit_without_l, [], 3),
+            ("simulate", _drop("simulation", "dt"), [], 3),
+            ("simulate", _drop("manipulator", "m1"), [], 3),
         ],
         ids=[
             "delta_margin",
@@ -410,6 +430,9 @@ class TestErrorExitCodes:
             "verify_grid_below_minimum",
             "verify_grid_zero",
             "verify_grid_over_cap",
+            "missing_l",
+            "missing_dt",
+            "missing_m1",
         ],
     )
     def test_exit_code_and_one_line_message(
@@ -438,6 +461,27 @@ class TestErrorExitCodes:
         assert main(["select-params", "--config", str(path), "--out", str(out)]) == 3
         lines = capsys.readouterr().err.strip().splitlines()
         assert lines == [f"configuration error: unknown clbf keys: ['{key}']"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            (_explicit_without_l, "clbf params: missing key 'l'"),
+            (_drop("simulation", "dt"), "simulation: missing key 'dt'"),
+            (_drop("manipulator", "m1"), "manipulator: missing key 'm1'"),
+            (_drop("goal"), "configuration: missing key 'goal'"),
+        ],
+        ids=["l", "dt", "m1", "goal"],
+    )
+    def test_missing_key_is_named_with_its_object(
+        self, tmp_path, raw_config, capsys, mutate, message
+    ):
+        mutate(raw_config)
+        path = write_config(tmp_path, raw_config)
+        out = tmp_path / "out"
+        assert main(["verify", "--config", str(path), "--out", str(out)]) == 3
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert lines == [f"configuration error: {message}"]
         assert not out.exists()
 
     def test_explicit_offset_is_named(self, tmp_path, raw_config, capsys):

@@ -2,6 +2,7 @@ import json
 import math
 import random
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from safefl.clbf import (
     MAX_GRID_RESOLUTION,
     MIN_GRID_RESOLUTION,
     HalfPlaneUnsafe,
+    QuadraticCLF,
     RegionBox,
     WeakCLBF,
     assemble_weak_clbf,
@@ -21,7 +23,7 @@ from safefl.clbf import (
     verify_weak_clbf,
 )
 from safefl.cli import main
-from safefl.scenario import build_bundle, default_config_path, verify_bundle
+from safefl.scenario import RunConfig, build_bundle, default_config_path, verify_bundle
 from tests.conftest import BOX_SUB1, BOX_SUB2
 
 UNSAFE1 = HalfPlaneUnsafe(-1.0)
@@ -479,3 +481,104 @@ class TestScaleFreeVerdicts:
         path = tmp_path / "kd.json"
         path.write_text(json.dumps(raw), encoding="utf-8")
         assert main(["verify", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+
+
+# ---------------------------------------------------------------------------
+# one sample table
+
+
+def _bundled(cert):
+    return cert
+
+
+def _empty_margin_set(cert):
+    return replace(cert, shape=replace(cert.shape, delta=50.0))
+
+
+def _negative_theta(cert):
+    return replace(cert, theta=-1.0)
+
+
+def _lowered(cert):
+    return replace(cert, k=(1.0 - 1e-6) * cert.k)
+
+
+_MUTANTS = (_bundled, _empty_margin_set, _negative_theta, _lowered)
+
+
+class TestOneSampleTable:
+    def test_one_evaluation_of_w(self, default_bundle, monkeypatch):
+        # the three sampled searches share one table: one array call of W.
+        # V is called on arrays twice before it, to rank the two ends of the
+        # margin set's slices, and once inside it
+        calls = []
+        for cls in (WeakCLBF, QuadraticCLF):
+            original = cls.value_and_grad
+
+            def counted(self, x1, x2, original=original, name=cls.__name__):
+                if isinstance(x1, np.ndarray):
+                    calls.append(name)
+                return original(self, x1, x2)
+
+            monkeypatch.setattr(cls, "value_and_grad", counted)
+        sub = default_bundle.subsystems[0]
+        assert verify_weak_clbf(sub.certificate, sub.region).passed
+        assert calls == ["QuadraticCLF", "QuadraticCLF", "WeakCLBF", "QuadraticCLF"]
+
+    @pytest.mark.parametrize("mutate", _MUTANTS, ids=[m.__name__ for m in _MUTANTS])
+    def test_margin_set_verdict_has_one_text(self, default_config, mutate):
+        for sub in build_bundle(default_config).subsystems:
+            cert = mutate(sub.certificate)
+            for m in (MIN_GRID_RESOLUTION, 200):
+                alone = check_c_omega_subset(cert, sub.region, m)
+                report = verify_weak_clbf(cert, sub.region, 400, m)
+                assert alone.to_dict() == report.c_omega.to_dict()
+
+    @pytest.mark.parametrize("s", SCALES)
+    def test_margin_set_verdict_has_one_text_at_every_scale(self, default_config, s):
+        scaled = build_bundle(replace(default_config, lyapunov_q=s * default_config.lyapunov_q))
+        for sub in scaled.subsystems:
+            for cert in (sub.certificate, _lowered(sub.certificate)):
+                alone = check_c_omega_subset(cert, sub.region)
+                assert alone.to_dict() == verify_weak_clbf(cert, sub.region).c_omega.to_dict()
+
+
+# ---------------------------------------------------------------------------
+# golden reports
+
+# verify_bundle's reports at (400, 200) on the configurations of
+# _golden_configs, recorded while each sampled search made its own
+# evaluation of W. json writes a float as its shortest exact repr, so equal
+# text means equal bits.
+GOLDEN = Path(__file__).parent / "data" / "verify_golden.json"
+
+
+def _golden_configs() -> dict:
+    """The bundled configuration and two explicit variants of it, by name:
+    a steep first-axis sigmoid (l300) and an empty first-axis margin set
+    (d50)."""
+    with open(default_config_path(), encoding="utf-8") as fh:
+        bundled = json.load(fh)
+    configs = {"bundled": bundled}
+    second = {"l": 4.0, "delta": 0.58, "theta": 6.1}
+    for name, first in (
+        ("l300", {"l": 300.0, "delta": 0.28, "theta": 50.0}),
+        ("d50", {"l": 4.0, "delta": 50.0, "theta": 50.0}),
+    ):
+        raw = json.loads(json.dumps(bundled))
+        raw["clbf"] = {"mode": "explicit", "v2": [2.0, 2.0], "params": [first, second]}
+        configs[name] = raw
+    return configs
+
+
+def _golden_report(raw: dict) -> list:
+    """Each axis's report as `safefl verify` builds and judges its
+    certificates."""
+    bundle = build_bundle(RunConfig.from_dict(raw), enforce_bounds=False)
+    return [{"axis": axis, **report.to_dict()} for axis, report in verify_bundle(bundle, 400, 200)]
+
+
+@pytest.mark.parametrize("name", ["bundled", "l300", "d50"])
+def test_reports_match_the_golden_record(name):
+    recorded = json.loads(GOLDEN.read_text(encoding="utf-8"))[name]
+    assert json.dumps(_golden_report(_golden_configs()[name])) == json.dumps(recorded)
