@@ -19,7 +19,7 @@ from .clbf import (
 )
 from .errors import SafeFlError
 from .numerics import is_spd, solve_lyapunov_2x2
-from .sim import SimConfig, Trajectory, safety_monitor, simulate_closed_loop
+from .sim import SimConfig, Trajectory, simulate_closed_loop
 
 __version__ = "0.1.0"
 
@@ -34,7 +34,6 @@ __all__ = [
     "WeakCLBF",
     "check_c_omega_subset",
     "is_spd",
-    "safety_monitor",
     "select_parameters",
     "simulate_closed_loop",
     "solve_lyapunov_2x2",

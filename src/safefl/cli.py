@@ -2,12 +2,12 @@
 
 `simulate` and `reproduce-paper` run each gain of the sweep in a forked child
 process, at most one per usable CPU (os.sched_getaffinity). Each child makes
-its run, writes its CSV and reduces the run to its summary.json entry and the
-thinned series the figures plot (svg.RunSeries), and sends only that pair
-back over a pipe, never the trajectory. The parent takes the pairs in sweep
-order and writes summary.json and the SVGs, so its memory does not grow with
-the horizon. The outputs do not depend on the CPU count. Forking makes this
-POSIX only.
+its run, writes its CSV and reduces the run with safety_monitor, the one
+per-run reduction, to its summary.json entry and the thinned series the
+figures plot (svg.RunSeries). It sends only that pair back over a pipe,
+never the trajectory. The parent takes the pairs in sweep order and writes
+summary.json and the SVGs, so its memory does not grow with the horizon. The
+outputs do not depend on the CPU count. Forking makes this POSIX only.
 
 Exit codes: 0 success, 2 verification or feasibility failure, 3 configuration
 error, 4 numerical abort (singularity or divergence during simulation).
@@ -37,7 +37,7 @@ from .scenario import (
     run_label,
     verify_bundle,
 )
-from .sim import Trajectory, safety_monitor
+from .sim import Trajectory
 from .svg import RunSeries, render_input_norms, render_trajectories, run_series
 
 EXIT_OK = 0
@@ -190,9 +190,10 @@ def cmd_verify(args) -> int:
     return EXIT_OK if all_pass else EXIT_CHECK_FAILED
 
 
-def _summarize(bundle, traj: Trajectory) -> tuple[dict, Optional[RunSeries]]:
+def safety_monitor(bundle, traj: Trajectory) -> tuple[dict, Optional[RunSeries]]:
     """The run's summary.json entry and what the figures plot of it (None
-    for a run without records)."""
+    for a run without records): per record, the norms of the safety force
+    and of the plain force, the recorded total force minus the safety force."""
     k_safe = traj.meta["k_safe"]
     entry = {"label": run_label(k_safe), "k_safe": k_safe, "steps": traj.meta["steps"]}
     if traj.failed:
@@ -200,24 +201,28 @@ def _summarize(bundle, traj: Trajectory) -> tuple[dict, Optional[RunSeries]]:
     if len(traj) == 0:
         entry["safe"] = False
         return entry, None
-    monitor = safety_monitor(traj)
+    violated = np.flatnonzero(~traj.safe)
+    first_violation = float(traj.t[violated[0]]) if violated.size else None
     entry.update(
         {
-            "safe": monitor.first_violation_time is None and not traj.failed,
-            "min_margin": monitor.min_margin,
-            "first_violation_time": monitor.first_violation_time,
+            "safe": first_violation is None and not traj.failed,
+            "min_margin": float(traj.margins.min()),
+            "first_violation_time": first_violation,
             "final_goal_distance": float(np.linalg.norm(traj.pos[-1] - bundle.config.goal)),
         }
     )
-    series = run_series(k_safe, traj.t, traj.pos, monitor.phi_norm, monitor.force_safe_norm)
-    return entry, series
+    # a run that diverged records huge values; their norms overflow to inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        phi_norm = np.linalg.norm(traj.force - traj.force_safe, axis=1)
+        force_safe_norm = np.linalg.norm(traj.force_safe, axis=1)
+    return entry, run_series(k_safe, traj.t, traj.pos, phi_norm, force_safe_norm)
 
 
 def _simulate_in_child(conn, bundle, k_safe: float, dt, horizon, out: Path) -> None:
     """Body of one forked child: the run at k_safe and its CSV in out. Sends
-    the pair _summarize makes of the run, a few tens of kB at any horizon, or
-    in its place the exception that stopped the child, which the parent
-    raises. The trajectory itself never leaves the child.
+    the pair safety_monitor reduces the run to, a few tens of kB at any
+    horizon, or in its place the exception that stopped the child, which the
+    parent raises. The trajectory itself never leaves the child.
 
     run_case, write_trajectory_csv and safety_monitor are looked up as module
     globals, so a name replaced in the parent before the fork is the one
@@ -227,7 +232,7 @@ def _simulate_in_child(conn, bundle, k_safe: float, dt, horizon, out: Path) -> N
         traj = run_case(bundle, k_safe, dt=dt, horizon=horizon)
         out.mkdir(parents=True, exist_ok=True)
         write_trajectory_csv(traj, out / f"{run_label(traj.meta['k_safe'])}.csv")
-        conn.send(_summarize(bundle, traj))
+        conn.send(safety_monitor(bundle, traj))
     except BaseException as err:
         conn.send(err)
     finally:
@@ -253,7 +258,7 @@ def _receive(k_safe: float, proc, receiver):
 
 def _simulate_sweep(bundle, gains, dt, horizon, out: Path) -> list[tuple[dict, Optional[RunSeries]]]:
     """The summary entry and figure series of the run at each gain, in their
-    order (see _summarize). Each run is made in a forked child that also
+    order (see safety_monitor). Each run is made in a forked child that also
     writes its CSV; at most one child per usable CPU runs at a time.
 
     Once a child reports an error no further child starts. Every started

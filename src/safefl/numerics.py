@@ -48,13 +48,16 @@ def is_hurwitz_2x2(A) -> bool:
     return trace < 0.0 and det > 0.0
 
 
+# overflow raises where it would warn; every finite result is unchanged
+@np.errstate(over="raise")
 def solve_lyapunov_2x2(A, Q) -> np.ndarray:
     """Solve A'P + PA = -Q for the symmetric positive-definite P.
 
-    Raises NotHurwitz if A has an eigenvalue with non-negative real part and
-    SingularSystem if the reduced 3x3 system is numerically rank-deficient.
-    The returned P satisfies the equation entrywise to ~1e-10 for the input
-    scales used in this package.
+    Raises NotHurwitz if A has an eigenvalue with non-negative real part,
+    SingularSystem if the reduced 3x3 system is numerically rank-deficient
+    and FloatingPointError if a product in the solve overflows the float
+    range. The returned P satisfies the equation entrywise to ~1e-10 for the
+    input scales used in this package.
     """
     A = as_mat2(A)
     Q = as_mat2(Q)
@@ -78,6 +81,9 @@ def solve_lyapunov_2x2(A, Q) -> np.ndarray:
         raise SingularSystem("reduced Lyapunov system is rank-deficient")
     p11, p12, p22 = np.linalg.solve(system, rhs)
     P = np.array([[p11, p12], [p12, p22]])
+    # np.linalg does not raise on overflow: it leaves an infinity in P
+    if not np.all(np.isfinite(P)):
+        raise FloatingPointError("overflow encountered in the solve")
     if not is_spd(P):
         raise SingularSystem(f"solved P is not positive definite: {P.tolist()}")
     return P

@@ -221,6 +221,8 @@ def _parse_config(cls, raw: dict) -> "RunConfig":
     if speed <= 0.0:
         raise ConfigError("speed_limit must be positive")
 
+    if not isinstance(raw["constraints"], list):
+        raise ConfigError("constraints must be an array of objects")
     constraints = []
     seen_axes = set()
     for entry in raw["constraints"]:
@@ -391,12 +393,13 @@ def build_bundle(config: RunConfig, enforce_bounds: bool = True) -> ScenarioBund
     enforce_bounds=False builds certificates exactly as configured even when
     their parameters violate the feasibility bounds, leaving judgment to the
     verifier; feasibility errors (LevelTooSmall, MarginInfeasible) still
-    propagate in enforcing mode. Values the constructors reject (ValueError)
-    and an initial pose at the arm's singularity threshold raise ConfigError.
+    propagate in enforcing mode. Values the constructors reject (ValueError),
+    an overflow in the Lyapunov solve (FloatingPointError) and an initial pose
+    at the arm's singularity threshold raise ConfigError.
     """
     try:
         return _assemble(config, enforce_bounds)
-    except ValueError as err:
+    except (ValueError, FloatingPointError) as err:
         raise ConfigError(f"invalid configuration: {err}") from err
 
 

@@ -1,4 +1,4 @@
-"""Fixed-step closed-loop simulation of the arm with safety and input monitors.
+"""Fixed-step closed-loop simulation of the arm.
 
 The controller is treated as continuous feedback: it is evaluated at every
 integrator stage, so the classical Runge-Kutta order applies to the closed
@@ -10,6 +10,8 @@ arm. Each step starts from the derivative at its own state, which at a
 recorded step comes with the diagnostics row (inputs, forces, certificate
 values, margins, task-space position and velocity); the other stages compute
 the derivative alone. Rows go straight into arrays allocated once per run.
+A record is safe when every margin at it is positive (Trajectory.safe); the
+CSV's safe_flag and cli.safety_monitor's summary of the run read that flag.
 """
 
 from __future__ import annotations
@@ -178,57 +180,3 @@ def simulate_closed_loop(
     traj.check_lengths()
     return traj
 
-
-@dataclass(frozen=True, eq=False)
-class MonitorReport:
-    """Safety and input summary of one trajectory."""
-
-    min_margin: float
-    min_margin_per_constraint: np.ndarray
-    first_violation_time: Optional[float]
-    w_dot: np.ndarray
-    w_crossing_times: list[Optional[float]]
-    phi_norm: np.ndarray
-    force_safe_norm: np.ndarray
-
-
-def safety_monitor(traj: Trajectory) -> MonitorReport:
-    """Distance-to-constraint, certificate-rate and input-norm time series.
-
-    The plain feedback-linearization magnitude is recovered as the recorded
-    total force minus the recorded safety force. Certificate rates are
-    forward differences of the recorded values; a crossing time is the first
-    instant a certificate moves from <= 0 to > 0.
-    """
-    if len(traj) == 0:
-        raise ValueError("trajectory is empty")
-
-    # a run that diverged records huge or non-finite values; their rates and
-    # norms overflow to inf, which is what the report should say
-    with np.errstate(over="ignore", invalid="ignore"):
-        per_constraint = np.min(traj.margins, axis=0)
-        min_margin = float(np.min(per_constraint))
-        violated = np.flatnonzero(np.any(traj.margins <= 0.0, axis=1))
-        first_violation = float(traj.t[violated[0]]) if violated.size else None
-
-        dt = np.diff(traj.t)
-        w_dot = np.diff(traj.w, axis=0) / dt[:, None]
-
-        crossings: list[Optional[float]] = []
-        for j in range(traj.w.shape[1]):
-            col = traj.w[:, j]
-            idx = np.flatnonzero((col[:-1] <= 0.0) & (col[1:] > 0.0))
-            crossings.append(float(traj.t[idx[0] + 1]) if idx.size else None)
-
-        phi_norm = np.linalg.norm(traj.force - traj.force_safe, axis=1)
-        force_safe_norm = np.linalg.norm(traj.force_safe, axis=1)
-
-    return MonitorReport(
-        min_margin=min_margin,
-        min_margin_per_constraint=per_constraint,
-        first_violation_time=first_violation,
-        w_dot=w_dot,
-        w_crossing_times=crossings,
-        phi_norm=phi_norm,
-        force_safe_norm=force_safe_norm,
-    )

@@ -484,6 +484,31 @@ class TestErrorExitCodes:
         assert lines == [f"configuration error: {message}"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", [5, {"axis": 0}], ids=["number", "object"])
+    def test_constraints_must_be_an_array(self, tmp_path, raw_config, capsys, value):
+        raw_config["constraints"] = value
+        path = write_config(tmp_path, raw_config)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 3
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert lines == ["configuration error: constraints must be an array of objects"]
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "mutate",
+        [_set("gains", "kp", [1e308, 1.0]), _set("lyapunov_q", [[1e300, 0.0], [0.0, 1e300]])],
+        ids=["kp", "lyapunov_q"],
+    )
+    def test_overflow_is_one_line(self, tmp_path, raw_config, capsys, mutate):
+        mutate(raw_config)
+        path = write_config(tmp_path, raw_config)
+        out = tmp_path / "out"
+        assert main(["verify", "--config", str(path), "--out", str(out)]) == 3
+        [line] = capsys.readouterr().err.strip().splitlines()
+        assert line.startswith("configuration error:") and "overflow" in line
+        assert not out.exists()
+
     def test_explicit_offset_is_named(self, tmp_path, raw_config, capsys):
         # the design fixes the offset k = (1 + theta*sigma2)*v2; an explicit
         # entry takes l, delta and theta only
@@ -525,7 +550,7 @@ class TestParallelSweep:
     def test_csvs_match_in_process_runs(self, tmp_path):
         # and so do summary.json's runs and both figures, made in-process
         # from the same trajectories by the same builders and renderers
-        from safefl.cli import _summarize, write_trajectory_csv
+        from safefl.cli import safety_monitor, write_trajectory_csv
         from safefl.scenario import build_bundle, default_config_path, load_config, run_case
         from safefl.svg import render_input_norms, render_trajectories
 
@@ -538,7 +563,7 @@ class TestParallelSweep:
             traj = run_case(bundle, k, horizon=0.05)
             write_trajectory_csv(traj, serial)
             assert (out / name).read_bytes() == serial.read_bytes()
-            pairs.append(_summarize(bundle, traj))
+            pairs.append(safety_monitor(bundle, traj))
         runs = json.loads((out / "summary.json").read_text(encoding="utf-8"))["runs"]
         assert json.dumps(runs) == json.dumps([entry for entry, _ in pairs])
         figures = [series for _, series in pairs]
@@ -649,3 +674,67 @@ class TestNoChildLeft:
         with pytest.raises(RuntimeError, match=r"k_safe 0.2 ended without a result \(exit code 7\)"):
             main(["reproduce-paper", "--horizon", "0.02", "--out", str(tmp_path / "out")])
         assert multiprocessing.active_children() == []
+
+
+# ---------------------------------------------------------------------------
+# golden summaries
+
+# the exit code and summary.json runs of three sweeps at a 0.5 s horizon: the
+# bundled one, one with only axis 1 constrained, and one whose runs abort with
+# NearSingular; recorded before cli.safety_monitor became the one per-run
+# reduction
+SUMMARY_GOLDEN = os.path.join(os.path.dirname(__file__), "data", "summary_golden.json")
+
+
+def _axis1_only(raw):
+    del raw["constraints"][0]
+
+
+def _near_singular_start(raw):
+    # a start next to p = 0, where q2 = pi, moving onto it
+    raw["initial"]["position"] = [0.01, 0.0]
+    raw["initial"]["velocity"] = [-1.0, 0.0]
+    raw["k_safe"] = [0.5]
+
+
+def _golden_sweep(tmp_path, name):
+    """The exit code and summary.json runs of the sweep named name."""
+    from safefl.scenario import default_config_path
+
+    out = tmp_path / name
+    argv = ["--horizon", "0.5", "--out", str(out)]
+    if name == "reproduce_paper":
+        code = main(["reproduce-paper", *argv])
+    else:
+        with open(default_config_path(), encoding="utf-8") as fh:
+            raw = json.load(fh)
+        {"axis1_only": _axis1_only, "near_singular": _near_singular_start}[name](raw)
+        path = write_config(tmp_path, raw, name=f"{name}.json")
+        code = main(["simulate", "--config", str(path), *argv])
+    runs = json.loads((out / "summary.json").read_text(encoding="utf-8"))["runs"]
+    return {"exit_code": code, "runs": runs}
+
+
+def _assert_matches(got, recorded, where="runs"):
+    """Keys, strings, booleans, None and integers exactly; floats to 1e-12
+    relative."""
+    assert type(got) is type(recorded), where
+    if isinstance(recorded, dict):
+        assert list(got) == list(recorded), where
+        for key in recorded:
+            _assert_matches(got[key], recorded[key], f"{where}.{key}")
+    elif isinstance(recorded, list):
+        assert len(got) == len(recorded), where
+        for i, (a, b) in enumerate(zip(got, recorded)):
+            _assert_matches(a, b, f"{where}[{i}]")
+    elif isinstance(recorded, float):
+        assert got == pytest.approx(recorded, rel=1e-12, abs=0.0), where
+    else:
+        assert got == recorded, where
+
+
+@pytest.mark.parametrize("name", ["reproduce_paper", "axis1_only", "near_singular"])
+def test_summary_matches_the_golden_record(tmp_path, capsys, name):
+    with open(SUMMARY_GOLDEN, encoding="utf-8") as fh:
+        recorded = json.load(fh)[name]
+    _assert_matches(_golden_sweep(tmp_path, name), recorded, name)

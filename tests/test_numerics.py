@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from safefl.errors import NotHurwitz
+from safefl.errors import NotHurwitz, SingularSystem
 from reference import finite_diff_grad
 from safefl.numerics import (
     is_hurwitz_2x2,
@@ -80,6 +80,50 @@ class TestSolveLyapunov:
             assert is_spd(P)
             assert P[0, 1] > 0.0
             assert np.abs(A.T @ P + P @ A + Q_OFFDIAG).max() < 1e-9
+
+
+def _reduced_solve(A, Q):
+    """P from the reduced 3x3 system, solved with no error state set."""
+    (a11, a12), (a21, a22) = A
+    system = np.array(
+        [[2.0 * a11, 2.0 * a21, 0.0], [a12, a11 + a22, a21], [0.0, 2.0 * a12, 2.0 * a22]]
+    )
+    p11, p12, p22 = np.linalg.solve(system, -np.array([Q[0, 0], Q[0, 1], Q[1, 1]]))
+    return np.array([[p11, p12], [p12, p22]])
+
+
+@pytest.mark.filterwarnings("error")
+class TestOverflow:
+    """An overflow is one FloatingPointError naming it, never a warning."""
+
+    @pytest.mark.parametrize(
+        "A, Q",
+        [
+            # 2*a21 in the reduced system
+            ([[0.0, 1.0], [-1e308, -1.0]], np.eye(2)),
+            # det Q; P is positive definite, near 1e300
+            ([[0.0, 1.0], [-1.5, -1.0]], 1e300 * np.eye(2)),
+            # the solve itself: P near 1e310
+            ([[0.0, 1e-160], [-1.5e-160, -1e-160]], 1e150 * np.eye(2)),
+        ],
+        ids=["system", "det_q", "solve"],
+    )
+    def test_overflow_is_named(self, A, Q):
+        with pytest.raises(FloatingPointError, match="overflow"):
+            solve_lyapunov_2x2(np.array(A), Q)
+
+    def test_finite_solutions_are_unchanged(self):
+        # raising on overflow leaves every finite result bit for bit
+        rng = np.random.default_rng(20261019)
+        for _ in range(500):
+            kp, kd = 10.0 ** rng.uniform(-6.0, 6.0, size=2)
+            A = np.array([[0.0, 1.0], [-kp, -kd]])
+            Q = 10.0 ** rng.uniform(-100.0, 100.0) * Q_OFFDIAG
+            try:
+                P = solve_lyapunov_2x2(A, Q)
+            except SingularSystem:
+                continue
+            assert P.tobytes() == _reduced_solve(A, Q).tobytes()
 
 
 class TestIsSpd:

@@ -233,14 +233,12 @@ class TestScenarioProperties:
 
     def test_unit_gain_certificates_never_increase(self, default_bundle):
         # with unit safety gain the formula enforces an exact decrease along
-        # each decoupled loop; the recorded rates stay non-positive up to
-        # finite-difference noise
+        # each decoupled loop; no recorded step raises a certificate by more
+        # than rounding noise
         from safefl.scenario import run_case
-        from safefl.sim import safety_monitor
 
         traj = run_case(default_bundle, 1.0)
-        report = safety_monitor(traj)
-        assert report.w_dot.max() <= 1e-9
+        assert np.diff(traj.w, axis=0).max() <= 1e-9 * traj.meta["dt"]
 
 
 class TestRecordedMargins:

@@ -6,10 +6,11 @@ import pytest
 from scipy.linalg import expm
 
 from reference import arm_model, joint_accel_reference, rk4_step
+from safefl.cli import safety_monitor
 from safefl.errors import NearSingular, NonFiniteState
 from safefl.manipulator import ArmStage, ManipulatorPlant
 from safefl.scenario import run_case
-from safefl.sim import SimConfig, Trajectory, safety_monitor, simulate_closed_loop
+from safefl.sim import SimConfig, Trajectory, simulate_closed_loop
 
 
 def _out_of_reach_controller(bundle):
@@ -315,6 +316,8 @@ class TestValueEquality:
 
 
 class TestSafetyMonitor:
+    """cli.safety_monitor reduces a run to its summary entry and figure series."""
+
     def _toy_trajectory(self):
         t = np.linspace(0.0, 0.4, 5)
         margins = np.array([[0.5, 0.4], [0.2, 0.3], [-0.1, 0.2], [0.1, 0.2], [0.3, 0.1]])
@@ -332,50 +335,44 @@ class TestSafetyMonitor:
             w=w,
             margins=margins,
             safe=np.all(margins > 0.0, axis=1),
+            meta={"k_safe": 1.5, "steps": 4},
         )
 
-    def test_violation_detection(self):
-        report = safety_monitor(self._toy_trajectory())
-        assert report.min_margin == pytest.approx(-0.1)
-        assert report.first_violation_time == pytest.approx(0.2)
-        np.testing.assert_allclose(report.min_margin_per_constraint, [-0.1, 0.1])
+    def test_violation_detection(self, default_bundle):
+        entry, _ = safety_monitor(default_bundle, self._toy_trajectory())
+        assert entry["safe"] is False
+        assert entry["min_margin"] == pytest.approx(-0.1)
+        assert entry["first_violation_time"] == pytest.approx(0.2)
+        goal_distance = np.linalg.norm(default_bundle.config.goal)
+        assert entry["final_goal_distance"] == pytest.approx(goal_distance)
 
-    def test_certificate_crossing_detection(self):
-        report = safety_monitor(self._toy_trajectory())
-        assert report.w_crossing_times[0] == pytest.approx(0.2)
-        assert report.w_crossing_times[1] is None
-
-    def test_rate_estimates(self):
-        report = safety_monitor(self._toy_trajectory())
-        assert report.w_dot.shape == (4, 2)
-        assert report.w_dot[0, 0] == pytest.approx(0.5 / 0.1)
-
-    def test_input_norms(self):
-        report = safety_monitor(self._toy_trajectory())
-        np.testing.assert_allclose(report.phi_norm, 0.5 * np.ones(5))
-        np.testing.assert_allclose(report.force_safe_norm, 0.5 * np.ones(5))
+    def test_input_norms(self, default_bundle):
+        _, series = safety_monitor(default_bundle, self._toy_trajectory())
+        np.testing.assert_allclose(series.phi_norm, 0.5 * np.ones(5))
+        np.testing.assert_allclose(series.force_safe_norm, 0.5 * np.ones(5))
 
     def test_constant_goal_run(self, default_bundle):
         from safefl.manipulator import inverse_kinematics
         from safefl.sim import SimConfig, simulate_closed_loop
 
         q_goal = inverse_kinematics(default_bundle.params, default_bundle.config.goal)
-        traj = simulate_closed_loop(
-            default_bundle.controller(1.5),
-            default_bundle.params,
-            SimConfig(dt=1e-3, horizon=0.5, x0=np.concatenate([q_goal, np.zeros(2)])),
-        )
-        report = safety_monitor(traj)
-        assert report.first_violation_time is None
-        assert report.min_margin > 0.0
-        # stationary run: margins constant, certificate rates ~ 0
+        config = SimConfig(dt=1e-3, horizon=0.5, x0=np.concatenate([q_goal, np.zeros(2)]))
+        traj = simulate_closed_loop(default_bundle.controller(1.5), default_bundle.params, config)
+        traj.meta["k_safe"] = 1.5
+        entry, _ = safety_monitor(default_bundle, traj)
+        assert entry["safe"] is True and entry["first_violation_time"] is None
+        assert entry["min_margin"] > 0.0
+        # stationary run: margins and certificate values constant
         assert np.abs(traj.margins - traj.margins[0]).max() < 1e-9
-        assert np.abs(report.w_dot).max() < 1e-6
+        assert np.abs(np.diff(traj.w, axis=0)).max() < 1e-6 * config.dt
 
     def test_rejects_empty_trajectory(self, default_bundle):
-        # a start on the singularity aborts before its first record
+        # a start on the singularity aborts before its first record: the
+        # run is unsafe and has nothing to plot
         config = SimConfig(dt=1e-3, horizon=0.05, x0=np.array([0.3, 0.0, 0.0, 0.0]))
         traj = simulate_closed_loop(default_bundle.controller(1.5), default_bundle.params, config)
+        traj.meta["k_safe"] = 1.5
         assert len(traj) == 0
-        with pytest.raises(ValueError):
-            safety_monitor(traj)
+        entry, series = safety_monitor(default_bundle, traj)
+        assert entry["safe"] is False and entry["failure"]["error"] == "NearSingular"
+        assert series is None

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from reference import svg_polyline
+from safefl.cli import safety_monitor
 from safefl.scenario import run_case
-from safefl.sim import safety_monitor
-from safefl.svg import _HEIGHT, _MARGIN, _WIDTH, _Frame, _thin, run_series
+from safefl.svg import _HEIGHT, _MARGIN, _WIDTH, _Frame, _thin
 
 # a frame off the origin, as the position figure's, and one at it, as the
 # time axis of the force-norm figure
@@ -56,9 +56,7 @@ class TestPolyline:
         assert frame.polyline(xs, ys, "#111") == "" == svg_polyline(frame, xs, ys, "#111")
 
     def test_series_of_a_bundled_run(self, default_bundle):
-        traj = run_case(default_bundle, 1.5, horizon=2.0)
-        monitor = safety_monitor(traj)
-        run = run_series(1.5, traj.t, traj.pos, monitor.phi_norm, monitor.force_safe_norm)
+        _, run = safety_monitor(default_bundle, run_case(default_bundle, 1.5, horizon=2.0))
         config = default_bundle.config
         frame = _Frame(config.region_p1, config.region_p2)
         xs, ys = run.pos[:, 0], run.pos[:, 1]
