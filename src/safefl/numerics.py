@@ -7,6 +7,8 @@ entries (p11, p12, p22) of the symmetric unknown.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import NotHurwitz, SingularSystem
@@ -33,11 +35,15 @@ def is_symmetric(M, tol: float = SYMMETRY_TOL) -> bool:
 
 
 def is_spd(M) -> bool:
-    """True iff M is symmetric (within SYMMETRY_TOL) with positive leading minors."""
+    """True iff M is symmetric (within SYMMETRY_TOL) and positive definite:
+    a11 > 0 and its Schur complement a22 - a12*a21/a11 > 0. Unlike the
+    determinant a11*a22 - a12*a21, the complement keeps the scale of M, so it
+    does not underflow to 0 for a tiny positive definite M such as 1e-300*I."""
     A = as_mat2(M)
     if not is_symmetric(A):
         return False
-    return A[0, 0] > 0.0 and A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0] > 0.0
+    (a11, a12), (a21, a22) = A.tolist()  # floats: an overflow is inf, not a warning
+    return a11 > 0.0 and a22 - a12 * (a21 / a11) > 0.0
 
 
 def is_hurwitz_2x2(A) -> bool:
@@ -55,9 +61,9 @@ def solve_lyapunov_2x2(A, Q) -> np.ndarray:
 
     Raises NotHurwitz if A has an eigenvalue with non-negative real part,
     SingularSystem if the reduced 3x3 system is numerically rank-deficient
-    and FloatingPointError if a product in the solve overflows the float
-    range. The returned P satisfies the equation entrywise to ~1e-10 for the
-    input scales used in this package.
+    and FloatingPointError if a product in the solve, or det P, overflows the
+    float range. The returned P satisfies the equation entrywise to ~1e-10
+    for the input scales used in this package.
     """
     A = as_mat2(A)
     Q = as_mat2(Q)
@@ -84,6 +90,10 @@ def solve_lyapunov_2x2(A, Q) -> np.ndarray:
     # np.linalg does not raise on overflow: it leaves an infinity in P
     if not np.all(np.isfinite(P)):
         raise FloatingPointError("overflow encountered in the solve")
+    # every certificate on P forms det P (QuadraticCLF.det), so it must be finite too
+    p11, p12, p22 = float(p11), float(p12), float(p22)
+    if not math.isfinite(p11 * p22 - p12 * p12):
+        raise FloatingPointError("overflow encountered in det P")
     if not is_spd(P):
         raise SingularSystem(f"solved P is not positive definite: {P.tolist()}")
     return P

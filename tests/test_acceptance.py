@@ -141,7 +141,7 @@ def test_criterion_04_margin_set_containment(default_bundle):
         start = time.perf_counter()
         for sub in default_bundle.subsystems:
             cert = sub.certificate
-            result = check_c_omega_subset(cert, sub.region, grid_resolution=200)
+            result = check_c_omega_subset(cert, sub.region)
             assert result.passed and result.margin <= 1e-9
             x1 = cert.shape.d + cert.shape.delta
             disc = 2.0 * cert.clf.p22 * cert.bounds.v2 - cert.clf.det * x1 * x1

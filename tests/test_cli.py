@@ -509,6 +509,18 @@ class TestErrorExitCodes:
         assert line.startswith("configuration error:") and "overflow" in line
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("error")
+    def test_tiny_lyapunov_q_is_one_line(self, tmp_path, raw_config, capsys):
+        # 1e-300*I is positive definite, but det(P) underflows, so v1 = 0:
+        # a level error naming the underflow, with no numpy warning on the way
+        _set("lyapunov_q", [[1e-300, 0.0], [0.0, 1e-300]])(raw_config)
+        path = write_config(tmp_path, raw_config)
+        out = tmp_path / "out"
+        assert main(["verify", "--config", str(path), "--out", str(out)]) == 2
+        [line] = capsys.readouterr().err.strip().splitlines()
+        assert line.startswith("infeasible: LevelTooSmall:") and "underflows" in line
+        assert not out.exists()
+
     def test_explicit_offset_is_named(self, tmp_path, raw_config, capsys):
         # the design fixes the offset k = (1 + theta*sigma2)*v2; an explicit
         # entry takes l, delta and theta only

@@ -101,7 +101,7 @@ class TestOverflow:
         [
             # 2*a21 in the reduced system
             ([[0.0, 1.0], [-1e308, -1.0]], np.eye(2)),
-            # det Q; P is positive definite, near 1e300
+            # det P: P is positive definite, near 1e300, so det P near 1e600
             ([[0.0, 1.0], [-1.5, -1.0]], 1e300 * np.eye(2)),
             # the solve itself: P near 1e310
             ([[0.0, 1e-160], [-1.5e-160, -1e-160]], 1e150 * np.eye(2)),
@@ -141,6 +141,14 @@ class TestIsSpd:
 
     def test_negative_definite(self):
         assert not is_spd(-np.eye(2))
+
+    def test_tiny_scale(self):
+        # the determinant 1e-600 underflows to 0; the Schur complement does not
+        assert is_spd(1e-300 * np.eye(2))
+        assert not is_spd(-1e-300 * np.eye(2))
+
+    def test_singular(self):
+        assert not is_spd(np.array([[1.0, 1.0], [1.0, 1.0]]))
 
 
 def test_is_hurwitz():

@@ -2,11 +2,12 @@ import json
 import math
 import random
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from safefl import clbf
@@ -23,6 +24,7 @@ from safefl.clbf import (
     verify_weak_clbf,
 )
 from safefl.cli import main
+from safefl.errors import MarginInfeasible
 from safefl.scenario import RunConfig, build_bundle, default_config_path, verify_bundle
 from tests.conftest import BOX_SUB1, BOX_SUB2
 
@@ -90,21 +92,17 @@ class TestVerifyWeakCLBF:
         for n in (0, MIN_GRID_RESOLUTION - 1, MAX_GRID_RESOLUTION + 1):
             with pytest.raises(ValueError):
                 verify_weak_clbf(table_cert_sub1, BOX_SUB1, n)
-            with pytest.raises(ValueError):
-                check_c_omega_subset(table_cert_sub1, BOX_SUB1, n)
 
     def test_default_eps_origin(self, table_cert_sub1):
         report = verify_weak_clbf(table_cert_sub1, BOX_SUB1, 100)
         assert report.eps_origin == pytest.approx(1e-3 * BOX_SUB1.diameter)
 
     def test_report_serializes(self, table_cert_sub1):
-        report = verify_weak_clbf(table_cert_sub1, BOX_SUB1, 100, c_omega_resolution=100)
+        report = verify_weak_clbf(table_cert_sub1, BOX_SUB1, 100)
         payload = json.loads(json.dumps(report.to_dict()))
-        assert list(payload) == [
-            "passed", "grid_resolution", "eps_origin", "conditions", "c_omega_resolution"
-        ]
+        assert list(payload) == ["passed", "grid_resolution", "eps_origin", "conditions"]
         assert payload["passed"] is True
-        assert payload["grid_resolution"] == 100 and payload["c_omega_resolution"] == 100
+        assert payload["grid_resolution"] == 100
         assert [cond["name"] for cond in payload["conditions"]] == CONDITION_NAMES
         for cond in payload["conditions"]:
             assert cond["verdict"] == "pass" and cond["inequality"]
@@ -138,7 +136,7 @@ class TestVerifyWeakCLBF:
 class TestCOmegaSubset:
     def test_published_first_axis(self, table_cert_sub1):
         cert = table_cert_sub1
-        result = check_c_omega_subset(cert, BOX_SUB1, 200)
+        result = check_c_omega_subset(cert, BOX_SUB1)
         assert result.passed
         assert result.margin <= 1e-9
         # the bound is attained on the set's left edge, where V = v2
@@ -147,7 +145,7 @@ class TestCOmegaSubset:
         assert cert.clf.value_and_grad(x1, x2)[0] == pytest.approx(cert.bounds.v2, rel=1e-12)
 
     def test_published_second_axis(self, table_cert_sub2):
-        result = check_c_omega_subset(table_cert_sub2, BOX_SUB2, 200)
+        result = check_c_omega_subset(table_cert_sub2, BOX_SUB2)
         assert result.passed
 
     def test_corner_touches_zero(self, table_cert_sub1):
@@ -163,7 +161,7 @@ class TestCOmegaSubset:
         inflated = replace(
             table_cert_sub1, shape=replace(table_cert_sub1.shape, delta=2.6)
         )
-        result = check_c_omega_subset(inflated, BOX_SUB1, 200)
+        result = check_c_omega_subset(inflated, BOX_SUB1)
         assert result.name == "margin_set_contained"
         assert result.verdict == "fail"
         assert math.isnan(result.margin)
@@ -173,8 +171,120 @@ class TestCOmegaSubset:
 
     def test_selected_parameters_also_contained(self, p_sub1):
         cert = select_parameters(p_sub1, BOX_SUB1, UNSAFE1, v2=2.0)
-        result = check_c_omega_subset(cert, BOX_SUB1, 150)
+        result = check_c_omega_subset(cert, BOX_SUB1)
         assert result.passed
+
+    def test_steep_selected_certificate_passes(self):
+        # l = 171: a sampled search once failed this certificate at W = 1.3e-14,
+        # on a sample that rounding put just left of d + delta, outside the set
+        P = np.array([
+            [0.3525173771339688, -0.19118941790360425],
+            [-0.19118941790360425, 0.17174078172844412],
+        ])
+        box = RegionBox(-2.87168182238896, 0.011727339059201827, -2.5, 2.5)
+        cert = select_parameters(P, box, HalfPlaneUnsafe(-0.7669626709058677), 0.09815134318491539)
+        result = verify_weak_clbf(cert, box).c_omega
+        assert result.passed and result.margin == 0.0
+
+
+# ---------------------------------------------------------------------------
+# the margin set, sampled exactly
+
+
+def _exact_v(clf, x1, x2) -> Fraction:
+    a, b = Fraction(x1), Fraction(x2)
+    return (Fraction(clf.p11) * a * a + 2 * Fraction(clf.p12) * a * b + Fraction(clf.p22) * b * b) / 2
+
+
+def _sigma_upper(shape, x1) -> float:
+    """An upper bound of the exact sigmoid 1 / (1 + exp(l*(x1 - d - delta/2)))
+    at x1: each float step is widened outward with math.nextafter, and exp
+    (within one ulp) by two steps."""
+    z = Fraction(shape.l) * (Fraction(x1) - Fraction(shape.d) - Fraction(shape.delta) / 2)
+    z = min(math.nextafter(float(z), -math.inf), 700.0)  # sigma falls as z grows
+    e = math.nextafter(math.nextafter(math.exp(z), 0.0), 0.0)
+    return math.nextafter(1.0 / math.nextafter(1.0 + e, 0.0), math.inf)
+
+
+def _margin_set_samples(cert, box, n=32):
+    """Dense samples of C_omega = {V <= v2, x1 >= d + delta} in the box, kept
+    only where they lie in it exactly. Each slice {V <= v2} at a sampled x1
+    gives its two ends, their three float neighbours inward, and 7 inner
+    points; x1 runs from the float neighbours of the set's left edge."""
+    clf, v2 = cert.clf, Fraction(cert.bounds.v2)
+    edge = Fraction(cert.shape.d) + Fraction(cert.shape.delta)
+    left = float(edge)
+    x1s = [math.nextafter(left, -math.inf), left, math.nextafter(left, math.inf)]
+    x1s += np.linspace(left, box.x1_max, n)[1:].tolist()
+    kept = []
+    for x1 in x1s:
+        disc = 2.0 * clf.p22 * cert.bounds.v2 - clf.det * x1 * x1
+        if Fraction(x1) < edge or x1 > box.x1_max or disc < 0.0:
+            continue
+        root = math.sqrt(disc)
+        lo = max(box.x2_min, (-clf.p12 * x1 - root) / clf.p22)
+        hi = min(box.x2_max, (-clf.p12 * x1 + root) / clf.p22)
+        x2s = np.linspace(lo, hi, 9).tolist()
+        for end, inward in ((lo, hi), (hi, lo)):
+            for _ in range(3):
+                end = math.nextafter(end, inward)
+                x2s.append(end)
+        kept += [
+            (x1, x2) for x2 in x2s
+            if box.x2_min <= x2 <= box.x2_max and _exact_v(clf, x1, x2) <= v2
+        ]
+    return kept
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(
+    p=st.tuples(st.floats(0.5, 3.0), st.floats(-0.9, 0.9), st.floats(0.5, 3.0)),
+    scale=st.floats(-6.0, 6.0),
+    box=st.tuples(st.floats(-3.0, -0.5), st.floats(0.01, 1.5), st.floats(0.5, 3.0)),
+    d_frac=st.floats(0.02, 0.98),
+    level=st.floats(1.1, 4.0),
+    auto=st.booleans(),
+    l_exp=st.floats(-0.5, 1.5),
+    delta_factor=st.floats(0.7, 3.0),
+    theta_factor=st.floats(-0.5, 3.0),
+    k_factor=st.sampled_from((1.0, 1.0 - 4.0 * float(np.finfo(float).eps), 1.0 - 1e-9, 1.0 + 1e-9)),
+)
+def test_no_exact_margin_set_sample_breaks_a_pass(
+    p, scale, box, d_frac, level, auto, l_exp, delta_factor, theta_factor, k_factor
+):
+    # Random certificates: P scaled by 1e-6 to 1e6 (as Q scales it), steep
+    # slopes, theta on both sides of its bound and below zero, and offsets
+    # just off the design. Where the margin set passes, W bounded above with
+    # exact V and an enclosed sigma stays within the verdict's rounding
+    # allowance at every sample that lies exactly in the set.
+    p11, r, p22 = p
+    P = 10.0**scale * np.array([[p11, r * math.sqrt(p11 * p22)], [r * math.sqrt(p11 * p22), p22]])
+    region = RegionBox(box[0], box[1], -box[2], box[2])
+    unsafe = HalfPlaneUnsafe(d_frac * box[0])
+    v2 = level * clbf.v1_min_on_unsafe(P, unsafe.d)
+    try:
+        if auto:
+            cert = select_parameters(P, region, unsafe, v2)
+        else:
+            bounds = clbf.parameter_bounds(P, region, unsafe, v2)
+            l = 10.0**l_exp * bounds.l_max
+            delta = delta_factor * bounds.delta_min(l)
+            theta = theta_factor * bounds.theta_min(l, max(delta, 1.05 * bounds.delta_min(l)))
+            cert = assemble_weak_clbf(P, region, unsafe, v2, l, delta, theta, enforce_bounds=False)
+    except (ValueError, MarginInfeasible):
+        assume(False)  # sigmoid endpoints saturate, or no margin fits the region
+    cert = replace(cert, k=k_factor * cert.k)
+    result = verify_weak_clbf(cert, region).c_omega
+    if not result.passed:
+        return
+    samples = _margin_set_samples(cert, region)
+    assert samples  # a pass on a non-empty set, so the first slice has points
+    theta, k, v2 = Fraction(cert.theta), Fraction(cert.k), cert.bounds.v2
+    sigma2 = cert.bounds.sigma_endpoints(cert.shape.l, cert.shape.delta)[1]
+    allowance = clbf._C_OMEGA_ROUNDING * (abs(cert.k) + cert.theta * sigma2 * v2 + v2)
+    for x1, x2 in samples:
+        w_upper = (1 + theta * Fraction(_sigma_upper(cert.shape, x1))) * _exact_v(cert.clf, x1, x2) - k
+        assert w_upper <= allowance, (x1, x2, float(w_upper), allowance)
 
 
 # ---------------------------------------------------------------------------
@@ -242,9 +352,9 @@ class TestExactVerdicts:
         def outcome(n):
             out = []
             for bundle in bundles:
-                for axis, report in verify_bundle(bundle, grid_resolution=n, c_omega_resolution=n):
+                for axis, report in verify_bundle(bundle, grid_resolution=n):
                     payload = report.to_dict()
-                    del payload["grid_resolution"], payload["c_omega_resolution"]
+                    del payload["grid_resolution"]
                     out.append((axis, payload))
             return out
 
@@ -334,7 +444,7 @@ class TestExactVerdicts:
         cert = replace(cert, k=k_factor * cert.k)
 
         def verdicts(n):
-            report = verify_weak_clbf(cert, sub.region, n, c_omega_resolution=n)
+            report = verify_weak_clbf(cert, sub.region, n)
             return [cond.verdict for cond in report.conditions()]
 
         assert verdicts(50) == verdicts(3000)
@@ -426,7 +536,7 @@ def _dense_counterexamples(cert, P, box, d) -> int:
 
     omega = (0.5 * (P[0, 0] * X1 * X1 + 2.0 * P[0, 1] * X1 * X2 + P[1, 1] * X2 * X2) <= v2)
     omega &= X1 >= d + delta
-    c_omega = check_c_omega_subset(cert, box, 100)
+    c_omega = check_c_omega_subset(cert, box)
     if c_omega.verdict == "fail" and c_omega.witness is None:  # the set is empty
         assert math.isnan(c_omega.margin)
         assert not omega.any()
@@ -508,9 +618,8 @@ _MUTANTS = (_bundled, _empty_margin_set, _negative_theta, _lowered)
 
 class TestOneSampleTable:
     def test_one_evaluation_of_w(self, default_bundle, monkeypatch):
-        # the three sampled searches share one table: one array call of W.
-        # V is called on arrays twice before it, to rank the two ends of the
-        # margin set's slices, and once inside it
+        # the two sampled searches share one table: one array call of W, and
+        # V on arrays only inside it; the margin set takes no samples
         calls = []
         for cls in (WeakCLBF, QuadraticCLF):
             original = cls.value_and_grad
@@ -523,15 +632,15 @@ class TestOneSampleTable:
             monkeypatch.setattr(cls, "value_and_grad", counted)
         sub = default_bundle.subsystems[0]
         assert verify_weak_clbf(sub.certificate, sub.region).passed
-        assert calls == ["QuadraticCLF", "QuadraticCLF", "WeakCLBF", "QuadraticCLF"]
+        assert calls == ["WeakCLBF", "QuadraticCLF"]
 
     @pytest.mark.parametrize("mutate", _MUTANTS, ids=[m.__name__ for m in _MUTANTS])
     def test_margin_set_verdict_has_one_text(self, default_config, mutate):
         for sub in build_bundle(default_config).subsystems:
             cert = mutate(sub.certificate)
-            for m in (MIN_GRID_RESOLUTION, 200):
-                alone = check_c_omega_subset(cert, sub.region, m)
-                report = verify_weak_clbf(cert, sub.region, 400, m)
+            for n in (MIN_GRID_RESOLUTION, 400):
+                alone = check_c_omega_subset(cert, sub.region)
+                report = verify_weak_clbf(cert, sub.region, n)
                 assert alone.to_dict() == report.c_omega.to_dict()
 
     @pytest.mark.parametrize("s", SCALES)
@@ -546,10 +655,10 @@ class TestOneSampleTable:
 # ---------------------------------------------------------------------------
 # golden reports
 
-# verify_bundle's reports at (400, 200) on the configurations of
+# verify_bundle's reports at grid 400 on the configurations of
 # _golden_configs, recorded while each sampled search made its own
-# evaluation of W. json writes a float as its shortest exact repr, so equal
-# text means equal bits.
+# evaluation of W and the margin set was still sampled too. json writes a
+# float as its shortest exact repr, so equal text means equal bits.
 GOLDEN = Path(__file__).parent / "data" / "verify_golden.json"
 
 
@@ -575,7 +684,7 @@ def _golden_report(raw: dict) -> list:
     """Each axis's report as `safefl verify` builds and judges its
     certificates."""
     bundle = build_bundle(RunConfig.from_dict(raw), enforce_bounds=False)
-    return [{"axis": axis, **report.to_dict()} for axis, report in verify_bundle(bundle, 400, 200)]
+    return [{"axis": axis, **report.to_dict()} for axis, report in verify_bundle(bundle, 400)]
 
 
 @pytest.mark.parametrize("name", ["bundled", "l300", "d50"])
