@@ -42,6 +42,10 @@ class RegionBox:
     x2_max: float
 
     def __post_init__(self):
+        # plain floats: the closed forms then run in Python floats, where an
+        # overflow is inf, not a numpy warning
+        for f in fields(self):
+            object.__setattr__(self, f.name, float(getattr(self, f.name)))
         if not (self.x1_min < 0.0 < self.x1_max and self.x2_min < 0.0 < self.x2_max):
             raise ValueError("region must contain the origin in its interior")
 
@@ -319,11 +323,11 @@ def select_parameters(P, region: RegionBox, unsafe: HalfPlaneUnsafe, v2: float) 
 # lies in {W <= 0}, is decided by its bound alone: sigma decreases, so W <=
 # (1 + theta*sigma2)*v2 - k on that set, with sigma2 = sigma(d + delta) and V <=
 # v2 there. verify_weak_clbf decides all five from the certificate alone, its
-# own design record of d, sigma2 and v2; it passes only when each does. Two
-# sampled counterexample searches, the unsafe curve and the line, only refute
-# passes. They share one table of 1-D samples, sized by grid_resolution, and
-# one evaluation of W: a search is (x1, x2, finish), and finish(W, dW/dx1) its
-# verdicts.
+# own design record of d, sigma2 and v2, in scalar floats, so no verdict or
+# margin depends on numpy's array kernels; it passes only when each does.
+# After the proofs, one block samples the unsafe curve and the line into one
+# table of 1-D samples, sized by grid_resolution, and evaluates W on it once.
+# Those two searches only refute passes.
 
 PASS, FAIL, UNDECIDED = "pass", "fail", "undecided"
 _NAMES = (
@@ -376,8 +380,9 @@ class ConditionResult:
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """The five verdicts on one certificate, with the sample count of its two
-    counterexample searches and the excluded origin ball's radius."""
+    """The five verdicts on one certificate, each decided by its proof, with
+    the sample count of the two counterexample searches that ran after the
+    proofs and could only refute, and the excluded origin ball's radius."""
 
     positive_on_unsafe: ConditionResult
     line_decrease: ConditionResult
@@ -411,9 +416,9 @@ def _check_resolution(n: int) -> None:
 
 def _refute(result: ConditionResult, x1, x2, values, violated, radius=0.0) -> ConditionResult:
     """result, unless it passed and a sample off the origin ball of that radius
-    violates the condition: then a fail at the first such sample. The mask
-    violated() is built for a pass only, and the distance only where it holds."""
-    hits = np.flatnonzero(violated()) if result.passed else ()
+    violates the condition (the mask violated): then a fail at the first such
+    sample. The distance is taken only where the mask holds."""
+    hits = np.flatnonzero(violated) if result.passed else ()
     if radius and len(hits):
         hits = hits[np.hypot(x1[hits], x2[hits]) >= radius]
     if len(hits) == 0:
@@ -456,25 +461,21 @@ def _certify_h(W: WeakCLBF, lo: float, hi: float) -> tuple[str, float, Optional[
     return PASS, bound, None
 
 
-def _positive_on_unsafe(W: WeakCLBF, region: RegionBox, d: float, n: int):
-    # the searched curve x2 = clip(-c x1) ends at the minimizer (d, clip(-c d))
-    x1 = np.linspace(region.x1_min, d, n if d >= region.x1_min else 0)
-    x2 = np.clip(-W.line_slope * x1, region.x2_min, region.x2_max)
-
-    def finish(w, g1):
-        if not w.size:
-            return [ConditionResult(_NAMES[0], PASS, math.inf, None, _MISSES)]
-        result = ConditionResult(
-            _NAMES[0], PASS if w[-1] > 0.0 else FAIL, float(w[-1]), (d, float(x2[-1])),
-            "min of W on x1 <= d is (1 + theta*sigma(d))*g(d) - k: sigma and g fall toward d",
-        )
-        return [_refute(result, x1, x2, w, lambda: w <= 0.0)]
-    return x1, x2, finish
+def _positive_on_unsafe(W: WeakCLBF, region: RegionBox, d: float) -> ConditionResult:
+    if d < region.x1_min:
+        return ConditionResult(_NAMES[0], PASS, math.inf, None, _MISSES)
+    # the minimizer of W on x1 <= d, at the end of the curve x2 = clip(-c x1)
+    x2 = min(max(-W.line_slope * d, region.x2_min), region.x2_max)
+    w = W.value_and_grad(d, x2)[0]
+    return ConditionResult(
+        _NAMES[0], PASS if w > 0.0 else FAIL, w, (d, x2),
+        "min of W on x1 <= d is (1 + theta*sigma(d))*g(d) - k: sigma and g fall toward d",
+    )
 
 
-def _line_conditions(W: WeakCLBF, region: RegionBox, d: float, n: int, eps_origin: float):
-    """The search of line_decrease and stationary_point_unique: their verdicts
-    from the sign of h on the line x2 = -c x1 inside the region."""
+def _line_conditions(W: WeakCLBF, region: RegionBox, d: float, eps_origin: float):
+    """((lo, hi), line_decrease, stationary_point_unique): the verdicts from
+    the sign of h on the line x2 = -c x1 inside the region, x1 in [lo, hi]."""
     c, q = W.line_slope, W.clf.det / W.clf.p22
     lo, hi = region.x1_min, region.x1_max
     if c != 0.0:
@@ -489,15 +490,21 @@ def _line_conditions(W: WeakCLBF, region: RegionBox, d: float, n: int, eps_origi
         proof = "h > 0 by interval bisection"
 
     # L < 0 is required where x1 > d and |x1| >= r, off the origin ball; the
-    # bound is set at |x1| = r
+    # bound is set at |x1| = r, on a side where the line is inside the region
     r = eps_origin / math.hypot(1.0, c)
-    if c > 0.0 and verdict == PASS:
+    x_r = r if r <= hi else -r
+    if c > 0.0 and verdict == PASS and x_r > max(lo, d):
         decrease = ConditionResult(
-            _NAMES[1], PASS, -c * q * r * r * h_min, (r, -c * r),
+            _NAMES[1], PASS, -c * q * r * r * h_min, (x_r, -c * x_r),
             f"L = -c*(det P/p22)*x1^2*h <= -c*(det P/p22)*r^2*min h; {proof}",
         )
+    elif c > 0.0 and verdict == PASS:
+        decrease = ConditionResult(
+            _NAMES[1], UNDECIDED, math.nan, None,
+            "no point of the line in the region has x1 > d off the origin ball",
+        )
     else:
-        x = x_h if c > 0.0 else (r if r <= hi else -r)
+        x = x_h if c > 0.0 else x_r
         lie_x = -c * q * x * x * _h(W, x)
         counter = lie_x >= 0.0 and lo <= x <= hi and x > d and abs(x) >= r
         decrease = ConditionResult(
@@ -509,16 +516,7 @@ def _line_conditions(W: WeakCLBF, region: RegionBox, d: float, n: int, eps_origi
         None if x_h is None else (x_h, -c * x_h),
         f"grad W = 0 off the origin needs h = 0 on x2 = -c*x1; {proof}",
     )
-    x1 = np.linspace(lo, hi, n)
-    x2 = -c * x1
-
-    def finish(w, g1):
-        lie, radial = g1 * x2, g1 * x1  # dW/dx2 = 0 here; radial = (det P/p22) x1^2 h
-        return [
-            _refute(decrease, x1, x2, lie, lambda: (x1 > d) & (lie >= 0.0), eps_origin),
-            _refute(stationary, x1, x2, radial, lambda: (w <= 0.0) & (radial <= 0.0), eps_origin),
-        ]
-    return x1, x2, finish
+    return (lo, hi), decrease, stationary
 
 
 def verify_weak_clbf(W: WeakCLBF, region: RegionBox, grid_resolution: int = 400) -> VerificationReport:
@@ -527,25 +525,40 @@ def verify_weak_clbf(W: WeakCLBF, region: RegionBox, grid_resolution: int = 400)
     check_c_omega_subset's margin-set containment. Failures are data, not
     raised; the report passes only when all five pass. The decrease and
     uniqueness conditions exclude the origin ball of radius
-    EPS_ORIGIN_FRACTION times the region's diameter."""
+    EPS_ORIGIN_FRACTION times the region's diameter. A table of
+    grid_resolution samples on each of the unsafe curve and the line can
+    then only refute a pass."""
     _check_resolution(grid_resolution)
     eps, d, n = EPS_ORIGIN_FRACTION * region.diameter, W.shape.d, grid_resolution
-    if W.theta < 0.0:
-        verdicts = [ConditionResult(c, UNDECIDED, math.nan, None, _OUTSIDE) for c in _NAMES[:4]]
-    else:
-        admissible = PASS if W.k >= 0.0 else FAIL
-        verdicts = [ConditionResult(_NAMES[2], admissible, -W.k, (0.0, 0.0), _AT_ORIGIN)]
-        x1s, x2s, finishes = zip(
-            _positive_on_unsafe(W, region, d, n), _line_conditions(W, region, d, n, eps)
-        )
-        w, g1, _ = W.value_and_grad(np.concatenate(x1s), np.concatenate(x2s))
-        for finish, x1 in zip(finishes, x1s):
-            verdicts += finish(w[: x1.size], g1[: x1.size])
-            w, g1 = w[x1.size :], g1[x1.size :]
-        verdicts.sort(key=lambda result: _NAMES.index(result.name))
     # looked up on the module at call time, so a patched one is seen
-    verdicts.append(check_c_omega_subset(W, region))
-    return VerificationReport(*verdicts, n, float(eps))
+    c_omega = check_c_omega_subset(W, region)
+    if W.theta < 0.0:
+        outside = (ConditionResult(name, UNDECIDED, math.nan, None, _OUTSIDE) for name in _NAMES[:4])
+        return VerificationReport(*outside, c_omega, n, eps)
+    admissible = ConditionResult(_NAMES[2], PASS if W.k >= 0.0 else FAIL, -W.k, (0.0, 0.0), _AT_ORIGIN)
+    positive = _positive_on_unsafe(W, region, d)
+    (lo, hi), decrease, stationary = _line_conditions(W, region, d, eps)
+
+    # One table, the unsafe curve x2 = clip(-c x1) on [x1_min, d] and then the
+    # line x2 = -c x1 on [lo, hi], and one evaluation of W on it. A sample
+    # where W overflows keeps its sign; a NaN one refutes nothing.
+    m, c = (n if d >= region.x1_min else 0), W.line_slope
+    x1 = np.concatenate((np.linspace(region.x1_min, d, m), np.linspace(lo, hi, n)))
+    x2 = np.concatenate((np.clip(-c * x1[:m], region.x2_min, region.x2_max), -c * x1[m:]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        w, g1, _ = W.value_and_grad(x1, x2)
+        positive = _refute(positive, x1, x2, w, w[:m] <= 0.0)
+        x1, x2, w, g1 = x1[m:], x2[m:], w[m:], g1[m:]
+        lie, radial = g1 * x2, g1 * x1  # dW/dx2 = 0 here; radial = (det P/p22) x1^2 h
+        decrease = _refute(decrease, x1, x2, lie, (x1 > d) & (lie >= 0.0), eps)
+        stationary = _refute(stationary, x1, x2, radial, (w <= 0.0) & (radial <= 0.0), eps)
+    return VerificationReport(positive, decrease, admissible, stationary, c_omega, n, eps)
+
+
+def _g(W: WeakCLBF, region: RegionBox, x1: float) -> float:
+    """The minimum of V over the region's x2 range at x1."""
+    x2 = min(max(-x1 * W.line_slope, region.x2_min), region.x2_max)
+    return W.clf.value_and_grad(x1, x2)[0]
 
 
 def check_c_omega_subset(W: WeakCLBF, region: RegionBox) -> ConditionResult:
@@ -558,11 +571,7 @@ def check_c_omega_subset(W: WeakCLBF, region: RegionBox) -> ConditionResult:
     where V > v2 all along that edge. A set with no point in the region fails,
     with no margin and no witness."""
     clf, edge, v2 = W.clf, W.shape.d + W.shape.delta, W.bounds.v2
-
-    def g(x1: float) -> float:  # the minimum of V over the region's x2 range
-        x2 = min(max(-x1 * W.line_slope, region.x2_min), region.x2_max)
-        return clf.value_and_grad(x1, x2)[0]
-    empty = edge > region.x1_max or g(max(edge, 0.0)) > v2
+    empty = edge > region.x1_max or _g(W, region, max(edge, 0.0)) > v2
     if empty or W.theta < 0.0:
         return ConditionResult(
             _NAMES[4], FAIL if empty else UNDECIDED, math.nan, None, _EMPTY if empty else _OUTSIDE
@@ -570,7 +579,7 @@ def check_c_omega_subset(W: WeakCLBF, region: RegionBox) -> ConditionResult:
     sigma2 = W.bounds.sigma_endpoints(W.shape.l, W.shape.delta)[1]
     bound = (1.0 + W.theta * sigma2) * v2 - W.k
     allowance = _C_OMEGA_ROUNDING * (abs(W.k) + W.theta * sigma2 * v2 + v2)
-    x1 = edge if g(edge) <= v2 else 0.0
+    x1 = edge if _g(W, region, edge) <= v2 else 0.0
     root = math.sqrt(max(2.0 * clf.p22 * v2 - clf.det * x1 * x1, 0.0))
     lo = max(region.x2_min, (-clf.p12 * x1 - root) / clf.p22)
     hi = min(region.x2_max, (-clf.p12 * x1 + root) / clf.p22)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -404,3 +405,11 @@ class TestRegionBox:
     def test_diameter(self):
         box = RegionBox(-3.0, 1.0, -1.0, 2.0)
         assert box.diameter == pytest.approx(5.0)
+
+    def test_stores_plain_floats(self, default_bundle):
+        # numpy scalars (a bundle's bounds come from the goal array) become
+        # floats, so the closed forms never run in numpy scalar arithmetic
+        box = RegionBox(np.float64(-1.0), np.int64(1), -1.0, 2)
+        assert [type(v) for v in astuple(box)] == [float] * 4
+        for sub in default_bundle.subsystems:
+            assert [type(v) for v in astuple(sub.region)] == [float] * 4

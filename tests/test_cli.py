@@ -310,13 +310,13 @@ def _set(*path_and_value):
     return mutate
 
 
-def _explicit(l=4.0, delta=0.28):
+def _explicit(l=4.0, delta=0.28, theta=50.0):
     def mutate(raw):
         raw["clbf"] = {
             "mode": "explicit",
             "v2": [2.0, 2.0],
             "params": [
-                {"l": l, "delta": delta, "theta": 50.0},
+                {"l": l, "delta": delta, "theta": theta},
                 {"l": 4.0, "delta": 0.58, "theta": 6.1},
             ],
         }
@@ -520,6 +520,22 @@ class TestErrorExitCodes:
         [line] = capsys.readouterr().err.strip().splitlines()
         assert line.startswith("infeasible: LevelTooSmall:") and "underflows" in line
         assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("params", [{"l": 1e308}, {"theta": 1e308}], ids=["l", "theta"])
+    def test_extreme_finite_certificate_is_judged_quietly(self, tmp_path, raw_config, capsys, params):
+        # a finite slope or scaling at the edge of the float range: the
+        # closed forms run in Python floats and the sample table's overflows
+        # are ignored, so axis 0 gets its verdicts with no numpy warning
+        _explicit(**params)(raw_config)
+        path = write_config(tmp_path, raw_config)
+        out = tmp_path / "out"
+        assert main(["verify", "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == ""
+        report = json.loads((out / "verification_report.json").read_text())
+        first = [c["verdict"] for c in report["subsystems"][0]["conditions"]]
+        assert first == ["pass", "undecided", "pass", "undecided", "pass"]
+        assert report["subsystems"][1]["passed"]
 
     def test_explicit_offset_is_named(self, tmp_path, raw_config, capsys):
         # the design fixes the offset k = (1 + theta*sigma2)*v2; an explicit

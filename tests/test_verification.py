@@ -188,7 +188,7 @@ class TestCOmegaSubset:
 
 
 # ---------------------------------------------------------------------------
-# the margin set, sampled exactly
+# the three sets, sampled exactly
 
 
 def _exact_v(clf, x1, x2) -> Fraction:
@@ -196,14 +196,32 @@ def _exact_v(clf, x1, x2) -> Fraction:
     return (Fraction(clf.p11) * a * a + 2 * Fraction(clf.p12) * a * b + Fraction(clf.p22) * b * b) / 2
 
 
-def _sigma_upper(shape, x1) -> float:
-    """An upper bound of the exact sigmoid 1 / (1 + exp(l*(x1 - d - delta/2)))
-    at x1: each float step is widened outward with math.nextafter, and exp
-    (within one ulp) by two steps."""
-    z = Fraction(shape.l) * (Fraction(x1) - Fraction(shape.d) - Fraction(shape.delta) / 2)
-    z = min(math.nextafter(float(z), -math.inf), 700.0)  # sigma falls as z grows
-    e = math.nextafter(math.nextafter(math.exp(z), 0.0), 0.0)
-    return math.nextafter(1.0 / math.nextafter(1.0 + e, 0.0), math.inf)
+def _sigma_enclosure(shape, x1) -> tuple[float, float]:
+    """Lower and upper bounds of the exact sigmoid
+    1 / (1 + exp(l*(x1 - d - delta/2))) at x1: each float step is widened
+    outward with math.nextafter, and exp (within one ulp) by two steps. sigma
+    falls as the exponent z grows."""
+    z = float(Fraction(shape.l) * (Fraction(x1) - Fraction(shape.d) - Fraction(shape.delta) / 2))
+    z_low = min(math.nextafter(z, -math.inf), 700.0)
+    e = math.nextafter(math.nextafter(math.exp(z_low), 0.0), 0.0)
+    upper = math.nextafter(1.0 / math.nextafter(1.0 + e, 0.0), math.inf)
+    z_high = math.nextafter(z, math.inf)
+    if z_high > 700.0:  # exp(z) may overflow; sigma < 1e-304 there
+        return 0.0, upper
+    e = math.nextafter(math.nextafter(math.exp(z_high), math.inf), math.inf)
+    return math.nextafter(1.0 / math.nextafter(1.0 + e, math.inf), 0.0), upper
+
+
+def _h_upper(cert, x1) -> Fraction:
+    """An upper bound of the exact h = 1 + theta*s*(1 - l*x1*(1 - s)/2) at x1,
+    over the enclosure of s = sigma(x1): h is quadratic in s, so its largest
+    value there is at an end or, where it is concave (x1 < 0), at its vertex."""
+    theta, a = Fraction(cert.theta), Fraction(cert.shape.l) * Fraction(x1) / 2
+    lower, upper = (Fraction(s) for s in _sigma_enclosure(cert.shape, x1))
+    candidates = [lower, upper]
+    if a < 0:
+        candidates.append(min(max((a - 1) / (2 * a), lower), upper))
+    return max(1 + theta * s * (1 - a * (1 - s)) for s in candidates)
 
 
 def _margin_set_samples(cert, box, n=32):
@@ -236,8 +254,43 @@ def _margin_set_samples(cert, box, n=32):
     return kept
 
 
-@settings(max_examples=100, derandomize=True, deadline=None, database=None)
-@given(
+def _unsafe_samples(cert, box, n=48):
+    """Dense samples of the unsafe set {x1 <= d} in the box, as (x1, [x2]):
+    at each sampled x1, the minimizer clip(-c x1) of V over the box's x2
+    range, its three float neighbours each way, and 5 points across the
+    range; x1 runs from x1_min to d and the float neighbour below d."""
+    d, c = cert.shape.d, cert.line_slope
+    x1s = np.linspace(box.x1_min, d, n).tolist() + [math.nextafter(d, -math.inf)]
+    kept = []
+    for x1 in x1s:
+        x2s = np.linspace(box.x2_min, box.x2_max, 5).tolist()
+        for toward in (-math.inf, math.inf):
+            x2 = min(max(-c * x1, box.x2_min), box.x2_max)
+            x2s.append(x2)
+            for _ in range(3):
+                x2 = math.nextafter(x2, toward)
+                x2s.append(x2)
+        kept.append((x1, [x2 for x2 in x2s if box.x2_min <= x2 <= box.x2_max]))
+    return kept
+
+
+def _line_samples(cert, box, eps, n=257):
+    """Dense samples x1 of the line x2 = -c x1, kept only where the point
+    lies in the box and off the origin ball of radius eps exactly."""
+    c = Fraction(cert.clf.p12) / Fraction(cert.clf.p22)
+    x1s = np.linspace(box.x1_min, box.x1_max, n).tolist()
+    x1s += [math.nextafter(cert.shape.d, math.inf), eps, -eps]
+    return [
+        x1 for x1 in x1s
+        if box.x1_min <= x1 <= box.x1_max and Fraction(box.x2_min) <= -c * Fraction(x1) <= Fraction(box.x2_max)
+        and Fraction(x1) ** 2 * (1 + c * c) >= Fraction(eps) ** 2
+    ]
+
+
+# Random certificates: P scaled by 1e-6 to 1e6 (as Q scales it), steep
+# slopes, theta on both sides of its bound and below zero, and offsets just
+# off the design.
+_RANDOM_CERTIFICATE = dict(
     p=st.tuples(st.floats(0.5, 3.0), st.floats(-0.9, 0.9), st.floats(0.5, 3.0)),
     scale=st.floats(-6.0, 6.0),
     box=st.tuples(st.floats(-3.0, -0.5), st.floats(0.01, 1.5), st.floats(0.5, 3.0)),
@@ -249,14 +302,12 @@ def _margin_set_samples(cert, box, n=32):
     theta_factor=st.floats(-0.5, 3.0),
     k_factor=st.sampled_from((1.0, 1.0 - 4.0 * float(np.finfo(float).eps), 1.0 - 1e-9, 1.0 + 1e-9)),
 )
-def test_no_exact_margin_set_sample_breaks_a_pass(
+
+
+def _random_certificate(
     p, scale, box, d_frac, level, auto, l_exp, delta_factor, theta_factor, k_factor
 ):
-    # Random certificates: P scaled by 1e-6 to 1e6 (as Q scales it), steep
-    # slopes, theta on both sides of its bound and below zero, and offsets
-    # just off the design. Where the margin set passes, W bounded above with
-    # exact V and an enclosed sigma stays within the verdict's rounding
-    # allowance at every sample that lies exactly in the set.
+    """(certificate, region) of one draw of _RANDOM_CERTIFICATE."""
     p11, r, p22 = p
     P = 10.0**scale * np.array([[p11, r * math.sqrt(p11 * p22)], [r * math.sqrt(p11 * p22), p22]])
     region = RegionBox(box[0], box[1], -box[2], box[2])
@@ -273,7 +324,16 @@ def test_no_exact_margin_set_sample_breaks_a_pass(
             cert = assemble_weak_clbf(P, region, unsafe, v2, l, delta, theta, enforce_bounds=False)
     except (ValueError, MarginInfeasible):
         assume(False)  # sigmoid endpoints saturate, or no margin fits the region
-    cert = replace(cert, k=k_factor * cert.k)
+    return replace(cert, k=k_factor * cert.k), region
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(**_RANDOM_CERTIFICATE)
+def test_no_exact_margin_set_sample_breaks_a_pass(**draw):
+    # Where the margin set passes, W bounded above with exact V and an
+    # enclosed sigma stays within the verdict's rounding allowance at every
+    # sample that lies exactly in the set.
+    cert, region = _random_certificate(**draw)
     result = verify_weak_clbf(cert, region).c_omega
     if not result.passed:
         return
@@ -283,8 +343,45 @@ def test_no_exact_margin_set_sample_breaks_a_pass(
     sigma2 = cert.bounds.sigma_endpoints(cert.shape.l, cert.shape.delta)[1]
     allowance = clbf._C_OMEGA_ROUNDING * (abs(cert.k) + cert.theta * sigma2 * v2 + v2)
     for x1, x2 in samples:
-        w_upper = (1 + theta * Fraction(_sigma_upper(cert.shape, x1))) * _exact_v(cert.clf, x1, x2) - k
+        w_upper = (1 + theta * Fraction(_sigma_enclosure(cert.shape, x1)[1])) * _exact_v(cert.clf, x1, x2) - k
         assert w_upper <= allowance, (x1, x2, float(w_upper), allowance)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(**_RANDOM_CERTIFICATE)
+def test_no_exact_unsafe_sample_breaks_a_pass(**draw):
+    # Where positive_on_unsafe passes, no sample of the unsafe set has an
+    # upper bound of W, with exact V and an enclosed sigma, at or below zero.
+    cert, region = _random_certificate(**draw)
+    if not verify_weak_clbf(cert, region).positive_on_unsafe.passed:
+        return
+    theta, k = Fraction(cert.theta), Fraction(cert.k)
+    for x1, x2s in _unsafe_samples(cert, region):
+        scale = 1 + theta * Fraction(_sigma_enclosure(cert.shape, x1)[1])
+        for x2 in x2s:
+            w_upper = scale * _exact_v(cert.clf, x1, x2) - k
+            assert w_upper > 0, (x1, x2, float(w_upper))
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(theta_scale=st.sampled_from((1.0, 1e2, 1e4)), **_RANDOM_CERTIFICATE)
+def test_no_exact_line_sample_breaks_a_pass(theta_scale, **draw):
+    # On the line x2 = -c x1, off the origin ball, L = -c*(det P/p22)*x1^2*h
+    # and grad W = 0 only where h = 0. Where line_decrease passes, no sample
+    # with x1 > d has an upper bound of h at or below zero, and its witness
+    # lies in the region; where stationary_point_unique passes, no sample at
+    # all. theta scaled up by 1e2 or 1e4 is what makes h dip below zero.
+    cert, region = _random_certificate(**draw)
+    cert = replace(cert, theta=theta_scale * cert.theta)
+    report = verify_weak_clbf(cert, region)
+    decrease, stationary = report.line_decrease, report.stationary_unique
+    if decrease.passed:
+        w1, w2 = decrease.witness
+        assert cert.clf.p12 > 0.0 and w1 > cert.shape.d
+        assert region.x1_min <= w1 <= region.x1_max and region.x2_min <= w2 <= region.x2_max
+    for x1 in _line_samples(cert, region, report.eps_origin):
+        if (decrease.passed and x1 > cert.shape.d) or stationary.passed:
+            assert _h_upper(cert, x1) > 0, x1
 
 
 # ---------------------------------------------------------------------------
@@ -331,6 +428,28 @@ class TestExactVerdicts:
             assert cond.passed
             assert cond.margin == pytest.approx(_w_cert(cert, d, x2), abs=1e-12)
             assert cond.margin == pytest.approx(expected[sub.axis], abs=1e-7)
+
+    def test_unsafe_margin_is_the_scalar_closed_form(self, default_config):
+        # a seeded certify certificate whose margin numpy's array exp reads
+        # differently by SIMD target (0.5653591187360547 with AVX-512): the
+        # verdict's margin is the scalar W at the minimizer, bit for bit
+        config = replace(
+            default_config,
+            clbf_mode="explicit",
+            v2=(1.8959166666666665, 4.307),
+            explicit_params=(
+                {"l": 4.0, "delta": 0.36017300376135075, "theta": 7.573571994686829},
+                {"l": 10.000000000000002, "delta": 0.2453079279166121, "theta": 3.12905402229932},
+            ),
+        )
+        bundle = build_bundle(config, enforce_bounds=False)
+        sub = bundle.subsystems[0]
+        cert, d = sub.certificate, sub.certificate.shape.d
+        x2 = min(max(-cert.line_slope * d, sub.region.x2_min), sub.region.x2_max)
+        for grid in (MIN_GRID_RESOLUTION, 1000):
+            cond = dict(verify_bundle(bundle, grid))[0].positive_on_unsafe
+            assert cond.margin == cert.value_and_grad(d, x2)[0] == 0.5653591187360538
+            assert cond.witness == (d, x2)
 
     def test_theta_below_bound_fails_on_unsafe_set(self, default_config):
         # theta = 0.945 theta_min: both certificates dip below zero on x1 = d
@@ -548,6 +667,41 @@ def _dense_counterexamples(cert, P, box, d) -> int:
 
 
 # ---------------------------------------------------------------------------
+# the origin ball
+
+
+class TestOriginBall:
+    # eps_origin is 1e-3 of the region's diameter, which the speed range
+    # dominates. At speed limit 600 axis 0's ball (radius 1.2) covers every
+    # point of its line with x1 > d; at 2500 both axes' balls do.
+
+    @pytest.mark.parametrize(
+        "speed, verdicts", [(600.0, ("undecided", "pass")), (2500.0, ("undecided", "undecided"))]
+    )
+    def test_no_vacuous_line_decrease(self, default_config, speed, verdicts):
+        bundle = build_bundle(replace(default_config, speed_limit=speed))
+        reports = verify_bundle(bundle)
+        assert [report.line_decrease.verdict for _, report in reports] == list(verdicts)
+        for sub, (_, report) in zip(bundle.subsystems, reports):
+            cond = report.line_decrease
+            if not cond.passed:
+                assert math.isnan(cond.margin) and cond.witness is None
+                continue
+            # the bound is set on the far side of the ball, inside the region
+            x1, x2 = cond.witness
+            assert (x1, x2) == pytest.approx((-1.0733144329598854, 0.5366572164799427), rel=1e-12)
+            assert x1 > sub.certificate.shape.d and sub.region.x1_min <= x1
+            assert sub.region.x2_min <= x2 <= sub.region.x2_max
+            assert math.hypot(x1, x2) == pytest.approx(report.eps_origin, rel=1e-12)
+
+    def test_bundled_ball_is_small(self, default_bundle):
+        # the bundled regions' balls reach x1 = r of about 0.005 on the line
+        for _, report in verify_bundle(default_bundle):
+            assert report.line_decrease.passed
+            assert 0.0 < report.line_decrease.witness[0] < 0.01
+
+
+# ---------------------------------------------------------------------------
 # scale
 
 
@@ -633,6 +787,29 @@ class TestOneSampleTable:
         sub = default_bundle.subsystems[0]
         assert verify_weak_clbf(sub.certificate, sub.region).passed
         assert calls == ["WeakCLBF", "QuadraticCLF"]
+
+    def test_proofs_make_no_array_call(self, default_bundle, monkeypatch):
+        # the closed forms decide every verdict in Python floats: they run
+        # with numpy out of reach of the module, and the unsafe-set and line
+        # proofs return plain floats
+        class NoNumpy:
+            def __getattr__(self, name):
+                raise AssertionError(f"numpy.{name} called by a proof")
+
+        reports = dict(verify_bundle(default_bundle))
+        monkeypatch.setattr(clbf, "np", NoNumpy())
+        for sub in default_bundle.subsystems:
+            cert, region = sub.certificate, sub.region
+            eps = reports[sub.axis].eps_origin
+            (lo, hi), *line = clbf._line_conditions(cert, region, cert.shape.d, eps)
+            proofs = [clbf._positive_on_unsafe(cert, region, cert.shape.d), *line]
+            for result in proofs:
+                assert type(result.margin) is float
+                assert all(type(x) is float for x in result.witness or ())
+            assert type(lo) is float and type(hi) is float
+            proofs.insert(2, reports[sub.axis].admissible_nonempty)
+            proofs.append(check_c_omega_subset(cert, region))
+            assert proofs == reports[sub.axis].conditions()
 
     @pytest.mark.parametrize("mutate", _MUTANTS, ids=[m.__name__ for m in _MUTANTS])
     def test_margin_set_verdict_has_one_text(self, default_config, mutate):
