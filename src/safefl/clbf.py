@@ -9,6 +9,10 @@ and has a non-empty admissible sublevel set -- all of which this module decides
 from closed forms in x1, with one certified 1-D interval bisection where the
 slope exceeds its bound.
 
+The controller's per-axis law, axis_law, is here too, beside the kernels
+it equals bit for bit: W, its gradient and Sontag's universal-formula safety
+input, from the plain floats that axis_terms unpacks from a certificate.
+
 select_parameters makes the one automatic choice: the slope at its bound
 2/gamma, and the margin and scaling at BOUND_SLACK = 1.05 times their lower
 bounds. assemble_weak_clbf builds a certificate from any other choice.
@@ -17,19 +21,29 @@ bounds. assemble_weak_clbf builds a certificate from any other choice.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import asdict, dataclass, fields
 from typing import Optional
 
 import numpy as np
 
 from .errors import InvalidUnsafeSet, LevelTooSmall, MarginInfeasible
-from .numerics import as_mat2, is_spd
+from .numerics import as_mat2, is_pd_2x2, is_symmetric
 
 _EXP_CLAMP = 700.0  # IEEE double overflow guard; clamping error < 1e-300
+_ONE_BELOW = math.nextafter(1.0, 0.0)
+_B_DEADZONE = 1e-12  # relative to 1 + |a|; below this the channel is treated as closed
 
 
 # ---------------------------------------------------------------------------
 # domain types
+
+
+def _store_floats(obj) -> None:
+    """Store every field of the frozen dataclass obj as a plain float, so the
+    closed forms run in Python floats: an overflow is inf, not a warning."""
+    for f in fields(obj):
+        object.__setattr__(obj, f.name, float(getattr(obj, f.name)))
 
 
 @dataclass(frozen=True)
@@ -42,10 +56,7 @@ class RegionBox:
     x2_max: float
 
     def __post_init__(self):
-        # plain floats: the closed forms then run in Python floats, where an
-        # overflow is inf, not a numpy warning
-        for f in fields(self):
-            object.__setattr__(self, f.name, float(getattr(self, f.name)))
+        _store_floats(self)
         if not (self.x1_min < 0.0 < self.x1_max and self.x2_min < 0.0 < self.x2_max):
             raise ValueError("region must contain the origin in its interior")
 
@@ -61,6 +72,7 @@ class HalfPlaneUnsafe:
     d: float
 
     def __post_init__(self):
+        _store_floats(self)
         if not (math.isfinite(self.d) and self.d < 0.0):
             raise InvalidUnsafeSet(f"unsafe threshold must be negative, got {self.d}")
 
@@ -74,6 +86,7 @@ class SigmoidShape:
     delta: float
 
     def __post_init__(self):
+        _store_floats(self)
         if not (self.l > 0.0 and math.isfinite(self.l)):
             raise ValueError("sigmoid slope l must be positive")
         if not (self.delta > 0.0 and math.isfinite(self.delta)):
@@ -82,9 +95,6 @@ class SigmoidShape:
     @property
     def center(self) -> float:
         return self.d + 0.5 * self.delta
-
-
-_ONE_BELOW = float(np.nextafter(1.0, 0.0))
 
 
 def sigmoid_eval(shape: SigmoidShape, x1):
@@ -107,26 +117,26 @@ def sigmoid_eval(shape: SigmoidShape, x1):
 
 @dataclass(frozen=True)
 class QuadraticCLF:
-    """Quadratic Lyapunov function V(x) = 0.5 x'Px for a 2x2 SPD P."""
+    """V(x) = 0.5 x'Px for the symmetric positive definite P = [[p11, p12], [p12, p22]]."""
 
     p11: float
     p12: float
     p22: float
 
     def __post_init__(self):
-        if not is_spd(self.matrix):
+        _store_floats(self)
+        if not all(map(math.isfinite, (self.p11, self.p12, self.p22))):
+            raise ValueError("matrix entries must be finite")
+        if not is_pd_2x2(self.p11, self.p12, self.p12, self.p22):
             raise ValueError("P must be symmetric positive definite")
 
     @classmethod
     def from_matrix(cls, P) -> "QuadraticCLF":
+        """The CLF of a finite 2x2 P, symmetric within numerics.SYMMETRY_TOL."""
         P = as_mat2(P)
-        if not is_spd(P):
+        if not is_symmetric(P):
             raise ValueError("P must be symmetric positive definite")
-        return cls(float(P[0, 0]), float(P[0, 1]), float(P[1, 1]))
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return np.array([[self.p11, self.p12], [self.p12, self.p22]])
+        return cls(P[0, 0], P[0, 1], P[1, 1])
 
     @property
     def det(self) -> float:
@@ -187,6 +197,65 @@ class WeakCLBF:
         return self.clf.p12 / self.clf.p22
 
 
+def axis_terms(sign, goal, kp, kd, k_safe, cert: Optional[WeakCLBF]) -> tuple:
+    """axis_law's tuple (sign, goal, kp, kd, k_safe, d, p11, p12, p22, l,
+    center, theta, k) of plain floats: a task axis's map and gains, then its
+    certificate's threshold, P, sigmoid slope and center d + delta/2,
+    scaling and offset, all None on an unconstrained axis."""
+    head = (float(sign), float(goal), float(kp), float(kd), float(k_safe))
+    if cert is None:
+        return head + (None,) * 8
+    clf, shape = cert.clf, cert.shape
+    values = (shape.d, clf.p11, clf.p12, clf.p22, shape.l, shape.center, cert.theta, cert.k)
+    return head + tuple(map(float, values))
+
+
+def axis_law(axis: tuple, p: float, v: float, diagnostics: bool):
+    """(a, a_safe, W, margin) of one task axis at end-effector position p
+    and velocity v along it, from the plain floats of axis_terms.
+
+    a is the commanded task-space acceleration and a_safe its safety part
+    k_safe * kappa, both mapped back from the error coordinates
+    x1 = sign * (p - goal), x2 = sign * v. kappa is Sontag's universal
+    formula -(A + sqrt(A^2 + B^4)) / B on A = dW along the drift and
+    B = dW/dx2, zero where B vanishes (Syst. Control Lett. 13, 1989), so
+    A + B*kappa = -sqrt(A^2 + B^4). W is NaN unless the safety input needs
+    it or it is recorded; the margin is infinite on an unconstrained axis.
+    The arithmetic is that of sigmoid_eval and WeakCLBF.value_and_grad, so
+    the outputs equal theirs bit for bit.
+    """
+    sign, goal, kp, kd, k_safe, d, p11, p12, p22, l, center, theta, k = axis
+    x1 = sign * (p - goal)
+    x2 = sign * v
+    acc = -kp * x1 - kd * x2
+    if d is None:
+        return sign * acc, 0.0, math.nan, math.inf
+    if not (diagnostics or k_safe > 0.0):
+        return sign * acc, 0.0, math.nan, x1 - d
+    v1 = p11 * x1 + p12 * x2
+    v2 = p12 * x1 + p22 * x2
+    value = 0.5 * (v1 * x1 + v2 * x2)
+    z = l * (x1 - center)
+    if z > _EXP_CLAMP:
+        z = _EXP_CLAMP
+    elif z < -_EXP_CLAMP:
+        z = -_EXP_CLAMP
+    s = 1.0 / (1.0 + math.exp(z))
+    if not s < 1.0:
+        s = _ONE_BELOW
+    scale = 1.0 + theta * s
+    w = scale * value - k
+    safe = 0.0
+    if k_safe > 0.0:
+        # the universal formula on a = dW along the drift and b = dW/dx2
+        g1 = theta * value * (-l * s * (1.0 - s)) + scale * v1
+        g2 = scale * v2
+        a = g1 * x2 + g2 * acc
+        if not abs(g2) < _B_DEADZONE * (1.0 + abs(a)):
+            safe = k_safe * (-(a + math.hypot(a, g2 * g2)) / g2)
+    return sign * (acc + safe), sign * safe, w, x1 - d
+
+
 # ---------------------------------------------------------------------------
 # parameter selection
 
@@ -234,7 +303,7 @@ def parameter_bounds(P, region: RegionBox, unsafe: HalfPlaneUnsafe, v2: float) -
         )
     if v2 <= v1:
         raise LevelTooSmall(f"v2 = {v2} must exceed v1 = {v1}")
-    return ParameterBounds(gamma=region.x1_max, v1=v1, v2=v2)
+    return ParameterBounds(gamma=region.x1_max, v1=v1, v2=float(v2))
 
 
 # Factor by which select_parameters inflates the margin and scaling lower
@@ -288,9 +357,7 @@ def assemble_weak_clbf(
     k = (1.0 + theta * sigma2) * v2
     if not (math.isfinite(theta) and math.isfinite(k)):
         raise ValueError(f"theta = {theta} and k = {k} must be finite")
-    # plain floats keep the scalar evaluations inside the controller off
-    # numpy's slower scalar arithmetic
-    shape = SigmoidShape(l=float(l), d=float(unsafe.d), delta=float(delta))
+    shape = SigmoidShape(l=l, d=unsafe.d, delta=delta)
     return WeakCLBF(clf=clf, shape=shape, theta=float(theta), k=float(k), bounds=bounds)
 
 
@@ -337,6 +404,7 @@ _NAMES = (
 
 MIN_GRID_RESOLUTION = 50
 MAX_GRID_RESOLUTION = 10_000
+DEFAULT_GRID_RESOLUTION = 400
 # Radius of the origin ball that the decrease and uniqueness conditions
 # exclude, relative to the region's diameter; reported as eps_origin.
 EPS_ORIGIN_FRACTION = 1e-3
@@ -349,7 +417,7 @@ _ENCLOSURE_SLACK = 1e-12
 # is the same at any scale of P. The bound, with sigma2 and an offset k built
 # elsewhere, takes about a dozen roundings of at most eps/2 each (Higham 2002,
 # ch. 3). 16 eps = 32 of them covers that with room.
-_C_OMEGA_ROUNDING = 16.0 * float(np.finfo(float).eps)
+_C_OMEGA_ROUNDING = 16.0 * sys.float_info.epsilon
 _OUTSIDE = "theta < 0 lies outside the construction, which needs 1 + theta*sigma >= 1"
 _EMPTY = "C_omega is empty in X: d + delta > x1_max, or V > v2 at every x1 >= d + delta"
 _MISSES = "the unsafe set misses the region"
@@ -407,11 +475,6 @@ class VerificationReport:
             "eps_origin": float(self.eps_origin),
             "conditions": [c.to_dict() for c in self.conditions()],
         }
-
-
-def _check_resolution(n: int) -> None:
-    if not MIN_GRID_RESOLUTION <= n <= MAX_GRID_RESOLUTION:
-        raise ValueError(f"sample count {n} outside [{MIN_GRID_RESOLUTION}, {MAX_GRID_RESOLUTION}]")
 
 
 def _refute(result: ConditionResult, x1, x2, values, violated, radius=0.0) -> ConditionResult:
@@ -519,7 +582,9 @@ def _line_conditions(W: WeakCLBF, region: RegionBox, d: float, eps_origin: float
     return (lo, hi), decrease, stationary
 
 
-def verify_weak_clbf(W: WeakCLBF, region: RegionBox, grid_resolution: int = 400) -> VerificationReport:
+def verify_weak_clbf(
+    W: WeakCLBF, region: RegionBox, grid_resolution: int = DEFAULT_GRID_RESOLUTION
+) -> VerificationReport:
     """Decide the five conditions of a weak CLBF, on its own unsafe set
     {x1 <= W.shape.d}, from closed forms: the four defining ones and
     check_c_omega_subset's margin-set containment. Failures are data, not
@@ -528,8 +593,9 @@ def verify_weak_clbf(W: WeakCLBF, region: RegionBox, grid_resolution: int = 400)
     EPS_ORIGIN_FRACTION times the region's diameter. A table of
     grid_resolution samples on each of the unsafe curve and the line can
     then only refute a pass."""
-    _check_resolution(grid_resolution)
     eps, d, n = EPS_ORIGIN_FRACTION * region.diameter, W.shape.d, grid_resolution
+    if not MIN_GRID_RESOLUTION <= n <= MAX_GRID_RESOLUTION:
+        raise ValueError(f"sample count {n} outside [{MIN_GRID_RESOLUTION}, {MAX_GRID_RESOLUTION}]")
     # looked up on the module at call time, so a patched one is seen
     c_omega = check_c_omega_subset(W, region)
     if W.theta < 0.0:
@@ -585,6 +651,6 @@ def check_c_omega_subset(W: WeakCLBF, region: RegionBox) -> ConditionResult:
     hi = min(region.x2_max, (-clf.p12 * x1 + root) / clf.p22)
     x2 = lo if clf.value_and_grad(x1, lo)[0] >= clf.value_and_grad(x1, hi)[0] else hi
     return ConditionResult(
-        _NAMES[4], PASS if bound <= allowance else FAIL, bound, (float(x1), float(x2)),
+        _NAMES[4], PASS if bound <= allowance else FAIL, bound, (x1, x2),
         "W <= (1 + theta*sigma(d + delta))*v2 - k on C_omega: sigma decreases, V <= v2",
     )

@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .clbf import MAX_GRID_RESOLUTION, MIN_GRID_RESOLUTION
+from .clbf import DEFAULT_GRID_RESOLUTION
 from .errors import ConfigError, SafeFlError
 from .scenario import (
     RunConfig,
@@ -126,10 +126,7 @@ def _build_parser() -> argparse.ArgumentParser:
             )
 
     common(sub.add_parser("select-params", help="choose certificate parameters and report bounds"))
-    verify = sub.add_parser("verify", help="decide the certificate conditions from closed forms")
-    common(verify)
-    grid_help = f"counterexample search samples ({MIN_GRID_RESOLUTION} to {MAX_GRID_RESOLUTION})"
-    verify.add_argument("--grid", type=int, default=400, help=grid_help)
+    common(sub.add_parser("verify", help="decide the certificate conditions from closed forms"))
     simulate = sub.add_parser("simulate", help="run the closed-loop scenario and emit CSV/SVG")
     common(simulate, sim_flags=True)
     reproduce = sub.add_parser(
@@ -170,9 +167,9 @@ def cmd_select_params(args) -> int:
 def cmd_verify(args) -> int:
     config = _load(args)
     bundle = build_bundle(config, enforce_bounds=False)
-    results = verify_bundle(bundle, grid_resolution=args.grid)
+    results = verify_bundle(bundle)
     args.out.mkdir(parents=True, exist_ok=True)
-    payload = {"grid_resolution": args.grid, "subsystems": []}
+    payload = {"grid_resolution": DEFAULT_GRID_RESOLUTION, "subsystems": []}
     all_pass = True
     for axis, report in results:
         payload["subsystems"].append({"axis": axis, **report.to_dict()})

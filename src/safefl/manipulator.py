@@ -2,27 +2,18 @@
 
 The safe task controller feedback-linearizes the Cartesian dynamics around a
 goal position, imposes decoupled second-order error loops per axis, and adds
-the universal-formula safety input of each axis certificate on top.
+the universal-formula safety input of each axis certificate on top. The
+closed loop that the simulator integrates is one flat kernel, ArmStage. Each
+axis's law in it is clbf.axis_law, over the plain floats that
+clbf.axis_terms unpacks when the stage is built, so this module does no
+certificate arithmetic.
 
-The closed loop that the simulator integrates is one flat kernel in ArmStage:
-it evaluates controller and plant on one set of joint trigonometry and
-commands the joint acceleration y = J^-1 (a - Jdot qdot), so the task-space
-terms M_p, c_p and g_p are never formed. On the controller's own model
-computed torque tau = M y + c + g leaves exactly qddot = y, so the kernel
-returns y and forms tau only for the recorded diagnostics; a plant with
-another model gets its acceleration M^-1 (tau - c - g) from its own
-constants through _joint_accel, which ManipulatorPlant.derivative also
-calls. The joint dynamics M, c and g are thus written twice, in the kernel
-and in _joint_accel, both over the constants of _model. The tests hold the
-two texts together: on the exact model the kernel's torque fed through
-_joint_accel gives back y to within EXACT_MODEL_RTOL, and on a mismatched
-plant the kernel's acceleration equals that torque fed through
-ManipulatorPlant.derivative bit for bit. Each axis's law evaluates its
-certificate W = (1 + theta*sigma(x1)) V - k, its gradient and Sontag's
-universal formula kappa(a, b) = -(a + sqrt(a^2 + b^4)) / b, zero where b
-vanishes (Syst. Control Lett. 13, 1989): a + b*kappa = -sqrt(a^2 + b^4), so W
-decreases wherever the input acts on it. ArmStage.step is classical RK4
-unrolled over the four state scalars.
+The joint dynamics M, c and g are written twice over the constants of
+_model: in the kernel, and in _joint_accel, the forward dynamics of a
+mismatched plant and of ManipulatorPlant.derivative. The tests hold the two
+texts together: on the exact model the kernel's torque fed through
+_joint_accel gives back y to within EXACT_MODEL_RTOL; on a mismatched plant
+the kernel's acceleration is that torque through _joint_accel, bit for bit.
 """
 
 from __future__ import annotations
@@ -33,10 +24,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .clbf import _EXP_CLAMP, _ONE_BELOW, WeakCLBF
+from .clbf import WeakCLBF, axis_law, axis_terms
 from .errors import NearSingular, NonFiniteState
-
-_B_DEADZONE = 1e-12  # relative to 1 + |a|; below this the channel is treated as closed
 
 
 @dataclass(frozen=True)
@@ -149,62 +138,6 @@ def inverse_kinematics(params: ManipulatorParams, p, elbow: str = "up") -> np.nd
 # safe task-space controller
 
 
-def _axis(sign, goal, kp, kd, k_safe, cert: Optional[WeakCLBF]) -> tuple:
-    """_axis_law's tuple (sign, goal, kp, kd, k_safe, d, p11, p12, p22, l,
-    center, theta, k) of plain floats: the axis's map and gains, then its
-    certificate's threshold, P, sigmoid slope and center d + delta/2,
-    scaling and offset, all None on an unconstrained axis."""
-    head = (float(sign), float(goal), float(kp), float(kd), float(k_safe))
-    if cert is None:
-        return head + (None,) * 8
-    clf, shape = cert.clf, cert.shape
-    values = (shape.d, clf.p11, clf.p12, clf.p22, shape.l, shape.center, cert.theta, cert.k)
-    return head + tuple(map(float, values))
-
-
-def _axis_law(axis: tuple, p: float, v: float, diagnostics: bool):
-    """(a, a_safe, W, margin) of one task axis at end-effector position p
-    and velocity v along it, from the plain floats of _axis.
-
-    a is the commanded task-space acceleration and a_safe its safety part
-    k_safe * kappa(a, b), both mapped back from the error coordinates
-    x1 = sign * (p - goal), x2 = sign * v. W is evaluated only when the safety
-    input needs it or it is recorded, and is NaN otherwise; the margin is
-    infinite on an unconstrained axis. The arithmetic is that of sigmoid_eval
-    and WeakCLBF.value_and_grad, so the outputs equal theirs bit for bit.
-    """
-    sign, goal, kp, kd, k_safe, d, p11, p12, p22, l, center, theta, k = axis
-    x1 = sign * (p - goal)
-    x2 = sign * v
-    acc = -kp * x1 - kd * x2
-    if d is None:
-        return sign * acc, 0.0, math.nan, math.inf
-    if not (diagnostics or k_safe > 0.0):
-        return sign * acc, 0.0, math.nan, x1 - d
-    v1 = p11 * x1 + p12 * x2
-    v2 = p12 * x1 + p22 * x2
-    value = 0.5 * (v1 * x1 + v2 * x2)
-    z = l * (x1 - center)
-    if z > _EXP_CLAMP:
-        z = _EXP_CLAMP
-    elif z < -_EXP_CLAMP:
-        z = -_EXP_CLAMP
-    s = 1.0 / (1.0 + math.exp(z))
-    if not s < 1.0:
-        s = _ONE_BELOW
-    scale = 1.0 + theta * s
-    w = scale * value - k
-    safe = 0.0
-    if k_safe > 0.0:
-        # the universal formula on a = dW along the drift and b = dW/dx2
-        g1 = theta * value * (-l * s * (1.0 - s)) + scale * v1
-        g2 = scale * v2
-        a = g1 * x2 + g2 * acc
-        if not abs(g2) < _B_DEADZONE * (1.0 + abs(a)):
-            safe = k_safe * (-(a + math.hypot(a, g2 * g2)) / g2)
-    return sign * (acc + safe), sign * safe, w, x1 - d
-
-
 @dataclass(frozen=True, eq=False)
 class SafeTaskController:
     """Feedback-linearizing force controller with per-axis safety inputs.
@@ -285,9 +218,10 @@ class ArmStage:
     One kernel (_field) evaluates, on one set of joint trigonometry, the
     controller's Jacobian with the NearSingular check on |det J|, the
     per-axis law and the joint acceleration y = J^-1 (a - Jdot qdot) that
-    realises it. When the plant's model equals the controller's, y is the
-    plant's acceleration and the kernel returns it, with no sin or cos of q2
-    and no torque. Otherwise, and for recorded rows, it forms the torque
+    realises it, so the task-space terms M_p, c_p and g_p are never formed.
+    When the plant's model equals the controller's, computed torque
+    tau = M y + c + g leaves exactly qddot = y, so the kernel returns y, with
+    no sin or cos of q2 and no torque. Otherwise, and for recorded rows, it forms the torque
     tau = M y + c + g with the controller's model; a plant whose model
     differs from the controller's takes its acceleration from tau through
     its own M, c and g (_joint_accel), so it is integrated exactly. Every setting is a
@@ -313,7 +247,7 @@ class ArmStage:
             controller.signs, controller.goal, controller.kp, controller.kd, controller.k_safe,
             controller.certificates,
         )
-        axes = [_axis(*row) for row in rows]
+        axes = [axis_terms(*row) for row in rows]
         model = controller.params
         plant = _model(plant_params)
         if plant == _model(model):
@@ -355,8 +289,8 @@ class ArmStage:
         det = j11 * j22 - j12 * j21
         if abs(det) <= threshold:
             raise NearSingular(f"|det J| = {abs(det):.3e} at q = ({q1}, {q2})")
-        a1, safe1, w1, margin1 = _axis_law(axis0, e1 + d, j11 * qd1 + j12 * qd2, diagnostics)
-        a2, safe2, w2, margin2 = _axis_law(axis1, e2 + b, j21 * qd1 + j22 * qd2, diagnostics)
+        a1, safe1, w1, margin1 = axis_law(axis0, e1 + d, j11 * qd1 + j12 * qd2, diagnostics)
+        a2, safe2, w2, margin2 = axis_law(axis1, e2 + b, j21 * qd1 + j22 * qd2, diagnostics)
 
         # y = J^-1 (a - Jdot qdot), the joint acceleration that realises a, where
         # Jdot qdot = -(e1 qd1^2 + d (qd1 + qd2)^2, e2 qd1^2 + b (qd1 + qd2)^2)

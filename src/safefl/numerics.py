@@ -30,20 +30,22 @@ def as_mat2(M) -> np.ndarray:
 
 
 def is_symmetric(M, tol: float = SYMMETRY_TOL) -> bool:
-    A = as_mat2(M)
-    return abs(A[0, 1] - A[1, 0]) <= tol
+    (_, a12), (a21, _) = as_mat2(M).tolist()
+    return abs(a12 - a21) <= tol
+
+
+def is_pd_2x2(a11: float, a12: float, a21: float, a22: float) -> bool:
+    """The Schur test of a symmetric [[a11, a12], [a21, a22]]: a11 > 0 and
+    a22 - a12*a21/a11 > 0, which keeps the matrix's scale where the
+    determinant underflows (1e-300*I). It does not check finiteness."""
+    return a11 > 0.0 and a22 - a12 * (a21 / a11) > 0.0
 
 
 def is_spd(M) -> bool:
-    """True iff M is symmetric (within SYMMETRY_TOL) and positive definite:
-    a11 > 0 and its Schur complement a22 - a12*a21/a11 > 0. Unlike the
-    determinant a11*a22 - a12*a21, the complement keeps the scale of M, so it
-    does not underflow to 0 for a tiny positive definite M such as 1e-300*I."""
+    """True iff M is symmetric (within SYMMETRY_TOL) and passes is_pd_2x2,
+    taken in floats, where an overflow is inf, not a warning."""
     A = as_mat2(M)
-    if not is_symmetric(A):
-        return False
-    (a11, a12), (a21, a22) = A.tolist()  # floats: an overflow is inf, not a warning
-    return a11 > 0.0 and a22 - a12 * (a21 / a11) > 0.0
+    return is_symmetric(A) and is_pd_2x2(*A.ravel().tolist())
 
 
 def is_hurwitz_2x2(A) -> bool:

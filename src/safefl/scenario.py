@@ -434,8 +434,8 @@ def _assemble(config: RunConfig, enforce_bounds: bool) -> ScenarioBundle:
         A = np.array([[0.0, 1.0], [-config.kp[axis], -config.kd[axis]]])
         clf = QuadraticCLF.from_matrix(solve_lyapunov_2x2(A, config.lyapunov_q))
 
-        e0 = sign * (config.initial_position[axis] - goal[axis])
-        edot0 = sign * config.initial_velocity[axis]
+        e0 = float(sign * (config.initial_position[axis] - goal[axis]))
+        edot0 = float(sign * config.initial_velocity[axis])
 
         certificate = None
         if unsafe is not None:
@@ -511,7 +511,7 @@ def run_case(
 
 def verify_bundle(
     bundle: ScenarioBundle,
-    grid_resolution: int = 400,
+    grid_resolution: int = clbf.DEFAULT_GRID_RESOLUTION,
     c_omega_resolution: int = 200,
 ):
     """The five verdicts of clbf.verify_weak_clbf for every constrained axis:
@@ -542,7 +542,7 @@ def parameter_report(bundle: ScenarioBundle) -> dict:
             "sign": sub.sign,
             "kp": sub.kp,
             "kd": sub.kd,
-            "p_matrix": sub.clf.matrix.tolist(),
+            "p_matrix": [[sub.clf.p11, sub.clf.p12], [sub.clf.p12, sub.clf.p22]],
             "constrained": sub.constrained,
         }
         if sub.constrained:

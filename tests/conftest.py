@@ -31,6 +31,11 @@ BOX_SUB1 = RegionBox(-1.2, 0.5, -2.5, 2.5)
 BOX_SUB2 = RegionBox(-2.0, 0.2, -2.5, 2.5)
 
 
+def p_matrix(clf):
+    """The 2x2 array P of a QuadraticCLF, built from its three entries."""
+    return np.array([[clf.p11, clf.p12], [clf.p12, clf.p22]])
+
+
 @pytest.fixture(scope="session")
 def p_sub1():
     return solve_lyapunov_2x2(A_SUB1, Q_DEFAULT)

@@ -17,13 +17,18 @@ import numpy as np
 import pytest
 
 from reference import arm_model, kinetic_energy, rk4_step, task_space_terms
-from safefl.clbf import HalfPlaneUnsafe, WeakCLBF, check_c_omega_subset, verify_weak_clbf
+from safefl.clbf import (
+    HalfPlaneUnsafe,
+    WeakCLBF,
+    axis_law,
+    axis_terms,
+    check_c_omega_subset,
+    verify_weak_clbf,
+)
 from safefl.cli import main, write_trajectory_csv
 from safefl.manipulator import (
     ManipulatorParams,
     ManipulatorPlant,
-    _axis,
-    _axis_law,
     forward_kinematics,
     jacobian,
 )
@@ -156,12 +161,12 @@ def test_criterion_05_universal_formula_identity(default_bundle):
         cert = sub.certificate
         # sign 1, goal 0 and k_safe 1: the law's safety input is kappa(a, b)
         # at x = (p, v)
-        axis = _axis(1.0, 0.0, sub.kp, sub.kd, 1.0, cert)
+        axis = axis_terms(1.0, 0.0, sub.kp, sub.kd, 1.0, cert)
         rng = np.random.default_rng(20240805)
         x1 = rng.uniform(sub.region.x1_min, sub.region.x1_max, size=10_000).tolist()
         x2 = rng.uniform(sub.region.x2_min, sub.region.x2_max, size=10_000).tolist()
         start = time.perf_counter()
-        kappa = [_axis_law(axis, p, v, False)[1] for p, v in zip(x1, x2)]
+        kappa = [axis_law(axis, p, v, False)[1] for p, v in zip(x1, x2)]
         elapsed = time.perf_counter() - start
         worst = 0.0
         for p, v, k in zip(x1, x2, kappa):
@@ -174,7 +179,7 @@ def test_criterion_05_universal_formula_identity(default_bundle):
         # input is zero
         c = cert.line_slope
         for p in (0.0, -0.8, 0.4):
-            assert _axis_law(axis, p, -c * p, False)[1] == 0.0
+            assert axis_law(axis, p, -c * p, False)[1] == 0.0
         assert elapsed < 0.1
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from reference import finite_diff_grad
+from safefl import clbf
 from safefl.clbf import (
     HalfPlaneUnsafe,
     QuadraticCLF,
@@ -18,9 +19,15 @@ from safefl.clbf import (
     v1_min_on_unsafe,
 )
 from safefl.errors import InvalidUnsafeSet, LevelTooSmall, MarginInfeasible
+from tests.conftest import p_matrix
 
 P1 = np.array([[0.9 + 1 / 3 + 1.25, 1 / 3], [1 / 3, 5 / 6]])
 SHAPE1 = SigmoidShape(l=4.0, d=-1.0, delta=0.28)
+
+
+class _NoNumpy:
+    def __getattr__(self, name):
+        raise AssertionError(f"numpy.{name} called")
 
 
 def _fd_slope(shape, x1, h=1e-6):
@@ -111,6 +118,42 @@ class TestQuadraticCLF:
     def test_rejects_non_spd(self):
         with pytest.raises(ValueError):
             QuadraticCLF.from_matrix([[1.0, 2.0], [2.0, 1.0]])
+
+    @pytest.mark.parametrize(
+        "p11, p12, p22, message",
+        [
+            (math.inf, 0.0, 1.0, "finite"),
+            (1.0, 0.0, math.inf, "finite"),
+            (math.nan, 0.0, 1.0, "finite"),
+            (1.0, math.nan, 1.0, "finite"),
+            (1.0, 2.0, 1.0, "positive definite"),
+            (-1.0, 0.0, -1.0, "positive definite"),
+            (1.0, 1.0, 1.0, "positive definite"),
+        ],
+        ids=["p11_inf", "p22_inf", "p11_nan", "p12_nan", "indefinite", "negative_definite", "singular"],
+    )
+    def test_checks_its_floats_without_numpy(self, monkeypatch, p11, p12, p22, message):
+        # finite entries first: the Schur test alone passes p11 or p22 = inf
+        monkeypatch.setattr(clbf, "np", _NoNumpy())
+        with pytest.raises(ValueError, match=message):
+            QuadraticCLF(p11, p12, p22)
+        with pytest.raises(ValueError, match=message):
+            QuadraticCLF.from_matrix([[p11, p12], [p12, p22]])
+
+    def test_from_matrix_rejects_asymmetric(self):
+        # the upper triangle alone is positive definite; the symmetry check
+        # of the whole matrix rejects it
+        assert QuadraticCLF(1.0, 0.1, 1.0).det > 0.0
+        with pytest.raises(ValueError, match="symmetric"):
+            QuadraticCLF.from_matrix([[1.0, 0.1], [0.0, 1.0]])
+
+    def test_accepts_tiny_scale_as_plain_floats(self, monkeypatch):
+        # det P = 1e-600 underflows to 0; the Schur complement keeps the scale
+        monkeypatch.setattr(clbf, "np", _NoNumpy())
+        tiny = 1e-300 * np.eye(2)
+        for clf in (QuadraticCLF(1e-300, 0, np.float64(1e-300)), QuadraticCLF.from_matrix(tiny)):
+            assert astuple(clf) == (1e-300, 0.0, 1e-300)
+            assert [type(v) for v in astuple(clf)] == [float] * 3
 
     def test_eigenvalue_range(self):
         # Rayleigh bounds: V lies between the eigenvalues of P times |x|^2 / 2
@@ -218,6 +261,14 @@ class TestParameterSelection:
                 assert getattr(cert, field) == getattr(expected, field), field
             assert cert.shape.l == 2.0 / sub.region.x1_max
 
+    def test_certificate_and_law_need_no_numpy(self, monkeypatch):
+        # in clbf only the verifier's sample block uses numpy: the
+        # construction and the controller's law run in plain floats
+        monkeypatch.setattr(clbf, "np", _NoNumpy())
+        cert = select_parameters(QuadraticCLF.from_matrix(P1), BOX1, UNSAFE1, v2=2.0)
+        law = clbf.axis_law(clbf.axis_terms(1.0, 0.0, 1.5, 1.0, 1.5, cert), -0.7, -1.5, True)
+        assert law[2] == cert.value_and_grad(-0.7, -1.5)[0]
+
     @pytest.mark.parametrize(
         "theta, v2, delta",
         [(math.inf, 2.0, 0.28), (math.nan, 2.0, 0.28), (1.79e308, 20.0, 1.42)],
@@ -299,7 +350,7 @@ class TestWeakCLBFEvaluation:
     def test_value_and_grad_consistency(self, cert):
         # against the matrix form (1 + theta sigma) 0.5 x'Px - k and its
         # product-rule gradient
-        P = cert.clf.matrix
+        P = p_matrix(cert.clf)
         rng = np.random.default_rng(23)
         for _ in range(100):
             x = rng.uniform(-2, 2, size=2)
@@ -343,7 +394,7 @@ class TestCertificateInvariants:
 
     def test_two_sided_growth_bounds(self):
         cert = select_parameters(P1, BOX1, UNSAFE1, v2=2.0)
-        lam_min, lam_max = np.linalg.eigvalsh(cert.clf.matrix)
+        lam_min, lam_max = np.linalg.eigvalsh(p_matrix(cert.clf))
         rng = np.random.default_rng(37)
         pts = rng.uniform(-5, 5, size=(10_000, 2))
         w = cert.value_and_grad(pts[:, 0], pts[:, 1])[0]

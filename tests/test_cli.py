@@ -68,7 +68,7 @@ class TestVerify:
     def test_default_config_passes(self, tmp_path, raw_config):
         path = write_config(tmp_path, raw_config)
         out = tmp_path / "out"
-        code = main(["verify", "--config", str(path), "--out", str(out), "--grid", "120"])
+        code = main(["verify", "--config", str(path), "--out", str(out)])
         assert code == 0
         report = json.loads((out / "verification_report.json").read_text())
         assert all(sub["passed"] for sub in report["subsystems"])
@@ -83,7 +83,7 @@ class TestVerify:
             ],
         }
         path = write_config(tmp_path, raw_config)
-        code = main(["verify", "--config", str(path), "--out", str(tmp_path), "--grid", "120"])
+        code = main(["verify", "--config", str(path), "--out", str(tmp_path)])
         assert code == 2
         text = capsys.readouterr().out
         assert "positive_on_unsafe: FAIL" in text
@@ -95,7 +95,7 @@ class TestVerify:
         # below; the certificate is judged, not rejected as a config error
         _explicit(l=l)(raw_config)
         path = write_config(tmp_path, raw_config)
-        code = main(["verify", "--config", str(path), "--out", str(tmp_path), "--grid", "120"])
+        code = main(["verify", "--config", str(path), "--out", str(tmp_path)])
         assert code in (0, 2), capsys.readouterr().err
         report = json.loads((tmp_path / "verification_report.json").read_text())
         verdicts = [c["verdict"] for sub in report["subsystems"] for c in sub["conditions"]]
@@ -388,9 +388,6 @@ class TestErrorExitCodes:
             ("simulate", _set("simulation", "record_stride", True), [], 3),
             ("simulate", lambda raw: raw["constraints"][1].update(axis=True), [], 3),
             ("simulate", _set("k_safe", ["0.5"]), [], 3),
-            ("verify", _keep, ["--grid", "10"], 3),
-            ("verify", _keep, ["--grid", "0"], 3),
-            ("verify", _keep, ["--grid", "100000"], 3),
             ("verify", _explicit_without_l, [], 3),
             ("simulate", _drop("simulation", "dt"), [], 3),
             ("simulate", _drop("manipulator", "m1"), [], 3),
@@ -427,9 +424,6 @@ class TestErrorExitCodes:
             "record_stride_boolean",
             "constraint_axis_boolean",
             "k_safe_string",
-            "verify_grid_below_minimum",
-            "verify_grid_zero",
-            "verify_grid_over_cap",
             "missing_l",
             "missing_dt",
             "missing_m1",

@@ -15,7 +15,7 @@ from reference import (
     task_space_terms,
 )
 from safefl import manipulator
-from safefl.clbf import HalfPlaneUnsafe, assemble_weak_clbf
+from safefl.clbf import HalfPlaneUnsafe, assemble_weak_clbf, axis_law, axis_terms
 from safefl.errors import NearSingular
 from safefl.manipulator import (
     ArmStage,
@@ -25,8 +25,6 @@ from safefl.manipulator import (
     forward_kinematics,
     inverse_kinematics,
     jacobian,
-    _axis,
-    _axis_law,
 )
 from safefl.scenario import parameter_report, run_case
 from safefl.sim import SimConfig, simulate_closed_loop
@@ -434,7 +432,7 @@ def _bits(values):
 
 
 def _composed_axis_law(cert, axis, p, v):
-    """_axis_law's outputs composed from WeakCLBF.value_and_grad and the
+    """axis_law's outputs composed from WeakCLBF.value_and_grad and the
     reference universal formula."""
     sign, goal, kp, kd, k_safe = axis[:5]
     x1 = sign * (p - goal)
@@ -468,7 +466,7 @@ class TestAxisLaw:
             controller.signs, controller.goal, controller.kp, controller.kd, controller.k_safe,
             controller.certificates,
         )
-        certs = {_axis(*row): row[-1] for row in per_axis}
+        certs = {axis_terms(*row): row[-1] for row in per_axis}
         traj = run_case(default_bundle, k_safe)
         assert not traj.failed
         # the visited states and 300 random ones away from |sin q2| < 0.05
@@ -481,7 +479,7 @@ class TestAxisLaw:
         fields = [stage(0.0, x) for x in states]
         monkeypatch.setattr(
             manipulator,
-            "_axis_law",
+            "axis_law",
             lambda axis, p, v, diagnostics: _composed_axis_law(certs[axis], axis, p, v),
         )
         expected = [stage.record(0.0, x) for x in states]
@@ -492,32 +490,32 @@ class TestAxisLaw:
 
     def test_sigmoid_clamp(self, p_sub1):
         cert = _clamped_certificate(p_sub1)
-        axis = _axis(1.0, 0.0, 1.5, 1.0, 1.0, cert)
+        axis = axis_terms(1.0, 0.0, 1.5, 1.0, 1.0, cert)
         for x1 in (-2.5, 0.5):
             assert abs(cert.shape.l * (x1 - cert.shape.center)) > 700.0
             for x2 in (-1.5, 0.3, 2.0):
-                law = _axis_law(axis, x1, x2, False)
+                law = axis_law(axis, x1, x2, False)
                 assert _bits(law) == _bits(_composed_axis_law(cert, axis, x1, x2))
                 assert all(map(math.isfinite, law))
 
     def test_deadzone_gives_zero_safety_input(self, table_cert_sub1):
         # on the line x2 = -c x1, dW/dx2 vanishes up to rounding
         cert = table_cert_sub1
-        axis = _axis(1.0, 0.0, 1.5, 1.0, 1.0, cert)
+        axis = axis_terms(1.0, 0.0, 1.5, 1.0, 1.0, cert)
         c = cert.line_slope
         for x1 in (0.0, -0.8, -0.3, 0.2, 0.4):
             x2 = -c * x1
             _, g1, g2 = cert.value_and_grad(x1, x2)
             a = g1 * x2 + g2 * (-1.5 * x1 - 1.0 * x2)
             assert abs(g2) < 1e-12 * (1.0 + abs(a))
-            law = _axis_law(axis, x1, x2, False)
+            law = axis_law(axis, x1, x2, False)
             assert law[1] == 0.0
             assert _bits(law) == _bits(_composed_axis_law(cert, axis, x1, x2))
 
     def test_unconstrained_axis(self):
-        axis = _axis(-1.0, 0.3, 1.5, 1.0, 1.0, None)
+        axis = axis_terms(-1.0, 0.3, 1.5, 1.0, 1.0, None)
         for diagnostics in (False, True):
-            a, a_safe, w, margin = _axis_law(axis, 0.9, -0.4, diagnostics)
+            a, a_safe, w, margin = axis_law(axis, 0.9, -0.4, diagnostics)
             assert a == -1.0 * (-1.5 * (-1.0 * (0.9 - 0.3)) - 1.0 * (-1.0 * -0.4))
             assert a_safe == 0.0
             assert math.isnan(w)

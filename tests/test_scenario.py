@@ -1,4 +1,5 @@
 import json
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -13,7 +14,9 @@ from safefl.scenario import (
     load_config,
     parameter_report,
     run_case,
+    verify_bundle,
 )
+from tests.conftest import p_matrix
 
 
 @pytest.fixture()
@@ -116,6 +119,16 @@ class TestConfigParsing:
 
 
 class TestBundleAssembly:
+    def test_certificates_hold_plain_floats(self, default_bundle):
+        # the thresholds and the default v2 come from numpy arrays; stored as
+        # floats, the closed forms on them never run in numpy scalars
+        for sub in default_bundle.subsystems:
+            cert = sub.certificate
+            numbers = (*astuple(cert.clf), *astuple(cert.shape), cert.theta, cert.k, *astuple(cert.bounds))
+            assert [type(x) for x in numbers] == [float] * 11
+        for _, report in verify_bundle(default_bundle):
+            assert [type(c.margin) for c in report.conditions()] == [float] * 5
+
     def test_axis_normalization(self, default_bundle):
         subs = default_bundle.subsystems
         assert subs[0].sign == -1.0 and subs[0].certificate.shape.d == pytest.approx(-1.0)
@@ -142,12 +155,12 @@ class TestBundleAssembly:
 
     def test_lyapunov_solutions(self, default_bundle):
         np.testing.assert_allclose(
-            default_bundle.subsystems[0].clf.matrix,
+            p_matrix(default_bundle.subsystems[0].clf),
             [[2.483333, 0.333333], [0.333333, 0.833333]],
             atol=1e-6,
         )
         np.testing.assert_allclose(
-            default_bundle.subsystems[1].clf.matrix,
+            p_matrix(default_bundle.subsystems[1].clf),
             [[2.4, 0.5], [0.5, 1.0]],
             atol=1e-12,
         )

@@ -1,5 +1,5 @@
 """The reference universal formula and per-subsystem safety input, against
-which manipulator._axis_law is pinned bit for bit."""
+which clbf.axis_law is pinned bit for bit."""
 
 import math
 

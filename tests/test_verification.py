@@ -24,9 +24,9 @@ from safefl.clbf import (
     verify_weak_clbf,
 )
 from safefl.cli import main
-from safefl.errors import MarginInfeasible
+from safefl.errors import ConfigError, MarginInfeasible
 from safefl.scenario import RunConfig, build_bundle, default_config_path, verify_bundle
-from tests.conftest import BOX_SUB1, BOX_SUB2
+from tests.conftest import BOX_SUB1, BOX_SUB2, p_matrix
 
 UNSAFE1 = HalfPlaneUnsafe(-1.0)
 CONDITION_NAMES = [
@@ -92,6 +92,11 @@ class TestVerifyWeakCLBF:
         for n in (0, MIN_GRID_RESOLUTION - 1, MAX_GRID_RESOLUTION + 1):
             with pytest.raises(ValueError):
                 verify_weak_clbf(table_cert_sub1, BOX_SUB1, n)
+
+    @pytest.mark.parametrize("n", [10, 0, 100_000], ids=["below_minimum", "zero", "over_cap"])
+    def test_out_of_range_grid_is_a_config_error(self, default_bundle, n):
+        with pytest.raises(ConfigError, match="invalid verification setting"):
+            verify_bundle(default_bundle, grid_resolution=n)
 
     def test_default_eps_origin(self, table_cert_sub1):
         report = verify_weak_clbf(table_cert_sub1, BOX_SUB1, 100)
@@ -397,7 +402,7 @@ def _w(P, l, d, delta, theta, k, x1, x2):
 
 def _w_cert(cert, x1, x2):
     s = cert.shape
-    return _w(cert.clf.matrix, s.l, s.d, s.delta, cert.theta, cert.k, x1, x2)
+    return _w(p_matrix(cert.clf), s.l, s.d, s.delta, cert.theta, cert.k, x1, x2)
 
 
 def _explicit_config(default_config, theta_factor):
