@@ -25,8 +25,6 @@ import sys
 from dataclasses import asdict, dataclass, fields
 from typing import Optional
 
-import numpy as np
-
 from .errors import InvalidUnsafeSet, LevelTooSmall, MarginInfeasible
 from .numerics import as_mat2, is_pd_2x2, is_symmetric
 
@@ -101,14 +99,16 @@ def sigmoid_eval(shape: SigmoidShape, x1):
     """Sigmoid value in the open interval (0, 1); exponent clamped to +-700.
 
     A float (or int) argument gives a float through math, an array gives an
-    array through numpy. Deep saturation rounds to the closest representable
-    doubles inside the interval, so the strict bounds hold even at extreme
-    arguments.
+    array through numpy, imported only then. Deep saturation rounds to the
+    closest representable doubles inside the interval, so the strict bounds
+    hold even at extreme arguments.
     """
     if isinstance(x1, (float, int)):
         z = min(max(shape.l * (x1 - shape.center), -_EXP_CLAMP), _EXP_CLAMP)
         s = 1.0 / (1.0 + math.exp(z))
         return s if s < 1.0 else _ONE_BELOW
+    import numpy as np
+
     z = shape.l * (np.asarray(x1, dtype=float) - shape.center)
     z = np.clip(z, -_EXP_CLAMP, _EXP_CLAMP)
     out = np.minimum(1.0 / (1.0 + np.exp(z)), _ONE_BELOW)
@@ -127,16 +127,18 @@ class QuadraticCLF:
         _store_floats(self)
         if not all(map(math.isfinite, (self.p11, self.p12, self.p22))):
             raise ValueError("matrix entries must be finite")
-        if not is_pd_2x2(self.p11, self.p12, self.p12, self.p22):
+        if not is_pd_2x2(self.p11, self.p12, self.p22):
             raise ValueError("P must be symmetric positive definite")
 
     @classmethod
     def from_matrix(cls, P) -> "QuadraticCLF":
-        """The CLF of a finite 2x2 P, symmetric within numerics.SYMMETRY_TOL."""
+        """The CLF of a finite 2x2 P, symmetric within numerics.SYMMETRY_RTOL
+        of its largest entry."""
         P = as_mat2(P)
         if not is_symmetric(P):
             raise ValueError("P must be symmetric positive definite")
-        return cls(P[0, 0], P[0, 1], P[1, 1])
+        (p11, p12), (_, p22) = P
+        return cls(p11, p12, p22)
 
     @property
     def det(self) -> float:
@@ -394,7 +396,9 @@ def select_parameters(P, region: RegionBox, unsafe: HalfPlaneUnsafe, v2: float) 
 # margin depends on numpy's array kernels; it passes only when each does.
 # After the proofs, one block samples the unsafe curve and the line into one
 # table of 1-D samples, sized by grid_resolution, and evaluates W on it once.
-# Those two searches only refute passes.
+# Those two searches only refute passes. They, with sigmoid_eval's array
+# branch and _refute, are the only numpy in this module, imported where they
+# run, so building a certificate never imports it.
 
 PASS, FAIL, UNDECIDED = "pass", "fail", "undecided"
 _NAMES = (
@@ -481,8 +485,10 @@ def _refute(result: ConditionResult, x1, x2, values, violated, radius=0.0) -> Co
     """result, unless it passed and a sample off the origin ball of that radius
     violates the condition (the mask violated): then a fail at the first such
     sample. The distance is taken only where the mask holds."""
-    hits = np.flatnonzero(violated) if result.passed else ()
+    hits = violated.nonzero()[0] if result.passed else ()
     if radius and len(hits):
+        import numpy as np
+
         hits = hits[np.hypot(x1[hits], x2[hits]) >= radius]
     if len(hits) == 0:
         return result
@@ -604,6 +610,8 @@ def verify_weak_clbf(
     admissible = ConditionResult(_NAMES[2], PASS if W.k >= 0.0 else FAIL, -W.k, (0.0, 0.0), _AT_ORIGIN)
     positive = _positive_on_unsafe(W, region, d)
     (lo, hi), decrease, stationary = _line_conditions(W, region, d, eps)
+
+    import numpy as np
 
     # One table, the unsafe curve x2 = clip(-c x1) on [x1_min, d] and then the
     # line x2 = -c x1 on [lo, hi], and one evaluation of W on it. A sample

@@ -9,6 +9,12 @@ never the trajectory. The parent takes the pairs in sweep order and writes
 summary.json and the SVGs, so its memory does not grow with the horizon. The
 outputs do not depend on the CPU count. Forking makes this POSIX only.
 
+Certificates are chosen and reported on Python floats, and this module
+imports numpy only in safety_monitor and before a sweep forks, so
+`select-params` never loads it (`verify` does, for the verifier's sampled
+block). The parent of a sweep imports numpy before its first fork: each
+forked child then finds it loaded, and none pays for the import again.
+
 Exit codes: 0 success, 2 verification or feasibility failure, 3 configuration
 error, 4 numerical abort (singularity or divergence during simulation).
 """
@@ -21,8 +27,6 @@ import os
 import sys
 from pathlib import Path
 from typing import Optional
-
-import numpy as np
 
 from .clbf import DEFAULT_GRID_RESOLUTION
 from .errors import ConfigError, SafeFlError
@@ -191,6 +195,8 @@ def safety_monitor(bundle, traj: Trajectory) -> tuple[dict, Optional[RunSeries]]
     """The run's summary.json entry and what the figures plot of it (None
     for a run without records): per record, the norms of the safety force
     and of the plain force, the recorded total force minus the safety force."""
+    import numpy as np
+
     k_safe = traj.meta["k_safe"]
     entry = {"label": run_label(k_safe), "k_safe": k_safe, "steps": traj.meta["steps"]}
     if traj.failed:
@@ -262,8 +268,11 @@ def _simulate_sweep(bundle, gains, dt, horizon, out: Path) -> list[tuple[dict, O
     child is joined before this returns or raises, and the first error in
     sweep order is raised only after all of them are.
     """
-    # imported here: the modules that import cli but never simulate skip it
+    # imported here: the modules that import cli but never simulate skip them.
+    # numpy is loaded before the first fork, so no child imports it again.
     import multiprocessing
+
+    import numpy  # noqa: F401
 
     ctx = multiprocessing.get_context("fork")
     slots = len(os.sched_getaffinity(0))

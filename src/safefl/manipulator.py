@@ -14,6 +14,10 @@ mismatched plant and of ManipulatorPlant.derivative. The tests hold the two
 texts together: on the exact model the kernel's torque fed through
 _joint_accel gives back y to within EXACT_MODEL_RTOL; on a mismatched plant
 the kernel's acceleration is that torque through _joint_accel, bit for bit.
+
+The kinematics, the controller's settings and the kernel are plain floats
+and tuples. numpy is imported only by SafeTaskController.__call__ and
+ManipulatorPlant, which return arrays.
 """
 
 from __future__ import annotations
@@ -21,8 +25,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
-
-import numpy as np
 
 from .clbf import WeakCLBF, axis_law, axis_terms
 from .errors import NearSingular, NonFiniteState
@@ -108,16 +110,17 @@ def _kinematics(params: ManipulatorParams, q):
     )
 
 
-def forward_kinematics(params: ManipulatorParams, q) -> np.ndarray:
-    return np.array(_kinematics(params, q)[1])
+def forward_kinematics(params: ManipulatorParams, q) -> tuple[float, float]:
+    return _kinematics(params, q)[1]
 
 
-def jacobian(params: ManipulatorParams, q) -> np.ndarray:
+def jacobian(params: ManipulatorParams, q) -> tuple[tuple[float, float], tuple[float, float]]:
+    """The Jacobian's rows ((j11, j12), (j21, j22))."""
     j11, j12, j21, j22 = _kinematics(params, q)[0]
-    return np.array([[j11, j12], [j21, j22]])
+    return (j11, j12), (j21, j22)
 
 
-def inverse_kinematics(params: ManipulatorParams, p, elbow: str = "up") -> np.ndarray:
+def inverse_kinematics(params: ManipulatorParams, p, elbow: str = "up") -> tuple[float, float]:
     """Joint angles reaching Cartesian p; elbow selects the sign of theta2."""
     r2 = p[0] * p[0] + p[1] * p[1]
     cos_t2 = (r2 - params.L1 ** 2 - params.L2 ** 2) / (2.0 * params.L1 * params.L2)
@@ -131,7 +134,7 @@ def inverse_kinematics(params: ManipulatorParams, p, elbow: str = "up") -> np.nd
     t1 = math.atan2(p[1], p[0]) - math.atan2(
         params.L2 * math.sin(t2), params.L1 + params.L2 * math.cos(t2)
     )
-    return np.array([t1, t2])
+    return t1, t2
 
 
 # ---------------------------------------------------------------------------
@@ -147,34 +150,41 @@ class SafeTaskController:
     constrained axis sees its unsafe set as a left half plane. kp, kd and
     k_safe are the per-axis position, velocity and safety gains.
     certificates holds one WeakCLBF per axis, or None for an unconstrained
-    axis. The law itself is ArmStage's kernel; calling the controller at a
+    axis. Each of goal, signs, kp, kd and k_safe is held as a tuple of
+    floats. The law itself is ArmStage's kernel; calling the controller at a
     joint state x = (q, qdot) reads its recorded row on the controller's own
     model.
     """
 
     params: ManipulatorParams
-    goal: np.ndarray
-    signs: np.ndarray
-    kp: np.ndarray
-    kd: np.ndarray
-    k_safe: np.ndarray
+    goal: tuple[float, ...]
+    signs: tuple[float, ...]
+    kp: tuple[float, ...]
+    kd: tuple[float, ...]
+    k_safe: tuple[float, ...]
     certificates: Sequence[Optional[WeakCLBF]]
 
     def __post_init__(self):
-        for name in ("goal", "signs", "kp", "kd", "k_safe"):
-            object.__setattr__(self, name, np.array(getattr(self, name), dtype=float, ndmin=1))
+        per_axis = "one gain of each kind and one certificate per task axis required"
+        try:
+            for name in ("goal", "signs", "kp", "kd", "k_safe"):
+                object.__setattr__(self, name, tuple(map(float, getattr(self, name))))
+        except TypeError as err:  # a scalar, not one value per axis
+            raise ValueError(per_axis) from err
         kp, kd, k_safe = self.kp, self.kd, self.k_safe
-        if not (len(self.certificates) == 2 and kp.shape == kd.shape == k_safe.shape == (2,)):
-            raise ValueError("one gain of each kind and one certificate per task axis required")
-        if not np.all(np.isfinite(np.concatenate((kp, kd, k_safe)))):
+        if not (len(self.certificates) == 2 and len(kp) == len(kd) == len(k_safe) == 2):
+            raise ValueError(per_axis)
+        if not all(map(math.isfinite, kp + kd + k_safe)):
             raise ValueError("gains must be finite")
-        if np.any(kp <= 0.0) or np.any(kd <= 0.0):
+        if min(kp + kd) <= 0.0:
             raise ValueError("kp and kd must be positive")
-        if np.any(k_safe < 0.0):
+        if min(k_safe) < 0.0:
             raise ValueError("k_safe must be non-negative")
 
-    def __call__(self, t: float, x: np.ndarray) -> dict[str, np.ndarray]:
+    def __call__(self, t: float, x) -> dict:
         """The recorded row at (t, x) as {name: array}, keyed by ArmStage.layout."""
+        import numpy as np
+
         state = (float(x[0]), float(x[1]), float(x[2]), float(x[3]))
         _, row = ArmStage(self, self.params).record(t, state)
         return ArmStage.columns(np.array(row))
@@ -187,7 +197,9 @@ class ManipulatorPlant:
     def __init__(self, params: ManipulatorParams):
         self.params = params
 
-    def derivative(self, t: float, x: np.ndarray, u: np.ndarray) -> np.ndarray:
+    def derivative(self, t: float, x, u):
+        import numpy as np
+
         q1, q2, qd1, qd2 = x[0], x[1], x[2], x[3]
         qdd1, qdd2 = _joint_accel(
             _model(self.params),
@@ -202,7 +214,9 @@ class ManipulatorPlant:
         )
         return np.array((qd1, qd2, qdd1, qdd2))
 
-    def task_state(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def task_state(self, x):
+        import numpy as np
+
         q1, q2, qd1, qd2 = (float(v) for v in x)
         t12 = q1 + q2
         _, pos, vel = _task_entries(
@@ -256,7 +270,7 @@ class ArmStage:
         self.plant_params = plant_params
 
     @classmethod
-    def columns(cls, rows: np.ndarray) -> dict[str, np.ndarray]:
+    def columns(cls, rows) -> dict:
         """rows split along their last axis into the named blocks of layout,
         as views."""
         out, start = {}, 0

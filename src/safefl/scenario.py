@@ -24,8 +24,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
-import numpy as np
-
 from . import clbf
 from .clbf import (
     HalfPlaneUnsafe,
@@ -44,12 +42,14 @@ from .manipulator import (
     inverse_kinematics,
     jacobian,
 )
-from .numerics import solve_lyapunov_2x2
+from .numerics import Mat2, solve_linear, solve_lyapunov_2x2
 from .sim import SimConfig, Trajectory, check_timing, simulate_closed_loop
 
 SCHEMA_VERSION = 1
 
 _DEFAULT_Q = [[1.0, -0.9], [-0.9, 1.0]]
+
+Pair = tuple[float, float]
 
 
 @dataclass(frozen=True)
@@ -64,19 +64,22 @@ class ConstraintSpec:
 
 @dataclass(frozen=True, eq=False)
 class RunConfig:
+    """A parsed configuration; every number in it is a float, every vector
+    and matrix a tuple of them."""
+
     name: str
     manipulator: ManipulatorParams
-    goal: np.ndarray
-    initial_position: np.ndarray
-    initial_velocity: np.ndarray
+    goal: Pair
+    initial_position: Pair
+    initial_velocity: Pair
     elbow: str
-    region_p1: tuple[float, float]
-    region_p2: tuple[float, float]
+    region_p1: Pair
+    region_p2: Pair
     speed_limit: float
     constraints: tuple[ConstraintSpec, ...]
-    kp: np.ndarray
-    kd: np.ndarray
-    lyapunov_q: np.ndarray
+    kp: Pair
+    kd: Pair
+    lyapunov_q: Mat2
     clbf_mode: str
     v2: tuple[Optional[float], Optional[float]]
     explicit_params: Optional[tuple[dict, ...]]
@@ -206,10 +209,10 @@ def _parse_config(cls, raw: dict) -> "RunConfig":
         L2=_number(arm["L2"], "L2"),
         gravity=_number(arm.get("gravity", 9.81), "gravity"),
     )
-    goal = np.array(_pair(raw["goal"], "goal"))
+    goal = _pair(raw["goal"], "goal")
     initial = _object(raw["initial"], "initial")
-    p0 = np.array(_pair(initial["position"], "initial position"))
-    v0 = np.array(_pair(initial["velocity"], "initial velocity"))
+    p0 = _pair(initial["position"], "initial position")
+    v0 = _pair(initial["velocity"], "initial velocity")
     elbow = str(initial.get("elbow", "up"))
     if elbow not in ("up", "down"):
         raise ConfigError(f"elbow must be 'up' or 'down', got {elbow!r}")
@@ -244,13 +247,13 @@ def _parse_config(cls, raw: dict) -> "RunConfig":
     constraints.sort(key=lambda c: c.axis)
 
     gains = _object(raw["gains"], "gains")
-    kp = np.array(_pair(gains["kp"], "kp"))
-    kd = np.array(_pair(gains["kd"], "kd"))
-    if np.any(kp <= 0.0) or np.any(kd <= 0.0):
+    kp = _pair(gains["kp"], "kp")
+    kd = _pair(gains["kd"], "kd")
+    if min(kp + kd) <= 0.0:
         raise ConfigError("gains must be positive")
 
     q_rows = _entries(raw.get("lyapunov_q", _DEFAULT_Q), "lyapunov_q")
-    q_mat = np.array([_pair(row, "lyapunov_q row") for row in q_rows])
+    q_mat = tuple(_pair(row, "lyapunov_q row") for row in q_rows)
 
     section = _object(raw["clbf"], "clbf")
     mode = str(section.get("mode", "auto"))
@@ -348,18 +351,21 @@ class SubsystemSetup:
 
 @dataclass(frozen=True, eq=False)
 class ScenarioBundle:
+    """The assembled scenario: per-axis setups and the initial joint angles
+    q0 and velocities qdot0, as float tuples."""
+
     config: RunConfig
     subsystems: tuple[SubsystemSetup, ...]
-    q0: np.ndarray
-    qdot0: np.ndarray
+    q0: Pair
+    qdot0: Pair
 
     @property
     def params(self) -> ManipulatorParams:
         return self.config.manipulator
 
     @property
-    def signs(self) -> np.ndarray:
-        return np.array([sub.sign for sub in self.subsystems])
+    def signs(self) -> tuple[float, ...]:
+        return tuple(sub.sign for sub in self.subsystems)
 
     @property
     def certificates(self) -> list[Optional[WeakCLBF]]:
@@ -378,8 +384,8 @@ class ScenarioBundle:
         )
 
     @property
-    def x0(self) -> np.ndarray:
-        return np.concatenate([self.q0, self.qdot0])
+    def x0(self) -> tuple[float, float, float, float]:
+        return self.q0 + self.qdot0
 
 
 def _axis_interval(sign: float, lo: float, hi: float, goal: float) -> tuple[float, float]:
@@ -431,11 +437,11 @@ def _assemble(config: RunConfig, enforce_bounds: bool) -> ScenarioBundle:
         lo, hi = _axis_interval(sign, *p_bounds[axis], goal[axis])
         region = RegionBox(lo, hi, -config.speed_limit, config.speed_limit)
 
-        A = np.array([[0.0, 1.0], [-config.kp[axis], -config.kd[axis]]])
+        A = ((0.0, 1.0), (-config.kp[axis], -config.kd[axis]))
         clf = QuadraticCLF.from_matrix(solve_lyapunov_2x2(A, config.lyapunov_q))
 
-        e0 = float(sign * (config.initial_position[axis] - goal[axis]))
-        edot0 = float(sign * config.initial_velocity[axis])
+        e0 = sign * (config.initial_position[axis] - goal[axis])
+        edot0 = sign * config.initial_velocity[axis]
 
         certificate = None
         if unsafe is not None:
@@ -458,8 +464,8 @@ def _assemble(config: RunConfig, enforce_bounds: bool) -> ScenarioBundle:
             SubsystemSetup(
                 axis=axis,
                 sign=sign,
-                kp=float(config.kp[axis]),
-                kd=float(config.kd[axis]),
+                kp=config.kp[axis],
+                kd=config.kd[axis],
                 clf=clf,
                 region=region,
                 certificate=certificate,
@@ -469,13 +475,15 @@ def _assemble(config: RunConfig, enforce_bounds: bool) -> ScenarioBundle:
 
     q0 = inverse_kinematics(config.manipulator, config.initial_position, config.elbow)
     J0 = jacobian(config.manipulator, q0)
+    (j11, j12), (j21, j22) = J0
     # det J as the controller computes it, so every accepted start passes the
     # controller's own singularity check
-    det = J0[0, 0] * J0[1, 1] - J0[0, 1] * J0[1, 0]
+    det = j11 * j22 - j12 * j21
     if abs(det) <= config.manipulator.singularity_threshold:
         raise ConfigError(f"initial pose is singular: |det J| = {abs(det):.3e}")
-    qdot0 = np.linalg.solve(J0, config.initial_velocity)
-    fk_err = np.max(np.abs(forward_kinematics(config.manipulator, q0) - config.initial_position))
+    qdot0 = tuple(solve_linear(J0, config.initial_velocity))
+    reached = forward_kinematics(config.manipulator, q0)
+    fk_err = max(abs(p - p0) for p, p0 in zip(reached, config.initial_position))
     if fk_err > 1e-9:
         raise ConfigError(f"inverse kinematics failed to reach the initial position ({fk_err:.2e})")
 

@@ -12,18 +12,23 @@ values, margins, task-space position and velocity); the other stages compute
 the derivative alone. Rows go straight into arrays allocated once per run.
 A record is safe when every margin at it is positive (Trajectory.safe); the
 CSV's safe_flag and cli.safety_monitor's summary of the run read that flag.
+
+numpy is imported by simulate_closed_loop, where the arrays are made, not
+by this module: SimConfig and the timing checks are plain floats, so
+configuring a run does not load numpy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional
 
 from .errors import NearSingular, NonFiniteState
 from .manipulator import ArmStage, ManipulatorParams, SafeTaskController
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # A step count horizon / dt within this relative distance of an integer is
 # taken as that integer: the quotient of two decimal floats can land a
@@ -68,18 +73,24 @@ def check_timing(dt: float, horizon: float, record_stride: float) -> None:
 
 @dataclass(frozen=True, eq=False)
 class SimConfig:
-    """Step size, horizon, initial plant state and recording stride."""
+    """Step size, horizon, initial plant state (four finite floats) and
+    recording stride."""
 
     dt: float
     horizon: float
-    x0: np.ndarray
+    x0: tuple[float, float, float, float]
     record_stride: int = 1
 
     def __post_init__(self):
         check_timing(self.dt, self.horizon, self.record_stride)
-        x0 = np.asarray(self.x0, dtype=float)
-        if x0.shape != (4,):
-            raise ValueError(f"x0 must be the joint state (q1, q2, qd1, qd2), got shape {x0.shape}")
+        try:
+            x0 = tuple(map(float, self.x0))
+        except (TypeError, ValueError):
+            x0 = ()
+        if not (len(x0) == 4 and all(map(math.isfinite, x0))):
+            raise ValueError(
+                f"x0 must be the joint state (q1, q2, qd1, qd2) in finite floats, got {self.x0!r}"
+            )
         object.__setattr__(self, "x0", x0)
 
     @property
@@ -119,7 +130,7 @@ class Trajectory:
             length = getattr(self, name).shape[0]
             if length != n:
                 raise ValueError(f"column {name} has length {length}, expected {n}")
-        if np.any(np.diff(self.t) <= 0.0):
+        if (self.t[1:] <= self.t[:-1]).any():
             raise ValueError("time stamps must be strictly increasing")
 
 
@@ -137,11 +148,13 @@ def simulate_closed_loop(
     with failure metadata instead of raising. meta["steps"] counts the
     completed integration steps, whatever the recording stride.
     """
+    import numpy as np
+
     stage = ArmStage(controller, plant_params)
     dt, stride = config.dt, config.record_stride
     n_steps = config.n_steps
     n_records = _record_count(n_steps, stride)
-    x = tuple(config.x0.tolist())
+    x = config.x0
 
     t_out = np.empty(n_records)
     states = np.empty((n_records, len(x)))

@@ -1,15 +1,17 @@
 """Hand-rolled static SVG figures (polylines and rectangles, no dependencies).
 
 The figures plot each run's RunSeries, the thinned series that run_series
-keeps of it, not the run's trajectory.
+keeps of it, not the run's trajectory. numpy is imported by the functions
+that take arrays, not by the module, so importing cli does not load it.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 _PALETTE = ("#1f77b4", "#2ca02c", "#ff7f0e", "#d62728", "#9467bd", "#8c564b")
 
@@ -46,6 +48,8 @@ class _Frame:
         )
 
     def polyline(self, xs, ys, color: str, width: float = 1.5, dash: str = "") -> str:
+        import numpy as np
+
         xs = np.asarray(xs, dtype=float)
         ys = np.asarray(ys, dtype=float)
         keep = np.isfinite(xs) & np.isfinite(ys)
@@ -97,6 +101,8 @@ def _document(body: Sequence[str]) -> str:
 def _thin(n: int, target: int = 800) -> np.ndarray:
     """Indices of every ceil(n / target)-th of n records and of the last: all
     n up to target, at most target + 1 otherwise."""
+    import numpy as np
+
     idx = np.arange(0, n, -(-n // target))
     if idx[-1] != n - 1:
         idx = np.append(idx, n - 1)
@@ -105,6 +111,8 @@ def _thin(n: int, target: int = 800) -> np.ndarray:
 
 def _finite_cap(values: np.ndarray) -> float:
     """Largest finite magnitude in a series; aborted runs can record huge forces."""
+    import numpy as np
+
     finite = values[np.isfinite(values)]
     return float(finite.max()) if finite.size else 1.0
 

@@ -1,4 +1,5 @@
 import importlib.util
+import sys
 import warnings
 
 import numpy as np
@@ -36,14 +37,21 @@ def p_matrix(clf):
     return np.array([[clf.p11, clf.p12], [clf.p12, clf.p22]])
 
 
+@pytest.fixture
+def no_numpy(monkeypatch):
+    """numpy made unimportable while the test runs: an `import numpy` in the
+    code under test raises ImportError."""
+    monkeypatch.setitem(sys.modules, "numpy", None)
+
+
 @pytest.fixture(scope="session")
 def p_sub1():
-    return solve_lyapunov_2x2(A_SUB1, Q_DEFAULT)
+    return np.array(solve_lyapunov_2x2(A_SUB1, Q_DEFAULT))
 
 
 @pytest.fixture(scope="session")
 def p_sub2():
-    return solve_lyapunov_2x2(A_SUB2, Q_DEFAULT)
+    return np.array(solve_lyapunov_2x2(A_SUB2, Q_DEFAULT))
 
 
 @pytest.fixture(scope="session")

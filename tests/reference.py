@@ -13,6 +13,9 @@ law commands. finite_diff_grad, kinetic_energy and jacobian_det are the
 numerical and closed-form checks that the model and certificate tests use.
 svg_polyline maps and formats a figure's points one at a time, the
 reference for the whole-array mapping of svg._Frame.polyline.
+lyapunov_reference solves the reduced Lyapunov system with
+np.linalg.solve, the reference for the float elimination of
+numerics.solve_lyapunov_2x2.
 """
 
 import math
@@ -21,6 +24,18 @@ from typing import NamedTuple
 import numpy as np
 
 from safefl.errors import NonFiniteState
+
+
+def lyapunov_reference(A, Q):
+    """P of A'P + PA = -Q from the reduced 3x3 system in (p11, p12, p22),
+    solved by np.linalg.solve with no error state set."""
+    (a11, a12), (a21, a22) = np.asarray(A, dtype=float)
+    system = np.array(
+        [[2.0 * a11, 2.0 * a21, 0.0], [a12, a11 + a22, a21], [0.0, 2.0 * a12, 2.0 * a22]]
+    )
+    Q = np.asarray(Q, dtype=float)
+    p11, p12, p22 = np.linalg.solve(system, -np.array([Q[0, 0], Q[0, 1], Q[1, 1]]))
+    return np.array([[p11, p12], [p12, p22]])
 
 
 def _check_finite(values, message, t):

@@ -75,7 +75,7 @@ def test_criterion_01_lyapunov_solver():
     A = np.array([[0.0, 1.0], [-1.5, -1.0]])
     Q = np.array([[1.0, -0.9], [-0.9, 1.0]])
     with criterion(1, "closed-form Lyapunov solution with positive coupling"):
-        P = solve_lyapunov_2x2(A, Q)
+        P = np.array(solve_lyapunov_2x2(A, Q))
         expected = np.array(
             [[0.9 + 1.0 / 3.0 + 1.25, 1.0 / 3.0], [1.0 / 3.0, 5.0 / 6.0]]
         )
@@ -192,13 +192,13 @@ def test_criterion_06_manipulator_model():
         checked = 0
         while checked < 1000:
             q = rng.uniform(-math.pi, math.pi, size=2)
-            J = jacobian(params, q)
+            J = np.array(jacobian(params, q))
             for j in range(2):
                 dq = np.zeros(2)
                 dq[j] = h
                 fd = (
-                    forward_kinematics(params, q + dq)
-                    - forward_kinematics(params, q - dq)
+                    np.array(forward_kinematics(params, q + dq))
+                    - np.array(forward_kinematics(params, q - dq))
                 ) / (2 * h)
                 assert np.abs(J[:, j] - fd).max() < 1e-6
             if abs(math.sin(q[1])) > 0.05:

@@ -25,11 +25,6 @@ P1 = np.array([[0.9 + 1 / 3 + 1.25, 1 / 3], [1 / 3, 5 / 6]])
 SHAPE1 = SigmoidShape(l=4.0, d=-1.0, delta=0.28)
 
 
-class _NoNumpy:
-    def __getattr__(self, name):
-        raise AssertionError(f"numpy.{name} called")
-
-
 def _fd_slope(shape, x1, h=1e-6):
     return (sigmoid_eval(shape, x1 + h) - sigmoid_eval(shape, x1 - h)) / (2.0 * h)
 
@@ -132,9 +127,8 @@ class TestQuadraticCLF:
         ],
         ids=["p11_inf", "p22_inf", "p11_nan", "p12_nan", "indefinite", "negative_definite", "singular"],
     )
-    def test_checks_its_floats_without_numpy(self, monkeypatch, p11, p12, p22, message):
+    def test_checks_its_floats_without_numpy(self, no_numpy, p11, p12, p22, message):
         # finite entries first: the Schur test alone passes p11 or p22 = inf
-        monkeypatch.setattr(clbf, "np", _NoNumpy())
         with pytest.raises(ValueError, match=message):
             QuadraticCLF(p11, p12, p22)
         with pytest.raises(ValueError, match=message):
@@ -146,10 +140,14 @@ class TestQuadraticCLF:
         assert QuadraticCLF(1.0, 0.1, 1.0).det > 0.0
         with pytest.raises(ValueError, match="symmetric"):
             QuadraticCLF.from_matrix([[1.0, 0.1], [0.0, 1.0]])
+        # at any scale: 1e-14 apart is within 1e-12 absolutely, but a tenth
+        # of the diagonal, so it is rejected, not symmetrized
+        assert QuadraticCLF(1e-13, 1e-14, 1e-13).det > 0.0
+        with pytest.raises(ValueError, match="symmetric"):
+            QuadraticCLF.from_matrix([[1e-13, 1e-14], [0.0, 1e-13]])
 
-    def test_accepts_tiny_scale_as_plain_floats(self, monkeypatch):
+    def test_accepts_tiny_scale_as_plain_floats(self, no_numpy):
         # det P = 1e-600 underflows to 0; the Schur complement keeps the scale
-        monkeypatch.setattr(clbf, "np", _NoNumpy())
         tiny = 1e-300 * np.eye(2)
         for clf in (QuadraticCLF(1e-300, 0, np.float64(1e-300)), QuadraticCLF.from_matrix(tiny)):
             assert astuple(clf) == (1e-300, 0.0, 1e-300)
@@ -261,10 +259,9 @@ class TestParameterSelection:
                 assert getattr(cert, field) == getattr(expected, field), field
             assert cert.shape.l == 2.0 / sub.region.x1_max
 
-    def test_certificate_and_law_need_no_numpy(self, monkeypatch):
+    def test_certificate_and_law_need_no_numpy(self, no_numpy):
         # in clbf only the verifier's sample block uses numpy: the
         # construction and the controller's law run in plain floats
-        monkeypatch.setattr(clbf, "np", _NoNumpy())
         cert = select_parameters(QuadraticCLF.from_matrix(P1), BOX1, UNSAFE1, v2=2.0)
         law = clbf.axis_law(clbf.axis_terms(1.0, 0.0, 1.5, 1.0, 1.5, cert), -0.7, -1.5, True)
         assert law[2] == cert.value_and_grad(-0.7, -1.5)[0]

@@ -2,7 +2,10 @@ import json
 import math
 import multiprocessing
 import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -252,7 +255,7 @@ class TestSimulate:
         monkeypatch.setattr(
             cli,
             "run_case",
-            lambda bundle, k, **kw: run_case(replace(bundle, q0=np.array([0.3, 0.0])), k, **kw),
+            lambda bundle, k, **kw: run_case(replace(bundle, q0=(0.3, 0.0)), k, **kw),
         )
         path = write_config(tmp_path, fast(raw_config))
         out = tmp_path / "out"
@@ -515,6 +518,24 @@ class TestErrorExitCodes:
         assert line.startswith("infeasible: LevelTooSmall:") and "underflows" in line
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "q",
+        [
+            # 5e-13 apart is five times the diagonal: not symmetric at this scale
+            [[1e-13, 5e-13], [0.0, 1e-13]],
+            # symmetric within 1e-12, but its upper triangle is indefinite
+            [[1.0 + 1e-13, 1.0 + 4e-13], [1.0 - 4e-13, 1.0 + 1e-13]],
+        ],
+        ids=["tiny", "nearly_singular"],
+    )
+    def test_asymmetric_q_is_an_invalid_q(self, tmp_path, raw_config, capsys, q):
+        # refused as Q, not solved into an indefinite P
+        _set("lyapunov_q", q)(raw_config)
+        path = write_config(tmp_path, raw_config)
+        assert main(["select-params", "--config", str(path), "--out", str(tmp_path / "out")]) == 3
+        [line] = capsys.readouterr().err.strip().splitlines()
+        assert line == "configuration error: invalid configuration: Q must be symmetric positive definite"
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("params", [{"l": 1e308}, {"theta": 1e308}], ids=["l", "theta"])
     def test_extreme_finite_certificate_is_judged_quietly(self, tmp_path, raw_config, capsys, params):
@@ -696,6 +717,71 @@ class TestNoChildLeft:
         with pytest.raises(RuntimeError, match=r"k_safe 0.2 ended without a result \(exit code 7\)"):
             main(["reproduce-paper", "--horizon", "0.02", "--out", str(tmp_path / "out")])
         assert multiprocessing.active_children() == []
+
+
+# ---------------------------------------------------------------------------
+# numpy imports, each in a fresh interpreter
+
+# a certificate is built on Python floats: importing safefl, building the
+# bundled certificates, reporting them and the select-params command load no
+# numpy module
+_CERTIFICATE_PATH = """
+import sys
+from safefl import cli, scenario
+bundle = scenario.build_bundle(scenario.load_config(scenario.default_config_path()))
+scenario.parameter_report(bundle)
+assert cli.main(["select-params", "--out", sys.argv[1]]) == 0
+print(sorted(name for name in sys.modules if name.split(".")[0] == "numpy"))
+"""
+
+# a sweep's forked children find numpy loaded: a finder first on
+# sys.meta_path logs, with its process id, each numpy module that a process
+# has to import itself
+_FORKED_SWEEP = """
+import os, sys
+log, out = sys.argv[1:]
+
+class Watch:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "numpy":
+            fd = os.open(log, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+            os.write(fd, f"{os.getpid()} {name}\\n".encode())
+            os.close(fd)
+        return None
+
+sys.meta_path.insert(0, Watch())
+from safefl import cli
+assert cli.main(["reproduce-paper", "--horizon", "0.05", "--out", out]) == 0
+print(os.getpid())
+"""
+
+
+def _fresh_python(code: str, *args: str) -> str:
+    """The stdout of code run in a new interpreter, with this safefl first
+    on its path."""
+    import safefl
+
+    src = str(Path(safefl.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    done = subprocess.run(
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+class TestNumpyImports:
+    def test_certificate_path_imports_no_numpy(self, tmp_path):
+        stdout = _fresh_python(_CERTIFICATE_PATH, str(tmp_path / "out"))
+        assert stdout.splitlines()[-1] == "[]"
+        assert (tmp_path / "out" / "parameters.json").exists()
+
+    def test_forked_children_import_no_numpy(self, tmp_path):
+        log = tmp_path / "imports.log"
+        parent = int(_fresh_python(_FORKED_SWEEP, str(log), str(tmp_path / "out")).split()[-1])
+        importers = {int(line.split()[0]) for line in log.read_text().splitlines()}
+        assert importers == {parent}
+        assert len(list((tmp_path / "out").glob("*.csv"))) == 4
 
 
 # ---------------------------------------------------------------------------

@@ -180,13 +180,13 @@ class TestKinematics:
         rng = np.random.default_rng(11)
         h = 1e-6
         for q in rng.uniform(-math.pi, math.pi, size=(100, 2)):
-            J = jacobian(PARAMS, q)
+            J = np.array(jacobian(PARAMS, q))
             for j in range(2):
                 dq = np.zeros(2)
                 dq[j] = h
                 fd = (
-                    forward_kinematics(PARAMS, q + dq)
-                    - forward_kinematics(PARAMS, q - dq)
+                    np.array(forward_kinematics(PARAMS, q + dq))
+                    - np.array(forward_kinematics(PARAMS, q - dq))
                 ) / (2 * h)
                 np.testing.assert_allclose(J[:, j], fd, atol=1e-6)
 
@@ -196,7 +196,7 @@ class TestKinematics:
         for _ in range(100):
             q = rng.uniform(-math.pi, math.pi, size=2)
             qd = rng.uniform(-2, 2, size=2)
-            fd = (jacobian(PARAMS, q + h * qd) - jacobian(PARAMS, q - h * qd)) / (2 * h)
+            fd = (np.array(jacobian(PARAMS, q + h * qd)) - np.array(jacobian(PARAMS, q - h * qd))) / (2 * h)
             np.testing.assert_allclose(arm_model(PARAMS, q, qd)[2], fd, atol=1e-6)
 
     def test_jacobian_dot_zero_velocity(self):
@@ -237,7 +237,7 @@ class TestTaskSpaceTerms:
                 continue
             qd = rng.uniform(-2, 2, size=2)
             m_p, _, _ = task_space_terms(PARAMS, q, qd)
-            J = jacobian(PARAMS, q)
+            J = np.array(jacobian(PARAMS, q))
             np.testing.assert_allclose(
                 J.T @ m_p @ J, _mass(PARAMS, q), atol=1e-9
             )
@@ -315,12 +315,13 @@ class TestGainSchedule:
         kp = np.array([1.5, 1.0])
         controller = _gain_controller(kp=kp, k_safe=0.5 * np.ones(2))
         kp[0] = 9.0  # the controller holds its own float copies
-        assert controller.kp.tolist() == [1.5, 1.0]
-        assert controller.k_safe.dtype == float
+        assert controller.kp == (1.5, 1.0)
+        assert [type(v) for v in controller.k_safe] == [float, float]
         cases = [
             ({"kp": [1.0, -1.0]}, "kp and kd must be positive"),
             ({"kd": [1.0, 0.0]}, "kp and kd must be positive"),
             ({"kp": [1.0]}, "per task axis"),
+            ({"kp": 1.5}, "per task axis"),
             ({"k_safe": [0.5, 0.5, 0.5]}, "per task axis"),
             ({"certificates": [None]}, "per task axis"),
             ({"k_safe": [-0.5, 0.0]}, "k_safe must be non-negative"),
@@ -369,9 +370,9 @@ class TestSafeTaskController:
         # the computed-torque kernel must agree with the task-space law
         # composed from the reference model's M_p, c_p and g_p
         controller = _scenario_controller(default_bundle, 1.5)
-        signs = default_bundle.signs
+        signs = np.array(default_bundle.signs)
         goal = default_bundle.config.goal
-        kp, kd, k_safe = controller.kp, controller.kd, controller.k_safe
+        kp, kd, k_safe = map(np.array, (controller.kp, controller.kd, controller.k_safe))
         certs = default_bundle.certificates
         rng = np.random.default_rng(31)
         for _ in range(50):
@@ -400,7 +401,7 @@ class TestSafeTaskController:
     def test_initial_state_diagnostics(self, default_bundle):
         action = _scenario_controller(default_bundle, 1.5)(0.0, default_bundle.x0)
         np.testing.assert_allclose(
-            action["inputs"], jacobian(PARAMS, default_bundle.q0).T @ action["force"], rtol=1e-12
+            action["inputs"], np.array(jacobian(PARAMS, default_bundle.q0)).T @ action["force"], rtol=1e-12
         )
         np.testing.assert_allclose(
             action["w"], parameter_report(default_bundle)["initial_w"], rtol=1e-9
@@ -539,7 +540,7 @@ def _step_profile(bundle, kind):
     """(frame, arg) of each profile event of one kind during one exact-model
     ArmStage.step at k_safe 1.5 from the bundled start, k1 passed in."""
     stage = ArmStage(bundle.controller(1.5), bundle.params)
-    x = tuple(bundle.x0.tolist())
+    x = bundle.x0
     k1 = stage(0.0, x)
     events = []
 

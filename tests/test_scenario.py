@@ -1,4 +1,5 @@
 import json
+import random
 from dataclasses import astuple
 
 import numpy as np
@@ -120,8 +121,8 @@ class TestConfigParsing:
 
 class TestBundleAssembly:
     def test_certificates_hold_plain_floats(self, default_bundle):
-        # the thresholds and the default v2 come from numpy arrays; stored as
-        # floats, the closed forms on them never run in numpy scalars
+        # stored as floats, the closed forms on the thresholds and the
+        # default v2 never run in numpy scalars
         for sub in default_bundle.subsystems:
             cert = sub.certificate
             numbers = (*astuple(cert.clf), *astuple(cert.shape), cert.theta, cert.k, *astuple(cert.bounds))
@@ -184,10 +185,48 @@ class TestBundleAssembly:
             forward_kinematics(params, default_bundle.q0), [1.0, 0.4], atol=1e-9
         )
         np.testing.assert_allclose(
-            jacobian(params, default_bundle.q0) @ default_bundle.qdot0,
+            np.array(jacobian(params, default_bundle.q0)) @ default_bundle.qdot0,
             [1.5, -2.5],
             atol=1e-9,
         )
+
+    def test_bundle_holds_float_tuples(self, default_bundle):
+        config = default_bundle.config
+        vectors = (
+            config.goal, config.initial_position, config.initial_velocity, config.kp, config.kd,
+            *config.lyapunov_q, default_bundle.q0, default_bundle.qdot0,
+        )
+        for vector in vectors:
+            assert type(vector) is tuple and [type(v) for v in vector] == [float, float]
+        assert default_bundle.x0 == default_bundle.q0 + default_bundle.qdot0
+
+    @pytest.mark.parametrize(
+        "position, velocity",
+        [([1.0, 0.4], [1.5, -2.5]), ([0.01, 0.0], [-1.0, 0.0])],
+        ids=["bundled", "near_singular"],
+    )
+    def test_initial_joint_velocity_matches_numpy_bit_for_bit(self, raw_config, position, velocity):
+        # the bundled start and the golden near_singular sweep's start
+        raw_config["initial"].update(position=position, velocity=velocity)
+        bundle = build_bundle(RunConfig.from_dict(raw_config))
+        reference = np.linalg.solve(np.array(jacobian(bundle.params, bundle.q0)), velocity)
+        assert bundle.qdot0 == tuple(reference.tolist())
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_initial_joint_velocity_on_seeded_starts(self, raw_config, seed):
+        # starts drawn as the benchmark's ensemble draws them; the float
+        # elimination may differ from np.linalg.solve by an ulp
+        rng = random.Random(seed)
+        for _ in range(16):
+            velocity = [rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)]
+            raw_config["initial"].update(
+                position=[rng.uniform(0.6, 1.25), rng.uniform(-0.2, 0.9)], velocity=velocity
+            )
+            bundle = build_bundle(RunConfig.from_dict(raw_config))
+            J = np.array(jacobian(bundle.params, bundle.q0))
+            reference = np.linalg.solve(J, velocity)
+            assert np.abs(np.array(bundle.qdot0) - reference).max() <= 1e-14 * np.abs(reference).max()
+            assert np.abs(J @ bundle.qdot0 - velocity).max() <= 1e-14 * np.abs(velocity).max()
 
     def test_initial_membership(self, default_bundle):
         report = parameter_report(default_bundle)

@@ -58,11 +58,19 @@ class TestSimConfig:
             SimConfig(dt=1e-3, horizon=1.0, x0=np.zeros(4), record_stride=0)
 
     @pytest.mark.parametrize(
-        "x0", [[0.1, 0.2, 0.0], [0.1, 0.2, 0.0, 0.0, 0.0], [[0.1, 0.2], [0.0, 0.0]]]
+        "x0",
+        [
+            [0.1, 0.2, 0.0],
+            [0.1, 0.2, 0.0, 0.0, 0.0],
+            [[0.1, 0.2], [0.0, 0.0]],
+            [0.1, 0.2, math.inf, 0.0],
+            [0.1, math.nan, 0.0, 0.0],
+        ],
     )
     def test_rejects_x0_not_four_entries(self, x0):
-        # a joint state is (q1, q2, qd1, qd2); any other shape must fail here,
-        # not inside the kernel
+        # a joint state is four finite floats (q1, q2, qd1, qd2); any other
+        # shape, or an inf or NaN entry, must fail here, not inside the
+        # kernel (math.sin(inf) raises) or at t = 0
         with pytest.raises(ValueError, match="x0"):
             SimConfig(dt=1e-3, horizon=0.01, x0=x0)
 

