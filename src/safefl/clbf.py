@@ -279,9 +279,11 @@ class ParameterBounds:
         return (2.0 / l) * math.log(self.v2 / self.v1)
 
     def sigma_endpoints(self, l: float, delta: float) -> tuple[float, float]:
-        # rounded below 1 as sigmoid_eval rounds, so large l * delta stays valid
-        sigma1 = min(1.0 / (1.0 + math.exp(-0.5 * l * delta)), _ONE_BELOW)
-        sigma2 = 1.0 / (1.0 + math.exp(min(0.5 * l * delta, _EXP_CLAMP)))
+        # rounded below 1 as sigmoid_eval rounds, so large l * delta stays
+        # valid; both exponents clamped, so a negative l or delta is judged
+        z = 0.5 * l * delta
+        sigma1 = min(1.0 / (1.0 + math.exp(min(-z, _EXP_CLAMP))), _ONE_BELOW)
+        sigma2 = 1.0 / (1.0 + math.exp(min(z, _EXP_CLAMP)))
         return sigma1, sigma2
 
     def theta_min(self, l: float, delta: float) -> float:
@@ -351,9 +353,12 @@ def assemble_weak_clbf(
             raise MarginInfeasible(
                 f"theta = {theta} does not exceed its bound {theta_min}"
             )
-        ratio = sigma1 / sigma2
-        if abs(ratio - math.exp(0.5 * l * delta)) > 1e-9 * ratio:
-            raise MarginInfeasible("sigmoid endpoint identity violated (delta too large)")
+        # sigma1 / sigma2 = exp(l*delta/2) fails only where sigma2's exponent is clamped
+        if 0.5 * l * delta > _EXP_CLAMP:
+            raise MarginInfeasible(
+                f"l*delta/2 = {0.5 * l * delta} exceeds {_EXP_CLAMP}: "
+                "sigmoid endpoint identity violated (delta too large)"
+            )
     if not 0.0 < sigma2 < 0.5 < sigma1 < 1.0:
         raise ValueError("sigmoid endpoints must satisfy 0 < sigma2 < 1/2 < sigma1 < 1")
     k = (1.0 + theta * sigma2) * v2

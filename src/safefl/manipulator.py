@@ -32,7 +32,9 @@ from .errors import NearSingular, NonFiniteState
 
 @dataclass(frozen=True)
 class ManipulatorParams:
-    """Link masses (kg), link lengths (m), gravitational acceleration (m/s^2)."""
+    """Link masses (kg), link lengths (m), gravitational acceleration (m/s^2).
+    An arm whose float model degenerates, with a constant of _model not
+    finite or a singularity threshold of 0, is a ValueError."""
 
     m1: float
     m2: float
@@ -44,6 +46,11 @@ class ManipulatorParams:
         sizes = (self.m1, self.m2, self.L1, self.L2)
         if not (all(0.0 < v < math.inf for v in sizes) and math.isfinite(self.gravity)):
             raise ValueError("masses and lengths must be positive and finite, gravity finite")
+        if not (all(map(math.isfinite, _model(self))) and self.singularity_threshold > 0.0):
+            raise ValueError(
+                "the arm degenerates in floats: its model constants must be finite "
+                "and its singularity threshold 1e-4*L1*L2 positive"
+            )
 
     @property
     def singularity_threshold(self) -> float:
@@ -123,8 +130,8 @@ def jacobian(params: ManipulatorParams, q) -> tuple[tuple[float, float], tuple[f
 def inverse_kinematics(params: ManipulatorParams, p, elbow: str = "up") -> tuple[float, float]:
     """Joint angles reaching Cartesian p; elbow selects the sign of theta2."""
     r2 = p[0] * p[0] + p[1] * p[1]
-    cos_t2 = (r2 - params.L1 ** 2 - params.L2 ** 2) / (2.0 * params.L1 * params.L2)
-    if abs(cos_t2) > 1.0:
+    cos_t2 = (r2 - params.L1 * params.L1 - params.L2 * params.L2) / (2.0 * params.L1 * params.L2)
+    if not abs(cos_t2) <= 1.0:  # NaN, where the squares overflow, is out of reach too
         raise ValueError(f"point {tuple(p)} is out of reach")
     t2 = math.acos(cos_t2)
     if elbow == "down":

@@ -36,9 +36,9 @@ def as_mat2(M) -> Mat2:
     return entries[:2], entries[2:]
 
 
-def is_symmetric(M, rtol: float = SYMMETRY_RTOL) -> bool:
+def is_symmetric(M) -> bool:
     (a11, a12), (a21, a22) = as_mat2(M)
-    return abs(a12 - a21) <= rtol * max(abs(a11), abs(a12), abs(a21), abs(a22))
+    return abs(a12 - a21) <= SYMMETRY_RTOL * max(abs(a11), abs(a12), abs(a21), abs(a22))
 
 
 def is_pd_2x2(a11: float, a12: float, a22: float) -> bool:

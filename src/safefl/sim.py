@@ -124,15 +124,6 @@ class Trajectory:
     def failed(self) -> bool:
         return "failure" in self.meta
 
-    def check_lengths(self) -> None:
-        n = len(self)
-        for name in ("states", "inputs", "pos", "vel", "force", "force_safe", "w", "margins", "safe"):
-            length = getattr(self, name).shape[0]
-            if length != n:
-                raise ValueError(f"column {name} has length {length}, expected {n}")
-        if (self.t[1:] <= self.t[:-1]).any():
-            raise ValueError("time stamps must be strictly increasing")
-
 
 def simulate_closed_loop(
     controller: SafeTaskController,
@@ -190,6 +181,5 @@ def simulate_closed_loop(
     )
     if failure is not None:
         traj.meta["failure"] = failure
-    traj.check_lengths()
     return traj
 

@@ -1,17 +1,16 @@
 """Hand-rolled static SVG figures (polylines and rectangles, no dependencies).
 
 The figures plot each run's RunSeries, the thinned series that run_series
-keeps of it, not the run's trajectory. numpy is imported by the functions
-that take arrays, not by the module, so importing cli does not load it.
+keeps of it, not the run's trajectory. Every point is mapped and formatted
+on its own in Python floats, so a series may be any sequence of numbers,
+arrays included, and the module needs only the standard library.
 """
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
-from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
-
-if TYPE_CHECKING:
-    import numpy as np
+from typing import NamedTuple, Optional, Sequence
 
 _PALETTE = ("#1f77b4", "#2ca02c", "#ff7f0e", "#d62728", "#9467bd", "#8c564b")
 
@@ -26,7 +25,6 @@ class _Frame:
         self.x0, self.x1 = x_range
         self.y0, self.y1 = y_range
 
-    # x() and y() map a float or, with the same operations, a whole array
     def x(self, value: float) -> float:
         span = self.x1 - self.x0
         return _MARGIN + (value - self.x0) / span * (_WIDTH - 2 * _MARGIN)
@@ -48,15 +46,13 @@ class _Frame:
         )
 
     def polyline(self, xs, ys, color: str, width: float = 1.5, dash: str = "") -> str:
-        import numpy as np
-
-        xs = np.asarray(xs, dtype=float)
-        ys = np.asarray(ys, dtype=float)
-        keep = np.isfinite(xs) & np.isfinite(ys)
-        if not np.any(keep):
+        """The polyline through the points (x, y) of xs and ys where both are
+        finite; "" if there is none."""
+        x, y, isfinite = self.x, self.y, math.isfinite
+        points = zip(map(float, xs), map(float, ys))
+        pts = " ".join(["%.2f,%.2f" % (x(a), y(b)) for a, b in points if isfinite(a) and isfinite(b)])
+        if not pts:
             return ""
-        px, py = self.x(xs[keep]), self.y(ys[keep])
-        pts = " ".join(["%.2f,%.2f" % point for point in zip(px.tolist(), py.tolist())])
         dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
         return (
             f'<polyline points="{pts}" fill="none" stroke="{color}" '
@@ -98,35 +94,30 @@ def _document(body: Sequence[str]) -> str:
     return "\n".join([head, *[p for p in body if p], "</svg>"]) + "\n"
 
 
-def _thin(n: int, target: int = 800) -> np.ndarray:
-    """Indices of every ceil(n / target)-th of n records and of the last: all
-    n up to target, at most target + 1 otherwise."""
-    import numpy as np
-
-    idx = np.arange(0, n, -(-n // target))
+def _thin(n: int) -> list[int]:
+    """Indices of every ceil(n / 800)-th of n records and of the last: all n
+    up to 800, at most 801 otherwise."""
+    idx = list(range(0, n, -(-n // 800)))
     if idx[-1] != n - 1:
-        idx = np.append(idx, n - 1)
+        idx.append(n - 1)
     return idx
 
 
-def _finite_cap(values: np.ndarray) -> float:
+def _finite_cap(values: Sequence[float]) -> float:
     """Largest finite magnitude in a series; aborted runs can record huge forces."""
-    import numpy as np
-
-    finite = values[np.isfinite(values)]
-    return float(finite.max()) if finite.size else 1.0
+    return float(max(filter(math.isfinite, values), default=1.0))
 
 
 class RunSeries(NamedTuple):
     """What the figures plot of one run with records: the thinned time,
-    position (n, 2) and force norms, and norm_cap, the largest finite force
+    (x, y) positions and force norms, and norm_cap, the largest finite force
     norm over the whole run (1.0 if there is none)."""
 
     k_safe: float
-    t: np.ndarray
-    pos: np.ndarray
-    phi_norm: np.ndarray
-    force_safe_norm: np.ndarray
+    t: Sequence[float]
+    pos: Sequence[Sequence[float]]
+    phi_norm: Sequence[float]
+    force_safe_norm: Sequence[float]
     norm_cap: float
 
 
@@ -159,21 +150,16 @@ def render_trajectories(runs: Sequence[Optional[RunSeries]], bundle, path: Path)
     """End-effector paths over the region box, unsafe half planes shaded.
     A run without records (None) plots nothing but keeps its colour."""
     config = bundle.config
-    frame = _Frame(config.region_p1, config.region_p2)
+    box = (config.region_p1, config.region_p2)
+    frame = _Frame(*box)
+    # each keep-out band is the region box with the constrained axis's
+    # interval cut to the bound's side of it
     body = []
     for spec in config.constraints:
-        if spec.axis == 0:
-            lo, hi = (spec.bound, config.region_p1[1]) if spec.side == "max" else (
-                config.region_p1[0],
-                spec.bound,
-            )
-            body.append(frame.rect(lo, hi, *config.region_p2, "#d62728", 0.25))
-        else:
-            lo, hi = (spec.bound, config.region_p2[1]) if spec.side == "max" else (
-                config.region_p2[0],
-                spec.bound,
-            )
-            body.append(frame.rect(*config.region_p1, lo, hi, "#d62728", 0.25))
+        band = list(box)
+        lo, hi = box[spec.axis]
+        band[spec.axis] = (spec.bound, hi) if spec.side == "max" else (lo, spec.bound)
+        body.append(frame.rect(*band[0], *band[1], "#d62728", 0.25))
 
     labels, colors = [], []
     start = None
@@ -184,7 +170,8 @@ def render_trajectories(runs: Sequence[Optional[RunSeries]], bundle, path: Path)
         if start is None:
             start = run.pos[0]
         dash = "6,4" if run.k_safe == 0.0 else ""
-        body.append(frame.polyline(run.pos[:, 0], run.pos[:, 1], color, 1.6, dash))
+        xs, ys = zip(*run.pos)
+        body.append(frame.polyline(xs, ys, color, 1.6, dash))
         labels.append(_run_name(run.k_safe))
         colors.append(color)
 

@@ -12,7 +12,7 @@ composes both into the joint acceleration y = J^-1 (a - Jdot qdot) that the
 law commands. finite_diff_grad, kinetic_energy and jacobian_det are the
 numerical and closed-form checks that the model and certificate tests use.
 svg_polyline maps and formats a figure's points one at a time, the
-reference for the whole-array mapping of svg._Frame.polyline.
+reference, written apart from it, for svg._Frame.polyline.
 lyapunov_reference solves the reduced Lyapunov system with
 np.linalg.solve, the reference for the float elimination of
 numerics.solve_lyapunov_2x2.

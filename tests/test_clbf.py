@@ -1,4 +1,5 @@
 import math
+from contextlib import nullcontext
 from dataclasses import astuple
 
 import numpy as np
@@ -243,6 +244,17 @@ class TestParameterSelection:
         v1 = v1_min_on_unsafe(np.eye(2), -1.0)
         with pytest.raises(MarginInfeasible):
             select_parameters(np.eye(2), box, unsafe, v2=v1 * math.exp(30.0))
+
+    @pytest.mark.parametrize("delta, feasible", [(139.9, True), (140.1, False), (1000.0, False)])
+    def test_margin_infeasible_where_sigma2_is_clamped(self, p_sub2, delta, feasible):
+        # l*delta/2 = 5 delta: above 700, sigma2's exponent is clamped and
+        # sigma1/sigma2 = exp(l*delta/2) no longer holds
+        box = RegionBox(-1101.0, 0.2, -2.5, 2.5)
+        unsafe = HalfPlaneUnsafe(-1001.0)
+        v2 = 1.01 * v1_min_on_unsafe(p_sub2, unsafe.d)
+        outcome = nullcontext() if feasible else pytest.raises(MarginInfeasible, match="exceeds 700")
+        with outcome:
+            assemble_weak_clbf(p_sub2, box, unsafe, v2, l=10.0, delta=delta, theta=1.0)
 
     def test_default_policy_respects_bounds(self, default_bundle):
         # auto mode is one policy: the slope at its bound 2/gamma, and delta

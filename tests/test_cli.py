@@ -353,6 +353,29 @@ def _keep(raw):
     pass
 
 
+def _arm(**sizes):
+    def mutate(raw):
+        raw["manipulator"].update(sizes)
+
+    return mutate
+
+
+def _clamped_sigmoid_exponent(raw):
+    # axis 1 bounded 1001 below its goal (v1 = det(P) d^2 / (2 p22) =
+    # 1077151.075), designed with l*delta/2 = 5000, where sigma2's exponent
+    # is clamped at 700
+    raw["region"]["p2"] = [-1100.0, 1.2]
+    raw["constraints"][1]["bound"] = -1000.0
+    raw["clbf"] = {
+        "mode": "explicit",
+        "v2": [2.0, 1.01 * 1077151.075],
+        "params": [
+            {"l": 4.0, "delta": 0.28, "theta": 50.0},
+            {"l": 10.0, "delta": 1000.0, "theta": 1.0},
+        ],
+    }
+
+
 NAN, INF = float("nan"), float("inf")
 
 
@@ -394,6 +417,16 @@ class TestErrorExitCodes:
             ("verify", _explicit_without_l, [], 3),
             ("simulate", _drop("simulation", "dt"), [], 3),
             ("simulate", _drop("manipulator", "m1"), [], 3),
+            ("select-params", _arm(L1=1e200), [], 3),
+            ("verify", _arm(L1=1e200), [], 3),
+            ("simulate", _arm(L1=1e-170, L2=1e-170), [], 3),
+            ("select-params", _arm(L1=1e-170, L2=1e-170), [], 3),
+            ("simulate", _arm(m1=1e-100, m2=1e-100, L1=1e155), [], 3),
+            ("select-params", _clamped_sigmoid_exponent, [], 2),
+            ("simulate", _clamped_sigmoid_exponent, [], 2),
+            ("verify", _explicit(l=-10.0, delta=200.0), [], 3),
+            ("select-params", _explicit(l=-10.0, delta=200.0), [], 2),
+            ("verify", _explicit(delta=-1000.0), [], 3),
         ],
         ids=[
             "delta_margin",
@@ -430,6 +463,16 @@ class TestErrorExitCodes:
             "missing_l",
             "missing_dt",
             "missing_m1",
+            "select_link_model_overflow",
+            "verify_link_model_overflow",
+            "simulate_link_threshold_underflow",
+            "select_link_threshold_underflow",
+            "simulate_link_square_overflow",
+            "select_clamped_sigmoid_exponent",
+            "simulate_clamped_sigmoid_exponent",
+            "verify_negative_l_sigma1_overflow",
+            "select_negative_l_sigma1_overflow",
+            "verify_negative_delta_sigma1_overflow",
         ],
     )
     def test_exit_code_and_one_line_message(

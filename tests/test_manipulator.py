@@ -149,6 +149,15 @@ class TestParamsValidation:
         with pytest.raises(ValueError):
             replace(PARAMS, gravity=value)
 
+    @pytest.mark.parametrize(
+        "sizes",
+        [{"L1": 1e200}, {"m1": 1e300, "L1": 1e10}, {"L1": 1e-170, "L2": 1e-170}],
+        ids=["inertia_overflows", "heavy_link_overflows", "threshold_underflows"],
+    )
+    def test_rejects_an_arm_that_degenerates_in_floats(self, sizes):
+        with pytest.raises(ValueError, match="degenerates in floats"):
+            replace(PARAMS, **sizes)
+
 
 class TestKinematics:
     def test_forward_cases(self):
@@ -219,6 +228,20 @@ class TestKinematics:
     def test_inverse_kinematics_unreachable(self):
         with pytest.raises(ValueError):
             inverse_kinematics(PARAMS, [2.5, 0.0])
+
+    @pytest.mark.parametrize(
+        "params, p",
+        [
+            # a valid model whose L1^2 overflows: the reach test sees -inf
+            (ManipulatorParams(m1=1e-100, m2=1e-100, L1=1e155, L2=1.0), (1.0, 0.4)),
+            # r^2 and L1^2 both overflow: the reach test sees NaN
+            (ManipulatorParams(m1=1e-200, m2=1e-200, L1=1e160, L2=1.0), (1e160, 1e160)),
+        ],
+        ids=["square_overflows", "nan"],
+    )
+    def test_inverse_kinematics_out_of_float_range_is_out_of_reach(self, params, p):
+        with pytest.raises(ValueError, match="out of reach"):
+            inverse_kinematics(params, p)
 
     def test_plant_task_state(self):
         q, qdot = np.array([0.2, 1.1]), np.array([0.5, -0.3])
