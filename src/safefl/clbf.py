@@ -15,7 +15,9 @@ input, from the plain floats that axis_terms unpacks from a certificate.
 
 select_parameters makes the one automatic choice: the slope at its bound
 2/gamma, and the margin and scaling at BOUND_SLACK = 1.05 times their lower
-bounds. assemble_weak_clbf builds a certificate from any other choice.
+bounds. assemble_weak_clbf builds a certificate from any other choice. Both
+take a QuadraticCLF (from_matrix converts a matrix), a RegionBox and a
+HalfPlaneUnsafe, and refuse an empty margin set by the verifier's own rule.
 """
 
 from __future__ import annotations
@@ -151,12 +153,9 @@ class QuadraticCLF:
         return 0.5 * (g1 * x1 + g2 * x2), g1, g2
 
 
-def v1_min_on_unsafe(P, d: float) -> float:
+def v1_min_on_unsafe(clf: QuadraticCLF, unsafe: HalfPlaneUnsafe) -> float:
     """Minimum of V over the unsafe half plane: det(P) d^2 / (2 p22)."""
-    clf = P if isinstance(P, QuadraticCLF) else QuadraticCLF.from_matrix(P)
-    if d >= 0.0:
-        raise InvalidUnsafeSet(f"unsafe threshold must be negative, got {d}")
-    return clf.det * d * d / (2.0 * clf.p22)
+    return clf.det * unsafe.d * unsafe.d / (2.0 * clf.p22)
 
 
 @dataclass(frozen=True)
@@ -294,13 +293,14 @@ class ParameterBounds:
         return (self.v2 - self.v1) / denom
 
 
-def parameter_bounds(P, region: RegionBox, unsafe: HalfPlaneUnsafe, v2: float) -> ParameterBounds:
-    clf = P if isinstance(P, QuadraticCLF) else QuadraticCLF.from_matrix(P)
+def parameter_bounds(
+    clf: QuadraticCLF, region: RegionBox, unsafe: HalfPlaneUnsafe, v2: float
+) -> ParameterBounds:
     if unsafe.d < region.x1_min:
         raise InvalidUnsafeSet(
             f"unsafe threshold {unsafe.d} lies outside the region's x1 range"
         )
-    v1 = v1_min_on_unsafe(clf, unsafe.d)
+    v1 = v1_min_on_unsafe(clf, unsafe)
     if v1 <= 0.0:
         raise LevelTooSmall(
             f"v1 = det(P) d^2 / (2 p22) = {v1} is not positive: det P underflows at this scale of P"
@@ -316,7 +316,7 @@ BOUND_SLACK = 1.05
 
 
 def assemble_weak_clbf(
-    P,
+    clf: QuadraticCLF,
     region: RegionBox,
     unsafe: HalfPlaneUnsafe,
     v2: float,
@@ -327,12 +327,13 @@ def assemble_weak_clbf(
 ) -> WeakCLBF:
     """Build a WeakCLBF from explicit (l, delta, theta), checking them against
     bounds; the offset is always the design's k = (1 + theta*sigma2)*v2.
+    Enforcing, it also refuses a margin set with no point in the region, by
+    the rule that check_c_omega_subset fails it with.
 
     With enforce_bounds=False the certificate is built as given (out-of-bound
     parameters included) so that the verifier, not the constructor, judges it.
     A theta or k that is not finite is never a certificate: ValueError.
     """
-    clf = P if isinstance(P, QuadraticCLF) else QuadraticCLF.from_matrix(P)
     bounds = parameter_bounds(clf, region, unsafe, v2)
     sigma1, sigma2 = bounds.sigma_endpoints(l, delta)
     if enforce_bounds:
@@ -343,10 +344,6 @@ def assemble_weak_clbf(
         if delta <= bounds.delta_min(l):
             raise MarginInfeasible(
                 f"delta = {delta} does not exceed its bound {bounds.delta_min(l)}"
-            )
-        if unsafe.d + delta >= region.x1_max:
-            raise MarginInfeasible(
-                f"d + delta = {unsafe.d + delta} leaves no margin set inside the region"
             )
         theta_min = bounds.theta_min(l, delta)
         if theta <= theta_min:
@@ -365,15 +362,22 @@ def assemble_weak_clbf(
     if not (math.isfinite(theta) and math.isfinite(k)):
         raise ValueError(f"theta = {theta} and k = {k} must be finite")
     shape = SigmoidShape(l=l, d=unsafe.d, delta=delta)
-    return WeakCLBF(clf=clf, shape=shape, theta=float(theta), k=float(k), bounds=bounds)
+    cert = WeakCLBF(clf=clf, shape=shape, theta=float(theta), k=float(k), bounds=bounds)
+    if enforce_bounds and _margin_set_empty(cert, region):
+        raise MarginInfeasible(
+            "the margin set {V <= v2, x1 >= d + delta} has no point in the region: "
+            f"d + delta = {unsafe.d + delta}, x1_max = {region.x1_max}, v2 = {bounds.v2}"
+        )
+    return cert
 
 
-def select_parameters(P, region: RegionBox, unsafe: HalfPlaneUnsafe, v2: float) -> WeakCLBF:
+def select_parameters(
+    clf: QuadraticCLF, region: RegionBox, unsafe: HalfPlaneUnsafe, v2: float
+) -> WeakCLBF:
     """The one automatic choice of (l, delta, theta, k): the slope bound
     l = 2/gamma, delta and theta at BOUND_SLACK times their lower bounds, and
     k from the offset identity. Any other choice goes through
     assemble_weak_clbf."""
-    clf = P if isinstance(P, QuadraticCLF) else QuadraticCLF.from_matrix(P)
     bounds = parameter_bounds(clf, region, unsafe, v2)
     l = bounds.l_max
     delta = BOUND_SLACK * bounds.delta_min(l)
@@ -640,6 +644,13 @@ def _g(W: WeakCLBF, region: RegionBox, x1: float) -> float:
     return W.clf.value_and_grad(x1, x2)[0]
 
 
+def _margin_set_empty(W: WeakCLBF, region: RegionBox) -> bool:
+    """Whether C_omega = {V <= v2, x1 >= d + delta} misses the region: g,
+    convex with its minimum at 0, is least on it at max(d + delta, 0)."""
+    edge = W.shape.d + W.shape.delta
+    return edge > region.x1_max or _g(W, region, max(edge, 0.0)) > W.bounds.v2
+
+
 def check_c_omega_subset(W: WeakCLBF, region: RegionBox) -> ConditionResult:
     """The fifth verdict of verify_weak_clbf, decided with no samples: W <= 0
     (to _C_OMEGA_ROUNDING) on C_omega = {V <= v2, x1 >= d + delta} in X, where
@@ -650,7 +661,7 @@ def check_c_omega_subset(W: WeakCLBF, region: RegionBox) -> ConditionResult:
     where V > v2 all along that edge. A set with no point in the region fails,
     with no margin and no witness."""
     clf, edge, v2 = W.clf, W.shape.d + W.shape.delta, W.bounds.v2
-    empty = edge > region.x1_max or _g(W, region, max(edge, 0.0)) > v2
+    empty = _margin_set_empty(W, region)
     if empty or W.theta < 0.0:
         return ConditionResult(
             _NAMES[4], FAIL if empty else UNDECIDED, math.nan, None, _EMPTY if empty else _OUTSIDE

@@ -112,11 +112,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, sim_flags: bool = False, config: bool = True) -> None:
+    def command(name: str, about: str, run, sim_flags: bool = False, config: bool = True) -> None:
+        p = sub.add_parser(name, help=about)
+        p.set_defaults(run=run, config=None)
         if config:
-            p.add_argument("--config", type=Path, default=None, help="JSON run configuration")
-        else:
-            p.set_defaults(config=None)
+            p.add_argument("--config", type=Path, help="JSON run configuration")
         p.add_argument("--out", type=Path, default=Path("out"), help="output directory")
         if sim_flags:
             p.add_argument("--dt", type=float, default=None, help="integration step override")
@@ -129,16 +129,17 @@ def _build_parser() -> argparse.ArgumentParser:
                 help="safety gain (repeatable); replaces the configured sweep",
             )
 
-    common(sub.add_parser("select-params", help="choose certificate parameters and report bounds"))
-    common(sub.add_parser("verify", help="decide the certificate conditions from closed forms"))
-    simulate = sub.add_parser("simulate", help="run the closed-loop scenario and emit CSV/SVG")
-    common(simulate, sim_flags=True)
-    reproduce = sub.add_parser(
-        "reproduce-paper",
-        help="simulate the bundled reference scenario with its published gain sweep",
-    )
+    command("select-params", "choose certificate parameters and report bounds", cmd_select_params)
+    command("verify", "decide the certificate conditions from closed forms", cmd_verify)
+    command("simulate", "run the closed-loop scenario and emit CSV/SVG", cmd_simulate, sim_flags=True)
     # the bundled configuration only: it takes no --config
-    common(reproduce, sim_flags=True, config=False)
+    command(
+        "reproduce-paper",
+        "simulate the bundled reference scenario with its published gain sweep",
+        cmd_simulate,
+        sim_flags=True,
+        config=False,
+    )
     return parser
 
 
@@ -364,13 +365,7 @@ def cmd_simulate(args) -> int:
 def main(argv: Optional[list[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "select-params":
-            return cmd_select_params(args)
-        if args.command == "verify":
-            return cmd_verify(args)
-        if args.command in ("simulate", "reproduce-paper"):
-            return cmd_simulate(args)
-        raise AssertionError(f"unhandled command {args.command}")
+        return args.run(args)
     except ConfigError as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return EXIT_CONFIG

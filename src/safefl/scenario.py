@@ -7,7 +7,9 @@ solves the per-axis Lyapunov equations, builds each certificate and exposes
 the controller factory for simulation. clbf.mode "auto" builds it by
 clbf.select_parameters, the one automatic choice; "explicit" builds it from
 the configured l, delta and theta, with the offset k that the design fixes.
-Each certificate is its own design record: its shape holds d, and its
+clbf.v2 and clbf.params hold one entry per constraint, in axis order, and
+assembly pairs each constraint with its own level and parameters. Each
+certificate is its own design record: its shape holds d, and its
 ParameterBounds the v1, v2 and gamma its parameters were chosen against;
 verify_bundle and parameter_report read them from it.
 
@@ -65,7 +67,8 @@ class ConstraintSpec:
 @dataclass(frozen=True, eq=False)
 class RunConfig:
     """A parsed configuration; every number in it is a float, every vector
-    and matrix a tuple of them."""
+    and matrix a tuple of them. v2 (levels or None) and explicit_params
+    have one entry per constraint, in the axis order of constraints."""
 
     name: str
     manipulator: ManipulatorParams
@@ -81,7 +84,7 @@ class RunConfig:
     kd: Pair
     lyapunov_q: Mat2
     clbf_mode: str
-    v2: tuple[Optional[float], Optional[float]]
+    v2: tuple[Optional[float], ...]
     explicit_params: Optional[tuple[dict, ...]]
     dt: float
     horizon: float
@@ -163,13 +166,6 @@ def _entries(value, what: str) -> list:
 def _pair(value, what: str) -> tuple[float, float]:
     first, second = _entries(value, what)
     return _number(first, what), _number(second, what)
-
-
-def _optional_pair(value, what: str) -> tuple[Optional[float], Optional[float]]:
-    if value is None:
-        return (None, None)
-    values = _entries(value, what)
-    return tuple(None if v is None else _number(v, what) for v in values)  # type: ignore[return-value]
 
 
 def run_label(k_safe: float) -> str:
@@ -259,7 +255,12 @@ def _parse_config(cls, raw: dict) -> "RunConfig":
     mode = str(section.get("mode", "auto"))
     if mode not in ("auto", "explicit"):
         raise ConfigError(f"clbf mode must be 'auto' or 'explicit', got {mode!r}")
-    v2 = _optional_pair(section.get("v2"), "clbf v2")
+    v2 = section.get("v2")
+    if v2 is None:
+        v2 = [None] * len(constraints)
+    elif not isinstance(v2, list) or len(v2) != len(constraints):
+        raise ConfigError("clbf v2 must be null or an array of one entry per constraint")
+    v2 = tuple(None if v is None else _number(v, "clbf v2") for v in v2)
     explicit_params = None
     if mode == "explicit":
         entries = section.get("params")
@@ -396,10 +397,11 @@ def _axis_interval(sign: float, lo: float, hi: float, goal: float) -> tuple[floa
 def build_bundle(config: RunConfig, enforce_bounds: bool = True) -> ScenarioBundle:
     """Assemble per-axis certificates and the initial joint state.
 
-    enforce_bounds=False builds certificates exactly as configured even when
-    their parameters violate the feasibility bounds, leaving judgment to the
-    verifier; feasibility errors (LevelTooSmall, MarginInfeasible) still
-    propagate in enforcing mode. Values the constructors reject (ValueError),
+    enforce_bounds=False builds explicit certificates exactly as configured
+    even when their parameters violate the feasibility bounds or leave the
+    margin set empty, leaving judgment to the verifier; auto mode always
+    enforces them. Feasibility errors (LevelTooSmall, MarginInfeasible)
+    propagate. Values the constructors reject (ValueError),
     an overflow in the Lyapunov solve (FloatingPointError) and an initial pose
     at the arm's singularity threshold raise ConfigError.
     """
@@ -412,27 +414,20 @@ def build_bundle(config: RunConfig, enforce_bounds: bool = True) -> ScenarioBund
 def _assemble(config: RunConfig, enforce_bounds: bool) -> ScenarioBundle:
     goal = config.goal
     p_bounds = (config.region_p1, config.region_p2)
-    if not all(
-        p_bounds[axis][0] < goal[axis] < p_bounds[axis][1] for axis in (0, 1)
-    ):
+    if not all(lo < g < hi for (lo, hi), g in zip(p_bounds, goal)):
         raise ConfigError("region must contain the goal in its interior")
-    if not all(
-        p_bounds[axis][0] <= config.initial_position[axis] <= p_bounds[axis][1]
-        for axis in (0, 1)
-    ):
+    if not all(lo <= p <= hi for (lo, hi), p in zip(p_bounds, config.initial_position)):
         raise ConfigError("region must contain the initial position")
 
-    by_axis = {c.axis: c for c in config.constraints}
+    # each constraint with its own level and, in explicit mode, parameters
+    entries = config.explicit_params or (None,) * len(config.constraints)
+    designs = {c.axis: (c, v2, entry) for c, v2, entry in zip(config.constraints, config.v2, entries)}
     subsystems = []
-    constrained_index = 0
     for axis in (0, 1):
-        spec = by_axis.get(axis)
-        if spec is not None:
-            # a max bound is flipped onto the canonical x1 <= d by x -> -x
-            sign = -1.0 if spec.side == "max" else 1.0
-            unsafe = HalfPlaneUnsafe(sign * (spec.bound - goal[axis]))
-        else:
-            unsafe, sign = None, 1.0
+        spec, v2, entry = designs.get(axis, (None, None, None))
+        # a max bound is flipped onto the canonical x1 <= d by x -> -x
+        sign = -1.0 if spec is not None and spec.side == "max" else 1.0
+        unsafe = None if spec is None else HalfPlaneUnsafe(sign * (spec.bound - goal[axis]))
 
         lo, hi = _axis_interval(sign, *p_bounds[axis], goal[axis])
         region = RegionBox(lo, hi, -config.speed_limit, config.speed_limit)
@@ -445,20 +440,17 @@ def _assemble(config: RunConfig, enforce_bounds: bool) -> ScenarioBundle:
 
         certificate = None
         if unsafe is not None:
-            v2 = config.v2[constrained_index]
             if v2 is None:
                 # default level: cover the initial error state, with headroom
                 # over the unsafe-set minimum so the level set reaches it
                 v0 = clf.value_and_grad(e0, edot0)[0]
-                v2 = max(v0, 1.5 * v1_min_on_unsafe(clf, unsafe.d))
+                v2 = max(v0, 1.5 * v1_min_on_unsafe(clf, unsafe))
             if config.clbf_mode == "auto":
                 certificate = select_parameters(clf, region, unsafe, v2)
-            else:
-                entry = config.explicit_params[constrained_index]  # l, delta and theta
+            else:  # entry holds l, delta and theta
                 certificate = assemble_weak_clbf(
                     clf, region, unsafe, v2, **entry, enforce_bounds=enforce_bounds
                 )
-            constrained_index += 1
 
         subsystems.append(
             SubsystemSetup(

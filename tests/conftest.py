@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from safefl.clbf import RegionBox, assemble_weak_clbf
+from safefl.clbf import QuadraticCLF, RegionBox, assemble_weak_clbf
 from safefl.numerics import solve_lyapunov_2x2
 from safefl.scenario import build_bundle, default_config_path, load_config
 
@@ -46,12 +46,12 @@ def no_numpy(monkeypatch):
 
 @pytest.fixture(scope="session")
 def p_sub1():
-    return np.array(solve_lyapunov_2x2(A_SUB1, Q_DEFAULT))
+    return QuadraticCLF.from_matrix(solve_lyapunov_2x2(A_SUB1, Q_DEFAULT))
 
 
 @pytest.fixture(scope="session")
 def p_sub2():
-    return np.array(solve_lyapunov_2x2(A_SUB2, Q_DEFAULT))
+    return QuadraticCLF.from_matrix(solve_lyapunov_2x2(A_SUB2, Q_DEFAULT))
 
 
 @pytest.fixture(scope="session")

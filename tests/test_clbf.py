@@ -23,6 +23,9 @@ from safefl.errors import InvalidUnsafeSet, LevelTooSmall, MarginInfeasible
 from tests.conftest import p_matrix
 
 P1 = np.array([[0.9 + 1 / 3 + 1.25, 1 / 3], [1 / 3, 5 / 6]])
+CLF1 = QuadraticCLF.from_matrix(P1)
+IDENTITY = QuadraticCLF.from_matrix(np.eye(2))
+UNSAFE1 = HalfPlaneUnsafe(-1.0)
 SHAPE1 = SigmoidShape(l=4.0, d=-1.0, delta=0.28)
 
 
@@ -167,16 +170,16 @@ class TestQuadraticCLF:
 
 class TestUnsafeMinimum:
     def test_identity_case(self):
-        assert v1_min_on_unsafe(np.eye(2), -1.0) == pytest.approx(0.5)
+        assert v1_min_on_unsafe(IDENTITY, UNSAFE1) == pytest.approx(0.5)
         # attained at the minimizer (d, -(p12/p22) d) = (-1, 0)
         assert QuadraticCLF.from_matrix(np.eye(2)).value_and_grad(-1.0, 0.0)[0] == 0.5
 
     def test_scenario_case(self):
-        assert v1_min_on_unsafe(P1, -1.0) == pytest.approx(1.175, abs=1e-6)
+        assert v1_min_on_unsafe(CLF1, UNSAFE1) == pytest.approx(1.175, abs=1e-6)
         x2 = -(P1[0, 1] / P1[1, 1]) * -1.0
         assert x2 == pytest.approx(0.4, abs=1e-9)
         value = QuadraticCLF.from_matrix(P1).value_and_grad(-1.0, x2)[0]
-        assert value == pytest.approx(v1_min_on_unsafe(P1, -1.0), rel=1e-14)
+        assert value == pytest.approx(v1_min_on_unsafe(CLF1, UNSAFE1), rel=1e-14)
 
     def test_grid_minimization_oracle(self):
         # brute-force minimum of V over the unsafe slice at ~1e-3 spacing
@@ -185,20 +188,19 @@ class TestUnsafeMinimum:
         x2 = np.linspace(-0.5, 1.0, 1501)
         X1, X2 = np.meshgrid(x1, x2, indexing="ij")
         brute = clf.value_and_grad(X1, X2)[0].min()
-        assert v1_min_on_unsafe(P1, -1.0) == pytest.approx(brute, abs=1e-5)
+        assert v1_min_on_unsafe(CLF1, UNSAFE1) == pytest.approx(brute, abs=1e-5)
 
     def test_rejects_nonnegative_threshold(self):
         with pytest.raises(InvalidUnsafeSet):
-            v1_min_on_unsafe(P1, 0.0)
+            v1_min_on_unsafe(CLF1, HalfPlaneUnsafe(0.0))
 
 
 BOX1 = RegionBox(-1.2, 0.5, -2.5, 2.5)
-UNSAFE1 = HalfPlaneUnsafe(-1.0)
 
 
 class TestParameterSelection:
     def test_published_row_bounds(self):
-        bounds = parameter_bounds(P1, BOX1, UNSAFE1, v2=2.0)
+        bounds = parameter_bounds(CLF1, BOX1, UNSAFE1, v2=2.0)
         assert bounds.gamma == pytest.approx(0.5)
         assert bounds.l_max == pytest.approx(4.0)
         assert bounds.v1 == pytest.approx(1.175, abs=1e-9)
@@ -210,7 +212,7 @@ class TestParameterSelection:
 
     def test_published_row_is_feasible(self):
         cert = assemble_weak_clbf(
-            P1, BOX1, UNSAFE1, v2=2.0, l=4.0, delta=0.28, theta=50.0
+            CLF1, BOX1, UNSAFE1, v2=2.0, l=4.0, delta=0.28, theta=50.0
         )
         assert cert.k == pytest.approx(38.355, abs=1e-3)
         assert cert.theta == 50.0
@@ -218,13 +220,13 @@ class TestParameterSelection:
     def test_identity_example(self):
         box = RegionBox(-2.0, 1.0, -2.0, 2.0)
         unsafe = HalfPlaneUnsafe(-1.0)
-        bounds = parameter_bounds(np.eye(2), box, unsafe, v2=1.0)
+        bounds = parameter_bounds(IDENTITY, box, unsafe, v2=1.0)
         assert bounds.v1 == pytest.approx(0.5)
         assert bounds.l_max == pytest.approx(2.0)
         assert bounds.delta_min(2.0) == pytest.approx(math.log(2.0))
         assert bounds.theta_min(2.0, 0.75) == pytest.approx(26.6, abs=0.1)
         cert = assemble_weak_clbf(
-            np.eye(2), box, unsafe, v2=1.0, l=2.0, delta=0.75, theta=27.0
+            IDENTITY, box, unsafe, v2=1.0, l=2.0, delta=0.75, theta=27.0
         )
         # positivity on the unsafe slice, grid oracle
         x1 = np.linspace(-2.0, -1.0, 200)
@@ -234,16 +236,16 @@ class TestParameterSelection:
 
     def test_level_too_small(self):
         with pytest.raises(LevelTooSmall):
-            select_parameters(P1, BOX1, UNSAFE1, v2=1.175)
+            select_parameters(CLF1, BOX1, UNSAFE1, v2=1.175)
         with pytest.raises(LevelTooSmall):
-            select_parameters(P1, BOX1, UNSAFE1, v2=0.3)
+            select_parameters(CLF1, BOX1, UNSAFE1, v2=0.3)
 
     def test_margin_infeasible_when_margin_leaves_region(self):
         box = RegionBox(-1.1, 0.05, -2.0, 2.0)
         unsafe = HalfPlaneUnsafe(-1.0)
-        v1 = v1_min_on_unsafe(np.eye(2), -1.0)
+        v1 = v1_min_on_unsafe(IDENTITY, UNSAFE1)
         with pytest.raises(MarginInfeasible):
-            select_parameters(np.eye(2), box, unsafe, v2=v1 * math.exp(30.0))
+            select_parameters(IDENTITY, box, unsafe, v2=v1 * math.exp(30.0))
 
     @pytest.mark.parametrize("delta, feasible", [(139.9, True), (140.1, False), (1000.0, False)])
     def test_margin_infeasible_where_sigma2_is_clamped(self, p_sub2, delta, feasible):
@@ -251,7 +253,7 @@ class TestParameterSelection:
         # sigma1/sigma2 = exp(l*delta/2) no longer holds
         box = RegionBox(-1101.0, 0.2, -2.5, 2.5)
         unsafe = HalfPlaneUnsafe(-1001.0)
-        v2 = 1.01 * v1_min_on_unsafe(p_sub2, unsafe.d)
+        v2 = 1.01 * v1_min_on_unsafe(p_sub2, unsafe)
         outcome = nullcontext() if feasible else pytest.raises(MarginInfeasible, match="exceeds 700")
         with outcome:
             assemble_weak_clbf(p_sub2, box, unsafe, v2, l=10.0, delta=delta, theta=1.0)
@@ -274,7 +276,7 @@ class TestParameterSelection:
     def test_certificate_and_law_need_no_numpy(self, no_numpy):
         # in clbf only the verifier's sample block uses numpy: the
         # construction and the controller's law run in plain floats
-        cert = select_parameters(QuadraticCLF.from_matrix(P1), BOX1, UNSAFE1, v2=2.0)
+        cert = select_parameters(CLF1, BOX1, UNSAFE1, v2=2.0)
         law = clbf.axis_law(clbf.axis_terms(1.0, 0.0, 1.5, 1.0, 1.5, cert), -0.7, -1.5, True)
         assert law[2] == cert.value_and_grad(-0.7, -1.5)[0]
 
@@ -290,14 +292,14 @@ class TestParameterSelection:
         # certificate; it is refused, not verified
         with pytest.raises(ValueError, match="must be finite"):
             assemble_weak_clbf(
-                P1, BOX1, UNSAFE1, v2=v2, l=4.0, delta=delta, theta=theta,
+                CLF1, BOX1, UNSAFE1, v2=v2, l=4.0, delta=delta, theta=theta,
                 enforce_bounds=enforce,
             )
 
 
 @pytest.fixture(scope="module")
 def cert():
-    return assemble_weak_clbf(P1, BOX1, UNSAFE1, v2=2.0, l=4.0, delta=0.28, theta=50.0)
+    return assemble_weak_clbf(CLF1, BOX1, UNSAFE1, v2=2.0, l=4.0, delta=0.28, theta=50.0)
 
 
 class TestWeakCLBFEvaluation:
@@ -396,13 +398,13 @@ class TestCertificateInvariants:
 
     def test_denominator_positive_for_selected(self):
         for v2 in (1.3, 2.0, 5.0, 20.0):
-            cert = select_parameters(P1, BOX1, UNSAFE1, v2=v2)
+            cert = select_parameters(CLF1, BOX1, UNSAFE1, v2=v2)
             b = cert.bounds
             sigma1, sigma2 = b.sigma_endpoints(cert.shape.l, cert.shape.delta)
             assert sigma1 * b.v1 - sigma2 * b.v2 > 0.0
 
     def test_two_sided_growth_bounds(self):
-        cert = select_parameters(P1, BOX1, UNSAFE1, v2=2.0)
+        cert = select_parameters(CLF1, BOX1, UNSAFE1, v2=2.0)
         lam_min, lam_max = np.linalg.eigvalsh(p_matrix(cert.clf))
         rng = np.random.default_rng(37)
         pts = rng.uniform(-5, 5, size=(10_000, 2))
@@ -414,7 +416,7 @@ class TestCertificateInvariants:
         assert np.all(w <= upper + 1e-9)
 
     def test_slope_condition_on_grid(self):
-        cert = select_parameters(P1, BOX1, UNSAFE1, v2=2.0)
+        cert = select_parameters(CLF1, BOX1, UNSAFE1, v2=2.0)
         X1 = np.linspace(BOX1.x1_min, BOX1.x1_max, 200)
         sigma = sigmoid_eval(cert.shape, X1)
         condition = 1.0 - 0.5 * cert.shape.l * (1.0 - sigma) * X1
@@ -422,7 +424,7 @@ class TestCertificateInvariants:
 
     def test_mutant_construction_is_permitted(self):
         # the verifier, not the constructor, judges broken certificates
-        base = select_parameters(P1, BOX1, UNSAFE1, v2=2.0)
+        base = select_parameters(CLF1, BOX1, UNSAFE1, v2=2.0)
         mutant = WeakCLBF(
             clf=base.clf, shape=base.shape, theta=0.0, k=2.0, bounds=base.bounds
         )
@@ -432,7 +434,7 @@ class TestCertificateInvariants:
         # sigma1 = 1 / (1 + exp(-l delta / 2)) rounds to 1 once l delta / 2
         # exceeds about 37; it is held below 1 as sigmoid_eval holds sigma
         cert = assemble_weak_clbf(
-            P1, BOX1, UNSAFE1, v2=2.0, l=5000.0, delta=0.28, theta=50.0, enforce_bounds=False
+            CLF1, BOX1, UNSAFE1, v2=2.0, l=5000.0, delta=0.28, theta=50.0, enforce_bounds=False
         )
         sigma1, sigma2 = cert.bounds.sigma_endpoints(cert.shape.l, cert.shape.delta)
         assert 0.0 < sigma2 < 0.5 < sigma1 < 1.0
@@ -443,11 +445,11 @@ class TestCertificateInvariants:
         # are rejected even when the feasibility bounds are not enforced
         with pytest.raises(LevelTooSmall):
             assemble_weak_clbf(
-                P1, BOX1, UNSAFE1, v2=1.0, l=4.0, delta=0.28, theta=50.0, enforce_bounds=False
+                CLF1, BOX1, UNSAFE1, v2=1.0, l=4.0, delta=0.28, theta=50.0, enforce_bounds=False
             )
         with pytest.raises(ValueError, match="0 < sigma2 < 1/2 < sigma1 < 1"):
             assemble_weak_clbf(
-                P1, BOX1, UNSAFE1, v2=2.0, l=1e-10, delta=1e-8, theta=50.0, enforce_bounds=False
+                CLF1, BOX1, UNSAFE1, v2=2.0, l=1e-10, delta=1e-8, theta=50.0, enforce_bounds=False
             )
 
 

@@ -51,6 +51,16 @@ class TestSelectParams:
             sigmas = cert.bounds.sigma_endpoints(cert.shape.l, cert.shape.delta)
             assert (entry["sigma1"], entry["sigma2"]) == sigmas
 
+    def test_single_constraint_takes_its_own_level(self, tmp_path, raw_config):
+        # with axis 1 constrained alone, clbf.v2's one entry is its level
+        del raw_config["constraints"][0]
+        raw_config["clbf"]["v2"] = [5.0]
+        path = write_config(tmp_path, raw_config)
+        assert main(["select-params", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+        report = json.loads((tmp_path / "out" / "parameters.json").read_text())
+        axis0, axis1 = report["subsystems"]
+        assert not axis0["constrained"] and axis1["v2"] == 5.0
+
     def test_level_too_small_exits_2(self, tmp_path, raw_config):
         raw_config["clbf"]["v2"] = [1.0, 2.0]
         path = write_config(tmp_path, raw_config)
@@ -376,6 +386,21 @@ def _clamped_sigmoid_exponent(raw):
     }
 
 
+def _wide_p1(raw):
+    # region p1 down to -20 gives axis 0 gamma = 20.3, so auto's slope
+    # 2/gamma is shallow and its margin wide: d + delta = 9.2 lies inside
+    # the region, but V > v2 at every x1 beyond it, so the margin set is empty
+    raw["region"]["p1"] = [-20.0, 1.5]
+
+
+def _axis1_only_levels(v2):
+    def mutate(raw):
+        del raw["constraints"][0]
+        raw["clbf"]["v2"] = v2
+
+    return mutate
+
+
 NAN, INF = float("nan"), float("inf")
 
 
@@ -427,6 +452,10 @@ class TestErrorExitCodes:
             ("verify", _explicit(l=-10.0, delta=200.0), [], 3),
             ("select-params", _explicit(l=-10.0, delta=200.0), [], 2),
             ("verify", _explicit(delta=-1000.0), [], 3),
+            ("select-params", _wide_p1, [], 2),
+            ("simulate", _wide_p1, [], 2),
+            ("verify", _wide_p1, [], 2),
+            ("select-params", _axis1_only_levels([None, 5.0]), [], 3),
         ],
         ids=[
             "delta_margin",
@@ -473,6 +502,10 @@ class TestErrorExitCodes:
             "verify_negative_l_sigma1_overflow",
             "select_negative_l_sigma1_overflow",
             "verify_negative_delta_sigma1_overflow",
+            "select_empty_margin_set",
+            "simulate_empty_margin_set",
+            "verify_auto_empty_margin_set",
+            "one_constraint_two_levels",
         ],
     )
     def test_exit_code_and_one_line_message(

@@ -4,8 +4,10 @@ from dataclasses import astuple
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from safefl.clbf import HalfPlaneUnsafe, parameter_bounds
+from safefl.clbf import HalfPlaneUnsafe, check_c_omega_subset, parameter_bounds
 from safefl.errors import ConfigError, InvalidUnsafeSet, LevelTooSmall, MarginInfeasible
 from safefl.manipulator import forward_kinematics, jacobian
 from safefl.scenario import (
@@ -37,6 +39,12 @@ def _explicit_published_row(raw) -> list:
         ],
     }
     return raw["clbf"]["params"]
+
+
+def _axis1_only(raw, v2):
+    """Constrain axis 1 only, with clbf.v2 set to v2."""
+    del raw["constraints"][0]
+    raw["clbf"]["v2"] = v2
 
 
 class TestConfigParsing:
@@ -116,6 +124,20 @@ class TestConfigParsing:
     def test_explicit_mode_requires_params(self, raw_config):
         raw_config["clbf"] = {"mode": "explicit", "v2": [2.0, 2.0]}
         with pytest.raises(ConfigError):
+            RunConfig.from_dict(raw_config)
+
+    @pytest.mark.parametrize(
+        "constrain, v2",
+        [
+            (_axis1_only, [5.0, None]),
+            (lambda raw, v2: raw["clbf"].update(v2=v2), [2.0]),
+            (lambda raw, v2: raw["clbf"].update(v2=v2), 2.0),
+        ],
+        ids=["one_constraint_trailing_null", "two_constraints_one_level", "scalar"],
+    )
+    def test_v2_holds_one_entry_per_constraint(self, raw_config, constrain, v2):
+        constrain(raw_config, v2)
+        with pytest.raises(ConfigError, match="one entry per constraint"):
             RunConfig.from_dict(raw_config)
 
 
@@ -254,6 +276,16 @@ class TestBundleAssembly:
         bundle = build_bundle(config, enforce_bounds=False)
         assert bundle.subsystems[0].certificate.theta == 0.0
 
+    def test_explicit_single_constraint_design_builds(self, raw_config):
+        # one constraint, so one level and one params entry
+        del raw_config["constraints"][0]
+        raw_config["clbf"] = {
+            "mode": "explicit", "v2": [2.0], "params": [{"l": 4.0, "delta": 0.58, "theta": 6.1}],
+        }
+        bundle = build_bundle(RunConfig.from_dict(raw_config))
+        cert = bundle.subsystems[1].certificate
+        assert (cert.bounds.v2, cert.shape.l, cert.shape.delta, cert.theta) == (2.0, 4.0, 0.58, 6.1)
+
     def test_level_below_unsafe_minimum(self, raw_config):
         raw_config["clbf"]["v2"] = [1.0, 2.0]  # v1 of the first axis is 1.175
         with pytest.raises(LevelTooSmall):
@@ -268,6 +300,35 @@ class TestBundleAssembly:
         raw_config["initial"]["position"] = [1.6, 0.4]
         with pytest.raises(ConfigError):
             build_bundle(RunConfig.from_dict(raw_config))
+
+
+def _bundled_raw() -> dict:
+    with open(default_config_path(), "r", encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(
+    p1=st.tuples(st.floats(-30.0, -0.2), st.floats(1.31, 3.0)),
+    p2=st.tuples(st.floats(-30.0, -0.31), st.floats(1.01, 3.0)),
+    kp=st.tuples(st.floats(0.2, 5.0), st.floats(0.2, 5.0)),
+    kd=st.tuples(st.floats(0.2, 5.0), st.floats(0.2, 5.0)),
+)
+def test_every_built_bundle_has_a_margin_set(p1, p2, kp, kd):
+    # wide regions make auto's slope 2/gamma shallow and its margin wide: the
+    # constructor refuses a design whose margin set has no point in the
+    # region (MarginInfeasible), by the rule the verifier fails it with, so
+    # every bundle it builds passes margin_set_contained
+    raw = _bundled_raw()
+    raw["region"].update(p1=list(p1), p2=list(p2))
+    raw["gains"] = {"kp": list(kp), "kd": list(kd)}
+    try:
+        bundle = build_bundle(RunConfig.from_dict(raw))
+    except MarginInfeasible as err:
+        assert "margin set" in str(err)
+        return
+    for sub in bundle.subsystems:
+        assert check_c_omega_subset(sub.certificate, sub.region).passed
 
 
 class TestScenarioProperties:

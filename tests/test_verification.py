@@ -184,7 +184,7 @@ class TestCOmegaSubset:
     def test_steep_selected_certificate_passes(self):
         # l = 171: a sampled search once failed this certificate at W = 1.3e-14,
         # on a sample that rounding put just left of d + delta, outside the set
-        P = np.array([
+        P = QuadraticCLF.from_matrix([
             [0.3525173771339688, -0.19118941790360425],
             [-0.19118941790360425, 0.17174078172844412],
         ])
@@ -316,10 +316,12 @@ def _random_certificate(
 ):
     """(certificate, region) of one draw of _RANDOM_CERTIFICATE."""
     p11, r, p22 = p
-    P = 10.0**scale * np.array([[p11, r * math.sqrt(p11 * p22)], [r * math.sqrt(p11 * p22), p22]])
+    P = QuadraticCLF.from_matrix(
+        10.0**scale * np.array([[p11, r * math.sqrt(p11 * p22)], [r * math.sqrt(p11 * p22), p22]])
+    )
     region = RegionBox(box[0], box[1], -box[2], box[2])
     unsafe = HalfPlaneUnsafe(d_frac * box[0])
-    v2 = level * clbf.v1_min_on_unsafe(P, unsafe.d)
+    v2 = level * clbf.v1_min_on_unsafe(P, unsafe)
     try:
         if auto:
             cert = select_parameters(P, region, unsafe, v2)
@@ -492,7 +494,7 @@ class TestExactVerdicts:
         # l * x1_max = 10 breaks the slope bound; h = 1 + theta sigma (1 -
         # l x1 (1 - sigma) / 2) then dips below zero for large theta
         unsafe = HalfPlaneUnsafe(-0.3)
-        c = p_sub1[0, 1] / p_sub1[1, 1]
+        c = p_sub1.p12 / p_sub1.p22
         x1 = np.linspace(BOX_SUB1.x1_min, BOX_SUB1.x1_max, 20001)
         for theta in (100.0, 2200.0, 2300.0, 5000.0, 1e5):
             cert = assemble_weak_clbf(
@@ -599,8 +601,8 @@ class TestExactVerdicts:
             k = rng.choice((None, None, rng.uniform(-0.5, 2.0) * v2))
             try:
                 cert = assemble_weak_clbf(
-                    P, box, HalfPlaneUnsafe(d), v2=v2, l=l, delta=delta, theta=theta,
-                    enforce_bounds=False,
+                    QuadraticCLF.from_matrix(P), box, HalfPlaneUnsafe(d), v2=v2, l=l, delta=delta,
+                    theta=theta, enforce_bounds=False,
                 )
             except ValueError:
                 continue  # sigmoid endpoints saturate; not a certificate
