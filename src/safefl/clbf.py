@@ -24,11 +24,11 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import asdict, dataclass, fields
 from typing import Optional
 
 from .errors import InvalidUnsafeSet, LevelTooSmall, MarginInfeasible
 from .numerics import as_mat2, is_pd_2x2, is_symmetric
+from .records import Value, set_field
 
 _EXP_CLAMP = 700.0  # IEEE double overflow guard; clamping error < 1e-300
 _ONE_BELOW = math.nextafter(1.0, 0.0)
@@ -37,60 +37,57 @@ _B_DEADZONE = 1e-12  # relative to 1 + |a|; below this the channel is treated as
 
 # ---------------------------------------------------------------------------
 # domain types
+#
+# RegionBox, HalfPlaneUnsafe, SigmoidShape and QuadraticCLF store every field
+# as a plain float, so the closed forms run in Python floats: an overflow is
+# inf, not a warning.
 
 
-def _store_floats(obj) -> None:
-    """Store every field of the frozen dataclass obj as a plain float, so the
-    closed forms run in Python floats: an overflow is inf, not a warning."""
-    for f in fields(obj):
-        object.__setattr__(obj, f.name, float(getattr(obj, f.name)))
-
-
-@dataclass(frozen=True)
-class RegionBox:
+class RegionBox(Value):
     """Axis-aligned compact region of interest with the origin in its interior."""
 
-    x1_min: float
-    x1_max: float
-    x2_min: float
-    x2_max: float
+    __slots__ = ("x1_min", "x1_max", "x2_min", "x2_max")
 
-    def __post_init__(self):
-        _store_floats(self)
-        if not (self.x1_min < 0.0 < self.x1_max and self.x2_min < 0.0 < self.x2_max):
+    def __init__(self, x1_min: float, x1_max: float, x2_min: float, x2_max: float):
+        x1_min, x1_max, x2_min, x2_max = float(x1_min), float(x1_max), float(x2_min), float(x2_max)
+        if not (x1_min < 0.0 < x1_max and x2_min < 0.0 < x2_max):
             raise ValueError("region must contain the origin in its interior")
+        set_field(self, "x1_min", x1_min)
+        set_field(self, "x1_max", x1_max)
+        set_field(self, "x2_min", x2_min)
+        set_field(self, "x2_max", x2_max)
 
     @property
     def diameter(self) -> float:
         return math.hypot(self.x1_max - self.x1_min, self.x2_max - self.x2_min)
 
 
-@dataclass(frozen=True)
-class HalfPlaneUnsafe:
+class HalfPlaneUnsafe(Value):
     """Unsafe half plane {x in X : x1 <= d} with d < 0."""
 
-    d: float
+    __slots__ = ("d",)
 
-    def __post_init__(self):
-        _store_floats(self)
-        if not (math.isfinite(self.d) and self.d < 0.0):
-            raise InvalidUnsafeSet(f"unsafe threshold must be negative, got {self.d}")
+    def __init__(self, d: float):
+        d = float(d)
+        if not (math.isfinite(d) and d < 0.0):
+            raise InvalidUnsafeSet(f"unsafe threshold must be negative, got {d}")
+        set_field(self, "d", d)
 
 
-@dataclass(frozen=True)
-class SigmoidShape:
+class SigmoidShape(Value):
     """Decreasing sigmoid 1 / (1 + exp(l*(x1 - d - delta/2)))."""
 
-    l: float
-    d: float
-    delta: float
+    __slots__ = ("l", "d", "delta")
 
-    def __post_init__(self):
-        _store_floats(self)
-        if not (self.l > 0.0 and math.isfinite(self.l)):
+    def __init__(self, l: float, d: float, delta: float):
+        l, d, delta = float(l), float(d), float(delta)
+        if not (l > 0.0 and math.isfinite(l)):
             raise ValueError("sigmoid slope l must be positive")
-        if not (self.delta > 0.0 and math.isfinite(self.delta)):
+        if not (delta > 0.0 and math.isfinite(delta)):
             raise ValueError("safety margin delta must be positive")
+        set_field(self, "l", l)
+        set_field(self, "d", d)
+        set_field(self, "delta", delta)
 
     @property
     def center(self) -> float:
@@ -117,20 +114,20 @@ def sigmoid_eval(shape: SigmoidShape, x1):
     return float(out) if out.ndim == 0 else out
 
 
-@dataclass(frozen=True)
-class QuadraticCLF:
+class QuadraticCLF(Value):
     """V(x) = 0.5 x'Px for the symmetric positive definite P = [[p11, p12], [p12, p22]]."""
 
-    p11: float
-    p12: float
-    p22: float
+    __slots__ = ("p11", "p12", "p22")
 
-    def __post_init__(self):
-        _store_floats(self)
-        if not all(map(math.isfinite, (self.p11, self.p12, self.p22))):
+    def __init__(self, p11: float, p12: float, p22: float):
+        p11, p12, p22 = float(p11), float(p12), float(p22)
+        if not all(map(math.isfinite, (p11, p12, p22))):
             raise ValueError("matrix entries must be finite")
-        if not is_pd_2x2(self.p11, self.p12, self.p22):
+        if not is_pd_2x2(p11, p12, p22):
             raise ValueError("P must be symmetric positive definite")
+        set_field(self, "p11", p11)
+        set_field(self, "p12", p12)
+        set_field(self, "p22", p22)
 
     @classmethod
     def from_matrix(cls, P) -> "QuadraticCLF":
@@ -158,8 +155,7 @@ def v1_min_on_unsafe(clf: QuadraticCLF, unsafe: HalfPlaneUnsafe) -> float:
     return clf.det * unsafe.d * unsafe.d / (2.0 * clf.p22)
 
 
-@dataclass(frozen=True)
-class WeakCLBF:
+class WeakCLBF(Value):
     """Scaled-and-shifted certificate W(x) = (1 + theta*sigma(x1)) V(x) - k.
 
     bounds is the certificate's one design record: the levels v1 and v2 and
@@ -173,11 +169,16 @@ class WeakCLBF:
     fed to the verifier.
     """
 
-    clf: QuadraticCLF
-    shape: SigmoidShape
-    theta: float
-    k: float
-    bounds: ParameterBounds
+    __slots__ = ("clf", "shape", "theta", "k", "bounds")
+
+    def __init__(
+        self, clf: QuadraticCLF, shape: SigmoidShape, theta: float, k: float, bounds: ParameterBounds
+    ):
+        set_field(self, "clf", clf)
+        set_field(self, "shape", shape)
+        set_field(self, "theta", theta)
+        set_field(self, "k", k)
+        set_field(self, "bounds", bounds)
 
     def value_and_grad(self, x1, x2):
         """(W, dW/dx1, dW/dx2) at floats or at arrays of one shape, sharing
@@ -261,13 +262,15 @@ def axis_law(axis: tuple, p: float, v: float, diagnostics: bool):
 # parameter selection
 
 
-@dataclass(frozen=True)
-class ParameterBounds:
+class ParameterBounds(Value):
     """Feasible-parameter bounds for a given (P, X, d, v2) problem."""
 
-    gamma: float
-    v1: float
-    v2: float
+    __slots__ = ("gamma", "v1", "v2")
+
+    def __init__(self, gamma: float, v1: float, v2: float):
+        set_field(self, "gamma", gamma)
+        set_field(self, "v1", v1)
+        set_field(self, "v2", v2)
 
     @property
     def l_max(self) -> float:
@@ -437,17 +440,26 @@ _MISSES = "the unsafe set misses the region"
 _AT_ORIGIN = "min W = W(0) = -k, since W >= -k"
 
 
-@dataclass(frozen=True)
-class ConditionResult:
+class ConditionResult(Value):
     """One condition: its verdict ("pass", "fail", or "undecided", which is
     never a pass), the certified bound it rests on (margin), the point where
     that bound is attained or violated (witness) and the inequality used."""
 
-    name: str
-    verdict: str
-    margin: float
-    witness: Optional[tuple[float, float]]
-    inequality: str
+    __slots__ = ("name", "verdict", "margin", "witness", "inequality")
+
+    def __init__(
+        self,
+        name: str,
+        verdict: str,
+        margin: float,
+        witness: Optional[tuple[float, float]],
+        inequality: str,
+    ):
+        set_field(self, "name", name)
+        set_field(self, "verdict", verdict)
+        set_field(self, "margin", margin)
+        set_field(self, "witness", witness)
+        set_field(self, "inequality", inequality)
 
     @property
     def passed(self) -> bool:
@@ -456,22 +468,43 @@ class ConditionResult:
     def to_dict(self) -> dict:
         """JSON fields; a margin that is not finite (no finite bound) is null."""
         margin = self.margin if math.isfinite(self.margin) else None
-        return {"passed": self.passed, **asdict(self), "margin": margin}
+        return {
+            "passed": self.passed,
+            "name": self.name,
+            "verdict": self.verdict,
+            "margin": margin,
+            "witness": self.witness,
+            "inequality": self.inequality,
+        }
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(Value):
     """The five verdicts on one certificate, each decided by its proof, with
     the sample count of the two counterexample searches that ran after the
     proofs and could only refute, and the excluded origin ball's radius."""
 
-    positive_on_unsafe: ConditionResult
-    line_decrease: ConditionResult
-    admissible_nonempty: ConditionResult
-    stationary_unique: ConditionResult
-    c_omega: ConditionResult
-    grid_resolution: int
-    eps_origin: float
+    __slots__ = (
+        "positive_on_unsafe", "line_decrease", "admissible_nonempty", "stationary_unique",
+        "c_omega", "grid_resolution", "eps_origin",
+    )
+
+    def __init__(
+        self,
+        positive_on_unsafe: ConditionResult,
+        line_decrease: ConditionResult,
+        admissible_nonempty: ConditionResult,
+        stationary_unique: ConditionResult,
+        c_omega: ConditionResult,
+        grid_resolution: int,
+        eps_origin: float,
+    ):
+        set_field(self, "positive_on_unsafe", positive_on_unsafe)
+        set_field(self, "line_decrease", line_decrease)
+        set_field(self, "admissible_nonempty", admissible_nonempty)
+        set_field(self, "stationary_unique", stationary_unique)
+        set_field(self, "c_omega", c_omega)
+        set_field(self, "grid_resolution", grid_resolution)
+        set_field(self, "eps_origin", eps_origin)
 
     @property
     def passed(self) -> bool:
@@ -479,7 +512,10 @@ class VerificationReport:
 
     def conditions(self) -> list[ConditionResult]:
         """The five conditions, in field order."""
-        return [getattr(self, f.name) for f in fields(self)[:5]]
+        return [
+            self.positive_on_unsafe, self.line_decrease, self.admissible_nonempty,
+            self.stationary_unique, self.c_omega,
+        ]
 
     def to_dict(self) -> dict:
         return {

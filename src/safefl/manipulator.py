@@ -23,29 +23,28 @@ ManipulatorPlant, which return arrays.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .clbf import WeakCLBF, axis_law, axis_terms
 from .errors import NearSingular, NonFiniteState
+from .records import Record, Value, set_field
 
 
-@dataclass(frozen=True)
-class ManipulatorParams:
+class ManipulatorParams(Value):
     """Link masses (kg), link lengths (m), gravitational acceleration (m/s^2).
     An arm whose float model degenerates, with a constant of _model not
     finite or a singularity threshold of 0, is a ValueError."""
 
-    m1: float
-    m2: float
-    L1: float
-    L2: float
-    gravity: float = 9.81
+    __slots__ = ("m1", "m2", "L1", "L2", "gravity")
 
-    def __post_init__(self):
-        sizes = (self.m1, self.m2, self.L1, self.L2)
-        if not (all(0.0 < v < math.inf for v in sizes) and math.isfinite(self.gravity)):
+    def __init__(self, m1: float, m2: float, L1: float, L2: float, gravity: float = 9.81):
+        if not (all(0.0 < v < math.inf for v in (m1, m2, L1, L2)) and math.isfinite(gravity)):
             raise ValueError("masses and lengths must be positive and finite, gravity finite")
+        set_field(self, "m1", m1)
+        set_field(self, "m2", m2)
+        set_field(self, "L1", L1)
+        set_field(self, "L2", L2)
+        set_field(self, "gravity", gravity)
         if not (all(map(math.isfinite, _model(self))) and self.singularity_threshold > 0.0):
             raise ValueError(
                 "the arm degenerates in floats: its model constants must be finite "
@@ -148,8 +147,7 @@ def inverse_kinematics(params: ManipulatorParams, p, elbow: str = "up") -> tuple
 # safe task-space controller
 
 
-@dataclass(frozen=True, eq=False)
-class SafeTaskController:
+class SafeTaskController(Record):
     """Feedback-linearizing force controller with per-axis safety inputs.
 
     signs maps task coordinates onto the canonical error coordinates
@@ -163,23 +161,26 @@ class SafeTaskController:
     model.
     """
 
-    params: ManipulatorParams
-    goal: tuple[float, ...]
-    signs: tuple[float, ...]
-    kp: tuple[float, ...]
-    kd: tuple[float, ...]
-    k_safe: tuple[float, ...]
-    certificates: Sequence[Optional[WeakCLBF]]
+    __slots__ = ("params", "goal", "signs", "kp", "kd", "k_safe", "certificates")
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        params: ManipulatorParams,
+        goal: Sequence[float],
+        signs: Sequence[float],
+        kp: Sequence[float],
+        kd: Sequence[float],
+        k_safe: Sequence[float],
+        certificates: Sequence[Optional[WeakCLBF]],
+    ):
         per_axis = "one gain of each kind and one certificate per task axis required"
         try:
-            for name in ("goal", "signs", "kp", "kd", "k_safe"):
-                object.__setattr__(self, name, tuple(map(float, getattr(self, name))))
+            goal, signs, kp, kd, k_safe = (
+                tuple(map(float, v)) for v in (goal, signs, kp, kd, k_safe)
+            )
         except TypeError as err:  # a scalar, not one value per axis
             raise ValueError(per_axis) from err
-        kp, kd, k_safe = self.kp, self.kd, self.k_safe
-        if not (len(self.certificates) == 2 and len(kp) == len(kd) == len(k_safe) == 2):
+        if not (len(certificates) == 2 and len(kp) == len(kd) == len(k_safe) == 2):
             raise ValueError(per_axis)
         if not all(map(math.isfinite, kp + kd + k_safe)):
             raise ValueError("gains must be finite")
@@ -187,6 +188,13 @@ class SafeTaskController:
             raise ValueError("kp and kd must be positive")
         if min(k_safe) < 0.0:
             raise ValueError("k_safe must be non-negative")
+        set_field(self, "params", params)
+        set_field(self, "goal", goal)
+        set_field(self, "signs", signs)
+        set_field(self, "kp", kp)
+        set_field(self, "kd", kd)
+        set_field(self, "k_safe", k_safe)
+        set_field(self, "certificates", certificates)
 
     def __call__(self, t: float, x) -> dict:
         """The recorded row at (t, x) as {name: array}, keyed by ArmStage.layout."""

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -45,6 +44,7 @@ from .manipulator import (
     jacobian,
 )
 from .numerics import Mat2, solve_linear, solve_lyapunov_2x2
+from .records import Record, Value, set_field
 from .sim import SimConfig, Trajectory, check_timing, simulate_closed_loop
 
 SCHEMA_VERSION = 1
@@ -54,43 +54,75 @@ _DEFAULT_Q = [[1.0, -0.9], [-0.9, 1.0]]
 Pair = tuple[float, float]
 
 
-@dataclass(frozen=True)
-class ConstraintSpec:
+class ConstraintSpec(Value):
     """Keep-out bound on one task axis: side 'max' keeps p_axis below bound,
     side 'min' keeps it above."""
 
-    axis: int
-    side: str
-    bound: float
+    __slots__ = ("axis", "side", "bound")
+
+    def __init__(self, axis: int, side: str, bound: float):
+        set_field(self, "axis", axis)
+        set_field(self, "side", side)
+        set_field(self, "bound", bound)
 
 
-@dataclass(frozen=True, eq=False)
-class RunConfig:
+class RunConfig(Record):
     """A parsed configuration; every number in it is a float, every vector
     and matrix a tuple of them. v2 (levels or None) and explicit_params
     have one entry per constraint, in the axis order of constraints."""
 
-    name: str
-    manipulator: ManipulatorParams
-    goal: Pair
-    initial_position: Pair
-    initial_velocity: Pair
-    elbow: str
-    region_p1: Pair
-    region_p2: Pair
-    speed_limit: float
-    constraints: tuple[ConstraintSpec, ...]
-    kp: Pair
-    kd: Pair
-    lyapunov_q: Mat2
-    clbf_mode: str
-    v2: tuple[Optional[float], ...]
-    explicit_params: Optional[tuple[dict, ...]]
-    dt: float
-    horizon: float
-    record_stride: int
-    k_safe_sweep: tuple[float, ...]
-    reference_initial_w: Optional[tuple[float, float]]
+    __slots__ = (
+        "name", "manipulator", "goal", "initial_position", "initial_velocity", "elbow",
+        "region_p1", "region_p2", "speed_limit", "constraints", "kp", "kd", "lyapunov_q",
+        "clbf_mode", "v2", "explicit_params", "dt", "horizon", "record_stride", "k_safe_sweep",
+        "reference_initial_w",
+    )
+
+    def __init__(
+        self,
+        name: str,
+        manipulator: ManipulatorParams,
+        goal: Pair,
+        initial_position: Pair,
+        initial_velocity: Pair,
+        elbow: str,
+        region_p1: Pair,
+        region_p2: Pair,
+        speed_limit: float,
+        constraints: tuple[ConstraintSpec, ...],
+        kp: Pair,
+        kd: Pair,
+        lyapunov_q: Mat2,
+        clbf_mode: str,
+        v2: tuple[Optional[float], ...],
+        explicit_params: Optional[tuple[dict, ...]],
+        dt: float,
+        horizon: float,
+        record_stride: int,
+        k_safe_sweep: tuple[float, ...],
+        reference_initial_w: Optional[tuple[float, float]],
+    ):
+        set_field(self, "name", name)
+        set_field(self, "manipulator", manipulator)
+        set_field(self, "goal", goal)
+        set_field(self, "initial_position", initial_position)
+        set_field(self, "initial_velocity", initial_velocity)
+        set_field(self, "elbow", elbow)
+        set_field(self, "region_p1", region_p1)
+        set_field(self, "region_p2", region_p2)
+        set_field(self, "speed_limit", speed_limit)
+        set_field(self, "constraints", constraints)
+        set_field(self, "kp", kp)
+        set_field(self, "kd", kd)
+        set_field(self, "lyapunov_q", lyapunov_q)
+        set_field(self, "clbf_mode", clbf_mode)
+        set_field(self, "v2", v2)
+        set_field(self, "explicit_params", explicit_params)
+        set_field(self, "dt", dt)
+        set_field(self, "horizon", horizon)
+        set_field(self, "record_stride", record_stride)
+        set_field(self, "k_safe_sweep", k_safe_sweep)
+        set_field(self, "reference_initial_w", reference_initial_w)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
@@ -196,6 +228,9 @@ def _parse_config(cls, raw: dict) -> "RunConfig":
         raise ConfigError(
             f"schema_version must be {SCHEMA_VERSION}, got {raw.get('schema_version')!r}"
         )
+    name = raw.get("name", "scenario")
+    if not isinstance(name, str):
+        raise ConfigError(f"name must be a string, got {name!r}")
 
     arm = _object(raw["manipulator"], "manipulator")
     params = ManipulatorParams(
@@ -289,7 +324,7 @@ def _parse_config(cls, raw: dict) -> "RunConfig":
     reference_w = None if reference is None else _pair(reference, "reference_initial_w")
 
     return cls(
-        name=str(raw.get("name", "scenario")),
+        name=name,
         manipulator=params,
         goal=goal,
         initial_position=p0,
@@ -332,33 +367,49 @@ def default_config_path() -> Path:
 # assembly
 
 
-@dataclass(frozen=True)
-class SubsystemSetup:
+class SubsystemSetup(Value):
     """One task axis of the decoupled loop, with its certificate if constrained."""
 
-    axis: int
-    sign: float
-    kp: float
-    kd: float
-    clf: QuadraticCLF
-    region: RegionBox
-    certificate: Optional[WeakCLBF]
-    xbar0: tuple[float, float]
+    __slots__ = ("axis", "sign", "kp", "kd", "clf", "region", "certificate", "xbar0")
+
+    def __init__(
+        self,
+        axis: int,
+        sign: float,
+        kp: float,
+        kd: float,
+        clf: QuadraticCLF,
+        region: RegionBox,
+        certificate: Optional[WeakCLBF],
+        xbar0: tuple[float, float],
+    ):
+        set_field(self, "axis", axis)
+        set_field(self, "sign", sign)
+        set_field(self, "kp", kp)
+        set_field(self, "kd", kd)
+        set_field(self, "clf", clf)
+        set_field(self, "region", region)
+        set_field(self, "certificate", certificate)
+        set_field(self, "xbar0", xbar0)
 
     @property
     def constrained(self) -> bool:
         return self.certificate is not None
 
 
-@dataclass(frozen=True, eq=False)
-class ScenarioBundle:
+class ScenarioBundle(Record):
     """The assembled scenario: per-axis setups and the initial joint angles
     q0 and velocities qdot0, as float tuples."""
 
-    config: RunConfig
-    subsystems: tuple[SubsystemSetup, ...]
-    q0: Pair
-    qdot0: Pair
+    __slots__ = ("config", "subsystems", "q0", "qdot0")
+
+    def __init__(
+        self, config: RunConfig, subsystems: tuple[SubsystemSetup, ...], q0: Pair, qdot0: Pair
+    ):
+        set_field(self, "config", config)
+        set_field(self, "subsystems", subsystems)
+        set_field(self, "q0", q0)
+        set_field(self, "qdot0", qdot0)
 
     @property
     def params(self) -> ManipulatorParams:

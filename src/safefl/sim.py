@@ -21,11 +21,11 @@ configuring a run does not load numpy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
 from .errors import NearSingular, NonFiniteState
 from .manipulator import ArmStage, ManipulatorParams, SafeTaskController
+from .records import Record, set_field
 
 if TYPE_CHECKING:
     import numpy as np
@@ -71,27 +71,26 @@ def check_timing(dt: float, horizon: float, record_stride: float) -> None:
         )
 
 
-@dataclass(frozen=True, eq=False)
-class SimConfig:
+class SimConfig(Record):
     """Step size, horizon, initial plant state (four finite floats) and
     recording stride."""
 
-    dt: float
-    horizon: float
-    x0: tuple[float, float, float, float]
-    record_stride: int = 1
+    __slots__ = ("dt", "horizon", "x0", "record_stride")
 
-    def __post_init__(self):
-        check_timing(self.dt, self.horizon, self.record_stride)
+    def __init__(self, dt: float, horizon: float, x0, record_stride: int = 1):
+        check_timing(dt, horizon, record_stride)
         try:
-            x0 = tuple(map(float, self.x0))
+            state = tuple(map(float, x0))
         except (TypeError, ValueError):
-            x0 = ()
-        if not (len(x0) == 4 and all(map(math.isfinite, x0))):
+            state = ()
+        if not (len(state) == 4 and all(map(math.isfinite, state))):
             raise ValueError(
-                f"x0 must be the joint state (q1, q2, qd1, qd2) in finite floats, got {self.x0!r}"
+                f"x0 must be the joint state (q1, q2, qd1, qd2) in finite floats, got {x0!r}"
             )
-        object.__setattr__(self, "x0", x0)
+        set_field(self, "dt", dt)
+        set_field(self, "horizon", horizon)
+        set_field(self, "x0", state)
+        set_field(self, "record_stride", record_stride)
 
     @property
     def n_steps(self) -> int:
@@ -100,22 +99,42 @@ class SimConfig:
         return _step_count(self.dt, self.horizon)
 
 
-@dataclass(eq=False)
-class Trajectory:
+class Trajectory(Record):
     """Time-indexed record of one closed-loop run; every array shares the
-    leading length of t."""
+    leading length of t. Unlike the other records it is mutable."""
 
-    t: np.ndarray
-    states: np.ndarray
-    inputs: np.ndarray
-    pos: np.ndarray
-    vel: np.ndarray
-    force: np.ndarray
-    force_safe: np.ndarray
-    w: np.ndarray
-    margins: np.ndarray
-    safe: np.ndarray
-    meta: dict = field(default_factory=dict)
+    __slots__ = (
+        "t", "states", "inputs", "pos", "vel", "force", "force_safe", "w", "margins", "safe",
+        "meta",
+    )
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+
+    def __init__(
+        self,
+        t: np.ndarray,
+        states: np.ndarray,
+        inputs: np.ndarray,
+        pos: np.ndarray,
+        vel: np.ndarray,
+        force: np.ndarray,
+        force_safe: np.ndarray,
+        w: np.ndarray,
+        margins: np.ndarray,
+        safe: np.ndarray,
+        meta: Optional[dict] = None,
+    ):
+        self.t = t
+        self.states = states
+        self.inputs = inputs
+        self.pos = pos
+        self.vel = vel
+        self.force = force
+        self.force_safe = force_safe
+        self.w = w
+        self.margins = margins
+        self.safe = safe
+        self.meta = {} if meta is None else meta
 
     def __len__(self) -> int:
         return self.t.shape[0]

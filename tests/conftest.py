@@ -37,6 +37,19 @@ def p_matrix(clf):
     return np.array([[clf.p11, clf.p12], [clf.p12, clf.p22]])
 
 
+def astuple(record) -> tuple:
+    """The fields of a safefl record, in constructor order."""
+    return tuple(getattr(record, name) for name in record.__slots__)
+
+
+def replace(record, **changes):
+    """A new record of record's class with the given fields changed, built
+    by its constructor, so its checks run again; an unknown field is a
+    TypeError."""
+    fields = {name: getattr(record, name) for name in record.__slots__}
+    return type(record)(**{**fields, **changes})
+
+
 @pytest.fixture
 def no_numpy(monkeypatch):
     """numpy made unimportable while the test runs: an `import numpy` in the

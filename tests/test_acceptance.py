@@ -11,7 +11,6 @@ import os
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -34,6 +33,7 @@ from safefl.manipulator import (
 )
 from safefl.numerics import solve_lyapunov_2x2
 from safefl.scenario import run_case
+from tests.conftest import replace
 
 
 def _emit(num: int, label: str, status: str) -> None:

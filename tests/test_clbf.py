@@ -1,6 +1,5 @@
 import math
 from contextlib import nullcontext
-from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -20,7 +19,7 @@ from safefl.clbf import (
     v1_min_on_unsafe,
 )
 from safefl.errors import InvalidUnsafeSet, LevelTooSmall, MarginInfeasible
-from tests.conftest import p_matrix
+from tests.conftest import astuple, p_matrix
 
 P1 = np.array([[0.9 + 1 / 3 + 1.25, 1 / 3], [1 / 3, 5 / 6]])
 CLF1 = QuadraticCLF.from_matrix(P1)

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from safefl.cli import CSV_COLUMNS, main
+from tests.conftest import replace
 
 
 @pytest.fixture()
@@ -257,8 +258,6 @@ class TestSimulate:
     def test_abort_before_first_record_exits_4(self, tmp_path, raw_config, monkeypatch):
         # the configuration layer rejects a start at the stretched
         # singularity, so the runs get one on their bundle instead
-        from dataclasses import replace
-
         import safefl.cli as cli
 
         run_case = cli.run_case
@@ -456,6 +455,8 @@ class TestErrorExitCodes:
             ("simulate", _wide_p1, [], 2),
             ("verify", _wide_p1, [], 2),
             ("select-params", _axis1_only_levels([None, 5.0]), [], 3),
+            ("select-params", _set("name", {"a": 1}), [], 3),
+            ("simulate", _set("name", 5), [], 3),
         ],
         ids=[
             "delta_margin",
@@ -506,6 +507,8 @@ class TestErrorExitCodes:
             "simulate_empty_margin_set",
             "verify_auto_empty_margin_set",
             "one_constraint_two_levels",
+            "name_object",
+            "name_number",
         ],
     )
     def test_exit_code_and_one_line_message(
@@ -555,6 +558,18 @@ class TestErrorExitCodes:
         assert main(["verify", "--config", str(path), "--out", str(out)]) == 3
         lines = capsys.readouterr().err.strip().splitlines()
         assert lines == [f"configuration error: {message}"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", [5, {"a": 1}, None], ids=["number", "object", "null"])
+    def test_name_must_be_a_string(self, tmp_path, raw_config, capsys, value):
+        # the name lands in parameters.json and summary.json as given, never
+        # as the str() of another JSON value
+        raw_config["name"] = value
+        path = write_config(tmp_path, raw_config)
+        out = tmp_path / "out"
+        assert main(["select-params", "--config", str(path), "--out", str(out)]) == 3
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert lines == [f"configuration error: name must be a string, got {value!r}"]
         assert not out.exists()
 
     @pytest.mark.parametrize("value", [5, {"axis": 0}], ids=["number", "object"])
@@ -800,7 +815,8 @@ class TestNoChildLeft:
 
 # a certificate is built on Python floats: importing safefl, building the
 # bundled certificates, reporting them and the select-params command load no
-# numpy module
+# numpy module; the records are written out, so neither dataclasses nor
+# inspect is loaded to generate them
 _CERTIFICATE_PATH = """
 import sys
 from safefl import cli, scenario
@@ -808,6 +824,7 @@ bundle = scenario.build_bundle(scenario.load_config(scenario.default_config_path
 scenario.parameter_report(bundle)
 assert cli.main(["select-params", "--out", sys.argv[1]]) == 0
 print(sorted(name for name in sys.modules if name.split(".")[0] == "numpy"))
+print(sorted({"dataclasses", "inspect"} & set(sys.modules)))
 """
 
 # a sweep's forked children find numpy loaded: a finder first on
@@ -849,7 +866,7 @@ def _fresh_python(code: str, *args: str) -> str:
 class TestNumpyImports:
     def test_certificate_path_imports_no_numpy(self, tmp_path):
         stdout = _fresh_python(_CERTIFICATE_PATH, str(tmp_path / "out"))
-        assert stdout.splitlines()[-1] == "[]"
+        assert stdout.splitlines()[-2:] == ["[]", "[]"]
         assert (tmp_path / "out" / "parameters.json").exists()
 
     def test_forked_children_import_no_numpy(self, tmp_path):

@@ -1,6 +1,5 @@
 import math
 import sys
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,7 +27,7 @@ from safefl.manipulator import (
 )
 from safefl.scenario import parameter_report, run_case
 from safefl.sim import SimConfig, simulate_closed_loop
-from tests.conftest import BOX_SUB1
+from tests.conftest import BOX_SUB1, replace
 
 PARAMS = ManipulatorParams(m1=0.8, m2=0.8, L1=1.0, L2=1.0, gravity=9.81)
 

@@ -1,6 +1,5 @@
 import json
 import random
-from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -19,7 +18,7 @@ from safefl.scenario import (
     run_case,
     verify_bundle,
 )
-from tests.conftest import p_matrix
+from tests.conftest import astuple, p_matrix
 
 
 @pytest.fixture()

@@ -1,16 +1,23 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
 from reference import arm_model, joint_accel_reference, rk4_step
+from safefl.clbf import HalfPlaneUnsafe
 from safefl.cli import safety_monitor
 from safefl.errors import NearSingular, NonFiniteState
 from safefl.manipulator import ArmStage, ManipulatorPlant
-from safefl.scenario import run_case
+from safefl.scenario import (
+    build_bundle,
+    default_config_path,
+    load_config,
+    run_case,
+    verify_bundle,
+)
 from safefl.sim import SimConfig, Trajectory, simulate_closed_loop
+from tests.conftest import replace
 
 
 def _out_of_reach_controller(bundle):
@@ -312,6 +319,24 @@ class TestFusedArmStage:
             assert aborted[0] == error
 
 
+def _records(bundle):
+    """(value records, identity records): every record the bundled
+    configuration builds, with a run's SimConfig and Trajectory and one
+    verification report with its conditions."""
+    config, sub = bundle.config, bundle.subsystems[0]
+    cert = sub.certificate
+    (_, report), _ = verify_bundle(bundle, grid_resolution=50)
+    value = [
+        config.manipulator, *config.constraints, *bundle.subsystems, sub.clf, sub.region,
+        HalfPlaneUnsafe(cert.shape.d), cert, cert.shape, cert.bounds, report, *report.conditions(),
+    ]
+    identity = [
+        config, bundle, bundle.controller(1.5), SimConfig(dt=1e-3, horizon=0.01, x0=bundle.x0),
+        run_case(bundle, 1.5, horizon=0.01),
+    ]
+    return value, identity
+
+
 class TestValueEquality:
     def test_pickled_copies_compare_to_a_bool(self, default_bundle):
         import pickle
@@ -321,6 +346,35 @@ class TestValueEquality:
             copy = pickle.loads(pickle.dumps(obj))
             assert (obj == copy) is False
             assert (obj == obj) is True
+
+    def test_records_are_immutable_but_a_trajectory(self, default_bundle):
+        value, identity = _records(default_bundle)
+        *frozen, traj = identity
+        for record in value + frozen:
+            name = record.__slots__[0]
+            with pytest.raises(AttributeError):
+                setattr(record, name, getattr(record, name))
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+        traj.meta = {"k_safe": 0.0}
+        assert traj.meta == {"k_safe": 0.0}
+
+    def test_pickle_round_trip(self, default_bundle):
+        import pickle
+
+        value, identity = _records(default_bundle)
+        for record in value + identity:
+            copy = pickle.loads(pickle.dumps(record))
+            assert type(copy) is type(record) and repr(copy) == repr(record)
+            # a value record's copy is equal; an identity record's is not
+            assert (copy == record) is (record in value)
+            assert (copy == copy) is True
+
+    def test_equal_value_records_hash_alike(self, default_bundle):
+        value, _ = _records(default_bundle)
+        again, _ = _records(build_bundle(load_config(default_config_path())))
+        for a, b in zip(value, again):
+            assert a is not b and a == b and hash(a) == hash(b)
 
 
 class TestSafetyMonitor:

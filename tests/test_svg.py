@@ -1,4 +1,3 @@
-import dataclasses
 import re
 from types import SimpleNamespace
 
@@ -18,6 +17,7 @@ from safefl.svg import (
     render_input_norms,
     render_trajectories,
 )
+from tests.conftest import replace
 
 # a frame off the origin, as the position figure's, and one at it, as the
 # time axis of the force-norm figure
@@ -115,7 +115,7 @@ def test_keep_out_bands_cover_the_bound_side_of_the_region(tmp_path, default_con
     constraints = tuple(
         ConstraintSpec(axis, side, bounds[axis]) for axis, side in enumerate((side0, side1)) if side
     )
-    config = dataclasses.replace(default_config, constraints=constraints)
+    config = replace(default_config, constraints=constraints)
     render_trajectories([], SimpleNamespace(config=config), tmp_path / "bands.svg")
     drawn = (tmp_path / "bands.svg").read_text(encoding="utf-8")
     rects = re.findall(

@@ -2,7 +2,6 @@ import json
 import math
 import random
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -28,7 +27,7 @@ from safefl.clbf import (
 from safefl.cli import main
 from safefl.errors import ConfigError, MarginInfeasible
 from safefl.scenario import RunConfig, build_bundle, default_config_path, verify_bundle
-from tests.conftest import BOX_SUB1, BOX_SUB2, p_matrix
+from tests.conftest import BOX_SUB1, BOX_SUB2, p_matrix, replace
 
 UNSAFE1 = HalfPlaneUnsafe(-1.0)
 CONDITION_NAMES = [
