@@ -200,6 +200,14 @@ def _pair(value, what: str) -> tuple[float, float]:
     return _number(first, what), _number(second, what)
 
 
+def _choice(value, allowed: tuple[str, ...], what: str) -> str:
+    """One of the allowed strings; anything else is a configuration error
+    that quotes the JSON value as given."""
+    if value not in allowed:
+        raise ConfigError(f"{what} must be {' or '.join(map(repr, allowed))}, got {value!r}")
+    return value
+
+
 def run_label(k_safe: float) -> str:
     """Name of the outputs of the run at safety gain k_safe."""
     return "baseline" if k_safe == 0.0 else f"ksafe_{k_safe:g}"
@@ -244,9 +252,7 @@ def _parse_config(cls, raw: dict) -> "RunConfig":
     initial = _object(raw["initial"], "initial")
     p0 = _pair(initial["position"], "initial position")
     v0 = _pair(initial["velocity"], "initial velocity")
-    elbow = str(initial.get("elbow", "up"))
-    if elbow not in ("up", "down"):
-        raise ConfigError(f"elbow must be 'up' or 'down', got {elbow!r}")
+    elbow = _choice(initial.get("elbow", "up"), ("up", "down"), "elbow")
 
     region = _object(raw["region"], "region")
     p1_lo, p1_hi = _pair(region["p1"], "region p1")
@@ -262,12 +268,10 @@ def _parse_config(cls, raw: dict) -> "RunConfig":
     for entry in raw["constraints"]:
         entry = _object(entry, "constraint")
         axis = _number(entry["axis"], "constraint axis")
-        side = str(entry["side"])
         if axis not in (0, 1):
             raise ConfigError(f"constraint axis must be 0 or 1, got {axis}")
         axis = int(axis)
-        if side not in ("min", "max"):
-            raise ConfigError(f"constraint side must be 'min' or 'max', got {side!r}")
+        side = _choice(entry["side"], ("min", "max"), "constraint side")
         if axis in seen_axes:
             raise ConfigError(f"duplicate constraint on axis {axis}")
         seen_axes.add(axis)
@@ -287,9 +291,7 @@ def _parse_config(cls, raw: dict) -> "RunConfig":
     q_mat = tuple(_pair(row, "lyapunov_q row") for row in q_rows)
 
     section = _object(raw["clbf"], "clbf")
-    mode = str(section.get("mode", "auto"))
-    if mode not in ("auto", "explicit"):
-        raise ConfigError(f"clbf mode must be 'auto' or 'explicit', got {mode!r}")
+    mode = _choice(section.get("mode", "auto"), ("auto", "explicit"), "clbf mode")
     v2 = section.get("v2")
     if v2 is None:
         v2 = [None] * len(constraints)

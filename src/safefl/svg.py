@@ -1,9 +1,11 @@
 """Hand-rolled static SVG figures (polylines and rectangles, no dependencies).
 
 The figures plot each run's RunSeries, the thinned series that run_series
-keeps of it, not the run's trajectory. Every point is mapped and formatted
-on its own in Python floats, so a series may be any sequence of numbers,
-arrays included, and the module needs only the standard library.
+keeps of it, not the run's trajectory. run_series takes the run's
+full-length numpy arrays, which it indexes with a list of positions, so a
+plain list is refused there. The renderers map and format every point on
+its own in Python floats, so a RunSeries may hold any sequences of numbers,
+and the module imports only the standard library.
 """
 
 from __future__ import annotations
@@ -122,7 +124,7 @@ class RunSeries(NamedTuple):
 
 
 def run_series(k_safe: float, t, pos, phi_norm, force_safe_norm) -> RunSeries:
-    """The RunSeries of a run with records, from its full-length columns."""
+    """The RunSeries of a run with records, from its full-length numpy arrays."""
     idx = _thin(len(t))
     cap = max(_finite_cap(phi_norm), _finite_cap(force_safe_norm))
     return RunSeries(k_safe, t[idx], pos[idx], phi_norm[idx], force_safe_norm[idx], cap)

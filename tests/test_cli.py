@@ -2,6 +2,7 @@ import json
 import math
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 import time
@@ -28,6 +29,9 @@ def write_config(tmp_path, raw, name="config.json"):
     return path
 
 
+VERIFY_GOLDEN = Path(__file__).parent / "data" / "verify_golden.json"
+
+
 def fast(raw):
     """Trim the run so CLI tests stay quick."""
     raw["simulation"]["horizon"] = 0.05
@@ -36,21 +40,27 @@ def fast(raw):
 
 
 class TestSelectParams:
+    @pytest.mark.filterwarnings("error")
     def test_default_config(self, tmp_path, capsys):
+        # the bundled design is chosen with no warning and nothing on stderr
         out = tmp_path / "out"
         assert main(["select-params", "--out", str(out)]) == 0
         report = json.loads((out / "parameters.json").read_text())
         assert report["initial_member"] is True
-        text = capsys.readouterr().out
-        assert "axis 0" in text and "theta" in text
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert "axis 0" in captured.out and "theta" in captured.out
         # the sigmoid endpoints are read from each certificate's design record
         from safefl.scenario import build_bundle, default_config_path, load_config
 
         bundle = build_bundle(load_config(default_config_path()))
+        assert [entry["constrained"] for entry in report["subsystems"]] == [True, True]
         for entry, sub in zip(report["subsystems"], bundle.subsystems):
             cert = sub.certificate
             sigmas = cert.bounds.sigma_endpoints(cert.shape.l, cert.shape.delta)
             assert (entry["sigma1"], entry["sigma2"]) == sigmas
+            assert math.isfinite(sigmas[0]) and math.isfinite(sigmas[1])
+            assert sigmas[0] < 1.0 and sigmas[1] > 0.0
 
     def test_single_constraint_takes_its_own_level(self, tmp_path, raw_config):
         # with axis 1 constrained alone, clbf.v2's one entry is its level
@@ -79,13 +89,19 @@ class TestSelectParams:
 
 
 class TestVerify:
-    def test_default_config_passes(self, tmp_path, raw_config):
+    @pytest.mark.filterwarnings("error")
+    def test_default_config_passes(self, tmp_path, raw_config, capsys):
+        # verified with no warning and nothing on stderr; each axis's entry is
+        # the golden record's, so all five verdicts appear, in order
         path = write_config(tmp_path, raw_config)
         out = tmp_path / "out"
         code = main(["verify", "--config", str(path), "--out", str(out)])
         assert code == 0
+        assert capsys.readouterr().err == ""
         report = json.loads((out / "verification_report.json").read_text())
         assert all(sub["passed"] for sub in report["subsystems"])
+        recorded = json.loads(VERIFY_GOLDEN.read_text(encoding="utf-8"))["bundled"]
+        assert json.dumps(report["subsystems"]) == json.dumps(recorded)
 
     def test_zero_scaling_fails_with_witness(self, tmp_path, raw_config, capsys):
         raw_config["clbf"] = {
@@ -457,6 +473,12 @@ class TestErrorExitCodes:
             ("select-params", _axis1_only_levels([None, 5.0]), [], 3),
             ("select-params", _set("name", {"a": 1}), [], 3),
             ("simulate", _set("name", 5), [], 3),
+            ("simulate", _set("initial", "elbow", None), [], 3),
+            ("simulate", _set("initial", "elbow", 1), [], 3),
+            ("simulate", lambda raw: raw["constraints"][0].update(side=None), [], 3),
+            ("simulate", lambda raw: raw["constraints"][0].update(side=0), [], 3),
+            ("verify", _set("clbf", "mode", None), [], 3),
+            ("verify", _set("clbf", "mode", 1), [], 3),
         ],
         ids=[
             "delta_margin",
@@ -509,6 +531,12 @@ class TestErrorExitCodes:
             "one_constraint_two_levels",
             "name_object",
             "name_number",
+            "elbow_null",
+            "elbow_number",
+            "side_null",
+            "side_number",
+            "mode_null",
+            "mode_number",
         ],
     )
     def test_exit_code_and_one_line_message(
@@ -571,6 +599,35 @@ class TestErrorExitCodes:
         lines = capsys.readouterr().err.strip().splitlines()
         assert lines == [f"configuration error: name must be a string, got {value!r}"]
         assert not out.exists()
+
+    @pytest.mark.parametrize("value", [None, 1], ids=["null", "number"])
+    @pytest.mark.parametrize(
+        "path, message",
+        [
+            (("initial", "elbow"), "elbow must be 'up' or 'down'"),
+            (("constraints", 0, "side"), "constraint side must be 'min' or 'max'"),
+            (("clbf", "mode"), "clbf mode must be 'auto' or 'explicit'"),
+        ],
+        ids=["elbow", "side", "mode"],
+    )
+    def test_enumerated_key_quotes_its_value(self, tmp_path, raw_config, capsys, path, message, value):
+        # the value is quoted as the JSON gives it, never as the str() of it
+        _set(*path, value)(raw_config)
+        config = write_config(tmp_path, raw_config)
+        out = tmp_path / "out"
+        assert main(["select-params", "--config", str(config), "--out", str(out)]) == 3
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert lines == [f"configuration error: {message}, got {value!r}"]
+        assert not out.exists()
+
+    def test_empty_margin_set_is_named(self, tmp_path, raw_config, capsys):
+        # auto's design on a wide region is refused, and the message says
+        # which set is empty
+        _wide_p1(raw_config)
+        path = write_config(tmp_path, raw_config)
+        assert main(["select-params", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        [line] = capsys.readouterr().err.strip().splitlines()
+        assert line.startswith("infeasible: MarginInfeasible: the margin set ")
 
     @pytest.mark.parametrize("value", [5, {"axis": 0}], ids=["number", "object"])
     def test_constraints_must_be_an_array(self, tmp_path, raw_config, capsys, value):
@@ -811,7 +868,7 @@ class TestNoChildLeft:
 
 
 # ---------------------------------------------------------------------------
-# numpy imports, each in a fresh interpreter
+# each in a fresh interpreter
 
 # a certificate is built on Python floats: importing safefl, building the
 # bundled certificates, reporting them and the select-params command load no
@@ -848,16 +905,32 @@ assert cli.main(["reproduce-paper", "--horizon", "0.05", "--out", out]) == 0
 print(os.getpid())
 """
 
+# the parent's peak memory, in kB, after a reproduce-paper sweep at the
+# horizon argv[1]; read as VmHWM, since ru_maxrss keeps the peak of the
+# process that forked the interpreter, here pytest's
+_PEAK_RSS = """
+import contextlib, io, sys
+from safefl.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["reproduce-paper", "--horizon", sys.argv[1], "--out", sys.argv[2]]) == 0
+with open("/proc/self/status", encoding="ascii") as fh:
+    print(next(line.split()[1] for line in fh if line.startswith("VmHWM:")))
+"""
 
-def _fresh_python(code: str, *args: str) -> str:
-    """The stdout of code run in a new interpreter, with this safefl first
-    on its path."""
+_STRICT = ("-X", "dev", "-W", "error")
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _fresh_python(code: str, *args: str, flags: tuple[str, ...] = ()) -> str:
+    """The stdout of code run in a new interpreter started with flags, with
+    this safefl first on its path."""
     import safefl
 
     src = str(Path(safefl.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     done = subprocess.run(
-        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, *flags, "-c", code, *args], env=env, capture_output=True, text=True, timeout=120
     )
     assert done.returncode == 0, done.stderr
     return done.stdout
@@ -865,7 +938,7 @@ def _fresh_python(code: str, *args: str) -> str:
 
 class TestNumpyImports:
     def test_certificate_path_imports_no_numpy(self, tmp_path):
-        stdout = _fresh_python(_CERTIFICATE_PATH, str(tmp_path / "out"))
+        stdout = _fresh_python(_CERTIFICATE_PATH, str(tmp_path / "out"), flags=_STRICT)
         assert stdout.splitlines()[-2:] == ["[]", "[]"]
         assert (tmp_path / "out" / "parameters.json").exists()
 
@@ -875,6 +948,37 @@ class TestNumpyImports:
         importers = {int(line.split()[0]) for line in log.read_text().splitlines()}
         assert importers == {parent}
         assert len(list((tmp_path / "out").glob("*.csv"))) == 4
+
+
+class TestParentMemory:
+    def test_peak_rss_does_not_grow_with_the_horizon(self, tmp_path):
+        # the children send summaries, not trajectories: holding the four
+        # 20 000-record runs of a 20 s sweep would add about 12 MB
+        short, long = (
+            int(_fresh_python(_PEAK_RSS, horizon, str(tmp_path / horizon)).split()[-1])
+            for horizon in ("0.5", "20")
+        )
+        assert long <= short + 5 * 1024, (short, long)
+
+
+class TestPublicApi:
+    def test_every_exported_name_resolves(self):
+        # in a fresh interpreter, so no submodule another test imported
+        # stands in for a name the package no longer binds
+        code = "import safefl; print([n for n in safefl.__all__ if not hasattr(safefl, n)])"
+        assert _fresh_python(code, flags=_STRICT) == "[]\n"
+
+    def test_module_runs_as_a_command(self, tmp_path):
+        # as python -m safefl.cli, the path the console script also calls
+        code = "import runpy; runpy.run_module('safefl.cli', run_name='__main__')"
+        _fresh_python(code, "verify", "--out", str(tmp_path / "out"), flags=_STRICT)
+        assert (tmp_path / "out" / "verification_report.json").exists()
+
+    def test_readme_library_sketch_runs(self):
+        # the documented API cannot drift from the code
+        section = README.read_text(encoding="utf-8").split("## Library sketch", 1)[1]
+        sketch = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+        _fresh_python(sketch, flags=_STRICT)
 
 
 # ---------------------------------------------------------------------------
