@@ -28,7 +28,7 @@ from typing import Optional
 
 from .errors import InvalidUnsafeSet, LevelTooSmall, MarginInfeasible
 from .numerics import as_mat2, is_pd_2x2, is_symmetric
-from .records import Value, set_field
+from .records import Value
 
 _EXP_CLAMP = 700.0  # IEEE double overflow guard; clamping error < 1e-300
 _ONE_BELOW = math.nextafter(1.0, 0.0)
@@ -52,10 +52,7 @@ class RegionBox(Value):
         x1_min, x1_max, x2_min, x2_max = float(x1_min), float(x1_max), float(x2_min), float(x2_max)
         if not (x1_min < 0.0 < x1_max and x2_min < 0.0 < x2_max):
             raise ValueError("region must contain the origin in its interior")
-        set_field(self, "x1_min", x1_min)
-        set_field(self, "x1_max", x1_max)
-        set_field(self, "x2_min", x2_min)
-        set_field(self, "x2_max", x2_max)
+        super().__init__(x1_min, x1_max, x2_min, x2_max)
 
     @property
     def diameter(self) -> float:
@@ -71,7 +68,7 @@ class HalfPlaneUnsafe(Value):
         d = float(d)
         if not (math.isfinite(d) and d < 0.0):
             raise InvalidUnsafeSet(f"unsafe threshold must be negative, got {d}")
-        set_field(self, "d", d)
+        super().__init__(d)
 
 
 class SigmoidShape(Value):
@@ -85,9 +82,7 @@ class SigmoidShape(Value):
             raise ValueError("sigmoid slope l must be positive")
         if not (delta > 0.0 and math.isfinite(delta)):
             raise ValueError("safety margin delta must be positive")
-        set_field(self, "l", l)
-        set_field(self, "d", d)
-        set_field(self, "delta", delta)
+        super().__init__(l, d, delta)
 
     @property
     def center(self) -> float:
@@ -125,9 +120,7 @@ class QuadraticCLF(Value):
             raise ValueError("matrix entries must be finite")
         if not is_pd_2x2(p11, p12, p22):
             raise ValueError("P must be symmetric positive definite")
-        set_field(self, "p11", p11)
-        set_field(self, "p12", p12)
-        set_field(self, "p22", p22)
+        super().__init__(p11, p12, p22)
 
     @classmethod
     def from_matrix(cls, P) -> "QuadraticCLF":
@@ -156,29 +149,23 @@ def v1_min_on_unsafe(clf: QuadraticCLF, unsafe: HalfPlaneUnsafe) -> float:
 
 
 class WeakCLBF(Value):
-    """Scaled-and-shifted certificate W(x) = (1 + theta*sigma(x1)) V(x) - k.
+    """Scaled-and-shifted certificate W(x) = (1 + theta*sigma(x1)) V(x) - k,
+    of a QuadraticCLF clf, a SigmoidShape shape, float theta and k, and
+    ParameterBounds bounds.
 
     bounds is the certificate's one design record: the levels v1 and v2 and
     gamma its parameters were chosen against. The sigmoid endpoints sigma1
     and sigma2 follow from it and the shape, as
     bounds.sigma_endpoints(shape.l, shape.delta).
 
-    Instances produced by select_parameters / assemble_weak_clbf satisfy the
-    slope, margin, scaling and offset bounds; direct construction performs no
-    cross-parameter validation so that deliberately broken certificates can be
-    fed to the verifier.
+    Instances produced by select_parameters, and by assemble_weak_clbf with
+    enforce_bounds=True, satisfy the slope, margin, scaling and offset
+    bounds; with enforce_bounds=False only the offset is the design's.
+    Direct construction performs no cross-parameter validation so that
+    deliberately broken certificates can be fed to the verifier.
     """
 
     __slots__ = ("clf", "shape", "theta", "k", "bounds")
-
-    def __init__(
-        self, clf: QuadraticCLF, shape: SigmoidShape, theta: float, k: float, bounds: ParameterBounds
-    ):
-        set_field(self, "clf", clf)
-        set_field(self, "shape", shape)
-        set_field(self, "theta", theta)
-        set_field(self, "k", k)
-        set_field(self, "bounds", bounds)
 
     def value_and_grad(self, x1, x2):
         """(W, dW/dx1, dW/dx2) at floats or at arrays of one shape, sharing
@@ -263,14 +250,10 @@ def axis_law(axis: tuple, p: float, v: float, diagnostics: bool):
 
 
 class ParameterBounds(Value):
-    """Feasible-parameter bounds for a given (P, X, d, v2) problem."""
+    """Feasible-parameter bounds for a given (P, X, d, v2) problem: the
+    floats gamma, v1 and v2."""
 
     __slots__ = ("gamma", "v1", "v2")
-
-    def __init__(self, gamma: float, v1: float, v2: float):
-        set_field(self, "gamma", gamma)
-        set_field(self, "v1", v1)
-        set_field(self, "v2", v2)
 
     @property
     def l_max(self) -> float:
@@ -441,25 +424,12 @@ _AT_ORIGIN = "min W = W(0) = -k, since W >= -k"
 
 
 class ConditionResult(Value):
-    """One condition: its verdict ("pass", "fail", or "undecided", which is
-    never a pass), the certified bound it rests on (margin), the point where
-    that bound is attained or violated (witness) and the inequality used."""
+    """One condition: its name, its verdict ("pass", "fail", or "undecided",
+    which is never a pass), the certified bound it rests on (margin, a
+    float), the point where that bound is attained or violated (witness, an
+    (x1, x2) tuple of floats or None) and the inequality used, a string."""
 
     __slots__ = ("name", "verdict", "margin", "witness", "inequality")
-
-    def __init__(
-        self,
-        name: str,
-        verdict: str,
-        margin: float,
-        witness: Optional[tuple[float, float]],
-        inequality: str,
-    ):
-        set_field(self, "name", name)
-        set_field(self, "verdict", verdict)
-        set_field(self, "margin", margin)
-        set_field(self, "witness", witness)
-        set_field(self, "inequality", inequality)
 
     @property
     def passed(self) -> bool:
@@ -479,32 +449,15 @@ class ConditionResult(Value):
 
 
 class VerificationReport(Value):
-    """The five verdicts on one certificate, each decided by its proof, with
-    the sample count of the two counterexample searches that ran after the
-    proofs and could only refute, and the excluded origin ball's radius."""
+    """The five verdicts on one certificate, each a ConditionResult decided
+    by its proof, with the sample count of the two counterexample searches
+    that ran after the proofs and could only refute (grid_resolution, an
+    int), and the excluded origin ball's radius (eps_origin, a float)."""
 
     __slots__ = (
         "positive_on_unsafe", "line_decrease", "admissible_nonempty", "stationary_unique",
         "c_omega", "grid_resolution", "eps_origin",
     )
-
-    def __init__(
-        self,
-        positive_on_unsafe: ConditionResult,
-        line_decrease: ConditionResult,
-        admissible_nonempty: ConditionResult,
-        stationary_unique: ConditionResult,
-        c_omega: ConditionResult,
-        grid_resolution: int,
-        eps_origin: float,
-    ):
-        set_field(self, "positive_on_unsafe", positive_on_unsafe)
-        set_field(self, "line_decrease", line_decrease)
-        set_field(self, "admissible_nonempty", admissible_nonempty)
-        set_field(self, "stationary_unique", stationary_unique)
-        set_field(self, "c_omega", c_omega)
-        set_field(self, "grid_resolution", grid_resolution)
-        set_field(self, "eps_origin", eps_origin)
 
     @property
     def passed(self) -> bool:

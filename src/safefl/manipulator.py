@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 
 from .clbf import WeakCLBF, axis_law, axis_terms
 from .errors import NearSingular, NonFiniteState
-from .records import Record, Value, set_field
+from .records import Record, Value
 
 
 class ManipulatorParams(Value):
@@ -40,11 +40,7 @@ class ManipulatorParams(Value):
     def __init__(self, m1: float, m2: float, L1: float, L2: float, gravity: float = 9.81):
         if not (all(0.0 < v < math.inf for v in (m1, m2, L1, L2)) and math.isfinite(gravity)):
             raise ValueError("masses and lengths must be positive and finite, gravity finite")
-        set_field(self, "m1", m1)
-        set_field(self, "m2", m2)
-        set_field(self, "L1", L1)
-        set_field(self, "L2", L2)
-        set_field(self, "gravity", gravity)
+        super().__init__(m1, m2, L1, L2, gravity)
         if not (all(map(math.isfinite, _model(self))) and self.singularity_threshold > 0.0):
             raise ValueError(
                 "the arm degenerates in floats: its model constants must be finite "
@@ -188,13 +184,7 @@ class SafeTaskController(Record):
             raise ValueError("kp and kd must be positive")
         if min(k_safe) < 0.0:
             raise ValueError("k_safe must be non-negative")
-        set_field(self, "params", params)
-        set_field(self, "goal", goal)
-        set_field(self, "signs", signs)
-        set_field(self, "kp", kp)
-        set_field(self, "kd", kd)
-        set_field(self, "k_safe", k_safe)
-        set_field(self, "certificates", certificates)
+        super().__init__(params, goal, signs, kp, kd, k_safe, certificates)
 
     def __call__(self, t: float, x) -> dict:
         """The recorded row at (t, x) as {name: array}, keyed by ArmStage.layout."""

@@ -1,24 +1,60 @@
 """The base of the package's plain records.
 
-A record names its fields, in constructor order, in __slots__, and its own
-__init__ checks its arguments and stores them with set_field. Record gives
-a repr, pickling through the constructor (so a copy passes the same checks)
-and immutability: assigning or deleting an attribute raises AttributeError.
-A Record compares by identity; a Value compares and hashes by its fields,
-equal only to a record of its own class.
+A record names its fields, in constructor order, in __slots__, its one
+field list. Record's constructor binds positional and keyword arguments to
+those fields in order and stores them; a wrong call raises the TypeError
+that an explicit signature would, naming the class and the field. A record
+that checks or converts its arguments has its own __init__, which passes
+the checked values on to Record's. Record gives a repr, pickling through
+the constructor (so a copy passes the same checks) and immutability:
+assigning or deleting an attribute raises AttributeError. A Record compares
+by identity; a Value compares and hashes by its fields, equal only to a
+record of its own class.
 
-Each record's methods are written out rather than generated when its
-module is imported, so importing the package generates no code.
+Nothing is generated when a module is imported: the constructor reads
+__slots__ at each call.
 """
 
 # Stores one field of a record under construction, past Record.__setattr__.
 set_field = object.__setattr__
 
 
+def _bind(cls, fields: tuple, values: tuple, named: dict) -> tuple:
+    """values followed by the named fields after them, in field order, or
+    the TypeError that a signature of the fields would raise."""
+    if len(values) + len(named) == len(fields):
+        try:
+            return values + tuple([named[name] for name in fields[len(values):]])
+        except KeyError:
+            pass
+    # the first check that fails, in the order Python checks a signature
+    where = cls.__qualname__
+    if len(values) > len(fields):
+        raise TypeError(
+            f"{where}() takes {len(fields)} fields ({', '.join(fields)}) "
+            f"but {len(values)} were given"
+        )
+    for name in named:
+        if name not in fields:
+            raise TypeError(f"{where}() got an unexpected field {name!r}")
+        if fields.index(name) < len(values):
+            raise TypeError(f"{where}() got multiple values for field {name!r}")
+    # no field is extra, and the count is not the fields', so one is missing
+    missing = next(name for name in fields[len(values):] if name not in named)
+    raise TypeError(f"{where}() missing field {missing!r}")
+
+
 class Record:
     """An immutable record compared by identity."""
 
     __slots__ = ()
+
+    def __init__(self, *values, **named):
+        fields = self.__slots__
+        if named or len(values) != len(fields):
+            values = _bind(type(self), fields, values, named)
+        for name, value in zip(fields, values):
+            set_field(self, name, value)
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__slots__])

@@ -5,13 +5,13 @@ constraints, loop gains and certificate parameters. Assembly normalizes each
 constraint onto a canonical left half plane (recording the axis sign flip),
 solves the per-axis Lyapunov equations, builds each certificate and exposes
 the controller factory for simulation. clbf.mode "auto" builds it by
-clbf.select_parameters, the one automatic choice; "explicit" builds it from
-the configured l, delta and theta, with the offset k that the design fixes.
-clbf.v2 and clbf.params hold one entry per constraint, in axis order, and
-assembly pairs each constraint with its own level and parameters. Each
-certificate is its own design record: its shape holds d, and its
-ParameterBounds the v1, v2 and gamma its parameters were chosen against;
-verify_bundle and parameter_report read them from it.
+clbf.select_parameters, the one automatic choice, and takes no clbf.params;
+"explicit" builds it from the configured l, delta and theta, with the
+offset k that the design fixes. clbf.v2 and clbf.params hold one entry per
+constraint, in axis order, and assembly pairs each constraint with its own
+level and parameters. Each certificate is its own design record: its shape
+holds d, and its ParameterBounds the v1, v2 and gamma its parameters were
+chosen against; verify_bundle and parameter_report read them from it.
 
 Every object in a configuration takes only its documented keys: any other
 key, a misspelled one included, is a ConfigError that names it. So is a
@@ -43,33 +43,30 @@ from .manipulator import (
     inverse_kinematics,
     jacobian,
 )
-from .numerics import Mat2, solve_linear, solve_lyapunov_2x2
-from .records import Record, Value, set_field
+from .numerics import solve_linear, solve_lyapunov_2x2
+from .records import Record, Value
 from .sim import SimConfig, Trajectory, check_timing, simulate_closed_loop
 
 SCHEMA_VERSION = 1
 
 _DEFAULT_Q = [[1.0, -0.9], [-0.9, 1.0]]
 
-Pair = tuple[float, float]
-
 
 class ConstraintSpec(Value):
-    """Keep-out bound on one task axis: side 'max' keeps p_axis below bound,
-    side 'min' keeps it above."""
+    """Keep-out bound on one task axis (an int): side 'max' keeps p_axis
+    below the float bound, side 'min' keeps it above."""
 
     __slots__ = ("axis", "side", "bound")
 
-    def __init__(self, axis: int, side: str, bound: float):
-        set_field(self, "axis", axis)
-        set_field(self, "side", side)
-        set_field(self, "bound", bound)
-
 
 class RunConfig(Record):
-    """A parsed configuration; every number in it is a float, every vector
-    and matrix a tuple of them. v2 (levels or None) and explicit_params
-    have one entry per constraint, in the axis order of constraints."""
+    """A parsed configuration; every number in it but the int record_stride
+    is a float, every vector and matrix a tuple of them. manipulator is a
+    ManipulatorParams, constraints a tuple of ConstraintSpec, and name,
+    elbow and clbf_mode strings. v2 (levels or None) and explicit_params
+    (None in auto mode, else dicts of l, delta and theta) have one entry per
+    constraint, in the axis order of constraints; reference_initial_w is a
+    pair or None."""
 
     __slots__ = (
         "name", "manipulator", "goal", "initial_position", "initial_velocity", "elbow",
@@ -77,52 +74,6 @@ class RunConfig(Record):
         "clbf_mode", "v2", "explicit_params", "dt", "horizon", "record_stride", "k_safe_sweep",
         "reference_initial_w",
     )
-
-    def __init__(
-        self,
-        name: str,
-        manipulator: ManipulatorParams,
-        goal: Pair,
-        initial_position: Pair,
-        initial_velocity: Pair,
-        elbow: str,
-        region_p1: Pair,
-        region_p2: Pair,
-        speed_limit: float,
-        constraints: tuple[ConstraintSpec, ...],
-        kp: Pair,
-        kd: Pair,
-        lyapunov_q: Mat2,
-        clbf_mode: str,
-        v2: tuple[Optional[float], ...],
-        explicit_params: Optional[tuple[dict, ...]],
-        dt: float,
-        horizon: float,
-        record_stride: int,
-        k_safe_sweep: tuple[float, ...],
-        reference_initial_w: Optional[tuple[float, float]],
-    ):
-        set_field(self, "name", name)
-        set_field(self, "manipulator", manipulator)
-        set_field(self, "goal", goal)
-        set_field(self, "initial_position", initial_position)
-        set_field(self, "initial_velocity", initial_velocity)
-        set_field(self, "elbow", elbow)
-        set_field(self, "region_p1", region_p1)
-        set_field(self, "region_p2", region_p2)
-        set_field(self, "speed_limit", speed_limit)
-        set_field(self, "constraints", constraints)
-        set_field(self, "kp", kp)
-        set_field(self, "kd", kd)
-        set_field(self, "lyapunov_q", lyapunov_q)
-        set_field(self, "clbf_mode", clbf_mode)
-        set_field(self, "v2", v2)
-        set_field(self, "explicit_params", explicit_params)
-        set_field(self, "dt", dt)
-        set_field(self, "horizon", horizon)
-        set_field(self, "record_stride", record_stride)
-        set_field(self, "k_safe_sweep", k_safe_sweep)
-        set_field(self, "reference_initial_w", reference_initial_w)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
@@ -299,6 +250,8 @@ def _parse_config(cls, raw: dict) -> "RunConfig":
         raise ConfigError("clbf v2 must be null or an array of one entry per constraint")
     v2 = tuple(None if v is None else _number(v, "clbf v2") for v in v2)
     explicit_params = None
+    if mode == "auto" and "params" in section:
+        raise ConfigError("clbf params: auto mode chooses l, delta and theta; params needs mode 'explicit'")
     if mode == "explicit":
         entries = section.get("params")
         if not isinstance(entries, list) or len(entries) != len(constraints):
@@ -370,29 +323,11 @@ def default_config_path() -> Path:
 
 
 class SubsystemSetup(Value):
-    """One task axis of the decoupled loop, with its certificate if constrained."""
+    """One task axis of the decoupled loop: its int axis, float sign, kp and
+    kd, QuadraticCLF clf, RegionBox region, WeakCLBF certificate (None if
+    the axis is unconstrained) and initial error state xbar0, a float pair."""
 
     __slots__ = ("axis", "sign", "kp", "kd", "clf", "region", "certificate", "xbar0")
-
-    def __init__(
-        self,
-        axis: int,
-        sign: float,
-        kp: float,
-        kd: float,
-        clf: QuadraticCLF,
-        region: RegionBox,
-        certificate: Optional[WeakCLBF],
-        xbar0: tuple[float, float],
-    ):
-        set_field(self, "axis", axis)
-        set_field(self, "sign", sign)
-        set_field(self, "kp", kp)
-        set_field(self, "kd", kd)
-        set_field(self, "clf", clf)
-        set_field(self, "region", region)
-        set_field(self, "certificate", certificate)
-        set_field(self, "xbar0", xbar0)
 
     @property
     def constrained(self) -> bool:
@@ -400,18 +335,11 @@ class SubsystemSetup(Value):
 
 
 class ScenarioBundle(Record):
-    """The assembled scenario: per-axis setups and the initial joint angles
-    q0 and velocities qdot0, as float tuples."""
+    """The assembled scenario: its RunConfig, a tuple of one SubsystemSetup
+    per axis, and the initial joint angles q0 and velocities qdot0, as float
+    pairs."""
 
     __slots__ = ("config", "subsystems", "q0", "qdot0")
-
-    def __init__(
-        self, config: RunConfig, subsystems: tuple[SubsystemSetup, ...], q0: Pair, qdot0: Pair
-    ):
-        set_field(self, "config", config)
-        set_field(self, "subsystems", subsystems)
-        set_field(self, "q0", q0)
-        set_field(self, "qdot0", qdot0)
 
     @property
     def params(self) -> ManipulatorParams:

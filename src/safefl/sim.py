@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING, Optional
 
 from .errors import NearSingular, NonFiniteState
 from .manipulator import ArmStage, ManipulatorParams, SafeTaskController
-from .records import Record, set_field
+from .records import Record
 
 if TYPE_CHECKING:
     import numpy as np
@@ -87,10 +87,7 @@ class SimConfig(Record):
             raise ValueError(
                 f"x0 must be the joint state (q1, q2, qd1, qd2) in finite floats, got {x0!r}"
             )
-        set_field(self, "dt", dt)
-        set_field(self, "horizon", horizon)
-        set_field(self, "x0", state)
-        set_field(self, "record_stride", record_stride)
+        super().__init__(dt, horizon, state, record_stride)
 
     @property
     def n_steps(self) -> int:
@@ -124,17 +121,10 @@ class Trajectory(Record):
         safe: np.ndarray,
         meta: Optional[dict] = None,
     ):
-        self.t = t
-        self.states = states
-        self.inputs = inputs
-        self.pos = pos
-        self.vel = vel
-        self.force = force
-        self.force_safe = force_safe
-        self.w = w
-        self.margins = margins
-        self.safe = safe
-        self.meta = {} if meta is None else meta
+        super().__init__(
+            t, states, inputs, pos, vel, force, force_safe, w, margins, safe,
+            {} if meta is None else meta,
+        )
 
     def __len__(self) -> int:
         return self.t.shape[0]

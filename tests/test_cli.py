@@ -364,6 +364,13 @@ def _drop(*path_and_key):
     return mutate
 
 
+_AUTO_PARAMS = [{"l": 1e-9, "delta": 1e-9, "theta": -5}, {"l": 1, "delta": 1, "theta": 1}]
+
+
+def _auto_params_by_default(raw):
+    raw["clbf"] = {"v2": None, "params": _AUTO_PARAMS}
+
+
 def _explicit_without_l(raw):
     _explicit()(raw)
     del raw["clbf"]["params"][0]["l"]
@@ -479,6 +486,9 @@ class TestErrorExitCodes:
             ("simulate", lambda raw: raw["constraints"][0].update(side=0), [], 3),
             ("verify", _set("clbf", "mode", None), [], 3),
             ("verify", _set("clbf", "mode", 1), [], 3),
+            ("select-params", _set("clbf", "params", _AUTO_PARAMS), [], 3),
+            ("select-params", _auto_params_by_default, [], 3),
+            ("simulate", _set("clbf", "params", None), [], 3),
         ],
         ids=[
             "delta_margin",
@@ -537,6 +547,9 @@ class TestErrorExitCodes:
             "side_number",
             "mode_null",
             "mode_number",
+            "auto_params",
+            "defaulted_auto_params",
+            "auto_params_null",
         ],
     )
     def test_exit_code_and_one_line_message(
@@ -618,6 +631,24 @@ class TestErrorExitCodes:
         assert main(["select-params", "--config", str(config), "--out", str(out)]) == 3
         lines = capsys.readouterr().err.strip().splitlines()
         assert lines == [f"configuration error: {message}, got {value!r}"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [_set("clbf", "params", _AUTO_PARAMS), _auto_params_by_default],
+        ids=["given", "defaulted"],
+    )
+    def test_auto_mode_names_params(self, tmp_path, raw_config, capsys, mutate):
+        # auto mode makes its own choice, so params would be ignored
+        mutate(raw_config)
+        path = write_config(tmp_path, raw_config)
+        out = tmp_path / "out"
+        assert main(["select-params", "--config", str(path), "--out", str(out)]) == 3
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert lines == [
+            "configuration error: clbf params: auto mode chooses l, delta and theta; "
+            "params needs mode 'explicit'"
+        ]
         assert not out.exists()
 
     def test_empty_margin_set_is_named(self, tmp_path, raw_config, capsys):
@@ -872,8 +903,8 @@ class TestNoChildLeft:
 
 # a certificate is built on Python floats: importing safefl, building the
 # bundled certificates, reporting them and the select-params command load no
-# numpy module; the records are written out, so neither dataclasses nor
-# inspect is loaded to generate them
+# numpy module; the records generate no code, so neither dataclasses nor
+# inspect is loaded
 _CERTIFICATE_PATH = """
 import sys
 from safefl import cli, scenario

@@ -17,7 +17,7 @@ from safefl.scenario import (
     verify_bundle,
 )
 from safefl.sim import SimConfig, Trajectory, simulate_closed_loop
-from tests.conftest import replace
+from tests.conftest import astuple, replace
 
 
 def _out_of_reach_controller(bundle):
@@ -375,6 +375,42 @@ class TestValueEquality:
         again, _ = _records(build_bundle(load_config(default_config_path())))
         for a, b in zip(value, again):
             assert a is not b and a == b and hash(a) == hash(b)
+
+    def test_records_rebuild_by_position_by_name_and_by_both(self, default_bundle):
+        value, identity = _records(default_bundle)
+        for record in value + identity:
+            cls, values = type(record), astuple(record)
+            named = list(zip(record.__slots__, values))
+            half = (len(values) + 1) // 2
+            rebuilt = [
+                cls(*values),
+                cls(**dict(reversed(named))),  # keyword order is not field order
+                cls(*values[:half], **dict(named[half:])),
+            ]
+            for copy in rebuilt:
+                assert repr(copy) == repr(record)
+
+    @pytest.mark.parametrize("wrong", ["too_many", "unknown", "repeated", "missing"])
+    def test_a_wrong_field_is_a_type_error_naming_it(self, default_bundle, wrong):
+        # as an explicit signature would: the class and the field are named,
+        # except for too many fields, which names the class only
+        value, identity = _records(default_bundle)
+        for record in value + identity:
+            cls, values = type(record), astuple(record)
+            first = record.__slots__[0]
+            named = dict(zip(record.__slots__, values))
+            args, kwargs, field = {
+                "too_many": (values + (0.0,), {}, None),
+                "unknown": (values, {"bogus": 0.0}, "bogus"),
+                "repeated": (values, {first: values[0]}, first),
+                # the first field, which never has a default
+                "missing": ((), {k: v for k, v in named.items() if k != first}, first),
+            }[wrong]
+            with pytest.raises(TypeError) as err:
+                cls(*args, **kwargs)
+            assert cls.__name__ in str(err.value)
+            if field is not None:
+                assert repr(field) in str(err.value)
 
 
 class TestSafetyMonitor:
