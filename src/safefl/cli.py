@@ -10,10 +10,11 @@ summary.json and the SVGs, so its memory does not grow with the horizon. The
 outputs do not depend on the CPU count. Forking makes this POSIX only.
 
 Certificates are chosen and reported on Python floats, and this module
-imports numpy only in safety_monitor and before a sweep forks, so
-`select-params` never loads it (`verify` does, for the verifier's sampled
-block). The parent of a sweep imports numpy before its first fork: each
-forked child then finds it loaded, and none pays for the import again.
+imports numpy only in write_trajectory_csv, in safety_monitor and before a
+sweep forks, so `select-params` never loads it (`verify` does, for the
+verifier's sampled block). The parent of a sweep imports numpy before its
+first fork: each forked child then finds it loaded, and none pays for the
+import again.
 
 Exit codes: 0 success, 2 verification or feasibility failure, 3 configuration
 error, 4 numerical abort (singularity or divergence during simulation).
@@ -49,57 +50,48 @@ EXIT_CHECK_FAILED = 2
 EXIT_CONFIG = 3
 EXIT_NUMERICAL = 4
 
-CSV_COLUMNS = (
-    "t",
-    "p1",
-    "p2",
-    "v1",
-    "v2",
-    "tau1",
-    "tau2",
-    "F1",
-    "F2",
-    "Fsafe1",
-    "Fsafe2",
-    "W1",
-    "W2",
-    "safe_flag",
+# The CSV schema: each Trajectory field a row holds, in column order, with
+# the names of its columns.
+CSV_FIELDS = (
+    ("t", "t"),
+    ("pos", "p1 p2"),
+    ("vel", "v1 v2"),
+    ("inputs", "tau1 tau2"),
+    ("force", "F1 F2"),
+    ("force_safe", "Fsafe1 Fsafe2"),
+    ("w", "W1 W2"),
+    ("safe", "safe_flag"),
 )
+CSV_COLUMNS = tuple(name for _, names in CSV_FIELDS for name in names.split())
 
-
-# one row of the schema: 13 floats with 9 significant digits, then the flag;
-# "%.9g" formats exactly like format(x, ".9g"), signed zero included
+# one row of the schema: 13 floats with 9 significant digits, then the flag,
+# stacked with them as 0.0 or 1.0; "%.9g" formats exactly like
+# format(x, ".9g"), signed zero included
 _CSV_ROW = ",".join(["%.9g"] * (len(CSV_COLUMNS) - 1) + ["%d"]) + "\n"
 _CSV_BLOCK = 1024
 
 
 def write_trajectory_csv(traj: Trajectory, path: Path) -> None:
-    """Emit the fixed 14-column schema with 9-significant-digit floats; a
+    """Emit the CSV_FIELDS schema with 9-significant-digit floats; a
     trajectory without records gives the header alone."""
+    import numpy as np
+
+    fields = [getattr(traj, name) for name, _ in CSV_FIELDS]
     with path.open("w", encoding="utf-8") as fh:
         fh.write(",".join(CSV_COLUMNS) + "\n")
-        if len(traj) == 0:
-            return
-        columns = [
-            traj.t,
-            traj.pos[:, 0],
-            traj.pos[:, 1],
-            traj.vel[:, 0],
-            traj.vel[:, 1],
-            traj.inputs[:, 0],
-            traj.inputs[:, 1],
-            traj.force[:, 0],
-            traj.force[:, 1],
-            traj.force_safe[:, 0],
-            traj.force_safe[:, 1],
-            traj.w[:, 0],
-            traj.w[:, 1],
-            traj.safe,
-        ]
-        # a block of rows at a time keeps the Python copies of the columns small
+        # a block of rows at a time keeps the stacked copy and its Python rows small
         for start in range(0, len(traj), _CSV_BLOCK):
-            block = [col[start : start + _CSV_BLOCK].tolist() for col in columns]
-            fh.write("".join([_CSV_ROW % rec for rec in zip(*block)]))
+            block = np.column_stack([field[start : start + _CSV_BLOCK] for field in fields])
+            fh.write("".join([_CSV_ROW % tuple(row) for row in block.tolist()]))
+
+
+def _make_out_dir(path: Path) -> None:
+    """Make the output directory path with its parents where missing; one
+    that cannot be made is a ConfigError that names it."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise ConfigError(f"cannot create output directory {path}: {err.strerror}") from err
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -151,7 +143,7 @@ def cmd_select_params(args) -> int:
     config = _load(args)
     bundle = build_bundle(config, enforce_bounds=True)
     report = parameter_report(bundle)
-    args.out.mkdir(parents=True, exist_ok=True)
+    _make_out_dir(args.out)
     out_path = args.out / "parameters.json"
     out_path.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
     for sub in report["subsystems"]:
@@ -173,7 +165,7 @@ def cmd_verify(args) -> int:
     config = _load(args)
     bundle = build_bundle(config, enforce_bounds=False)
     results = verify_bundle(bundle)
-    args.out.mkdir(parents=True, exist_ok=True)
+    _make_out_dir(args.out)
     payload = {"grid_resolution": DEFAULT_GRID_RESOLUTION, "subsystems": []}
     all_pass = True
     for axis, report in results:
@@ -234,7 +226,6 @@ def _simulate_in_child(conn, bundle, k_safe: float, dt, horizon, out: Path) -> N
     """
     try:
         traj = run_case(bundle, k_safe, dt=dt, horizon=horizon)
-        out.mkdir(parents=True, exist_ok=True)
         write_trajectory_csv(traj, out / f"{run_label(traj.meta['k_safe'])}.csv")
         conn.send(safety_monitor(bundle, traj))
     except BaseException as err:
@@ -263,7 +254,8 @@ def _receive(k_safe: float, proc, receiver):
 def _simulate_sweep(bundle, gains, dt, horizon, out: Path) -> list[tuple[dict, Optional[RunSeries]]]:
     """The summary entry and figure series of the run at each gain, in their
     order (see safety_monitor). Each run is made in a forked child that also
-    writes its CSV; at most one child per usable CPU runs at a time.
+    writes its CSV into out, which must exist; at most one child per usable
+    CPU runs at a time.
 
     Once a child reports an error no further child starts. Every started
     child is joined before this returns or raises, and the first error in
@@ -313,14 +305,12 @@ def cmd_simulate(args) -> int:
     config = _load(args)
     sweep = checked_sweep(args.k_safe) if args.k_safe is not None else config.k_safe_sweep
     bundle = build_bundle(config, enforce_bounds=True)
-    # Each run, its CSV and its summary are made in a forked child
-    # (_simulate_sweep); the parent writes summary.json and the SVGs once
-    # every run is back. An out-of-range --dt or --horizon makes every
-    # run_case raise the same ConfigError before it simulates, so no CSV and
-    # no directory is written.
+    # checked here, so an out-of-range --dt or --horizon, or an --out that
+    # cannot be made, starts no child; each child writes its CSV into out
+    bundle.sim_config(args.dt, args.horizon)
+    _make_out_dir(args.out)
     runs = _simulate_sweep(bundle, (0.0, *sweep), args.dt, args.horizon, args.out)
 
-    args.out.mkdir(parents=True, exist_ok=True)
     summary = parameter_report(bundle)
     summary["runs"] = [entry for entry, _ in runs]
     for entry, series in runs:

@@ -369,6 +369,19 @@ class ScenarioBundle(Record):
     def x0(self) -> tuple[float, float, float, float]:
         return self.q0 + self.qdot0
 
+    def sim_config(self, dt: Optional[float] = None, horizon: Optional[float] = None) -> SimConfig:
+        """The run's settings, with dt and horizon, where given, in place of
+        the configured ones; an out-of-range value raises ConfigError."""
+        try:
+            return SimConfig(
+                dt=self.config.dt if dt is None else dt,
+                horizon=self.config.horizon if horizon is None else horizon,
+                x0=self.x0,
+                record_stride=self.config.record_stride,
+            )
+        except ValueError as err:
+            raise ConfigError(f"invalid configuration: {err}") from err
+
 
 def _axis_interval(sign: float, lo: float, hi: float, goal: float) -> tuple[float, float]:
     a, b = sign * (lo - goal), sign * (hi - goal)
@@ -474,17 +487,10 @@ def run_case(
     """Simulate the bundle's scenario at one safety gain.
 
     dt and horizon override the configured values and are checked as those
-    are: an out-of-range one raises ConfigError before the run starts.
+    are (ScenarioBundle.sim_config): an out-of-range one raises ConfigError
+    before the run starts.
     """
-    try:
-        config = SimConfig(
-            dt=dt if dt is not None else bundle.config.dt,
-            horizon=horizon if horizon is not None else bundle.config.horizon,
-            x0=bundle.x0,
-            record_stride=bundle.config.record_stride,
-        )
-    except ValueError as err:
-        raise ConfigError(f"invalid configuration: {err}") from err
+    config = bundle.sim_config(dt, horizon)
     traj = simulate_closed_loop(bundle.controller(k_safe_value), bundle.params, config)
     traj.meta["k_safe"] = k_safe_value
     return traj

@@ -55,15 +55,16 @@ def _record_count(n_steps: int, record_stride: int) -> int:
 
 def check_timing(dt: float, horizon: float, record_stride: float) -> None:
     """Raise ValueError unless 0 < dt <= 1e-2, 0 < horizon < inf, record_stride
-    is an integer >= 1 and the run holds at most MAX_RECORDS records. NaN
-    fails every check."""
+    is an integer >= 1 and the run holds at most MAX_RECORDS records, which
+    a horizon / dt that overflows to inf does not. NaN fails every check."""
     if not 0.0 < dt <= 1e-2:
         raise ValueError(f"dt must lie in (0, 1e-2], got {dt}")
     if not 0.0 < horizon < math.inf:
         raise ValueError(f"horizon must be finite and positive, got {horizon}")
     if not (record_stride >= 1 and float(record_stride).is_integer()):
         raise ValueError(f"record_stride must be an integer >= 1, got {record_stride}")
-    records = _record_count(_step_count(dt, horizon), int(record_stride))
+    finite = horizon / dt < math.inf
+    records = _record_count(_step_count(dt, horizon), int(record_stride)) if finite else math.inf
     if records > MAX_RECORDS:
         raise ValueError(
             f"a run of {records} records exceeds the limit of {MAX_RECORDS}; "

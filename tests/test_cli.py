@@ -1,8 +1,10 @@
+import errno
 import json
 import math
 import multiprocessing
 import os
 import re
+import shutil
 import subprocess
 import sys
 import time
@@ -251,6 +253,27 @@ class TestSimulate:
             expected.append(",".join([format(float(c), ".9g") for c in cells] + [str(int(traj.safe[i]))]))
         assert path.read_text(encoding="utf-8") == "\n".join(expected) + "\n"
 
+    def test_csv_of_an_empty_trajectory_is_the_header(self, tmp_path):
+        from safefl.cli import write_trajectory_csv
+        from safefl.sim import Trajectory
+
+        pairs = np.empty((0, 2))
+        traj = Trajectory(
+            t=np.empty(0),
+            states=np.empty((0, 4)),
+            inputs=pairs,
+            pos=pairs,
+            vel=pairs,
+            force=pairs,
+            force_safe=pairs,
+            w=pairs,
+            margins=pairs,
+            safe=np.empty(0, dtype=bool),
+        )
+        path = tmp_path / "traj.csv"
+        write_trajectory_csv(traj, path)
+        assert path.read_text(encoding="utf-8") == ",".join(CSV_COLUMNS) + "\n"
+
     def test_singularity_abort_exits_4(self, tmp_path, raw_config):
         # outward initial velocity near full stretch drives the arm through
         # the stretched singularity within a few steps
@@ -426,6 +449,10 @@ def _axis1_only_levels(v2):
 NAN, INF = float("nan"), float("inf")
 
 
+def _no_sweep(*args):
+    raise AssertionError("the sweep started")
+
+
 class TestErrorExitCodes:
     @pytest.mark.parametrize(
         "command, mutate, flags, code",
@@ -489,6 +516,12 @@ class TestErrorExitCodes:
             ("select-params", _set("clbf", "params", _AUTO_PARAMS), [], 3),
             ("select-params", _auto_params_by_default, [], 3),
             ("simulate", _set("clbf", "params", None), [], 3),
+            ("select-params", _set("simulation", "horizon", 1e308), [], 3),
+            ("verify", _set("simulation", "horizon", 1e308), [], 3),
+            ("simulate", _set("simulation", "horizon", 1e308), [], 3),
+            ("simulate", _set("simulation", "dt", 5e-324), [], 3),
+            ("simulate", _keep, ["--horizon", "1e308"], 3),
+            ("simulate", _keep, ["--dt", "5e-324"], 3),
         ],
         ids=[
             "delta_margin",
@@ -550,11 +583,20 @@ class TestErrorExitCodes:
             "auto_params",
             "defaulted_auto_params",
             "auto_params_null",
+            "select_configured_step_count_overflow",
+            "verify_configured_step_count_overflow",
+            "simulate_configured_step_count_overflow",
+            "configured_dt_subnormal",
+            "horizon_flag_step_count_overflow",
+            "dt_flag_subnormal",
         ],
     )
     def test_exit_code_and_one_line_message(
-        self, tmp_path, raw_config, capsys, command, mutate, flags, code
+        self, tmp_path, raw_config, capsys, monkeypatch, command, mutate, flags, code
     ):
+        import safefl.cli as cli
+
+        monkeypatch.setattr(cli, "_simulate_sweep", _no_sweep)
         raw = fast(raw_config)
         mutate(raw)
         path = write_config(tmp_path, raw)
@@ -563,7 +605,36 @@ class TestErrorExitCodes:
         lines = capsys.readouterr().err.strip().splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("configuration error:" if code == 3 else "infeasible:")
-        assert not out.exists()  # rejected before any run or output
+        assert not out.exists()  # rejected before any run, child or output
+
+    @pytest.mark.parametrize("flags", [["--dt", "0"], ["--horizon", "nan"], ["--horizon", "1e308"]])
+    def test_reproduce_paper_overrides(self, tmp_path, capsys, monkeypatch, flags):
+        # as the simulate rows above, for the command that takes no --config
+        import safefl.cli as cli
+
+        monkeypatch.setattr(cli, "_simulate_sweep", _no_sweep)
+        out = tmp_path / "out"
+        assert main(["reproduce-paper", "--out", str(out), *flags]) == 3
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("configuration error: invalid configuration: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["select-params", "verify", "simulate", "reproduce-paper"])
+    @pytest.mark.parametrize("under_a_file", [False, True], ids=["a_file", "under_a_file"])
+    def test_out_that_cannot_be_made(self, tmp_path, capsys, monkeypatch, command, under_a_file):
+        import safefl.cli as cli
+
+        monkeypatch.setattr(cli, "_simulate_sweep", _no_sweep)
+        blocker = tmp_path / "blocker"
+        blocker.write_text("kept\n")
+        out = blocker / "out" if under_a_file else blocker
+        flags = ["--horizon", "0.05"] if command in ("simulate", "reproduce-paper") else []
+        assert main([command, "--out", str(out), *flags]) == 3
+        reason = os.strerror(errno.ENOTDIR if under_a_file else errno.EEXIST)
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert lines == [f"configuration error: cannot create output directory {out}: {reason}"]
+        assert blocker.read_text() == "kept\n"
 
     @pytest.mark.parametrize(
         "key, value",
@@ -979,6 +1050,30 @@ class TestNumpyImports:
         importers = {int(line.split()[0]) for line in log.read_text().splitlines()}
         assert importers == {parent}
         assert len(list((tmp_path / "out").glob("*.csv"))) == 4
+
+
+class TestOldestPython:
+    def test_select_params_on_python_3_10(self, tmp_path):
+        # the floor requires-python declares, with no installed package on
+        # the path (-S): the certificate path needs no numpy
+        python = shutil.which("python3.10")
+        if python is None or subprocess.run([python, "-c", ""], capture_output=True).returncode:
+            pytest.skip("no working python3.10 on PATH")
+        import safefl
+
+        src = str(Path(safefl.__file__).resolve().parents[1])
+        out = tmp_path / "py310"
+        done = subprocess.run(
+            [python, "-S", *_STRICT, "-m", "safefl.cli", "select-params", "--out", str(out)],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert main(["select-params", "--out", str(tmp_path / "here")]) == 0
+        report = (tmp_path / "here" / "parameters.json").read_bytes()
+        assert (out / "parameters.json").read_bytes() == report
 
 
 class TestParentMemory:

@@ -64,6 +64,12 @@ class TestSimConfig:
         with pytest.raises(ValueError):
             SimConfig(dt=1e-3, horizon=1.0, x0=np.zeros(4), record_stride=0)
 
+    @pytest.mark.parametrize("dt, horizon", [(1e-3, 1e308), (5e-324, 10.0)])
+    def test_step_count_overflow_is_over_the_record_limit(self, dt, horizon):
+        # horizon / dt is inf here, which round() cannot take
+        with pytest.raises(ValueError, match="a run of inf records exceeds the limit"):
+            SimConfig(dt=dt, horizon=horizon, x0=np.zeros(4))
+
     @pytest.mark.parametrize(
         "x0",
         [
