@@ -104,27 +104,30 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name: str, about: str, run, sim_flags: bool = False, config: bool = True) -> None:
+    def command(name: str, about: str, run, sim_flags: bool = False, config: bool = True):
         p = sub.add_parser(name, help=about)
-        p.set_defaults(run=run, config=None)
+        p.set_defaults(run=run, config=None, k_safe=None)
         if config:
             p.add_argument("--config", type=Path, help="JSON run configuration")
         p.add_argument("--out", type=Path, default=Path("out"), help="output directory")
         if sim_flags:
             p.add_argument("--dt", type=float, default=None, help="integration step override")
             p.add_argument("--horizon", type=float, default=None, help="horizon override (s)")
-            p.add_argument(
-                "--k-safe",
-                type=float,
-                action="append",
-                default=None,
-                help="safety gain (repeatable); replaces the configured sweep",
-            )
+        return p
 
     command("select-params", "choose certificate parameters and report bounds", cmd_select_params)
     command("verify", "decide the certificate conditions from closed forms", cmd_verify)
-    command("simulate", "run the closed-loop scenario and emit CSV/SVG", cmd_simulate, sim_flags=True)
-    # the bundled configuration only: it takes no --config
+    simulate = command(
+        "simulate", "run the closed-loop scenario and emit CSV/SVG", cmd_simulate, sim_flags=True
+    )
+    simulate.add_argument(
+        "--k-safe",
+        type=float,
+        action="append",
+        help="safety gain (repeatable); replaces the configured sweep",
+    )
+    # the bundled configuration and its published sweep only: it takes
+    # neither --config nor --k-safe
     command(
         "reproduce-paper",
         "simulate the bundled reference scenario with its published gain sweep",

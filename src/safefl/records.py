@@ -7,9 +7,11 @@ that an explicit signature would, naming the class and the field. A record
 that checks or converts its arguments has its own __init__, which passes
 the checked values on to Record's. Record gives a repr, pickling through
 the constructor (so a copy passes the same checks) and immutability:
-assigning or deleting an attribute raises AttributeError. A Record compares
-by identity; a Value compares and hashes by its fields, equal only to a
-record of its own class.
+assigning or deleting an attribute raises AttributeError. Every record of
+the package is a Record, so every one is immutable; a field that holds a
+dict or an array can still change inside. A Record compares by identity; a
+Value compares and hashes by its fields, equal only to a record of its own
+class.
 
 Nothing is generated when a module is imported: the constructor reads
 __slots__ at each call.

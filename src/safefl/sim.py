@@ -21,14 +21,10 @@ configuring a run does not load numpy.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Optional
 
 from .errors import NearSingular, NonFiniteState
 from .manipulator import ArmStage, ManipulatorParams, SafeTaskController
 from .records import Record
-
-if TYPE_CHECKING:
-    import numpy as np
 
 # A step count horizon / dt within this relative distance of an integer is
 # taken as that integer: the quotient of two decimal floats can land a
@@ -56,7 +52,9 @@ def _record_count(n_steps: int, record_stride: int) -> int:
 def check_timing(dt: float, horizon: float, record_stride: float) -> None:
     """Raise ValueError unless 0 < dt <= 1e-2, 0 < horizon < inf, record_stride
     is an integer >= 1 and the run holds at most MAX_RECORDS records, which
-    a horizon / dt that overflows to inf does not. NaN fails every check."""
+    a horizon / dt that overflows to inf does not. NaN fails every check.
+    The message gives the record count to 16 significant digits, exact up
+    to 2**53, so it stays one short line at any horizon."""
     if not 0.0 < dt <= 1e-2:
         raise ValueError(f"dt must lie in (0, 1e-2], got {dt}")
     if not 0.0 < horizon < math.inf:
@@ -67,7 +65,7 @@ def check_timing(dt: float, horizon: float, record_stride: float) -> None:
     records = _record_count(_step_count(dt, horizon), int(record_stride)) if finite else math.inf
     if records > MAX_RECORDS:
         raise ValueError(
-            f"a run of {records} records exceeds the limit of {MAX_RECORDS}; "
+            f"a run of {records:.16g} records exceeds the limit of {MAX_RECORDS}; "
             "shorten the horizon or raise record_stride"
         )
 
@@ -98,34 +96,16 @@ class SimConfig(Record):
 
 
 class Trajectory(Record):
-    """Time-indexed record of one closed-loop run; every array shares the
-    leading length of t. Unlike the other records it is mutable."""
+    """Time-indexed record of one closed-loop run: numpy arrays t (n,),
+    states (n, 4), inputs, pos, vel, force, force_safe, w and margins
+    (n, 2) and the bools safe (n,), and meta, a dict of the run's settings
+    and outcome. Like every record it is immutable; only the dict meta
+    grows, filled by the simulator, with k_safe added by run_case."""
 
     __slots__ = (
         "t", "states", "inputs", "pos", "vel", "force", "force_safe", "w", "margins", "safe",
         "meta",
     )
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-
-    def __init__(
-        self,
-        t: np.ndarray,
-        states: np.ndarray,
-        inputs: np.ndarray,
-        pos: np.ndarray,
-        vel: np.ndarray,
-        force: np.ndarray,
-        force_safe: np.ndarray,
-        w: np.ndarray,
-        margins: np.ndarray,
-        safe: np.ndarray,
-        meta: Optional[dict] = None,
-    ):
-        super().__init__(
-            t, states, inputs, pos, vel, force, force_safe, w, margins, safe,
-            {} if meta is None else meta,
-        )
 
     def __len__(self) -> int:
         return self.t.shape[0]
@@ -160,7 +140,7 @@ def simulate_closed_loop(
     t_out = np.empty(n_records)
     states = np.empty((n_records, len(x)))
     rows = np.empty((n_records, sum(width for _, width in ArmStage.layout)))
-    failure: Optional[dict] = None
+    meta = {"dt": config.dt, "horizon": config.horizon}
     count = 0
     for step in range(n_steps + 1):
         t = step * dt
@@ -177,19 +157,17 @@ def simulate_closed_loop(
                 break
             x = stage.step(t, x, dt, k1)
         except (NearSingular, NonFiniteState) as err:
-            failure = {"error": type(err).__name__, "message": str(err), "time": t}
+            meta["failure"] = {"error": type(err).__name__, "message": str(err), "time": t}
             break
 
+    # the loop leaves step at n_steps, or at the step that aborted
+    meta["steps"] = step
     columns = ArmStage.columns(rows[:count])
-    traj = Trajectory(
+    return Trajectory(
         t=t_out[:count],
         states=states[:count],
         safe=np.all(columns["margins"] > 0.0, axis=1),
-        # the loop leaves step at n_steps, or at the step that aborted
-        meta={"dt": config.dt, "horizon": config.horizon, "steps": step},
+        meta=meta,
         **columns,
     )
-    if failure is not None:
-        traj.meta["failure"] = failure
-    return traj
 

@@ -5,14 +5,18 @@ keeps of it, not the run's trajectory. run_series takes the run's
 full-length numpy arrays, which it indexes with a list of positions, so a
 plain list is refused there. The renderers map and format every point on
 its own in Python floats, so a RunSeries may hold any sequences of numbers,
-and the module imports only the standard library.
+and the module imports only the standard library and .records. A run keeps
+the colour of its position in the sweep in both figures, also where an
+earlier run has no records.
 """
 
 from __future__ import annotations
 
 import math
 from pathlib import Path
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
+
+from .records import Record
 
 _PALETTE = ("#1f77b4", "#2ca02c", "#ff7f0e", "#d62728", "#9467bd", "#8c564b")
 
@@ -110,17 +114,13 @@ def _finite_cap(values: Sequence[float]) -> float:
     return float(max(filter(math.isfinite, values), default=1.0))
 
 
-class RunSeries(NamedTuple):
-    """What the figures plot of one run with records: the thinned time,
-    (x, y) positions and force norms, and norm_cap, the largest finite force
+class RunSeries(Record):
+    """What the figures plot of one run with records: its float k_safe, the
+    thinned sequences of time t, (x, y) positions pos and force norms
+    phi_norm and force_safe_norm, and norm_cap, the largest finite force
     norm over the whole run (1.0 if there is none)."""
 
-    k_safe: float
-    t: Sequence[float]
-    pos: Sequence[Sequence[float]]
-    phi_norm: Sequence[float]
-    force_safe_norm: Sequence[float]
-    norm_cap: float
+    __slots__ = ("k_safe", "t", "pos", "phi_norm", "force_safe_norm", "norm_cap")
 
 
 def run_series(k_safe: float, t, pos, phi_norm, force_safe_norm) -> RunSeries:
@@ -134,23 +134,26 @@ def _run_name(k_safe: float) -> str:
     return "baseline" if k_safe == 0.0 else f"k_safe={k_safe:g}"
 
 
-def _legend(labels: list[str], colors: list[str]) -> list[str]:
-    parts = []
-    for i, (label, color) in enumerate(zip(labels, colors)):
+def _colored(runs: Sequence[Optional[RunSeries]]) -> tuple[list[tuple[RunSeries, str]], list[str]]:
+    """The runs with records, each with the colour of its position in the
+    sweep (a run without records, None, draws nothing but keeps its
+    colour), and the legend entries of those runs."""
+    drawn = [(run, _PALETTE[i % len(_PALETTE)]) for i, run in enumerate(runs) if run is not None]
+    legend = []
+    for i, (run, color) in enumerate(drawn):
         y = _MARGIN + 16 + 16 * i
-        parts.append(
+        legend.append(
             f'<line x1="{_WIDTH - _MARGIN - 110}" y1="{y - 4}" '
             f'x2="{_WIDTH - _MARGIN - 86}" y2="{y - 4}" stroke="{color}" stroke-width="2"/>'
         )
-        parts.append(
-            f'<text x="{_WIDTH - _MARGIN - 80}" y="{y}" font-size="11">{label}</text>'
+        legend.append(
+            f'<text x="{_WIDTH - _MARGIN - 80}" y="{y}" font-size="11">{_run_name(run.k_safe)}</text>'
         )
-    return parts
+    return drawn, legend
 
 
 def render_trajectories(runs: Sequence[Optional[RunSeries]], bundle, path: Path) -> None:
-    """End-effector paths over the region box, unsafe half planes shaded.
-    A run without records (None) plots nothing but keeps its colour."""
+    """End-effector paths over the region box, unsafe half planes shaded."""
     config = bundle.config
     box = (config.region_p1, config.region_p2)
     frame = _Frame(*box)
@@ -163,22 +166,15 @@ def render_trajectories(runs: Sequence[Optional[RunSeries]], bundle, path: Path)
         band[spec.axis] = (spec.bound, hi) if spec.side == "max" else (lo, spec.bound)
         body.append(frame.rect(*band[0], *band[1], "#d62728", 0.25))
 
-    labels, colors = [], []
-    start = None
-    for i, run in enumerate(runs):
-        color = _PALETTE[i % len(_PALETTE)]
-        if run is None:
-            continue
-        if start is None:
-            start = run.pos[0]
+    drawn, legend = _colored(runs)
+    for run, color in drawn:
         dash = "6,4" if run.k_safe == 0.0 else ""
         xs, ys = zip(*run.pos)
         body.append(frame.polyline(xs, ys, color, 1.6, dash))
-        labels.append(_run_name(run.k_safe))
-        colors.append(color)
 
     goal = config.goal
-    if start is not None:
+    if drawn:
+        start = drawn[0][0].pos[0]
         body.append(
             f'<circle cx="{frame.x(start[0]):.1f}" cy="{frame.y(start[1]):.1f}" r="4" fill="#111"/>'
         )
@@ -186,27 +182,23 @@ def render_trajectories(runs: Sequence[Optional[RunSeries]], bundle, path: Path)
         f'<circle cx="{frame.x(goal[0]):.1f}" cy="{frame.y(goal[1]):.1f}" r="5" '
         f'fill="none" stroke="#111" stroke-width="2"/>'
     )
-    body.extend(_legend(labels, colors))
+    body.extend(legend)
     body.extend(frame.axes("position 1", "position 2"))
     path.write_text(_document(body), encoding="utf-8")
 
 
 def render_input_norms(runs: Sequence[Optional[RunSeries]], path: Path) -> None:
     """Plain feedback-linearization force norm and safety force norm vs time,
-    for the runs with records, coloured in their order."""
-    series = [run for run in runs if run is not None]
-    y_max = max((run.norm_cap for run in series), default=0.0)
-    t_max = max((float(run.t[-1]) for run in series), default=1.0)
+    for the runs with records."""
+    drawn, legend = _colored(runs)
+    y_max = max((run.norm_cap for run, _ in drawn), default=0.0)
+    t_max = max((float(run.t[-1]) for run, _ in drawn), default=1.0)
     frame = _Frame((0.0, max(t_max, 1e-9)), (0.0, 1.05 * max(y_max, 1e-9)))
 
     body = []
-    labels, colors = [], []
-    for i, run in enumerate(series):
-        color = _PALETTE[i % len(_PALETTE)]
+    for run, color in drawn:
         body.append(frame.polyline(run.t, run.phi_norm, color, 1.0, dash="3,3"))
         body.append(frame.polyline(run.t, run.force_safe_norm, color, 1.8))
-        labels.append(_run_name(run.k_safe))
-        colors.append(color)
-    body.extend(_legend(labels, colors))
+    body.extend(legend)
     body.extend(frame.axes("time (s)", "force norm (dashed: plain FL, solid: safety)"))
     path.write_text(_document(body), encoding="utf-8")

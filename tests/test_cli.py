@@ -243,6 +243,7 @@ class TestSimulate:
             w=block[:, 10:12],
             margins=np.ones((values.size, 2)),
             safe=np.arange(values.size) % 2 == 0,
+            meta={},
         )
         path = tmp_path / "traj.csv"
         write_trajectory_csv(traj, path)
@@ -269,6 +270,7 @@ class TestSimulate:
             w=pairs,
             margins=pairs,
             safe=np.empty(0, dtype=bool),
+            meta={},
         )
         path = tmp_path / "traj.csv"
         write_trajectory_csv(traj, path)
@@ -481,6 +483,7 @@ class TestErrorExitCodes:
             ("simulate", _set("simulation", "record_stride", 2.5), [], 3),
             ("simulate", _set("simulation", "record_stride", 0.5), [], 3),
             ("simulate", _keep, ["--horizon", "1e9", "--k-safe", "0.5"], 3),
+            ("simulate", _set("simulation", "horizon", 1e300), [], 3),
             ("simulate", _set("goal", "01"), [], 3),
             ("simulate", _set("manipulator", "m1", "0.8"), [], 3),
             ("simulate", _set("manipulator", "m1", 10**400), [], 3),
@@ -548,6 +551,7 @@ class TestErrorExitCodes:
             "record_stride_fractional",
             "record_stride_below_one",
             "records_over_limit",
+            "records_far_over_limit",
             "goal_string",
             "m1_string",
             "m1_integer_beyond_float",
@@ -603,7 +607,7 @@ class TestErrorExitCodes:
         out = tmp_path / "out"
         assert main([command, "--config", str(path), "--out", str(out), *flags]) == code
         lines = capsys.readouterr().err.strip().splitlines()
-        assert len(lines) == 1
+        assert len(lines) == 1 and len(lines[0]) <= 200, lines
         assert lines[0].startswith("configuration error:" if code == 3 else "infeasible:")
         assert not out.exists()  # rejected before any run, child or output
 
@@ -826,13 +830,15 @@ class TestReproduce:
         assert [run["steps"] for run in summary["runs"]] == [20] * 4
 
     def test_config_flag_is_a_usage_error(self, tmp_path, capsys):
-        # reproduce-paper runs the bundled configuration only
+        # reproduce-paper runs the bundled configuration and its published
+        # sweep only
         out = tmp_path / "out"
-        with pytest.raises(SystemExit) as exit_info:
-            main(["reproduce-paper", "--config", str(tmp_path / "missing.json"), "--out", str(out)])
-        assert exit_info.value.code == 2
-        assert "--config" in capsys.readouterr().err
-        assert not out.exists()
+        for flag, value in (("--config", str(tmp_path / "missing.json")), ("--k-safe", "0.3")):
+            with pytest.raises(SystemExit) as exit_info:
+                main(["reproduce-paper", flag, value, "--out", str(out)])
+            assert exit_info.value.code == 2
+            assert flag in capsys.readouterr().err
+            assert not out.exists()
 
 
 class TestParallelSweep:
@@ -1099,6 +1105,25 @@ class TestPublicApi:
         code = "import runpy; runpy.run_module('safefl.cli', run_name='__main__')"
         _fresh_python(code, "verify", "--out", str(tmp_path / "out"), flags=_STRICT)
         assert (tmp_path / "out" / "verification_report.json").exists()
+
+    def test_readme_cli_synopsis_names_every_flag(self):
+        # each subcommand's line names exactly the flags its parser takes
+        import argparse
+
+        from safefl.cli import _build_parser
+
+        section = README.read_text(encoding="utf-8").split("## CLI", 1)[1]
+        synopsis = re.search(r"```\n(.*?)```", section, re.S).group(1)
+        documented = {
+            line.split()[1]: set(re.findall(r"--[a-z-]+", line)) for line in synopsis.splitlines()
+        }
+        [commands] = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        defined = {
+            name: {flag for a in sub._actions for flag in a.option_strings if flag.startswith("--")}
+            - {"--help"}
+            for name, sub in commands.choices.items()
+        }
+        assert documented == defined
 
     def test_readme_library_sketch_runs(self):
         # the documented API cannot drift from the code

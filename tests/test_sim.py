@@ -17,6 +17,7 @@ from safefl.scenario import (
     verify_bundle,
 )
 from safefl.sim import SimConfig, Trajectory, simulate_closed_loop
+from safefl.svg import RunSeries
 from tests.conftest import astuple, replace
 
 
@@ -327,8 +328,8 @@ class TestFusedArmStage:
 
 def _records(bundle):
     """(value records, identity records): every record the bundled
-    configuration builds, with a run's SimConfig and Trajectory and one
-    verification report with its conditions."""
+    configuration builds, with a run's SimConfig, Trajectory and figure
+    series and one verification report with its conditions."""
     config, sub = bundle.config, bundle.subsystems[0]
     cert = sub.certificate
     (_, report), _ = verify_bundle(bundle, grid_resolution=50)
@@ -336,9 +337,10 @@ def _records(bundle):
         config.manipulator, *config.constraints, *bundle.subsystems, sub.clf, sub.region,
         HalfPlaneUnsafe(cert.shape.d), cert, cert.shape, cert.bounds, report, *report.conditions(),
     ]
+    traj = run_case(bundle, 1.5, horizon=0.01)
     identity = [
         config, bundle, bundle.controller(1.5), SimConfig(dt=1e-3, horizon=0.01, x0=bundle.x0),
-        run_case(bundle, 1.5, horizon=0.01),
+        traj, safety_monitor(bundle, traj)[1],
     ]
     return value, identity
 
@@ -353,17 +355,15 @@ class TestValueEquality:
             assert (obj == copy) is False
             assert (obj == obj) is True
 
-    def test_records_are_immutable_but_a_trajectory(self, default_bundle):
+    def test_records_are_immutable(self, default_bundle):
         value, identity = _records(default_bundle)
-        *frozen, traj = identity
-        for record in value + frozen:
-            name = record.__slots__[0]
-            with pytest.raises(AttributeError):
-                setattr(record, name, getattr(record, name))
-            with pytest.raises(AttributeError):
-                delattr(record, name)
-        traj.meta = {"k_safe": 0.0}
-        assert traj.meta == {"k_safe": 0.0}
+        assert {Trajectory, RunSeries} <= {type(record) for record in identity}
+        for record in value + identity:
+            for name in record.__slots__:
+                with pytest.raises(AttributeError):
+                    setattr(record, name, getattr(record, name))
+                with pytest.raises(AttributeError):
+                    delattr(record, name)
 
     def test_pickle_round_trip(self, default_bundle):
         import pickle

@@ -105,6 +105,24 @@ def test_renderers_draw_plain_lists_without_numpy(tmp_path, default_bundle, swee
         assert drawn == (tmp_path / f"arrays_{figure}.svg").read_bytes()
 
 
+def _legend_colors(svg: str) -> dict:
+    """Each legend label of a figure with the colour of its line."""
+    entries = re.findall(r'<line [^>]* stroke="(#\w+)" stroke-width="2"/>\n<text [^>]*>([^<]*)</text>', svg)
+    return {label: color for color, label in entries}
+
+
+def test_a_run_has_one_colour_in_both_figures(tmp_path, default_bundle, sweep_series):
+    # the colour of a run's position in the sweep, also after a run without
+    # records
+    render_trajectories(sweep_series, default_bundle, tmp_path / "trajectories.svg")
+    render_input_norms(sweep_series, tmp_path / "input_norms.svg")
+    paths, norms = (
+        _legend_colors((tmp_path / name).read_text(encoding="utf-8"))
+        for name in ("trajectories.svg", "input_norms.svg")
+    )
+    assert paths == norms == {"baseline": "#1f77b4", "k_safe=1.5": "#ff7f0e"}
+
+
 _SIDES = ["min", "max", None]
 
 
