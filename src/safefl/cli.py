@@ -17,12 +17,14 @@ first fork: each forked child then finds it loaded, and none pays for the
 import again.
 
 Exit codes: 0 success, 2 verification or feasibility failure, 3 configuration
-error, 4 numerical abort (singularity or divergence during simulation).
+error or an output that cannot be written, 4 numerical abort (singularity or
+divergence during simulation).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -31,6 +33,7 @@ from typing import Optional
 
 from .clbf import DEFAULT_GRID_RESOLUTION
 from .errors import ConfigError, SafeFlError
+from .manipulator import ArmStage
 from .scenario import (
     RunConfig,
     build_bundle,
@@ -50,21 +53,16 @@ EXIT_CHECK_FAILED = 2
 EXIT_CONFIG = 3
 EXIT_NUMERICAL = 4
 
-# The CSV schema: each Trajectory field a row holds, in column order, with
-# the names of its columns.
+# The CSV schema: the time, the recorded blocks that have columns, and the
+# flag, each as a Trajectory field with the names of its columns.
 CSV_FIELDS = (
-    ("t", "t"),
-    ("pos", "p1 p2"),
-    ("vel", "v1 v2"),
-    ("inputs", "tau1 tau2"),
-    ("force", "F1 F2"),
-    ("force_safe", "Fsafe1 Fsafe2"),
-    ("w", "W1 W2"),
-    ("safe", "safe_flag"),
+    ("t", ("t",)),
+    *((name, names) for name, names in ArmStage.layout if names),
+    ("safe", ("safe_flag",)),
 )
-CSV_COLUMNS = tuple(name for _, names in CSV_FIELDS for name in names.split())
+CSV_COLUMNS = tuple(name for _, names in CSV_FIELDS for name in names)
 
-# one row of the schema: 13 floats with 9 significant digits, then the flag,
+# one row of the schema: its floats with 9 significant digits, then the flag,
 # stacked with them as 0.0 or 1.0; "%.9g" formats exactly like
 # format(x, ".9g"), signed zero included
 _CSV_ROW = ",".join(["%.9g"] * (len(CSV_COLUMNS) - 1) + ["%d"]) + "\n"
@@ -92,6 +90,15 @@ def _make_out_dir(path: Path) -> None:
         path.mkdir(parents=True, exist_ok=True)
     except OSError as err:
         raise ConfigError(f"cannot create output directory {path}: {err.strerror}") from err
+
+
+@contextlib.contextmanager
+def _writing(path: Path):
+    """Yields path to the code that writes it; an OSError there is a ConfigError."""
+    try:
+        yield path
+    except OSError as err:
+        raise ConfigError(f"cannot write {path}: {err.strerror}") from err
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -147,8 +154,8 @@ def cmd_select_params(args) -> int:
     bundle = build_bundle(config, enforce_bounds=True)
     report = parameter_report(bundle)
     _make_out_dir(args.out)
-    out_path = args.out / "parameters.json"
-    out_path.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
+    with _writing(args.out / "parameters.json") as out_path:
+        out_path.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
     for sub in report["subsystems"]:
         if not sub["constrained"]:
             print(f"axis {sub['axis']}: unconstrained (kp={sub['kp']}, kd={sub['kd']})")
@@ -181,8 +188,8 @@ def cmd_verify(args) -> int:
             if witness is not None and not cond.passed:
                 line += f", witness ({witness[0]:.6g}, {witness[1]:.6g})"
             print(line + ")")
-    out_path = args.out / "verification_report.json"
-    out_path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    with _writing(args.out / "verification_report.json") as out_path:
+        out_path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
     print(("all conditions pass" if all_pass else "verification FAILED") + f"; report at {out_path}")
     return EXIT_OK if all_pass else EXIT_CHECK_FAILED
 
@@ -229,7 +236,8 @@ def _simulate_in_child(conn, bundle, k_safe: float, dt, horizon, out: Path) -> N
     """
     try:
         traj = run_case(bundle, k_safe, dt=dt, horizon=horizon)
-        write_trajectory_csv(traj, out / f"{run_label(traj.meta['k_safe'])}.csv")
+        with _writing(out / f"{run_label(traj.meta['k_safe'])}.csv") as path:
+            write_trajectory_csv(traj, path)
         conn.send(safety_monitor(bundle, traj))
     except BaseException as err:
         conn.send(err)
@@ -334,11 +342,12 @@ def cmd_simulate(args) -> int:
         )
 
     figures = [series for _, series in runs]
-    render_trajectories(figures, bundle, args.out / "trajectories.svg")
-    render_input_norms(figures, args.out / "input_norms.svg")
-    (args.out / "summary.json").write_text(
-        json.dumps(summary, indent=2) + "\n", encoding="utf-8"
-    )
+    with _writing(args.out / "trajectories.svg") as path:
+        render_trajectories(figures, bundle, path)
+    with _writing(args.out / "input_norms.svg") as path:
+        render_input_norms(figures, path)
+    with _writing(args.out / "summary.json") as path:
+        path.write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
 
     w0 = summary["initial_w"]
     line = "initial certificate values: " + ", ".join(

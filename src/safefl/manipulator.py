@@ -246,19 +246,20 @@ class ArmStage:
     its own M, c and g (_joint_accel), so it is integrated exactly. Every setting is a
     plain float unpacked at construction. Calling the stage returns the
     state derivative; record() also returns the diagnostics row that the
-    simulator stores at recorded steps, and layout names the row's blocks as
-    (Trajectory field, width) pairs. step() advances the state by one RK4
-    step.
+    simulator stores at recorded steps, and layout, the one statement of
+    that row, names its blocks in order, each holding one value per task
+    axis, as (Trajectory field, CSV columns) pairs. step() advances the
+    state by one RK4 step.
     """
 
     layout = (
-        ("inputs", 2),
-        ("force", 2),
-        ("force_safe", 2),
-        ("w", 2),
-        ("margins", 2),
-        ("pos", 2),
-        ("vel", 2),
+        ("pos", ("p1", "p2")),
+        ("vel", ("v1", "v2")),
+        ("inputs", ("tau1", "tau2")),
+        ("force", ("F1", "F2")),
+        ("force_safe", ("Fsafe1", "Fsafe2")),
+        ("w", ("W1", "W2")),
+        ("margins", ()),
     )
 
     def __init__(self, controller: SafeTaskController, plant_params: ManipulatorParams):
@@ -278,11 +279,7 @@ class ArmStage:
     def columns(cls, rows) -> dict:
         """rows split along their last axis into the named blocks of layout,
         as views."""
-        out, start = {}, 0
-        for name, width in cls.layout:
-            out[name] = rows[..., start : start + width]
-            start += width
-        return out
+        return {name: rows[..., 2 * i : 2 * i + 2] for i, (name, _) in enumerate(cls.layout)}
 
     def __call__(self, t: float, x) -> tuple[float, float, float, float]:
         return self._field(*x)
@@ -353,6 +350,7 @@ class ArmStage:
             _, pos, vel = _task_entries(self.plant_params, s1, c1, s12, c12, qd1, qd2)
             task = (*pos, *vel)
         row = (
+            *task,
             tau1,
             tau2,
             (j22 * tau1 - j21 * tau2) / det,
@@ -363,7 +361,6 @@ class ArmStage:
             w2,
             margin1,
             margin2,
-            *task,
         )
         return (qd1, qd2, qdd1, qdd2), row
 

@@ -309,7 +309,8 @@ def load_config(path) -> RunConfig:
             raw = json.load(fh)
     except OSError as err:
         raise ConfigError(f"cannot read configuration: {err}") from err
-    except json.JSONDecodeError as err:
+    except (ValueError, RecursionError) as err:
+        # not JSON, not UTF-8, an integer past the digit limit, or too deep
         raise ConfigError(f"configuration is not valid JSON: {err}") from err
     return RunConfig.from_dict(raw)
 

@@ -7,9 +7,10 @@ loop. Runs are deterministic for identical configurations.
 The loop advances a tuple of four floats with manipulator.ArmStage.step, the
 RK4 step over the closed-loop vector field of the safe task controller on the
 arm. Each step starts from the derivative at its own state, which at a
-recorded step comes with the diagnostics row (inputs, forces, certificate
-values, margins, task-space position and velocity); the other stages compute
-the derivative alone. Rows go straight into arrays allocated once per run.
+recorded step comes with the diagnostics row, the blocks of ArmStage.layout;
+the other stages compute the derivative alone. A record (t, q1, q2, qd1, qd2,
+*row) is one row of an array allocated once per run, and the Trajectory's
+fields are views of that array.
 A record is safe when every margin at it is positive (Trajectory.safe); the
 CSV's safe_flag and cli.safety_monitor's summary of the run read that flag.
 
@@ -31,8 +32,7 @@ from .records import Record
 # rounding error above it (16.1 / 1e-3 = 16100.000000000002).
 _STEP_SNAP = 1e-9
 
-# Most records one run may hold: its rows, states and times take about
-# 152 bytes per record, so the buffers stay near 1.5 GB.
+# Most records one run may hold: at 152 bytes each, its array stays near 1.5 GB.
 MAX_RECORDS = 10_000_000
 
 
@@ -97,15 +97,12 @@ class SimConfig(Record):
 
 class Trajectory(Record):
     """Time-indexed record of one closed-loop run: numpy arrays t (n,),
-    states (n, 4), inputs, pos, vel, force, force_safe, w and margins
-    (n, 2) and the bools safe (n,), and meta, a dict of the run's settings
-    and outcome. Like every record it is immutable; only the dict meta
-    grows, filled by the simulator, with k_safe added by run_case."""
+    states (n, 4), the (n, 2) blocks of ArmStage.layout (pos, vel, inputs,
+    force, force_safe, w, margins) and the bools safe (n,), and meta, a dict
+    of the run's settings and outcome. Like every record it is immutable;
+    only meta grows, filled by the simulator, with k_safe added by run_case."""
 
-    __slots__ = (
-        "t", "states", "inputs", "pos", "vel", "force", "force_safe", "w", "margins", "safe",
-        "meta",
-    )
+    __slots__ = ("t", "states", *(name for name, _ in ArmStage.layout), "safe", "meta")
 
     def __len__(self) -> int:
         return self.t.shape[0]
@@ -134,12 +131,8 @@ def simulate_closed_loop(
     stage = ArmStage(controller, plant_params)
     dt, stride = config.dt, config.record_stride
     n_steps = config.n_steps
-    n_records = _record_count(n_steps, stride)
     x = config.x0
-
-    t_out = np.empty(n_records)
-    states = np.empty((n_records, len(x)))
-    rows = np.empty((n_records, sum(width for _, width in ArmStage.layout)))
+    records = np.empty((_record_count(n_steps, stride), 5 + 2 * len(ArmStage.layout)))
     meta = {"dt": config.dt, "horizon": config.horizon}
     count = 0
     for step in range(n_steps + 1):
@@ -147,9 +140,7 @@ def simulate_closed_loop(
         try:
             if step % stride == 0 or step == n_steps:
                 k1, row = stage.record(t, x)
-                t_out[count] = t
-                states[count] = x
-                rows[count] = row
+                records[count] = (t, *x, *row)
                 count += 1
             else:
                 k1 = stage(t, x)
@@ -162,10 +153,11 @@ def simulate_closed_loop(
 
     # the loop leaves step at n_steps, or at the step that aborted
     meta["steps"] = step
-    columns = ArmStage.columns(rows[:count])
+    records = records[:count]
+    columns = ArmStage.columns(records[:, 5:])
     return Trajectory(
-        t=t_out[:count],
-        states=states[:count],
+        t=records[:, 0],
+        states=records[:, 1:5],
         safe=np.all(columns["margins"] > 0.0, axis=1),
         meta=meta,
         **columns,

@@ -641,6 +641,50 @@ class TestErrorExitCodes:
         assert blocker.read_text() == "kept\n"
 
     @pytest.mark.parametrize(
+        "command, name",
+        [
+            ("select-params", "parameters.json"),
+            ("verify", "verification_report.json"),
+            ("simulate", "baseline.csv"),
+            ("simulate", "ksafe_0.5.csv"),
+            ("reproduce-paper", "trajectories.svg"),
+            ("reproduce-paper", "input_norms.svg"),
+            ("reproduce-paper", "summary.json"),
+        ],
+    )
+    def test_output_file_that_cannot_be_written(self, tmp_path, raw_config, capsys, command, name):
+        # as above, with the directory made and a directory at the output
+        # file's name; a CSV fails in its child, and every child is joined
+        out = tmp_path / "out"
+        (out / name).mkdir(parents=True)
+        if command == "reproduce-paper":
+            flags = ["--horizon", "0.05"]
+        else:
+            flags = ["--config", str(write_config(tmp_path, fast(raw_config)))]
+        assert main([command, "--out", str(out), *flags]) == 3
+        reason = os.strerror(errno.EISDIR)
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert lines == [f"configuration error: cannot write {out / name}: {reason}"]
+        assert multiprocessing.active_children() == []
+        assert (out / name).is_dir()
+
+    @pytest.mark.parametrize("command", ["select-params", "verify", "simulate"])
+    @pytest.mark.parametrize(
+        "content",
+        [b'{"name": "\xff"}', b"[" * 200_000 + b"]" * 200_000],
+        ids=["not_utf8", "nested_past_recursion_limit"],
+    )
+    def test_undecodable_config(self, tmp_path, capsys, command, content):
+        path = tmp_path / "config.json"
+        path.write_bytes(content)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(path), "--out", str(out)]) == 3
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and len(lines[0]) <= 200, lines
+        assert lines[0].startswith("configuration error: configuration is not valid JSON: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "key, value",
         [("l", [None, None]), ("delta_margin", 1.05), ("theta_margin", 1.05)],
         ids=["l", "delta_margin", "theta_margin"],
@@ -1124,6 +1168,12 @@ class TestPublicApi:
             for name, sub in commands.choices.items()
         }
         assert documented == defined
+
+    def test_readme_csv_schema_is_the_header(self):
+        # the header is derived from ArmStage.layout, and the README states it
+        section = README.read_text(encoding="utf-8").split("### CSV schema", 1)[1]
+        header = re.search(r"```\n(.*?)\n```", section, re.S).group(1)
+        assert header == ",".join(CSV_COLUMNS)
 
     def test_readme_library_sketch_runs(self):
         # the documented API cannot drift from the code

@@ -104,10 +104,12 @@ class TestConfigParsing:
             RunConfig.from_dict(raw_config)
 
     def test_malformed_json_file(self, tmp_path):
+        # not JSON, bytes that are not UTF-8, and nesting past the recursion limit
         path = tmp_path / "broken.json"
-        path.write_text("{not json", encoding="utf-8")
-        with pytest.raises(ConfigError):
-            load_config(path)
+        for content in (b"{not json", b'{"name": "\xff"}', b"[" * 200_000 + b"]" * 200_000):
+            path.write_bytes(content)
+            with pytest.raises(ConfigError, match="^configuration is not valid JSON: "):
+                load_config(path)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):

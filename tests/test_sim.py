@@ -238,8 +238,9 @@ def _assert_stage_matches(controller, plant_params, states, dt=1e-3):
     which equals those torques fed back and the reference y within
     EXACT_MODEL_RTOL. Either way the acceleration equals the reference
     model's dense solve M^-1 (tau - c - g) within EXACT_MODEL_RTOL, record()
-    returns the call's derivative, its row equals the controller's action
-    followed by the plant's task state, and its RK4 step equals the generic
+    returns the call's derivative, its row equals the blocks of
+    ArmStage.layout, the controller's action with the plant's task state as
+    pos and vel, and its RK4 step equals the generic
     reference step over the stage field, aborts included."""
     stage = ArmStage(controller, plant_params)
     plant = ManipulatorPlant(plant_params)
@@ -263,8 +264,10 @@ def _assert_stage_matches(controller, plant_params, states, dt=1e-3):
             assert np.abs(np.subtract(derivative[2:], accel)).max() <= EXACT_MODEL_RTOL * scale
         recorded, row = stage.record(0.0, state)
         assert recorded == derivative
-        fields = [action[name] for name in ("inputs", "force", "force_safe", "w", "margins")]
-        np.testing.assert_array_equal(row, np.concatenate([*fields, *plant.task_state(x)]))
+        fields = {**action, **dict(zip(("pos", "vel"), plant.task_state(x)))}
+        np.testing.assert_array_equal(
+            row, np.concatenate([fields[name] for name, _ in ArmStage.layout])
+        )
         assert _outcome(stage.step, 0.5, state, dt, derivative) == _outcome(
             rk4_step, stage, 0.5, state, dt, derivative
         )
